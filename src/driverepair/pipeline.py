@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .localizer import locate
@@ -19,9 +19,10 @@ from .simulator import (
     load_script,
     run_scenario,
     scenario_by_id,
+    script_to_dict,
 )
 from .spec_lang import builtin_specs, parse_spec, resolve_spec, robustness
-from .trace_model import build_trace, frame_to_dict, load_record, save_record
+from .trace_model import build_trace, frame_to_line, load_record
 
 REPORT_VERSION = 1
 
@@ -62,12 +63,22 @@ def _resolve_script(cfg: PipelineConfig):
     return None
 
 
-def _run_key(cfg: PipelineConfig, record_bytes: bytes, spec_stl: str) -> str:
-    h = hashlib.sha256()
-    h.update(record_bytes)
-    h.update(spec_stl.encode())
-    h.update(f"{cfg.delta}|{cfg.n}|{cfg.base_seed}|{cfg.backend.backend}"
-             f"|{cfg.backend.model}".encode())
+def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
+             spec_stl: str) -> str:
+    """Hash of every input that shapes the run directory's bytes."""
+    backend = asdict(cfg.backend)
+    del backend["api_key_env"]      # names where the key is, not what it is
+    h = hashlib.sha256(record_bytes)
+    h.update(json.dumps({
+        "report_version": REPORT_VERSION,
+        "spec": spec_stl,
+        "script": script_to_dict(script) if script is not None else None,
+        "delta": cfg.delta,
+        "n": cfg.n,
+        "base_seed": cfg.base_seed,
+        "params": asdict(cfg.params),
+        "backend": backend,
+    }, sort_keys=True).encode())
     return h.hexdigest()[:12]
 
 
@@ -78,6 +89,44 @@ def _write(path: Path, text: str):
 
 def _json_dump(doc) -> str:
     return json.dumps(doc, indent=2)
+
+
+def _record_text(frames) -> str:
+    return "".join(frame_to_line(f) for f in frames)
+
+
+@dataclass(frozen=True)
+class _Replay:
+    """What one replay contributes to a report; the frames are not kept."""
+    record_text: str
+    outcome: str
+    rho_spec: float
+    rho_no_collision: float
+    metrics: dict
+
+    @property
+    def fixed(self) -> bool:
+        return self.rho_spec > 0 and self.rho_no_collision > 0
+
+
+def _replay(replays: dict, script, program, params, phi, nc_phi) -> _Replay:
+    """Replay `program` on `script`, once per distinct program in `replays`.
+
+    The caller owns `replays` and keeps script, params and both specs fixed
+    for its lifetime, so the program alone identifies a replay.
+    """
+    replay = replays.get(program)
+    if replay is None:
+        frames, outcome = run_scenario(script, program, params)
+        trace = build_trace(frames)
+        replay = replays[program] = _Replay(
+            record_text=_record_text(frames),
+            outcome=outcome,
+            rho_spec=_rho(phi, trace),
+            rho_no_collision=_rho(nc_phi, trace),
+            metrics=evaluate_trace(frames),
+        )
+    return replay
 
 
 def _prepare_record(cfg: PipelineConfig):
@@ -97,13 +146,10 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
 
     frames, record_id, script, baseline_outcome = _prepare_record(cfg)
 
-    record_lines = "".join(
-        json.dumps(frame_to_dict(f), separators=(",", ":")) + "\n"
-        for f in frames)
-    key = _run_key(cfg, record_lines.encode(), spec_entry.stl)
+    record_lines = _record_text(frames)
+    key = _run_key(cfg, script, record_lines.encode(), spec_entry.stl)
     run_dir = Path(cfg.out_dir) / f"{record_id}_{key}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_record(frames, run_dir / "record.jsonl")
+    _write(run_dir / "record.jsonl", record_lines)
 
     trace = build_trace(frames)
     rho_before = _rho(phi, trace)
@@ -170,6 +216,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     costs = []
     fixed_count = 0
     replayable = script is not None
+    replays = {}
     for i, cand in enumerate(batch.candidates):
         cand_file = run_dir / "candidates" / f"cand_{i}.mud"
         _write(cand_file, pretty_print(cand.program))
@@ -186,26 +233,21 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
             "metrics_delta": None,
         }
         if replayable:
-            rframes, routcome = run_scenario(script, cand.program, cfg.params)
-            replay_path = run_dir / "replays" / f"cand_{i}.jsonl"
-            replay_path.parent.mkdir(parents=True, exist_ok=True)
-            save_record(rframes, replay_path)
-            rtrace = build_trace(rframes)
-            rho_spec = _rho(phi, rtrace)
-            rho_nc = _rho(nc_phi, rtrace)
-            fixed = rho_spec > 0 and rho_nc > 0
-            fixed_count += fixed
-            rmetrics = evaluate_trace(rframes)
+            replay = _replay(replays, script, cand.program, cfg.params,
+                             phi, nc_phi)
+            _write(run_dir / "replays" / f"cand_{i}.jsonl",
+                   replay.record_text)
+            fixed_count += replay.fixed
             entry["replay"] = {
-                "outcome": routcome,
-                "rho_spec": rho_spec,
-                "rho_no_collision": rho_nc,
-                "fixed": fixed,
+                "outcome": replay.outcome,
+                "rho_spec": replay.rho_spec,
+                "rho_no_collision": replay.rho_no_collision,
+                "fixed": replay.fixed,
                 "record": f"replays/cand_{i}.jsonl",
-                "metrics": rmetrics,
+                "metrics": dict(replay.metrics),
             }
             entry["metrics_delta"] = {
-                key: (rmetrics[key] - baseline_metrics[key])
+                key: (replay.metrics[key] - baseline_metrics[key])
                 for key in ("avg_speed_ms", "max_speed_ms", "stop_time_s",
                             "energy_j")
             }
@@ -248,6 +290,7 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
     trace = build_trace(frames)
     backend = make_backend(cfg.backend)
 
+    replays = {}
     rows = []
     for delta in deltas:
         moments = locate(phi, trace, delta)
@@ -262,11 +305,9 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
             batch = batch_generate(bundle, 1, cfg.backend, backend=backend,
                                    base_seed=cfg.base_seed)
             if batch.candidates:
-                cand = batch.candidates[0]
-                rframes, _ = run_scenario(script, cand.program, cfg.params)
-                rtrace = build_trace(rframes)
-                row["fixed"] = (_rho(phi, rtrace) > 0
-                                and _rho(nc_phi, rtrace) > 0)
+                row["fixed"] = _replay(replays, script,
+                                       batch.candidates[0].program,
+                                       cfg.params, phi, nc_phi).fixed
         rows.append(row)
     return {"record_id": record_id, "spec": spec_entry.name, "rows": rows}
 

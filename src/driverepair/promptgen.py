@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .localizer import CriticalMoments, MomentsNotFoundError, moment_frames
 from .mudrive.catalog import PARAM_DESCRIPTIONS, PlannerParams
-from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, RawRecordFrame, scene_from_frame
+from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, RawRecordFrame
 
 VIEW_M = 80.0               # metres shown edge to edge, ego centered
 SCALE = 4.0                 # px per metre
@@ -174,8 +174,8 @@ def _default_segment(defaults: PlannerParams) -> str:
 
 
 def _scene_features(near_frame, violation_frame) -> dict:
-    near = scene_from_frame(near_frame)
-    viol = scene_from_frame(violation_frame)
+    near = near_frame.scene
+    viol = violation_frame.scene
     sep = near.nearest_npc_sep
     if sep < 6.0:
         band = "near"

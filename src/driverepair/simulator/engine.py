@@ -24,7 +24,6 @@ from ..trace_model import (
     Obstacle,
     RawRecordFrame,
     TrafficLightState,
-    scene_from_frame,
 )
 from .scenarios import ScenarioScript
 
@@ -292,7 +291,7 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
             outcome = OUTCOME_TIMEOUT
             break
 
-        scene = scene_from_frame(frame)
+        scene = frame.scene
         if program is not None:
             params, states = step_rules(program, scene, states, base)
         else:

@@ -1,7 +1,7 @@
 """Trajectory metrics over a recorded run."""
 from __future__ import annotations
 
-from ..trace_model import STOPPED_KMH, scene_from_frame
+from ..trace_model import STOPPED_KMH
 
 VEHICLE_MASS_KG = 1500.0
 
@@ -24,7 +24,7 @@ def evaluate_trace(frames) -> dict:
     seps = []
     for frame in frames:
         if frame.obstacles:
-            seps.append(scene_from_frame(frame).nearest_npc_sep)
+            seps.append(frame.scene.nearest_npc_sep)
 
     energy = 0.0
     energy_positive = 0.0

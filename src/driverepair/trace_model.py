@@ -7,6 +7,7 @@ signal variable the property language can mention, one scene per step.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -103,6 +104,11 @@ class RawRecordFrame:
     traffic_light: TrafficLightState | None = None
     weather: WeatherState = field(default_factory=WeatherState)
     map_ctx: MapContext = field(default_factory=MapContext)
+
+    @functools.cached_property
+    def scene(self) -> Scene:
+        """The frame's scene, computed on first use and kept with the frame."""
+        return scene_from_frame(self)
 
 
 def _require(cond, msg):
@@ -207,6 +213,15 @@ def frame_to_dict(frame: RawRecordFrame) -> dict:
     return doc
 
 
+def _reject_non_finite(token):
+    raise RecordError(f"non-finite number {token}")
+
+
+# NaN and +/-Infinity are JSON extensions. A NaN coordinate defeats the
+# separating-axis test, so an obstacle at x = NaN would read as a collision.
+_RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+
+
 def load_record(path) -> list[RawRecordFrame]:
     """Parse a JSONL record. Frames come back sorted by t, strictly increasing."""
     frames = []
@@ -216,9 +231,11 @@ def load_record(path) -> list[RawRecordFrame]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc = _RECORD_DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+            except RecordError as exc:
+                raise RecordError(f"line {lineno}: {exc}") from None
             try:
                 frames.append(_frame_from_dict(doc, where=f" (line {lineno})"))
             except (KeyError, TypeError, ValueError) as exc:
@@ -231,12 +248,16 @@ def load_record(path) -> list[RawRecordFrame]:
     return frames
 
 
+def frame_to_line(frame: RawRecordFrame) -> str:
+    """One canonical JSONL line (compact separators, field order fixed)."""
+    return json.dumps(frame_to_dict(frame), separators=(",", ":")) + "\n"
+
+
 def save_record(frames, path) -> None:
-    """Write frames as canonical JSONL (compact separators, field order fixed)."""
+    """Write frames as canonical JSONL, one line at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         for frame in frames:
-            fh.write(json.dumps(frame_to_dict(frame), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(frame_to_line(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -504,5 +525,5 @@ def build_trace(frames, dt: float = DEFAULT_DT) -> Trace:
         target = t0 + i * dt
         while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
             j += 1
-        scenes.append(scene_from_frame(frames[j]))
+        scenes.append(frames[j].scene)
     return Trace(scenes, dt=dt)

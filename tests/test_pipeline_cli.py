@@ -6,9 +6,12 @@ from click.testing import CliRunner
 
 from conftest import ramp_frames
 
+from driverepair import pipeline
 from driverepair.cli import main
+from driverepair.mudrive import PlannerParams
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
-from driverepair.simulator import run_scenario, scenario_by_id
+from driverepair.repair_llm import BackendConfig
+from driverepair.simulator import PAIRED_SPECS, run_scenario, scenario_by_id
 from driverepair.trace_model import save_record
 
 
@@ -109,6 +112,53 @@ class TestCmdRepair:
         assert report2["run_dir"] == report1["run_dir"]
         after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         assert before == after
+
+    def test_one_record_against_two_scripts_gets_two_run_dirs(self, tmp_path):
+        frames, _ = run_scenario(scenario_by_id("S1"))
+        record = tmp_path / "s1.jsonl"
+        save_record(frames, record)
+        reports = [cmd_repair(PipelineConfig(
+            spec=PAIRED_SPECS["S1"], record=str(record), scenario=sid, n=1,
+            out_dir=str(tmp_path / "runs"))) for sid in ("S1", "S2")]
+        assert reports[0]["run_dir"] != reports[1]["run_dir"]
+        for report in reports:
+            run_dir = Path(report["run_dir"])
+            on_disk = json.loads((run_dir / "report.json").read_text())
+            assert on_disk["scenario"] == report["scenario"]
+
+    @pytest.mark.parametrize("change", [
+        {"params": PlannerParams(cruise_speed_kmh=50.0)},
+        {"backend": BackendConfig(endpoint="http://localhost:8000/v1")},
+        {"backend": BackendConfig(price_in=1.0)},
+        {"backend": BackendConfig(price_out=1.0)},
+        {"backend": BackendConfig(max_retries=5)},
+        {"backend": BackendConfig(temperature=0.7)},
+    ])
+    def test_run_key_covers_artifact_inputs(self, change):
+        script = scenario_by_id("S1")
+
+        def key(cfg):
+            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
+
+        base = PipelineConfig(spec="law46", scenario="S1")
+        assert key(base) != key(PipelineConfig(spec="law46", scenario="S1",
+                                               **change))
+
+    def test_run_key_covers_report_version_not_key_location(self,
+                                                            monkeypatch):
+        script = scenario_by_id("S1")
+
+        def key(cfg):
+            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
+
+        base = PipelineConfig(spec="law46", scenario="S1")
+        assert key(base) == key(PipelineConfig(
+            spec="law46", scenario="S1",
+            backend=BackendConfig(api_key_env="OTHER_KEY")))
+        before = key(base)
+        monkeypatch.setattr(pipeline, "REPORT_VERSION",
+                            pipeline.REPORT_VERSION + 1)
+        assert key(base) != before
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

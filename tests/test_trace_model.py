@@ -68,6 +68,20 @@ class TestLoadRecord:
         with pytest.raises(RecordError):
             load_record(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, tmp_path, value):
+        # an obstacle at x = NaN defeats the separating-axis test and would
+        # read as a collision with the ego
+        frames = ramp_frames(3)
+        ob = Obstacle(id="o", kind="vehicle", x=value, y=30.0, heading=0.0,
+                      speed=0.0, half_len=2.0, half_wid=1.0)
+        frames[1] = RawRecordFrame(t=frames[1].t, ego=frames[1].ego,
+                                   obstacles=(ob,))
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        with pytest.raises(RecordError, match="line 2: non-finite number"):
+            load_record(path)
+
     def test_saved_records_reload_byte_identically(self, tmp_path):
         frames, _ = run_scenario(scenario_by_id("S6"))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
