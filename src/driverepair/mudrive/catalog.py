@@ -33,8 +33,6 @@ EVENTS = (
                "Fires at the moment the vehicle leaves a junction."),
     VocabEntry("approaching_stop_sign",
                "Fires when a stop sign first comes within 30 metres ahead."),
-    VocabEntry("approaching_crosswalk",
-               "Fires when a crosswalk first comes within 30 metres ahead."),
     VocabEntry("episode_start",
                "Fires once, at the first step of the drive."),
 )
@@ -138,12 +136,6 @@ class VocabularyCatalog:
 
     def action(self, name):
         return _find(self.actions, name)
-
-    def extended(self, events=(), conditions=(), actions=()) -> "VocabularyCatalog":
-        """Extension hook: a copy with extra entries appended."""
-        return VocabularyCatalog(self.events + tuple(events),
-                                 self.conditions + tuple(conditions),
-                                 self.actions + tuple(actions))
 
 
 def _find(entries, name):

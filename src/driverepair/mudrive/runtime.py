@@ -23,7 +23,6 @@ SIGN_NEAR_M = 30.0          # "approaching" radius for stop signs
 class _EdgeFlags:
     in_junction: bool = False
     sign_near: bool = False
-    crosswalk_near: bool = False
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ def _flags(scene: Scene) -> _EdgeFlags:
     return _EdgeFlags(
         in_junction=scene.in_junction,
         sign_near=scene.dist_to_stop_sign <= SIGN_NEAR_M,
-        crosswalk_near=False,  # no crosswalk channel in the record format
     )
 
 
@@ -57,8 +55,6 @@ def _event_fired(name: str, now: _EdgeFlags, prev: _EdgeFlags | None,
         return (not now.in_junction) and (before.in_junction if prev else False)
     if name == "approaching_stop_sign":
         return now.sign_near and not before.sign_near
-    if name == "approaching_crosswalk":
-        return now.crosswalk_near and not before.crosswalk_near
     if name == "always":
         return True
     return False

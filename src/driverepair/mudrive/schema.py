@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import json
 
-import jsonschema
-
-from .catalog import VocabularyCatalog, default_catalog
+from .catalog import VocabEntry, default_catalog
 from .grammar import Call, MuDriveProgram, Rule
 
 SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
 
 class SchemaConversionError(ValueError):
-    def __init__(self, errors):
-        self.paths = [e.json_path for e in errors]
-        details = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-        super().__init__(f"document does not match the program schema: {details}")
+    """A document breaks the program schema; `paths` holds the JSON path."""
+
+    def __init__(self, path, message):
+        self.paths = [path]
+        super().__init__(f"document does not match the program schema:"
+                         f" {path}: {message}")
 
 
 def _param_schema(spec):
@@ -61,9 +61,9 @@ def _call_schema(entry, extra_properties=None):
     }
 
 
-def emit_schema(cat: VocabularyCatalog | None = None) -> dict:
+def emit_schema() -> dict:
     """JSON Schema (draft 2020-12) for one whole repair program."""
-    cat = cat or default_catalog()
+    cat = default_catalog()
     negated = {"negated": {"type": "boolean", "default": False,
                            "description": "Invert the condition."}}
 
@@ -136,58 +136,99 @@ def emit_schema(cat: VocabularyCatalog | None = None) -> dict:
     }
 
 
-def schema_json(cat: VocabularyCatalog | None = None) -> str:
-    return json.dumps(emit_schema(cat), indent=2)
+def schema_json() -> str:
+    return json.dumps(emit_schema(), indent=2)
 
 
-_default_validator = None
+_ALWAYS = VocabEntry("always", "")
+_RULE_KEYS = ("name", "trigger", "conditions", "actions", "until")
 
 
-def _validator_for(cat: VocabularyCatalog | None):
-    global _default_validator
-    if cat is None or cat is default_catalog():
-        if _default_validator is None:
-            _default_validator = jsonschema.Draft202012Validator(emit_schema())
-        return _default_validator
-    return jsonschema.Draft202012Validator(emit_schema(cat))
+def _object(doc, path, required, allowed):
+    if not isinstance(doc, dict):
+        raise SchemaConversionError(path, "expected an object")
+    for key in required:
+        if key not in doc:
+            raise SchemaConversionError(path, f"missing required key {key!r}")
+    for key in doc:
+        if key not in allowed:
+            raise SchemaConversionError(path, f"unexpected key {key!r}")
+    return doc
 
 
-def _call_from_json(doc, entry) -> Call:
-    args = doc.get("args", {})
-    ordered = tuple(args[p.name] for p in entry.params) if entry.params else ()
-    return Call(doc["name"], ordered)
+def _array(doc, path, min_items=0):
+    if not isinstance(doc, list):
+        raise SchemaConversionError(path, "expected an array")
+    if len(doc) < min_items:
+        raise SchemaConversionError(path, f"expected at least {min_items} item(s)")
+    return doc
 
 
-def from_json(doc, cat: VocabularyCatalog | None = None) -> MuDriveProgram:
-    """Build a program from a schema-valid JSON document."""
-    validator = _validator_for(cat)
-    cat = cat or default_catalog()
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        raise SchemaConversionError(errors)
+def _call_from_json(doc, path, kind, find, extra=()) -> Call:
+    """One call object; `find` maps its name to the catalog entry or None."""
+    if not isinstance(doc, dict):
+        raise SchemaConversionError(path, "expected an object")
+    name = doc.get("name")
+    entry = find(name) if isinstance(name, str) else None
+    if entry is None:
+        raise SchemaConversionError(f"{path}.name",
+                                    f"expected a catalog {kind} name, got {name!r}")
+    required = ("name", "args") if entry.params else ("name",)
+    _object(doc, path, required, required + extra)
+    if not entry.params:
+        return Call(name)
+    args = doc["args"]
+    names = [p.name for p in entry.params]
+    if not isinstance(args, dict) or set(args) != set(names):
+        raise SchemaConversionError(f"{path}.args", f"expected an object with"
+                                    f" exactly the keys {names}")
+    return Call(name, tuple(args[n] for n in names))
 
+
+def _trigger_entry(name):
+    return _ALWAYS if name == "always" else default_catalog().event(name)
+
+
+def from_json(doc) -> MuDriveProgram:
+    """Build a program from a JSON document of the shape `emit_schema` describes.
+
+    Raises SchemaConversionError at the first JSON path whose structure the
+    schema rejects. Argument values (types, enums, ranges) are left to
+    `validate`, which checks them on every program.
+    """
+    cat = default_catalog()
     rules = []
-    for rdoc in doc["rules"]:
-        trigger = _trigger_from_json(rdoc["trigger"], cat)
-        conditions = tuple(
-            (bool(cdoc.get("negated", False)),
-             _call_from_json(cdoc, cat.condition(cdoc["name"])))
-            for cdoc in rdoc.get("conditions", ())
-        )
-        actions = tuple(_call_from_json(adoc, cat.action(adoc["name"]))
-                        for adoc in rdoc["actions"])
+    rdocs = _array(_object(doc, "$", ("rules",), ("rules",))["rules"],
+                   "$.rules", min_items=1)
+    for i, rdoc in enumerate(rdocs):
+        path = f"$.rules[{i}]"
+        _object(rdoc, path, ("name", "trigger", "actions"), _RULE_KEYS)
+        name = rdoc["name"]
+        if not isinstance(name, str) or not name:
+            raise SchemaConversionError(f"{path}.name", "expected a non-empty string")
+        trigger = _call_from_json(rdoc["trigger"], f"{path}.trigger", "event",
+                                  _trigger_entry)
+        conditions = []
+        for j, cdoc in enumerate(_array(rdoc.get("conditions", []),
+                                        f"{path}.conditions")):
+            cpath = f"{path}.conditions[{j}]"
+            call = _call_from_json(cdoc, cpath, "condition", cat.condition,
+                                   extra=("negated",))
+            negated = cdoc.get("negated", False)
+            if not isinstance(negated, bool):
+                raise SchemaConversionError(f"{cpath}.negated", "expected true or false")
+            conditions.append((negated, call))
+        actions = tuple(
+            _call_from_json(adoc, f"{path}.actions[{j}]", "action", cat.action)
+            for j, adoc in enumerate(_array(rdoc["actions"], f"{path}.actions",
+                                            min_items=1)))
         until = None
         if "until" in rdoc:
-            until = _trigger_from_json(rdoc["until"], cat)
-        rules.append(Rule(name=rdoc["name"], trigger=trigger,
-                          conditions=conditions, actions=actions, until=until))
+            until = _call_from_json(rdoc["until"], f"{path}.until", "event",
+                                    _trigger_entry)
+        rules.append(Rule(name=name, trigger=trigger, conditions=tuple(conditions),
+                          actions=actions, until=until))
     return MuDriveProgram(tuple(rules))
-
-
-def _trigger_from_json(doc, cat) -> Call:
-    if doc["name"] == "always":
-        return Call("always")
-    return _call_from_json(doc, cat.event(doc["name"]))
 
 
 def _call_to_json(call: Call, entry, negated=None):
@@ -199,9 +240,9 @@ def _call_to_json(call: Call, entry, negated=None):
     return out
 
 
-def to_json(program: MuDriveProgram, cat: VocabularyCatalog | None = None) -> dict:
+def to_json(program: MuDriveProgram) -> dict:
     """Serialize a program into the schema's JSON shape."""
-    cat = cat or default_catalog()
+    cat = default_catalog()
     rules = []
     for rule in program.rules:
         rdoc = {

@@ -1,10 +1,15 @@
 """Static validation of rule programs against the vocabulary catalog."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .catalog import VocabularyCatalog, default_catalog
+from .catalog import default_catalog
 from .grammar import Call, MuDriveProgram
+
+
+# NaN fails both comparisons; so do infinities and ints no float can hold
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,11 @@ def _check_args(entry, call: Call, rule, where, out):
                 out.append(Diagnostic(rule, where,
                                       f"{call.name}: {spec.name} must be a number"
                                       f" ({spec.unit or 'unitless'}), got {value!r}"))
+                continue
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                out.append(Diagnostic(rule, where,
+                                      f"{call.name}: {spec.name} must be a finite"
+                                      f" number, got {value!r}"))
                 continue
             if spec.minimum is not None and value < spec.minimum:
                 out.append(Diagnostic(rule, where,
@@ -62,9 +72,9 @@ def _check_trigger(call: Call, cat, rule, where, out):
     _check_args(entry, call, rule, where, out)
 
 
-def validate(program: MuDriveProgram, cat: VocabularyCatalog | None = None):
+def validate(program: MuDriveProgram):
     """Returns a list of diagnostics; empty means the program is well formed."""
-    cat = cat or default_catalog()
+    cat = default_catalog()
     out: list[Diagnostic] = []
 
     if not program.rules:

@@ -361,7 +361,7 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
             doc = json.loads(raw)
             program = from_json(doc)
             diags = validate(program)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             diags = [exc]
             doc = None
             program = None

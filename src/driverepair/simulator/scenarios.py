@@ -335,34 +335,54 @@ def script_to_dict(script: ScenarioScript) -> dict:
     }
 
 
+def _finite(value, name) -> float:
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioError(f"bad scenario document: {name} must be a finite"
+                            f" number, got {value!r}")
+    return out
+
+
 def script_from_dict(doc: dict) -> ScenarioScript:
     try:
         weather = doc.get("weather", {})
         return ScenarioScript(
             id=str(doc["id"]),
             description=doc.get("description", ""),
-            route_len_m=float(doc["route_len_m"]),
-            duration_s=float(doc.get("duration_s", 200.0)),
-            start_speed_kmh=float(doc.get("start_speed_kmh", 0.0)),
-            lane_segments=tuple((float(a), float(b), str(k))
+            route_len_m=_finite(doc["route_len_m"], "route_len_m"),
+            duration_s=_finite(doc.get("duration_s", 200.0), "duration_s"),
+            start_speed_kmh=_finite(doc.get("start_speed_kmh", 0.0),
+                                    "start_speed_kmh"),
+            lane_segments=tuple((_finite(a, "lane_segments"),
+                                 _finite(b, "lane_segments"), str(k))
                                 for a, b, k in doc.get("lane_segments", [])),
-            junctions=tuple((float(a), float(b))
+            junctions=tuple((_finite(a, "junctions"), _finite(b, "junctions"))
                             for a, b in doc.get("junctions", [])),
-            lights=tuple(LightSpec(float(li["stopline_s"]), float(li["release_s"]),
-                                   tuple((str(c), float(d))
+            lights=tuple(LightSpec(_finite(li["stopline_s"], "lights.stopline_s"),
+                                   _finite(li["release_s"], "lights.release_s"),
+                                   tuple((str(c), _finite(d, "lights.schedule"))
                                          for c, d in li["schedule"]))
                          for li in doc.get("lights", [])),
-            stop_signs=tuple(float(s) for s in doc.get("stop_signs", [])),
+            stop_signs=tuple(_finite(s, "stop_signs")
+                             for s in doc.get("stop_signs", [])),
             npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
-                               half_len=float(n.get("half_len", 2.3)),
-                               half_wid=float(n.get("half_wid", 1.0)),
-                               waypoints=tuple(tuple(float(v) for v in w)
+                               half_len=_finite(n.get("half_len", 2.3),
+                                                "npcs.half_len"),
+                               half_wid=_finite(n.get("half_wid", 1.0),
+                                                "npcs.half_wid"),
+                               waypoints=tuple(tuple(_finite(v, "npcs.waypoints")
+                                                     for v in w)
                                                for w in n["waypoints"]))
                        for n in doc.get("npcs", [])),
-            weather=WeatherState(rain=float(weather.get("rain", 0.0)),
-                                 fog=float(weather.get("fog", 0.0)),
-                                 snow=float(weather.get("snow", 0.0)),
-                                 visibility=float(weather.get("visibility", 500.0))),
+            weather=WeatherState(
+                rain=_finite(weather.get("rain", 0.0), "weather.rain"),
+                fog=_finite(weather.get("fog", 0.0), "weather.fog"),
+                snow=_finite(weather.get("snow", 0.0), "weather.snow"),
+                visibility=_finite(weather.get("visibility", 500.0),
+                                   "weather.visibility")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

@@ -1,8 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scene
 
@@ -150,6 +156,16 @@ class TestValidate:
         problems = validate(parse_program(text))
         assert any("<= 2" in str(p) for p in problems)
 
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity",
+        pytest.param("1" + "0" * 400, id="int-beyond-float")])
+    def test_non_finite_number_rejected(self, literal):
+        doc = json.loads('{"rules": [{"name": "x", "trigger": {"name": "always"},'
+                         ' "actions": [{"name": "cruise_speed",'
+                         ' "args": {"kmh": %s}}]}]}' % literal)
+        problems = validate(from_json(doc))
+        assert any("finite" in str(p) for p in problems)
+
     def test_duplicate_rule_names(self):
         text = ('rule "same"\ntrigger\n always\nthen\n cruise_speed(10)\nend\n'
                 'rule "same"\ntrigger\n always\nthen\n cruise_speed(20)\nend\n')
@@ -175,6 +191,15 @@ class TestRoundTrips:
     def test_pretty_print_deterministic(self):
         program = parse_program(TWO_RULE_PROGRAM)
         assert pretty_print(program) == pretty_print(program)
+
+
+# finite JSON values: what json.loads returns without NaN or Infinity
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=12)
 
 
 class TestSchema:
@@ -232,7 +257,10 @@ class TestSchema:
         cat = default_catalog()
         validator = jsonschema.Draft202012Validator(emit_schema())
         mutators = (_drop_actions, _bad_enum, _rename_call, _listify_until,
-                    _negative_number, lambda rng, doc: doc)
+                    _negative_number, _extra_key, _args_on_argless_call,
+                    _missing_arg_key, _extra_arg_key, _non_bool_negated,
+                    _null_until, _rule_as_list, _empty_rule_name,
+                    lambda rng, doc: doc)
         for _ in range(300):
             doc = _random_program_doc(rng, cat)
             doc = rng.choice(mutators)(rng, doc)
@@ -243,6 +271,37 @@ class TestSchema:
             except SchemaConversionError:
                 convert_ok = False
             assert schema_ok == convert_ok, doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(min_value=0), _JSON)
+    def test_any_json_converts_or_raises_conversion_error(self, rnd, where,
+                                                          junk):
+        # arbitrary JSON, and a valid program with one value replaced by it
+        validator = jsonschema.Draft202012Validator(emit_schema())
+        doc = _random_program_doc(rnd, default_catalog())
+        slots = list(_slots(doc))
+        container, key = slots[where % len(slots)]
+        container[key] = junk
+        for candidate in (junk, doc):
+            try:
+                program = from_json(candidate)
+            except SchemaConversionError as exc:
+                assert exc.paths
+                assert not validator.is_valid(candidate), candidate
+                continue
+            if validate(program) == []:
+                assert validator.is_valid(candidate), candidate
+
+    def test_runtime_imports_leave_jsonschema_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, driverepair.pipeline, driverepair.cli;"
+                " print('jsonschema' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 def _random_args(rng, entry):
@@ -287,6 +346,68 @@ def _listify_until(rng, doc):
 def _negative_number(rng, doc):
     rule = rng.choice(doc["rules"])
     rule["actions"] = [{"name": "cruise_speed", "args": {"kmh": -5}}]
+    return doc
+
+
+def _slots(node):
+    """(container, key) of every value below `node`, in pre-order."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+def _extra_key(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["priority"] = 1
+    return doc
+
+
+def _args_on_argless_call(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["trigger"] = {"name": rng.choice(["always", "episode_start"]),
+                       "args": {}}
+    return doc
+
+
+def _missing_arg_key(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["actions"] = [{"name": "cruise_speed", "args": {}}]
+    return doc
+
+
+def _extra_arg_key(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["actions"] = [{"name": "cruise_speed", "args": {"kmh": 10, "mph": 6}}]
+    return doc
+
+
+def _non_bool_negated(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["conditions"] = [{"name": "in_junction", "negated": 1}]
+    return doc
+
+
+def _null_until(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["until"] = None
+    return doc
+
+
+def _rule_as_list(rng, doc):
+    i = rng.randrange(len(doc["rules"]))
+    doc["rules"][i] = [doc["rules"][i]]
+    return doc
+
+
+def _empty_rule_name(rng, doc):
+    rule = rng.choice(doc["rules"])
+    rule["name"] = ""
     return doc
 
 
@@ -381,6 +502,17 @@ class TestStepRules:
         params = self.run_sequence(program, [scene, scene])
         assert params[0].cruise_speed_kmh == 10.0
         assert params[1].cruise_speed_kmh == 10.0  # no conditions: stays active
+
+    @pytest.mark.parametrize("event",
+                             [e.name for e in default_catalog().events])
+    def test_every_event_can_fire(self, event):
+        program = parse_program(f'rule "e"\ntrigger\n {event}\nthen\n'
+                                ' cruise_speed(10)\nend\n')
+        outside = make_scene(dist_to_stop_sign=100.0)
+        inside = make_scene(dist_to_stop_sign=25.0, in_junction=True,
+                            dist_to_junction=0.0)
+        params = self.run_sequence(program, [outside, inside, outside])
+        assert any(p.cruise_speed_kmh == 10.0 for p in params)
 
     def test_always_rule_tracks_conditions_each_tick(self):
         text = ('rule "fog"\ntrigger\n always\ncondition\n is_weather(fog)\n'

@@ -122,6 +122,24 @@ class TestGenerateRepair:
         assert validate(cand.program) == []
         assert cand.input_tokens == 100 + usage[0]
 
+    def test_retry_on_nan_then_valid(self, repair_results):
+        bundle = repair_results["S6"]["bundle"]
+        good_raw, usage = MockBackend().complete(bundle, {}, seed=0)
+        nan_raw = ('{"rules": [{"name": "r", "trigger": {"name": "always"},'
+                   ' "actions": [{"name": "cruise_speed", "args": {"kmh": NaN}}]}]}')
+        replies = [(nan_raw, (100, 10)), (good_raw, usage)]
+
+        class NanFirstBackend:
+            name = "nan-first"
+
+            def complete(self, bundle, schema, seed, feedback=()):
+                return replies.pop(0)
+
+        cand = generate_repair(bundle, BackendConfig(), backend=NanFirstBackend(),
+                               seed=0)
+        assert cand.attempts == 2
+        assert validate(cand.program) == []
+
     def test_all_retries_invalid_fails(self, repair_results):
         bundle = repair_results["S6"]["bundle"]
 

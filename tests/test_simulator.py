@@ -90,6 +90,14 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             script_from_dict({"id": "bad", "route_len_m": -5})
 
+    @pytest.mark.parametrize("field, literal", [
+        ("route_len_m", "NaN"), ("duration_s", "Infinity"),
+        pytest.param("route_len_m", "1" + "0" * 400, id="int-beyond-float")])
+    def test_non_finite_script_number_rejected(self, field, literal):
+        doc = {"id": "bad", "route_len_m": 100, field: json.loads(literal)}
+        with pytest.raises(ScenarioError, match=field):
+            script_from_dict(doc)
+
 
 class TestBenchmarkSuite:
     def test_eight_scripts(self):
