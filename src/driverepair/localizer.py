@@ -3,8 +3,15 @@
 Prefix robustness at k is the robustness of the formula over the first k+1
 scenes only. The violation moment is the earliest prefix whose robustness
 drops to or below zero; the near-miss moment is the earliest prefix at or
-below a user threshold delta. Both are found by a sequential scan from
-k = 0 that stops as soon as the violation is found.
+below a user threshold delta. Both are found by a scan from k = 0 that
+stops as soon as the violation is found.
+
+The scan is incremental for G[lo,inf)(psi) where psi has a finite horizon h
+(all built-in specifications have this shape). psi's value at t on the
+prefix ending at k is its whole-trace value whenever t + h <= k, so psi is
+evaluated once over the whole trace and only the last h steps of each
+prefix are evaluated again: O(n*h) for n steps. Any other formula is
+evaluated afresh on each prefix, O(n) each.
 
 Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported
@@ -12,9 +19,12 @@ regardless, and the report carries a note to that effect.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .spec_lang import Formula, robustness_bounded
+import numpy as np
+
+from .spec_lang import Always, Formula, evaluate, horizon, robustness_bounded
 from .trace_model import RawRecordFrame, Trace
 
 
@@ -39,14 +49,36 @@ def prefix_robustness(phi: Formula, trace: Trace, k: int) -> float:
     return robustness_bounded(phi, trace, k)
 
 
+def _prefix_rhos(phi: Formula, trace: Trace):
+    """Yield prefix_robustness(phi, trace, k) for k = 0, 1, ..."""
+    h = (horizon(phi.child) if isinstance(phi, Always) and math.isinf(phi.hi)
+         else math.inf)
+    if math.isinf(h):
+        for k in range(len(trace)):
+            yield prefix_robustness(phi, trace, k)
+        return
+    lo = int(phi.lo)
+    if lo < len(trace):
+        # settled[i] = min of psi over [lo, lo+i] on the whole trace
+        settled = np.minimum.accumulate(
+            evaluate(phi.child, trace, lo, len(trace) - 1))
+    for k in range(len(trace)):
+        rho = math.inf
+        if k - h >= lo:
+            rho = settled[k - h - lo]
+        tail = max(lo, k - h + 1)
+        if tail <= k:
+            rho = min(rho, evaluate(phi.child, trace, tail, k).min())
+        yield float(rho) + 0.0
+
+
 def locate(phi: Formula, trace: Trace, delta: float = 15.0) -> CriticalMoments:
-    """Sequential search from k = 0 for the first near-miss and violation."""
+    """Search from k = 0 for the first near-miss and violation."""
     if delta < 0:
         raise ValueError("delta must be non-negative")
     near = viol = None
     rhos = []
-    for k in range(len(trace)):
-        rho = prefix_robustness(phi, trace, k)
+    for k, rho in enumerate(_prefix_rhos(phi, trace)):
         rhos.append(rho)
         if near is None and rho <= delta:
             near = k

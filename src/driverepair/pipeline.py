@@ -4,6 +4,7 @@ directory, so reruns with identical inputs rewrite identical bytes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from .localizer import locate
 from .mudrive import PlannerParams, pretty_print, validate
+from .mudrive.schema import schema_json
 from .promptgen import build_prompt, bundle_to_json
 from .repair_llm import BackendConfig, batch_generate, make_backend
 from .simulator import (
@@ -63,6 +65,12 @@ def _resolve_script(cfg: PipelineConfig):
     return None
 
 
+@functools.cache
+def _program_schema() -> str:
+    """The program schema text that every backend receives."""
+    return schema_json()
+
+
 def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
              spec_stl: str) -> str:
     """Hash of every input that shapes the run directory's bytes."""
@@ -71,6 +79,7 @@ def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
     h = hashlib.sha256(record_bytes)
     h.update(json.dumps({
         "report_version": REPORT_VERSION,
+        "program_schema": _program_schema(),
         "spec": spec_stl,
         "script": script_to_dict(script) if script is not None else None,
         "delta": cfg.delta,

@@ -411,7 +411,7 @@ def _window_agg(child: np.ndarray, lo, hi, end: int, is_min: bool) -> np.ndarray
     ident = INF if is_min else -INF
     lo_i = int(lo)
     n = end + 1
-    if math.isinf(hi):
+    if math.isinf(hi) or int(hi) >= end:     # every window reaches `end`
         acc = np.minimum.accumulate if is_min else np.maximum.accumulate
         suffix = acc(child[::-1])[::-1]
         out = np.full(n, ident)
@@ -427,50 +427,89 @@ def _window_agg(child: np.ndarray, lo, hi, end: int, is_min: bool) -> np.ndarray
     return vals[lo_i: lo_i + n]
 
 
-def _eval(node, trace: Trace, end: int, memo: dict) -> np.ndarray:
-    """Robustness of `node` at every t in [0, end], trace clipped at `end`."""
-    key = (id(node), end)
+def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
+    """out[t] = max over t1 in [t+lo, min(t+hi, n-1)] of
+    min(c2[t1], min(c1[t..t1])), -inf for an empty window.
+
+    Every step only picks one of the given values with min or max, so the
+    result is exact. Unbounded windows (and bounded ones that reach the end
+    from every t) use the backward recurrence
+    U(t) = min(c1[t], max(c2[t], U(t+1))), U(n) = -inf; a lower bound lo > 0
+    adds the window minimum of c1 over [t, t+lo-1]. Other bounded windows
+    take hi+1 vectorized shift steps.
+    """
+    lo_i = int(lo)
+    if math.isinf(hi) or int(hi) >= n - 1:
+        left = c1.tolist()
+        right = c2.tolist()
+        u0 = [0.0] * n
+        u = -INF
+        for t in range(n - 1, -1, -1):
+            if right[t] > u:
+                u = right[t]
+            if left[t] < u:
+                u = left[t]
+            u0[t] = u
+        out = np.full(n, -INF)
+        if lo_i < n:
+            out[: n - lo_i] = u0[lo_i:]
+        if lo_i > 0:
+            out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, n - 1,
+                                              is_min=True))
+        return out
+    hi_i = int(hi)
+    left = np.full(n + hi_i, INF)
+    left[:n] = c1
+    right = np.full(n + hi_i, -INF)
+    right[:n] = c2
+    run = np.full(n, INF)
+    best = np.full(n, -INF)
+    for j in range(hi_i + 1):
+        run = np.minimum(run, left[j: j + n])
+        if j >= lo_i:
+            best = np.maximum(best, np.minimum(right[j: j + n], run))
+    return best
+
+
+def _eval(node, trace: Trace, start: int, end: int, memo: dict) -> np.ndarray:
+    """Robustness of `node` at every t in [start, end], trace clipped at `end`.
+
+    Every operator looks only forward in time, so this equals evaluating the
+    slice of scenes [start, end] on its own.
+    """
+    key = (id(node), start, end)
     cached = memo.get(key)
     if cached is not None:
         return cached
+    n = end - start + 1
 
     if isinstance(node, Prop):
-        out = _prop_array(trace, node)[: end + 1]
+        out = _prop_array(trace, node)[start: end + 1]
     elif isinstance(node, PredAtom):
-        out = _margin_array(trace, node.var)[: end + 1]
+        out = _margin_array(trace, node.var)[start: end + 1]
     elif isinstance(node, BoolLit):
-        out = np.full(end + 1, INF if node.value else -INF)
+        out = np.full(n, INF if node.value else -INF)
     elif isinstance(node, Not):
-        out = -_eval(node.child, trace, end, memo)
+        out = -_eval(node.child, trace, start, end, memo)
     elif isinstance(node, And):
-        out = np.minimum(_eval(node.left, trace, end, memo),
-                         _eval(node.right, trace, end, memo))
+        out = np.minimum(_eval(node.left, trace, start, end, memo),
+                         _eval(node.right, trace, start, end, memo))
     elif isinstance(node, Or):
-        out = np.maximum(_eval(node.left, trace, end, memo),
-                         _eval(node.right, trace, end, memo))
+        out = np.maximum(_eval(node.left, trace, start, end, memo),
+                         _eval(node.right, trace, start, end, memo))
     elif isinstance(node, Next):
-        child = _eval(node.child, trace, end, memo)
+        child = _eval(node.child, trace, start, end, memo)
         out = np.append(child[1:], INF)
     elif isinstance(node, Always):
-        out = _window_agg(_eval(node.child, trace, end, memo),
-                          node.lo, node.hi, end, is_min=True)
+        out = _window_agg(_eval(node.child, trace, start, end, memo),
+                          node.lo, node.hi, n - 1, is_min=True)
     elif isinstance(node, Eventually):
-        out = _window_agg(_eval(node.child, trace, end, memo),
-                          node.lo, node.hi, end, is_min=False)
+        out = _window_agg(_eval(node.child, trace, start, end, memo),
+                          node.lo, node.hi, n - 1, is_min=False)
     elif isinstance(node, Until):
-        c1 = _eval(node.left, trace, end, memo)
-        c2 = _eval(node.right, trace, end, memo)
-        out = np.full(end + 1, -INF)
-        lo_i = int(node.lo)
-        for t in range(end + 1):
-            hi_t = end if math.isinf(node.hi) else min(int(node.hi) + t, end)
-            run = INF
-            best = -INF
-            for t1 in range(t, hi_t + 1):
-                run = min(run, c1[t1])
-                if t1 >= t + lo_i:
-                    best = max(best, min(c2[t1], run))
-            out[t] = best
+        out = _until(_eval(node.left, trace, start, end, memo),
+                     _eval(node.right, trace, start, end, memo),
+                     node.lo, node.hi, n)
     else:
         raise TypeError(f"not a formula node: {node!r}")
 
@@ -478,18 +517,51 @@ def _eval(node, trace: Trace, end: int, memo: dict) -> np.ndarray:
     return out
 
 
+def evaluate(phi: Formula, trace: Trace, start: int, end: int) -> np.ndarray:
+    """Robustness of phi at every step in [start, end], clipped at `end`."""
+    if not 0 <= start <= end < len(trace):
+        raise IndexError(f"steps [{start}, {end}] outside trace of length"
+                         f" {len(trace)}")
+    return _eval(phi, trace, start, end, {})
+
+
+def horizon(node) -> float:
+    """Steps past t that the value of `node` at t can depend on.
+
+    Under clipping at k the value at t is the whole-trace value whenever
+    t + horizon <= k. Unbounded windows give inf.
+    """
+    if isinstance(node, (Prop, PredAtom, BoolLit)):
+        return 0
+    if isinstance(node, Not):
+        return horizon(node.child)
+    if isinstance(node, (And, Or)):
+        return max(horizon(node.left), horizon(node.right))
+    if isinstance(node, Next):
+        return 1 + horizon(node.child)
+    if isinstance(node, (Always, Eventually)):
+        return _hi(node) + horizon(node.child)
+    if isinstance(node, Until):
+        return _hi(node) + max(horizon(node.left), horizon(node.right))
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _hi(node):
+    return INF if math.isinf(node.hi) else int(node.hi)
+
+
 def robustness(phi: Formula, trace: Trace, t: int = 0) -> float:
     """Robustness degree of phi over the trace, evaluated at step t."""
     if not 0 <= t < len(trace):
         raise IndexError(f"step {t} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, len(trace) - 1, {})[t]) + 0.0
+    return float(_eval(phi, trace, 0, len(trace) - 1, {})[t]) + 0.0
 
 
 def robustness_bounded(phi: Formula, trace: Trace, end: int) -> float:
     """Robustness at step 0 with evaluation clipped to scenes [0, end]."""
     if not 0 <= end < len(trace):
         raise IndexError(f"step {end} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, end, {})[0]) + 0.0
+    return float(_eval(phi, trace, 0, end, {})[0]) + 0.0
 
 
 def satisfies(phi: Formula, trace: Trace) -> bool:

@@ -217,9 +217,39 @@ def _reject_non_finite(token):
     raise RecordError(f"non-finite number {token}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if math.isinf(value):
+        _reject_non_finite(text)
+    return value
+
+
+def _float_range_int(text):
+    try:
+        value = int(text)   # ValueError past the int digit limit
+        float(value)
+    except (ValueError, OverflowError):
+        _reject_non_finite(text)
+    return value
+
+
 # NaN and +/-Infinity are JSON extensions. A NaN coordinate defeats the
 # separating-axis test, so an obstacle at x = NaN would read as a collision.
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+# A number literal beyond the float range (1e400, or 309 digits or more)
+# would load as inf or fail later in float(). Such a literal has a digit
+# followed by an exponent, or a run of 309 digits. Lines that have neither
+# keep the C decoder; the rest are decoded with checking Python hooks.
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite,
+                                   parse_float=_finite_float,
+                                   parse_int=_float_range_int)
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789E", b"000000000e")
+_LONG_DIGIT_RUN = b"0" * 309
+
+
+def _may_overflow(line: str) -> bool:
+    masked = line.encode().translate(_DIGITS_AS_ZERO)
+    return b"0e" in masked or _LONG_DIGIT_RUN in masked
 
 
 def load_record(path) -> list[RawRecordFrame]:
@@ -230,8 +260,10 @@ def load_record(path) -> list[RawRecordFrame]:
             line = line.strip()
             if not line:
                 continue
+            decoder = (_STRICT_DECODER if _may_overflow(line)
+                       else _RECORD_DECODER)
             try:
-                doc = _RECORD_DECODER.decode(line)
+                doc = decoder.decode(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
             except RecordError as exc:

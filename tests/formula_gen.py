@@ -39,33 +39,39 @@ def _atom(rng: random.Random):
     return PredAtom(SignalVar(rng.choice(_PRED_VARS), rng.uniform(0.5, 40)))
 
 
-def _interval(rng: random.Random):
+def _interval(rng: random.Random, unbounded_p: float):
     lo = rng.randint(0, 4)
-    if rng.random() < 0.3:
+    if rng.random() < unbounded_p:
         return float(lo), math.inf
     return float(lo), float(lo + rng.randint(0, 6))
 
 
-def random_formula(rng: random.Random, depth: int = 3):
+def random_formula(rng: random.Random, depth: int = 3,
+                   unbounded_p: float = 0.3):
+    """A random formula; each temporal window is unbounded with
+    probability unbounded_p."""
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.05:
             return BoolLit(rng.random() < 0.5)
         return _atom(rng)
+
+    def sub():
+        return random_formula(rng, depth - 1, unbounded_p)
+
     choice = rng.randint(0, 6)
     if choice == 0:
-        return Not(random_formula(rng, depth - 1))
+        return Not(sub())
     if choice == 1:
-        return And(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return And(sub(), sub())
     if choice == 2:
-        return Or(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+        return Or(sub(), sub())
     if choice == 3:
-        lo, hi = _interval(rng)
-        return Always(lo, hi, random_formula(rng, depth - 1))
+        lo, hi = _interval(rng, unbounded_p)
+        return Always(lo, hi, sub())
     if choice == 4:
-        lo, hi = _interval(rng)
-        return Eventually(lo, hi, random_formula(rng, depth - 1))
+        lo, hi = _interval(rng, unbounded_p)
+        return Eventually(lo, hi, sub())
     if choice == 5:
-        return Next(random_formula(rng, depth - 1))
-    lo, hi = _interval(rng)
-    return Until(lo, hi, random_formula(rng, depth - 1),
-                 random_formula(rng, depth - 1))
+        return Next(sub())
+    lo, hi = _interval(rng, unbounded_p)
+    return Until(lo, hi, sub(), sub())

@@ -77,3 +77,20 @@ def rho_ref(phi, trace, t: int = 0, end: int | None = None) -> float:
             best = max(best, min(rho_ref(phi.right, trace, t1, end), left_inf))
         return best
     raise TypeError(f"unknown node {phi!r}")
+
+
+def until_double_loop(c1, c2, lo, hi, end: int) -> list:
+    """The former production `Until` loop: out[t] for t in [0, end] is the
+    max over t1 in [t+lo, min(t+hi, end)] of min(c2[t1], min c1[t..t1])."""
+    out = [-INF] * (end + 1)
+    lo_i = int(lo)
+    for t in range(end + 1):
+        hi_t = end if math.isinf(hi) else min(int(hi) + t, end)
+        run = INF
+        best = -INF
+        for t1 in range(t, hi_t + 1):
+            run = min(run, c1[t1])
+            if t1 >= t + lo_i:
+                best = max(best, min(c2[t1], run))
+        out[t] = best
+    return out

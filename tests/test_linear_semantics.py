@@ -1,0 +1,178 @@
+"""The linear-time `Until` and the incremental prefix scan of `locate`
+against their definitions.
+
+Values are compared by `float.hex` after adding 0.0: min and max may pick
+either zero of a tie between 0.0 and -0.0 (as numpy's window aggregates
+always could), and every public robustness value adds 0.0.
+"""
+import math
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_trace, speed_trace
+from formula_gen import random_formula
+from oracle_reference import rho_ref, until_double_loop
+
+from driverepair.localizer import _prefix_rhos, locate
+from driverepair.spec_lang import (
+    Always,
+    Eventually,
+    Next,
+    Until,
+    _until,
+    evaluate,
+    horizon,
+    parse_spec,
+    robustness,
+    robustness_bounded,
+)
+
+
+def _hex(values):
+    return [float.hex(float(v) + 0.0) for v in values]
+
+
+def _signal(rng, n, inf_frac):
+    """Values on a 0.5 grid, so that min/max ties are common, with +-inf."""
+    x = np.round(rng.normal(0.0, 3.0, n) * 2) / 2
+    r = rng.random(n)
+    x[r < inf_frac / 2] = math.inf
+    x[(r >= inf_frac / 2) & (r < inf_frac)] = -math.inf
+    return x
+
+
+def _check_until(n, lo, hi, seed, inf_frac):
+    rng = np.random.default_rng(seed)
+    c1, c2 = _signal(rng, n, inf_frac), _signal(rng, n, inf_frac)
+    got = _until(c1, c2, lo, hi, n)
+    assert len(got) == n
+    assert _hex(got) == _hex(until_double_loop(c1.tolist(), c2.tolist(),
+                                               lo, hi, n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2000), lo=st.integers(0, 8),
+       width=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+       inf_frac=st.sampled_from([0.0, 0.05, 0.4]))
+def test_bounded_until_matches_double_loop(n, lo, width, seed, inf_frac):
+    _check_until(n, float(lo), float(lo + width), seed, inf_frac)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), lo=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1),
+       inf_frac=st.sampled_from([0.0, 0.05, 0.4]))
+def test_unbounded_until_matches_double_loop(n, lo, seed, inf_frac):
+    _check_until(n, float(lo), math.inf, seed, inf_frac)
+
+
+def test_long_unbounded_until_matches_double_loop():
+    _check_until(2000, 3.0, math.inf, 7, 0.05)
+
+
+def test_until_window_reaching_the_end_matches_double_loop():
+    # hi >= n - 1 takes the recurrence, hi = n - 2 must not; fractional
+    # bounds truncate
+    for n in range(1, 16):
+        for hi in (n - 2.0, n - 1.5, n - 1.0, n + 5.0):
+            for lo in range(0, min(int(max(hi, 0)), 3) + 1):
+                for seed in range(3):
+                    _check_until(n, float(lo), hi, seed, 0.1)
+    c1 = np.full(12, 5.0)
+    c2 = np.full(12, -1.0)
+    c2[-1] = 3.0    # only the last step satisfies the right operand
+    assert _until(c1, c2, 0, 10.0, 12)[0] == -1.0
+    assert _until(c1, c2, 0, 11.0, 12)[0] == 3.0
+
+
+def test_window_reaching_the_end_matches_definition():
+    # F and G windows with hi >= end take a suffix accumulate
+    rng = random.Random(4)
+    for n in range(1, 12):
+        trace = speed_trace([rng.choice((10, 30, 50, 70)) for _ in range(n)])
+        for op in ("F", "G"):
+            for hi in range(max(n - 2, 0), n + 1):
+                for lo in range(0, hi + 1):
+                    phi = parse_spec(f"{op}[{lo},{hi}] (speed > 40)")
+                    for start in range(n):
+                        got = evaluate(phi, trace, start, n - 1)
+                        want = [rho_ref(phi, trace, t) for t in range(start, n)]
+                        assert _hex(got) == _hex(want)
+
+
+def test_horizon():
+    phi = parse_spec("G (F[0,200](speed > 0.5) | dest(5))")
+    assert horizon(phi.child) == 200
+    assert horizon(phi) == math.inf
+    assert horizon(parse_spec("X X (speed > 1) U[2,5] X stopped")) == 7
+    assert horizon(parse_spec("!G[1,3] F[0,4] stopped")) == 7
+    assert horizon(parse_spec("(speed > 1) U stopped")) == math.inf
+
+
+def _naive_prefix_rhos(phi, trace, count):
+    return [robustness_bounded(phi, trace, k) for k in range(count)]
+
+
+def _formula(seed, shape):
+    rng = random.Random(seed)
+    if shape == "other":
+        phi = random_formula(rng, depth=3)
+    else:
+        lo = 0 if shape == "G" else rng.randint(1, 12)
+        phi = Always(float(lo), math.inf,
+                     random_formula(rng, depth=3, unbounded_p=0.0))
+    return phi, random_trace(rng, max_len=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["G", "G_lo", "other"]),
+       delta=st.sampled_from([0.0, 5.0, 15.0, 60.0]))
+def test_locate_prefix_rho_matches_per_prefix(seed, shape, delta):
+    phi, trace = _formula(seed, shape)
+    moments = locate(phi, trace, delta)
+    rhos = moments.prefix_rho
+    assert _hex(rhos) == _hex(_naive_prefix_rhos(phi, trace, len(rhos)))
+    viol = next((k for k, r in enumerate(rhos) if r <= 0), None)
+    assert moments.violation_step == viol
+    assert moments.near_miss_step == next(
+        (k for k, r in enumerate(rhos) if r <= delta), None)
+    assert viol is not None or len(rhos) == len(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["G", "G_lo", "other"]))
+def test_every_prefix_matches_per_prefix(seed, shape):
+    # past the first violation too, where locate stops
+    phi, trace = _formula(seed, shape)
+    assert _hex(_prefix_rhos(phi, trace)) == _hex(
+        _naive_prefix_rhos(phi, trace, len(trace)))
+
+
+def test_nested_windows_and_next_incremental():
+    rng = random.Random(11)
+    psi = Until(1.0, 4.0,
+                Eventually(0.0, 3.0, Next(parse_spec("speed > 20"))),
+                Always(2.0, 5.0, parse_spec("speed < 70")))
+    phi = Always(2.0, math.inf, psi)
+    trace = speed_trace([rng.uniform(0, 90) for _ in range(80)])
+    assert _hex(_prefix_rhos(phi, trace)) == _hex(
+        _naive_prefix_rhos(phi, trace, len(trace)))
+
+
+def test_clipped_eventually_dips_then_recovers():
+    # On the prefix ending at k = 1..3 the clipped window F[0,3] at t = 1
+    # sees only slow steps; from k = 4 it reaches the fast step again.
+    phi = parse_spec("G (F[0,3] (speed > 50))")
+    trace = speed_trace([60, 10, 10, 10, 60, 60, 60, 60])
+    assert _naive_prefix_rhos(phi, trace, 5) == [10.0, -40.0, -40.0, -40.0,
+                                                 10.0]
+    assert robustness(phi, trace) > 0
+    moments = locate(phi, trace, delta=5.0)
+    assert moments.violation_step == 1
+    assert moments.near_miss_step == 1
+    assert moments.prefix_rho == (10.0, -40.0)

@@ -160,6 +160,26 @@ class TestCmdRepair:
                             pipeline.REPORT_VERSION + 1)
         assert key(base) != before
 
+    def test_run_key_covers_program_schema(self, monkeypatch):
+        # the schema goes to the backend and into the mock's token count
+        from driverepair.mudrive import catalog
+        script = scenario_by_id("S1")
+        cfg = PipelineConfig(spec="law46", scenario="S1")
+
+        def key():
+            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
+
+        before = key()
+        try:
+            monkeypatch.setattr(catalog, "_DEFAULT", catalog.VocabularyCatalog(
+                events=catalog.EVENTS[1:]))
+            pipeline._program_schema.cache_clear()
+            assert key() != before
+        finally:
+            monkeypatch.undo()
+            pipeline._program_schema.cache_clear()
+        assert key() == before
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(spec="law46")  # no record or scenario

@@ -82,6 +82,40 @@ class TestLoadRecord:
         with pytest.raises(RecordError, match="line 2: non-finite number"):
             load_record(path)
 
+    @pytest.mark.parametrize("literal", [
+        "1e400", "-2.5E+310", "1" + "0" * 400, "1" + "0" * 400 + ".0",
+        "9" * 5000],
+        ids=["1e400", "-2.5E+310", "401-digit-int", "401-digit-float",
+             "5000-digit-int"])
+    def test_overflowing_number_rejected(self, tmp_path, literal):
+        # such a literal would load as inf (or fail later in float())
+        path = self._record_with_obstacle_x(tmp_path, literal)
+        with pytest.raises(RecordError, match="line 2: non-finite number"):
+            load_record(path)
+
+    @pytest.mark.parametrize("literal, value", [
+        ("5e-05", 5e-05), ("1.5E3", 1500.0), ("1e308", 1e308),
+        ("0." + "0" * 400 + "1", 0.0)],
+        ids=["5e-05", "1.5E3", "1e308", "402-digit-fraction"])
+    def test_number_with_exponent_or_long_digits_loads(self, tmp_path,
+                                                       literal, value):
+        path = self._record_with_obstacle_x(tmp_path, literal)
+        assert load_record(path)[1].obstacles[0].x == value
+
+    @staticmethod
+    def _record_with_obstacle_x(tmp_path, literal):
+        frames = ramp_frames(3)
+        ob = Obstacle(id="o", kind="vehicle", x=12345.5, y=30.0, heading=0.0,
+                      speed=0.0, half_len=2.0, half_wid=1.0)
+        frames[1] = RawRecordFrame(t=frames[1].t, ego=frames[1].ego,
+                                   obstacles=(ob,))
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        text = path.read_text()
+        assert text.count('"x":12345.5') == 1
+        path.write_text(text.replace('"x":12345.5', f'"x":{literal}'))
+        return path
+
     def test_saved_records_reload_byte_identically(self, tmp_path):
         frames, _ = run_scenario(scenario_by_id("S6"))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
