@@ -16,6 +16,11 @@ evaluated afresh on each prefix, O(n) each.
 Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported
 regardless, and the report carries a note to that effect.
+
+Moments are trace steps. `locate` keeps the trace's dt with them, and
+`moment_frames` maps each step back to the frame `build_trace` took for it
+(`trace_model.step_frames`), so the rendered moments are the scenes the
+formula was evaluated on, whatever the record's frame rate or gaps.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_lang import Always, Formula, evaluate, horizon, robustness_bounded
-from .trace_model import RawRecordFrame, Trace
+from .trace_model import Trace, step_frames
 
 
 class MomentsNotFoundError(LookupError):
@@ -38,6 +43,7 @@ class CriticalMoments:
     near_miss_step: int | None
     delta: float
     prefix_rho: tuple  # rho over prefixes k = 0 .. last step scanned
+    dt: float          # step spacing of the located trace
 
     @property
     def located(self) -> bool:
@@ -87,32 +93,25 @@ def locate(phi: Formula, trace: Trace, delta: float = 15.0) -> CriticalMoments:
         if viol is not None:
             break
     return CriticalMoments(violation_step=viol, near_miss_step=near,
-                           delta=delta, prefix_rho=tuple(rhos))
+                           delta=delta, prefix_rho=tuple(rhos), dt=trace.dt)
 
 
 def moment_frames(moments: CriticalMoments, frames) -> tuple:
-    """Raw frames nearest to each located moment plus the gap in seconds.
+    """Raw frames behind both located moments plus the gap in seconds.
 
-    Moments index trace steps; the matching frame is the one whose timestamp
-    is closest to step * dt. The gap is rounded to 0.1 s.
+    `frames` are the ones the located trace was built from; each moment's
+    frame is the one `build_trace` took for that step at `moments.dt`. The
+    gap is the step difference times dt, rounded to 0.1 s.
     """
     if not moments.located:
         raise MomentsNotFoundError("both moments must be located first")
     if not frames:
         raise MomentsNotFoundError("no frames supplied")
-
-    def nearest(step: int, dt: float) -> RawRecordFrame:
-        target = frames[0].t + step * dt
-        return min(frames, key=lambda f: abs(f.t - target))
-
-    dt = _frame_dt(frames)
-    near = nearest(moments.near_miss_step, dt)
-    viol = nearest(moments.violation_step, dt)
-    gap = round((moments.violation_step - moments.near_miss_step) * dt * 10) / 10
+    index = step_frames(frames, moments.dt)
+    if moments.violation_step >= len(index):   # near miss <= violation
+        raise MomentsNotFoundError("the moments lie past the last frame")
+    near = frames[index[moments.near_miss_step]]
+    viol = frames[index[moments.violation_step]]
+    steps = moments.violation_step - moments.near_miss_step
+    gap = round(steps * moments.dt * 10) / 10
     return near, viol, gap
-
-
-def _frame_dt(frames) -> float:
-    if len(frames) < 2:
-        return 0.1
-    return (frames[-1].t - frames[0].t) / (len(frames) - 1)

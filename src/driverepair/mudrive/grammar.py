@@ -37,18 +37,6 @@ class Call:
     """A named vocabulary item with literal arguments."""
     name: str
     args: tuple = ()
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Call)
-                and self.name == other.name and self.args == other.args)
-
-    def __hash__(self):
-        return hash((self.name, self.args))
-
-
-ALWAYS = Call("always")
 
 
 @dataclass(frozen=True)
@@ -63,9 +51,6 @@ class Rule:
 @dataclass(frozen=True)
 class MuDriveProgram:
     rules: tuple
-
-    def rule_names(self):
-        return [r.name for r in self.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +221,7 @@ class _Parser:
         kind, val, line, col = self.peek()
         if kind == "keyword" and val == "always":
             self.next()
-            return Call("always", (), line, col)
+            return Call("always")
         if kind != "name":
             raise MuDriveSyntaxError(
                 f"expected an event name or 'always', found {val!r}", line, col)
@@ -257,7 +242,7 @@ class _Parser:
                 if val != ",":
                     raise MuDriveSyntaxError("expected ',' or ')' in argument list",
                                              aline, acol)
-        return Call(name, tuple(args), line, col)
+        return Call(name, tuple(args))
 
     def literal(self):
         kind, val, line, col = self.next()

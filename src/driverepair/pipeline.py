@@ -131,8 +131,8 @@ def _replay(replays: dict, script, program, params, phi, nc_phi) -> _Replay:
         replay = replays[program] = _Replay(
             record_text=_record_text(frames),
             outcome=outcome,
-            rho_spec=_rho(phi, trace),
-            rho_no_collision=_rho(nc_phi, trace),
+            rho_spec=robustness(phi, trace, 0),
+            rho_no_collision=robustness(nc_phi, trace, 0),
             metrics=evaluate_trace(frames),
         )
     return replay
@@ -161,8 +161,8 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     _write(run_dir / "record.jsonl", record_lines)
 
     trace = build_trace(frames)
-    rho_before = _rho(phi, trace)
-    rho_nc_before = _rho(nc_phi, trace)
+    rho_before = robustness(phi, trace, 0)
+    rho_nc_before = robustness(nc_phi, trace, 0)
     baseline_metrics = evaluate_trace(frames)
 
     report = {
@@ -320,6 +320,3 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
         rows.append(row)
     return {"record_id": record_id, "spec": spec_entry.name, "rows": rows}
 
-
-def _rho(phi, trace):
-    return robustness(phi, trace, 0)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..geometry import obb_corners, obb_overlap, segment_hits_aabb
+from ..geometry import segment_hits_aabb
 from ..mudrive.catalog import PlannerParams
 from ..mudrive.grammar import MuDriveProgram
 from ..mudrive.runtime import RuleStates, step_rules
 from ..trace_model import (
     EGO_HALF_LEN,
-    EGO_HALF_WID,
     EgoPose,
     MapContext,
     Obstacle,
@@ -171,7 +170,7 @@ class _World:
                 return False
         return True
 
-    def plan(self, frame, scene, params: PlannerParams):
+    def plan(self, frame, params: PlannerParams):
         a_max = BASE_ACCEL * max(params.obstacle_decrease_ratio, 0.1)
         targets = [max(0.0, params.cruise_speed_kmh - CRUISE_MARGIN_KMH) / 3.6]
 
@@ -254,16 +253,6 @@ class _World:
         self.t += DT
 
 
-def _ego_collides(frame: RawRecordFrame) -> bool:
-    ego_box = obb_corners(frame.ego.x, frame.ego.y, frame.ego.heading,
-                          EGO_HALF_LEN, EGO_HALF_WID)
-    for ob in frame.obstacles:
-        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
-        if obb_overlap(ego_box, box):
-            return True
-    return False
-
-
 def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
                  base: PlannerParams | None = None):
     """Replay a script, optionally under a repair program.
@@ -281,7 +270,8 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
         frame = world.emit_frame()
         frames.append(frame)
 
-        if _ego_collides(frame):
+        scene = frame.scene
+        if scene.nearest_npc_sep == 0.0:    # boxes touch or overlap
             outcome = OUTCOME_COLLIDED
             break
         if script.route_len_m - world.s <= 0.5:
@@ -291,12 +281,11 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
             outcome = OUTCOME_TIMEOUT
             break
 
-        scene = frame.scene
         if program is not None:
             params, states = step_rules(program, scene, states, base)
         else:
             params = base
-        target, a_max = world.plan(frame, scene, params)
+        target, a_max = world.plan(frame, params)
         world.integrate(target, a_max)
 
     return frames, outcome

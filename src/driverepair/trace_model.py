@@ -410,32 +410,31 @@ def _bool_margin(flag: bool) -> float:
     return 1.0 if flag else -1.0
 
 
-# kind: real | enum | bool | pred. Parametric predicates carry a distance
-# threshold; their margin is positive exactly when the predicate holds.
+# name -> (kind, Scene attribute, enum codes). kind: real | enum | bool |
+# pred. Predicates take a distance threshold; their margin is positive
+# exactly when the predicate holds.
 _CATALOG = {
-    "speed": ("real", False, lambda sc, a: sc.speed, None),
-    "accel": ("real", False, lambda sc, a: sc.accel, None),
-    "rainIntensity": ("real", False, lambda sc, a: sc.rain, None),
-    "fogIntensity": ("real", False, lambda sc, a: sc.fog, None),
-    "snowIntensity": ("real", False, lambda sc, a: sc.snow, None),
-    "visibility": ("real", False, lambda sc, a: sc.visibility, None),
-    "trafficLightColor": ("enum", False, lambda sc, a: sc.light_color, LIGHT_CODE),
-    "laneKind": ("enum", False, lambda sc, a: sc.lane_kind, LANE_CODE),
-    "gear": ("enum", False, lambda sc, a: sc.gear, GEAR_CODE),
-    "isOverTaking": ("bool", False, lambda sc, a: sc.overtaking, None),
-    "isChangingLane": ("bool", False, lambda sc, a: sc.changing_lane, None),
-    "inJunction": ("bool", False, lambda sc, a: sc.in_junction, None),
-    "junctionCongested": ("bool", False, lambda sc, a: sc.congested, None),
-    "stopped": ("bool", False, lambda sc, a: sc.stopped, None),
-    "NPCAhead": ("pred", True, lambda sc, a: sc.npc_ahead_dist, None),
-    "junctionAhead": ("pred", True, lambda sc, a: sc.dist_to_junction, None),
-    "stoplineAhead": ("pred", True, lambda sc, a: sc.dist_to_stopline, None),
-    "signAhead": ("pred", True, lambda sc, a: sc.dist_to_stop_sign, None),
-    "NearestNPC": ("pred", True, lambda sc, a: sc.nearest_npc_sep, None),
-    "dest": ("pred", True, lambda sc, a: sc.dist_to_dest, None),
+    "speed": ("real", "speed", None),
+    "accel": ("real", "accel", None),
+    "rainIntensity": ("real", "rain", None),
+    "fogIntensity": ("real", "fog", None),
+    "snowIntensity": ("real", "snow", None),
+    "visibility": ("real", "visibility", None),
+    "trafficLightColor": ("enum", "light_color", LIGHT_CODE),
+    "laneKind": ("enum", "lane_kind", LANE_CODE),
+    "gear": ("enum", "gear", GEAR_CODE),
+    "isOverTaking": ("bool", "overtaking", None),
+    "isChangingLane": ("bool", "changing_lane", None),
+    "inJunction": ("bool", "in_junction", None),
+    "junctionCongested": ("bool", "congested", None),
+    "stopped": ("bool", "stopped", None),
+    "NPCAhead": ("pred", "npc_ahead_dist", None),
+    "junctionAhead": ("pred", "dist_to_junction", None),
+    "stoplineAhead": ("pred", "dist_to_stopline", None),
+    "signAhead": ("pred", "dist_to_stop_sign", None),
+    "NearestNPC": ("pred", "nearest_npc_sep", None),
+    "dest": ("pred", "dist_to_dest", None),
 }
-
-CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog_kind(name: str) -> str:
@@ -445,15 +444,14 @@ def catalog_kind(name: str) -> str:
         raise CatalogError(f"unknown signal variable {name!r}") from None
 
 
-def _check_var(var: SignalVar):
-    kind, needs_arg, _, _ = _CATALOG.get(var.name) or (None, None, None, None)
-    if kind is None:
-        raise CatalogError(f"unknown signal variable {var.name!r}")
-    if needs_arg and var.arg is None:
+def _entry(var: SignalVar):
+    """The catalog entry of `var`, after checking its parameter."""
+    kind = catalog_kind(var.name)
+    if kind == "pred" and var.arg is None:
         raise CatalogError(f"{var.name} requires a parameter, e.g. {var.name}(10)")
-    if not needs_arg and var.arg is not None:
+    if kind != "pred" and var.arg is not None:
         raise CatalogError(f"{var.name} does not take a parameter")
-    return kind
+    return _CATALOG[var.name]
 
 
 def var_value(scene: Scene, var: SignalVar):
@@ -462,9 +460,8 @@ def var_value(scene: Scene, var: SignalVar):
     Reals and enums return their stored value; booleans and parametric
     predicates return the truth of their defining condition.
     """
-    kind = _check_var(var)
-    _, _, getter, _ = _CATALOG[var.name]
-    raw = getter(scene, var.arg)
+    kind, attr, _ = _entry(var)
+    raw = getattr(scene, attr)
     if kind in ("real", "enum"):
         return raw
     if kind == "bool":
@@ -478,23 +475,20 @@ def var_margin(scene: Scene, var: SignalVar) -> float:
     Positive iff `var_value` is true (booleans map to +/-1, `stopped` to its
     speed margin, parametric predicates to threshold minus distance).
     """
-    kind = _check_var(var)
-    _, _, getter, _ = _CATALOG[var.name]
-    raw = getter(scene, var.arg)
+    kind, attr, _ = _entry(var)
     if kind == "pred":
-        return var.arg - raw
+        return var.arg - getattr(scene, attr)
     if var.name == "stopped":
         return STOPPED_KMH - scene.speed
     if kind == "bool":
-        return _bool_margin(bool(raw))
+        return _bool_margin(bool(getattr(scene, attr)))
     raise CatalogError(f"{var.name} has no boolean reading; compare it instead")
 
 
 def var_numeric(scene: Scene, var: SignalVar) -> float:
     """Numeric value for use inside linear expressions (reals and enums)."""
-    kind = _check_var(var)
-    _, _, getter, codes = _CATALOG[var.name]
-    raw = getter(scene, var.arg)
+    kind, attr, codes = _entry(var)
+    raw = getattr(scene, attr)
     if kind == "real":
         return float(raw)
     if kind == "enum":
@@ -503,7 +497,7 @@ def var_numeric(scene: Scene, var: SignalVar) -> float:
 
 
 def enum_code(name: str, literal: str) -> float:
-    _, _, _, codes = _CATALOG[name]
+    codes = _CATALOG[name][2]
     if codes is None or literal not in codes:
         valid = sorted(codes) if codes else []
         raise CatalogError(f"{literal!r} is not a value of {name} (expected one of {valid})")
@@ -541,21 +535,29 @@ def scene_value(trace: Trace, var: SignalVar, t: int):
     return var_value(trace.scene(t), var)
 
 
-def build_trace(frames, dt: float = DEFAULT_DT) -> Trace:
-    """Resample frames at spacing dt (nearest frame wins) and evaluate scenes."""
+def step_frames(frames, dt: float = DEFAULT_DT) -> list[int]:
+    """Index of the frame behind each trace step at spacing dt.
+
+    Step i stands for time frames[0].t + i * dt; its frame is the one
+    nearest in time, the later one on a tie.
+    """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
     if dt <= 0:
         raise ValueError("dt must be positive")
     t0 = frames[0].t
-    span = frames[-1].t - t0
-    steps = int(round(span / dt)) + 1
+    steps = int(round((frames[-1].t - t0) / dt)) + 1
     times = [f.t for f in frames]
-    scenes = []
+    indices = []
     j = 0
     for i in range(steps):
         target = t0 + i * dt
         while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
             j += 1
-        scenes.append(frames[j].scene)
-    return Trace(scenes, dt=dt)
+        indices.append(j)
+    return indices
+
+
+def build_trace(frames, dt: float = DEFAULT_DT) -> Trace:
+    """Resample frames at spacing dt (see `step_frames`) and evaluate scenes."""
+    return Trace([frames[j].scene for j in step_frames(frames, dt)], dt=dt)

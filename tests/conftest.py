@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -72,6 +73,19 @@ def ramp_frames(n=91, dt=0.1):
                                    speed=float(i), accel=0.0, steering=0.0))
         for i in range(n)
     ]
+
+
+def at_20hz(frames):
+    """A 20 Hz record: each frame followed by a copy 0.05 s later."""
+    out = []
+    for frame in frames:
+        out += [frame, dataclasses.replace(frame, t=round(frame.t + 0.05, 4))]
+    return out
+
+
+def drop_sixth_of_ten(frames):
+    """The record with frames 5, 15, 25, ... missing."""
+    return [f for i, f in enumerate(frames) if i % 10 != 5]
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driverepair.geometry import (
     obb_corners,
@@ -56,6 +58,49 @@ class TestDistance:
         a = box(0, 0, 0.3)
         b = box(7, 2, -0.8)
         assert obb_distance(a, b) == pytest.approx(obb_distance(b, a))
+
+
+# The simulator reports a collision when the scene's clearance is exactly
+# 0.0, so zero clearance must mean the separating-axis test finds overlap.
+def assert_zero_iff_overlap(a, b):
+    assert (obb_distance(a, b) == 0.0) == obb_overlap(a, b)
+    assert (obb_distance(b, a) == 0.0) == obb_overlap(b, a)
+
+
+offset = st.floats(-8.0, 8.0)
+heading = st.floats(-math.pi, math.pi)
+half = st.floats(0.05, 5.0)
+quarter = st.integers(1, 16).map(lambda k: k / 4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(offset, offset, heading, half, half, heading, half, half)
+def test_zero_clearance_iff_overlap_random(x, y, ha, al, aw, hb, bl, bw):
+    assert_zero_iff_overlap(obb_corners(0.0, 0.0, ha, al, aw),
+                            obb_corners(x, y, hb, bl, bw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-20, 20), st.integers(-20, 20), quarter, quarter,
+       quarter, quarter, st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+       st.integers(-64, 64), st.sampled_from([0.0, math.pi / 2, math.pi]),
+       st.sampled_from([0.0, 1e-12, -1e-12]))
+def test_zero_clearance_iff_overlap_touching(ax, ay, al, aw, bl, bw, side,
+                                             slide, hb, gap):
+    """b rests against a side of a, slid along it as far as a corner."""
+    ex, ey = (bw, bl) if hb == math.pi / 2 else (bl, bw)
+    sx, sy = side
+    if sx:
+        along = max(-(aw + ey), min(aw + ey, slide / 4))
+        bx, by = ax + sx * (al + ex + gap), ay + along
+    else:
+        along = max(-(al + ex), min(al + ex, slide / 4))
+        bx, by = ax + along, ay + sy * (aw + ey + gap)
+    a = obb_corners(ax, ay, 0.0, al, aw)
+    b = obb_corners(bx, by, hb, bl, bw)
+    assert_zero_iff_overlap(a, b)
+    if hb == 0.0 and gap == 0.0:
+        assert obb_overlap(a, b)      # exact contact counts as overlap
 
 
 class TestSegmentAabb:

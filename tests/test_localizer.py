@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import ramp_frames, random_trace, speed_trace
+from conftest import (
+    at_20hz,
+    drop_sixth_of_ten,
+    ramp_frames,
+    random_trace,
+    speed_trace,
+)
 from formula_gen import random_formula
 from oracle_reference import rho_ref
 
@@ -12,6 +18,7 @@ from driverepair.localizer import (
     moment_frames,
     prefix_robustness,
 )
+from driverepair.simulator import PAIRED_SPECS
 from driverepair.spec_lang import parse_spec
 from driverepair.trace_model import Trace, build_trace
 
@@ -124,9 +131,36 @@ class TestMomentFrames:
         with pytest.raises(MomentsNotFoundError):
             moment_frames(moments, frames)
 
+    def test_moments_past_the_last_frame_raise(self, cap60):
+        frames = ramp_frames(91, dt=0.1)
+        moments = locate(cap60, build_trace(frames, dt=0.1), delta=5.0)
+        with pytest.raises(MomentsNotFoundError):
+            moment_frames(moments, frames[:60])
+
     def test_benchmark_gap_is_short_and_positive(self, baseline_runs, specs):
-        from driverepair.simulator import PAIRED_SPECS
         run = baseline_runs["S1"]
         moments = locate(specs[PAIRED_SPECS["S1"]], run["trace"], delta=15.0)
         _, _, gap = moment_frames(moments, run["frames"])
         assert 0 < gap <= 10.0
+
+    # S4 at 10 Hz locates law38_red at steps 99 (near miss) and 106. The
+    # rendered frames are the ones the trace evaluated, at step * dt, and
+    # the gap is counted in trace steps, whatever the record's frame rate.
+    @pytest.mark.parametrize("resample, steps, times, gap", [
+        (at_20hz, (99, 106), (9.9, 10.6), 0.7),
+        # frame 10.5 s is missing: step 105 took 10.6 s, the later of the
+        # two frames equally near
+        (drop_sixth_of_ten, (99, 105), (9.9, 10.6), 0.6),
+    ])
+    def test_frames_are_the_ones_the_trace_used(self, baseline_runs, specs,
+                                                resample, steps, times, gap):
+        frames = resample(baseline_runs["S4"]["frames"])
+        trace = build_trace(frames)
+        moments = locate(specs[PAIRED_SPECS["S4"]], trace, delta=15.0)
+        assert (moments.near_miss_step, moments.violation_step) == steps
+        near, viol, got_gap = moment_frames(moments, frames)
+        assert (near.t, viol.t) == times
+        assert near.scene is trace.scenes[moments.near_miss_step]
+        assert viol.scene is trace.scenes[moments.violation_step]
+        assert got_gap == gap
+        assert moments.dt == trace.dt

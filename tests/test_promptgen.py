@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ramp_frames
+from conftest import at_20hz, drop_sixth_of_ten, ramp_frames
 
 from driverepair.localizer import MomentsNotFoundError, locate
 from driverepair.mudrive import PlannerParams
@@ -13,6 +13,7 @@ from driverepair.promptgen import (
     bundle_to_json,
     render_moment,
 )
+from driverepair.simulator import PAIRED_SPECS
 from driverepair.spec_lang import parse_spec
 from driverepair.trace_model import (
     EgoPose,
@@ -120,6 +121,21 @@ class TestBuildPrompt:
                               PlannerParams(), record_id="ramp")
         assert moments.violation_step - moments.near_miss_step == 40
         assert "4 seconds later" in bundle.segments["sequence"]
+
+    # the records and moments of test_localizer's frames-the-trace-used test
+    @pytest.mark.parametrize("resample, gap", [(at_20hz, 0.7),
+                                               (drop_sixth_of_ten, 0.6)])
+    def test_moments_render_at_their_trace_steps(self, baseline_runs, specs,
+                                                 resample, gap):
+        frames = resample(baseline_runs["S4"]["frames"])
+        moments = locate(specs[PAIRED_SPECS["S4"]], build_trace(frames),
+                         delta=15.0)
+        bundle = build_prompt(moments, frames, "law38_red", "stop at red",
+                              PlannerParams(), record_id="S4")
+        assert bundle.meta["gap_seconds"] == gap
+        assert f"{gap:g} seconds later" in bundle.segments["sequence"]
+        assert "t = 9.9 s" in bundle.images[0]
+        assert "t = 10.6 s" in bundle.images[1]
 
     def test_rule_segment_embeds_prose(self):
         bundle = located_bundle()
