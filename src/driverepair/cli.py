@@ -159,6 +159,13 @@ def sweep_delta(ctx, record, scenario, scenario_file, spec, deltas, seed):
     click.echo(json.dumps(table, indent=2))
 
 
+def _read_program(path):
+    try:
+        return parse_program(Path(path).read_text(encoding="utf-8"))
+    except MuDriveSyntaxError as exc:
+        raise click.ClickException(f"syntax error: {exc}")
+
+
 @main.group()
 def sim():
     """Scenario simulator."""
@@ -189,7 +196,7 @@ def sim_run(scenario, scenario_file, repair_file, out_path, show_metrics):
         raise click.ClickException("need --scenario or --scenario-file")
     program = None
     if repair_file:
-        program = parse_program(Path(repair_file).read_text(encoding="utf-8"))
+        program = _read_program(repair_file)
         problems = validate(program)
         if problems:
             raise click.ClickException(
@@ -215,10 +222,7 @@ def mudrive_group():
 @click.argument("file", type=click.Path(exists=True))
 def mudrive_check(file):
     """Parse and validate a .mud program."""
-    try:
-        program = parse_program(Path(file).read_text(encoding="utf-8"))
-    except MuDriveSyntaxError as exc:
-        raise click.ClickException(f"syntax error: {exc}")
+    program = _read_program(file)
     problems = validate(program)
     if problems:
         for p in problems:

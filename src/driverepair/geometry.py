@@ -57,7 +57,9 @@ def obb_distance(c1, c2):
                 d = _point_segment_dist(px, py, x1, y1, x2, y2)
                 if d < best:
                     best = d
-    return best
+    # Rounding can put a corner exactly on a nearly parallel edge that the
+    # separating-axis test finds apart; 0 must still mean overlap.
+    return best if best > 0.0 else math.ulp(0.0)
 
 
 def segment_hits_aabb(x0, y0, x1, y1, xmin, xmax, ymin, ymax):

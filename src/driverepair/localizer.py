@@ -78,21 +78,23 @@ def _prefix_rhos(phi: Formula, trace: Trace):
         yield float(rho) + 0.0
 
 
-def locate(phi: Formula, trace: Trace, delta: float = 15.0) -> CriticalMoments:
-    """Search from k = 0 for the first near-miss and violation."""
-    if delta < 0:
+def first_at_or_below(prefix_rho, delta: float) -> int | None:
+    """The first k with prefix_rho[k] <= delta, or None."""
+    if not delta >= 0:      # also rejects NaN
         raise ValueError("delta must be non-negative")
-    near = viol = None
+    return next((k for k, rho in enumerate(prefix_rho) if rho <= delta), None)
+
+
+def locate(phi: Formula, trace: Trace, delta: float = 15.0) -> CriticalMoments:
+    """Search from k = 0 for the first near-miss and violation; the scan
+    stops at the violation, so `prefix_rho` does not depend on delta."""
     rhos = []
-    for k, rho in enumerate(_prefix_rhos(phi, trace)):
+    for rho in _prefix_rhos(phi, trace):
         rhos.append(rho)
-        if near is None and rho <= delta:
-            near = k
-        if viol is None and rho <= 0:
-            viol = k
-        if viol is not None:
+        if rho <= 0:
             break
-    return CriticalMoments(violation_step=viol, near_miss_step=near,
+    return CriticalMoments(violation_step=first_at_or_below(rhos, 0.0),
+                           near_miss_step=first_at_or_below(rhos, delta),
                            delta=delta, prefix_rho=tuple(rhos), dt=trace.dt)
 
 

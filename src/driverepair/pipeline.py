@@ -1,17 +1,20 @@
 """End-to-end orchestration: analyze, localize, prompt, generate, replay,
 report. Every stage persists its artifact under a content-addressed run
-directory, so reruns with identical inputs rewrite identical bytes.
+directory, so reruns with identical inputs rewrite identical bytes. Each
+distinct candidate program is written once, as `candidates/<stem>.mud`, and
+replayed once, into `replays/<stem>.jsonl`; candidates share both files.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .localizer import locate
-from .mudrive import PlannerParams, pretty_print, validate
+from .localizer import first_at_or_below, locate
+from .mudrive import PlannerParams, pretty_print
 from .mudrive.schema import schema_json
 from .promptgen import build_prompt, bundle_to_json
 from .repair_llm import BackendConfig, batch_generate, make_backend
@@ -26,7 +29,7 @@ from .simulator import (
 from .spec_lang import builtin_specs, parse_spec, resolve_spec, robustness
 from .trace_model import build_trace, frame_to_line, load_record
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 NO_COLLISION = "no_collision"
 
@@ -49,7 +52,7 @@ class PipelineConfig:
     params: PlannerParams = field(default_factory=PlannerParams)
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:     # also rejects NaN
             raise ValueError("delta must be non-negative")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -107,7 +110,6 @@ def _record_text(frames) -> str:
 @dataclass(frozen=True)
 class _Replay:
     """What one replay contributes to a report; the frames are not kept."""
-    record_text: str
     outcome: str
     rho_spec: float
     rho_no_collision: float
@@ -118,24 +120,17 @@ class _Replay:
         return self.rho_spec > 0 and self.rho_no_collision > 0
 
 
-def _replay(replays: dict, script, program, params, phi, nc_phi) -> _Replay:
-    """Replay `program` on `script`, once per distinct program in `replays`.
-
-    The caller owns `replays` and keeps script, params and both specs fixed
-    for its lifetime, so the program alone identifies a replay.
-    """
-    replay = replays.get(program)
-    if replay is None:
-        frames, outcome = run_scenario(script, program, params)
-        trace = build_trace(frames)
-        replay = replays[program] = _Replay(
-            record_text=_record_text(frames),
-            outcome=outcome,
-            rho_spec=robustness(phi, trace, 0),
-            rho_no_collision=robustness(nc_phi, trace, 0),
-            metrics=evaluate_trace(frames),
-        )
-    return replay
+def _replay(script, program, params, phi, nc_phi) -> tuple[_Replay, str]:
+    """Replay `program` on `script`; returns the verdict and the record text."""
+    frames, outcome = run_scenario(script, program, params)
+    trace = build_trace(frames)
+    replay = _Replay(
+        outcome=outcome,
+        rho_spec=robustness(phi, trace, 0),
+        rho_no_collision=robustness(nc_phi, trace, 0),
+        metrics=evaluate_trace(frames),
+    )
+    return replay, _record_text(frames)
 
 
 def _prepare_record(cfg: PipelineConfig):
@@ -221,50 +216,44 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     batch = batch_generate(bundle, cfg.n, cfg.backend, backend=backend,
                            base_seed=cfg.base_seed)
 
-    candidates = []
-    costs = []
-    fixed_count = 0
-    replayable = script is not None
-    replays = {}
-    for i, cand in enumerate(batch.candidates):
-        cand_file = run_dir / "candidates" / f"cand_{i}.mud"
-        _write(cand_file, pretty_print(cand.program))
-        entry = {
-            "index": i,
-            "seed": cand.seed,
-            "attempts": cand.attempts,
-            "input_tokens": cand.input_tokens,
-            "output_tokens": cand.output_tokens,
-            "cost_usd": cand.cost_usd,
-            "valid": not validate(cand.program),
-            "program_file": f"candidates/cand_{i}.mud",
-            "replay": None,
-            "metrics_delta": None,
+    # One program file and one replay per distinct program, in first-seen
+    # order, named by the digest of the program text. Candidates with the
+    # same program share both files and every report field they shape.
+    shared = {}
+    for program in dict.fromkeys(cand.program for cand in batch.candidates):
+        text = pretty_print(program)
+        stem = hashlib.sha256(text.encode()).hexdigest()[:12]
+        _write(run_dir / "candidates" / f"{stem}.mud", text)
+        doc = shared[program] = {"program_file": f"candidates/{stem}.mud",
+                                 "replay": None, "metrics_delta": None}
+        if script is None:
+            continue
+        replay, record_text = _replay(script, program, cfg.params, phi, nc_phi)
+        _write(run_dir / "replays" / f"{stem}.jsonl", record_text)
+        doc["replay"] = {
+            "outcome": replay.outcome,
+            "rho_spec": replay.rho_spec,
+            "rho_no_collision": replay.rho_no_collision,
+            "fixed": replay.fixed,
+            "record": f"replays/{stem}.jsonl",
+            "metrics": replay.metrics,
         }
-        if replayable:
-            replay = _replay(replays, script, cand.program, cfg.params,
-                             phi, nc_phi)
-            _write(run_dir / "replays" / f"cand_{i}.jsonl",
-                   replay.record_text)
-            fixed_count += replay.fixed
-            entry["replay"] = {
-                "outcome": replay.outcome,
-                "rho_spec": replay.rho_spec,
-                "rho_no_collision": replay.rho_no_collision,
-                "fixed": replay.fixed,
-                "record": f"replays/cand_{i}.jsonl",
-                "metrics": dict(replay.metrics),
-            }
-            entry["metrics_delta"] = {
-                key: (replay.metrics[key] - baseline_metrics[key])
-                for key in ("avg_speed_ms", "max_speed_ms", "stop_time_s",
-                            "energy_j")
-            }
-        candidates.append(entry)
-        costs.append({"index": i, "seed": cand.seed,
-                      "input_tokens": cand.input_tokens,
-                      "output_tokens": cand.output_tokens,
-                      "cost_usd": cand.cost_usd})
+        doc["metrics_delta"] = {
+            key: (replay.metrics[key] - baseline_metrics[key])
+            for key in ("avg_speed_ms", "max_speed_ms", "stop_time_s",
+                        "energy_j")
+        }
+
+    candidates = [{"index": i, "seed": cand.seed, "attempts": cand.attempts,
+                   "input_tokens": cand.input_tokens,
+                   "output_tokens": cand.output_tokens,
+                   "cost_usd": cand.cost_usd,
+                   **copy.deepcopy(shared[cand.program])}
+                  for i, cand in enumerate(batch.candidates)]
+    costs = [{key: c[key] for key in ("index", "seed", "input_tokens",
+                                      "output_tokens", "cost_usd")}
+             for c in candidates]
+    fixed_count = sum(c["replay"]["fixed"] for c in candidates if c["replay"])
 
     report["candidates"] = candidates
     report["generation_failures"] = [
@@ -273,7 +262,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     report["total_cost_usd"] = batch.total_cost_usd
     _write(run_dir / "costs.json", _json_dump(costs))
 
-    if replayable:
+    if script is not None:
         report["fix_rate"] = fixed_count / len(candidates) if candidates else 0.0
         report["status"] = "repaired" if fixed_count else "unfixed"
     else:
@@ -296,13 +285,14 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
     nc_phi = builtin_specs()[NO_COLLISION]
 
     frames, record_id, script, _ = _prepare_record(cfg)
-    trace = build_trace(frames)
+    base = locate(phi, build_trace(frames), cfg.delta)
     backend = make_backend(cfg.backend)
 
-    replays = {}
+    fixed = {}      # program -> verdict, so each is replayed once
     rows = []
     for delta in deltas:
-        moments = locate(phi, trace, delta)
+        moments = replace(base, delta=delta, near_miss_step=first_at_or_below(
+            base.prefix_rho, delta))
         row = {"delta": delta,
                "near_miss_step": moments.near_miss_step,
                "violation_step": moments.violation_step,
@@ -314,9 +304,10 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
             batch = batch_generate(bundle, 1, cfg.backend, backend=backend,
                                    base_seed=cfg.base_seed)
             if batch.candidates:
-                row["fixed"] = _replay(replays, script,
-                                       batch.candidates[0].program,
-                                       cfg.params, phi, nc_phi).fixed
+                program = batch.candidates[0].program
+                if program not in fixed:
+                    fixed[program] = _replay(script, program, cfg.params,
+                                             phi, nc_phi)[0].fixed
+                row["fixed"] = fixed[program]
         rows.append(row)
     return {"record_id": record_id, "spec": spec_entry.name, "rows": rows}
-

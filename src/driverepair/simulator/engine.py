@@ -35,7 +35,6 @@ STANDSTILL = 0.139          # m/s, matches the 0.5 km/h stopped threshold
 BORROW_OFFSET = 3.0
 BORROW_SLEW = 1.5           # m/s lateral
 BLOCKED_BEFORE_BORROW_S = 5.0
-PREDICTION_HORIZON_S = 3.0
 MOVING_NPC_KMH = 3.0
 
 OUTCOME_REACHED = "reached_destination"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driverepair.geometry import (
@@ -85,6 +85,10 @@ def test_zero_clearance_iff_overlap_random(x, y, ha, al, aw, hb, bl, bw):
        quarter, quarter, st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
        st.integers(-64, 64), st.sampled_from([0.0, math.pi / 2, math.pi]),
        st.sampled_from([0.0, 1e-12, -1e-12]))
+# b turned by pi: its side lies 1e-16 off a's, and the point-to-edge
+# distance rounds to 0 while the separating-axis test finds the gap
+@example(ax=0, ay=0, al=0.25, aw=0.25, bl=0.25, bw=0.5, side=(-1, 0),
+         slide=2, hb=math.pi, gap=0.0)
 def test_zero_clearance_iff_overlap_touching(ax, ay, al, aw, bl, bw, side,
                                              slide, hb, gap):
     """b rests against a side of a, slid along it as far as a corner."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,6 +85,8 @@ class TestLocate:
     def test_negative_delta_rejected(self, ramp, cap60):
         with pytest.raises(ValueError):
             locate(cap60, ramp, delta=-1.0)
+        with pytest.raises(ValueError):
+            locate(cap60, ramp, delta=math.nan)
 
     def test_minimality_by_rescan(self, cap60):
         rng = random.Random(5)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,13 @@ from conftest import ramp_frames
 
 from driverepair import pipeline
 from driverepair.cli import main
+from driverepair.localizer import locate
 from driverepair.mudrive import PlannerParams
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
 from driverepair.repair_llm import BackendConfig
 from driverepair.simulator import PAIRED_SPECS, run_scenario, scenario_by_id
-from driverepair.trace_model import save_record
+from driverepair.spec_lang import parse_spec
+from driverepair.trace_model import build_trace, save_record
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,8 @@ class TestCmdRepair:
         with pytest.raises(ValueError):
             PipelineConfig(spec="law46", scenario="S6", delta=-1)
         with pytest.raises(ValueError):
+            PipelineConfig(spec="law46", scenario="S6", delta=math.nan)
+        with pytest.raises(ValueError):
             PipelineConfig(spec="law46", scenario="S6", n=0)
 
 
@@ -203,6 +208,25 @@ class TestCmdSweepDelta:
         assert rows[0]["near_miss_step"] == rows[0]["violation_step"] == 60
         steps = [rows[d]["near_miss_step"] for d in (1, 5, 15)]
         assert steps == sorted(steps, reverse=True)
+
+    def test_rows_match_locate_at_each_delta(self, tmp_path):
+        record = tmp_path / "ramp.jsonl"
+        save_record(ramp_frames(91), record)
+        spec_file = tmp_path / "cap.spec"
+        spec_file.write_text("name: cap60\nstl: G (speed < 60)\n",
+                             encoding="utf-8")
+        cfg = PipelineConfig(spec=str(spec_file), record=str(record))
+        deltas = [0, 0.5, 1, 5, 15, 59, 60, 61]
+        trace = build_trace(ramp_frames(91))
+        phi = parse_spec("G (speed < 60)")
+        rows = cmd_sweep_delta(cfg, deltas)["rows"]
+        for delta, row in zip(deltas, rows):
+            moments = locate(phi, trace, delta)
+            assert row["near_miss_step"] == moments.near_miss_step
+            assert row["violation_step"] == moments.violation_step
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                cmd_sweep_delta(cfg, [1.0, bad])
 
     def test_s1_template_sensitivity(self):
         # near-miss scenes too close or too distant pick repairs that fail
@@ -276,14 +300,19 @@ class TestCli:
         assert doc["metrics"]["max_speed_ms"] <= 30 / 3.6
 
     def test_sim_run_rejects_invalid_program(self, tmp_path):
-        program = tmp_path / "bad.mud"
-        program.write_text(
+        invalid = tmp_path / "bad.mud"
+        invalid.write_text(
             'rule "x"\ntrigger\n always\nthen\n warp_speed(9)\nend\n',
             encoding="utf-8")
+        no_action = tmp_path / "syntax.mud"
+        no_action.write_text('rule "x"\ntrigger\n always\nthen\nend\n',
+                             encoding="utf-8")
         runner = CliRunner()
-        result = runner.invoke(main, ["sim", "run", "--scenario", "S6",
-                                      "--repair", str(program)])
-        assert result.exit_code != 0
+        for program in (invalid, no_action):
+            result = runner.invoke(main, ["sim", "run", "--scenario", "S6",
+                                          "--repair", str(program)])
+            assert result.exit_code == 1
+            assert "Error:" in result.output
 
     def test_mudrive_check(self, tmp_path):
         good = tmp_path / "good.mud"

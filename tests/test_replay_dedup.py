@@ -51,7 +51,8 @@ def test_report_matches_uncached_oracle(tmp_path, sid):
         oracle_path = tmp_path / f"oracle_{cand['index']}.jsonl"
         expected = _oracle_replay(script, program, phi, nc_phi, oracle_path)
         replay = dict(cand["replay"])
-        assert replay.pop("record") == f"replays/cand_{cand['index']}.jsonl"
+        stem = Path(cand["program_file"]).stem
+        assert replay.pop("record") == f"replays/{stem}.jsonl"
         assert replay == expected
         assert ((run_dir / cand["replay"]["record"]).read_bytes()
                 == oracle_path.read_bytes())
@@ -80,7 +81,29 @@ def test_cmd_repair_replays_each_distinct_program_once(tmp_path, monkeypatch):
     assert programs[0] is None                       # the baseline
     assert len(programs) == 1 + len(texts) == 1 + report["distinct_programs"]
     assert len(set(programs)) == len(programs)
-    assert len(list((run_dir / "replays").iterdir())) == 8
+    assert len(list((run_dir / "replays").iterdir())) == report["distinct_programs"]
+    assert (len(list((run_dir / "candidates").iterdir()))
+            == report["distinct_programs"])
+
+
+def test_candidates_share_files_exactly_when_programs_are_equal(tmp_path):
+    report = cmd_repair(PipelineConfig(spec=PAIRED_SPECS["S4"], scenario="S4",
+                                       n=8, out_dir=str(tmp_path)))
+    run_dir = Path(report["run_dir"])
+    cands = report["candidates"]
+    programs = [parse_program((run_dir / c["program_file"]).read_text(
+        encoding="utf-8")) for c in cands]
+    assert len(set(programs)) < len(cands)          # some programs repeat
+    for a, pa in zip(cands, programs):
+        for b, pb in zip(cands, programs):
+            same = pa == pb
+            assert (a["program_file"] == b["program_file"]) == same
+            assert (a["replay"]["record"] == b["replay"]["record"]) == same
+    for directory, key in (("candidates", lambda c: c["program_file"]),
+                           ("replays", lambda c: c["replay"]["record"])):
+        written = {f"{directory}/{f.name}"
+                   for f in (run_dir / directory).iterdir()}
+        assert written == {key(c) for c in cands}
 
 
 def test_sweep_delta_replays_each_distinct_program_once(monkeypatch):
