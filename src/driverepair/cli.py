@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 on success (including "no violation"), 2 when a violation was
-found but no candidate fixed it, 1 on errors.
+found but no candidate fixed it, 1 on errors (bad input prints `Error: ...`).
 """
 from __future__ import annotations
 
@@ -37,7 +37,21 @@ def _load_config(path):
         return json.load(fh)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports bad input as an `Error:` line and exit 1, not a traceback.
+
+    The program's input errors are all ValueErrors (bad numbers, unknown
+    scenarios, malformed records and specs) or OSErrors (unreadable files).
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="JSON file with default option values.")
 @click.pass_context

@@ -81,7 +81,7 @@ def _prefix_rhos(phi: Formula, trace: Trace):
 def first_at_or_below(prefix_rho, delta: float) -> int | None:
     """The first k with prefix_rho[k] <= delta, or None."""
     if not delta >= 0:      # also rejects NaN
-        raise ValueError("delta must be non-negative")
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     return next((k for k, rho in enumerate(prefix_rho) if rho <= delta), None)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .catalog import VocabEntry, default_catalog
+from .catalog import ALWAYS, default_catalog
 from .grammar import Call, MuDriveProgram, Rule
 
 SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
@@ -70,8 +70,8 @@ def emit_schema() -> dict:
     trigger_variants = [_call_schema(e) for e in cat.events]
     trigger_variants.append({
         "type": "object",
-        "description": "Evaluate the rule at every step instead of on an event.",
-        "properties": {"name": {"const": "always"}},
+        "description": ALWAYS.description,
+        "properties": {"name": {"const": ALWAYS.name}},
         "required": ["name"],
         "additionalProperties": False,
     })
@@ -140,7 +140,6 @@ def schema_json() -> str:
     return json.dumps(emit_schema(), indent=2)
 
 
-_ALWAYS = VocabEntry("always", "")
 _RULE_KEYS = ("name", "trigger", "conditions", "actions", "until")
 
 
@@ -185,10 +184,6 @@ def _call_from_json(doc, path, kind, find, extra=()) -> Call:
     return Call(name, tuple(args[n] for n in names))
 
 
-def _trigger_entry(name):
-    return _ALWAYS if name == "always" else default_catalog().event(name)
-
-
 def from_json(doc) -> MuDriveProgram:
     """Build a program from a JSON document of the shape `emit_schema` describes.
 
@@ -207,7 +202,7 @@ def from_json(doc) -> MuDriveProgram:
         if not isinstance(name, str) or not name:
             raise SchemaConversionError(f"{path}.name", "expected a non-empty string")
         trigger = _call_from_json(rdoc["trigger"], f"{path}.trigger", "event",
-                                  _trigger_entry)
+                                  cat.trigger)
         conditions = []
         for j, cdoc in enumerate(_array(rdoc.get("conditions", []),
                                         f"{path}.conditions")):
@@ -225,7 +220,7 @@ def from_json(doc) -> MuDriveProgram:
         until = None
         if "until" in rdoc:
             until = _call_from_json(rdoc["until"], f"{path}.until", "event",
-                                    _trigger_entry)
+                                    cat.trigger)
         rules.append(Rule(name=name, trigger=trigger, conditions=tuple(conditions),
                           actions=actions, until=until))
     return MuDriveProgram(tuple(rules))
@@ -247,7 +242,7 @@ def to_json(program: MuDriveProgram) -> dict:
     for rule in program.rules:
         rdoc = {
             "name": rule.name,
-            "trigger": _call_to_json(rule.trigger, cat.event(rule.trigger.name)),
+            "trigger": _call_to_json(rule.trigger, cat.trigger(rule.trigger.name)),
         }
         if rule.conditions:
             rdoc["conditions"] = [
@@ -257,6 +252,6 @@ def to_json(program: MuDriveProgram) -> dict:
         rdoc["actions"] = [_call_to_json(call, cat.action(call.name))
                            for call in rule.actions]
         if rule.until is not None:
-            rdoc["until"] = _call_to_json(rule.until, cat.event(rule.until.name))
+            rdoc["until"] = _call_to_json(rule.until, cat.trigger(rule.until.name))
         rules.append(rdoc)
     return {"rules": rules}

@@ -61,11 +61,7 @@ def _check_args(entry, call: Call, rule, where, out):
 
 
 def _check_trigger(call: Call, cat, rule, where, out):
-    if call.name == "always":
-        if call.args:
-            out.append(Diagnostic(rule, where, "'always' takes no arguments"))
-        return
-    entry = cat.event(call.name)
+    entry = cat.trigger(call.name)
     if entry is None:
         out.append(Diagnostic(rule, where, f"unknown event {call.name!r}"))
         return

@@ -53,9 +53,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.delta >= 0:     # also rejects NaN
-            raise ValueError("delta must be non-negative")
+            raise ValueError(f"delta must be non-negative, got {self.delta!r}")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError(f"n must be at least 1, got {self.n!r}")
         if not (self.record or self.scenario or self.scenario_file):
             raise ValueError("need a record path or a scenario")
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .localizer import CriticalMoments, MomentsNotFoundError, moment_frames
-from .mudrive.catalog import PARAM_DESCRIPTIONS, PlannerParams
+from .mudrive.catalog import ACTIONS, PlannerParams
 from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, RawRecordFrame
 
 VIEW_M = 80.0               # metres shown edge to edge, ego centered
@@ -163,13 +163,14 @@ def _gap_text(gap: float) -> str:
 
 def _default_segment(defaults: PlannerParams) -> str:
     bits = []
-    for label, attr, unit in PARAM_DESCRIPTIONS:
-        value = getattr(defaults, attr)
+    for action in ACTIONS:
+        value = getattr(defaults, action.sets)
         if isinstance(value, bool):
-            bits.append(f"{label} = {'on' if value else 'off'}")
+            bits.append(f"{action.label} = {'on' if value else 'off'}")
         else:
+            unit = action.params[0].unit
             suffix = f" {unit}" if unit else ""
-            bits.append(f"{label} = {value:g}{suffix}")
+            bits.append(f"{action.label} = {value:g}{suffix}")
     return "In the original ADS, the initial settings are: " + ", ".join(bits) + "."
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..trace_model import WeatherState
 
@@ -313,26 +313,8 @@ def benchmark_suite() -> list:
 # ---------------------------------------------------------------------------
 
 def script_to_dict(script: ScenarioScript) -> dict:
-    return {
-        "id": script.id,
-        "description": script.description,
-        "route_len_m": script.route_len_m,
-        "duration_s": script.duration_s,
-        "start_speed_kmh": script.start_speed_kmh,
-        "lane_segments": [list(seg) for seg in script.lane_segments],
-        "junctions": [list(j) for j in script.junctions],
-        "lights": [{"stopline_s": li.stopline_s, "release_s": li.release_s,
-                    "schedule": [list(p) for p in li.schedule]}
-                   for li in script.lights],
-        "stop_signs": list(script.stop_signs),
-        "npcs": [{"id": n.id, "kind": n.kind, "half_len": n.half_len,
-                  "half_wid": n.half_wid,
-                  "waypoints": [list(w) for w in n.waypoints]}
-                 for n in script.npcs],
-        "weather": {"rain": script.weather.rain, "fog": script.weather.fog,
-                    "snow": script.weather.snow,
-                    "visibility": script.weather.visibility},
-    }
+    """The JSON document of a script; `script_from_dict` reads it back."""
+    return asdict(script)
 
 
 def _finite(value, name) -> float:

@@ -515,8 +515,8 @@ class Trace:
         scenes = tuple(scenes)
         if not scenes:
             raise ValueError("trace must contain at least one scene")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not dt > 0:      # also rejects NaN
+            raise ValueError(f"dt must be positive, got {dt!r}")
         self.scenes = scenes
         self.dt = dt
         self._signal_cache: dict = {}
@@ -543,8 +543,8 @@ def step_frames(frames, dt: float = DEFAULT_DT) -> list[int]:
     """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:      # also rejects NaN
+        raise ValueError(f"dt must be positive, got {dt!r}")
     t0 = frames[0].t
     steps = int(round((frames[-1].t - t0) / dt)) + 1
     times = [f.t for f in frames]

@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -29,6 +31,9 @@ from driverepair.mudrive import (
     to_json,
     validate,
 )
+from driverepair.mudrive.schema import schema_json
+
+GOLDEN_SCHEMA = Path(__file__).parent / "golden" / "program.schema.json"
 
 JUNCTION_SLOWDOWN = """
 rule "Drive slowly through a junction when there is an obstacle."
@@ -208,6 +213,11 @@ class TestSchema:
 
     def test_schema_is_deterministic(self):
         assert json.dumps(emit_schema()) == json.dumps(emit_schema())
+
+    def test_schema_matches_golden_file(self):
+        # the backend's contract and a run-key input; the file is what
+        # `driverepair mudrive schema` prints, trailing newline included
+        assert GOLDEN_SCHEMA.read_bytes() == (schema_json() + "\n").encode()
 
     def test_empty_actions_rejected(self):
         doc = {"rules": [{"name": "x", "trigger": {"name": "always"},
@@ -446,6 +456,43 @@ def _random_program_doc(rng, cat):
     return {"rules": rules}
 
 
+class TestCatalog:
+    def test_every_event_and_condition_has_a_predicate(self):
+        cat = default_catalog()
+        for entry in cat.events + (cat.trigger("always"),) + cat.conditions:
+            assert callable(entry.holds), entry.name
+
+    def test_actions_set_each_planner_field_once(self):
+        actions = default_catalog().actions
+        assert sorted(a.sets for a in actions) == \
+            sorted(f.name for f in fields(PlannerParams))
+        assert all(a.label and len(a.params) == 1 for a in actions)
+
+    def test_lookups_by_kind(self):
+        cat = default_catalog()
+        assert cat.event("always") is None
+        assert cat.trigger("always").name == "always"
+        assert cat.trigger("in_junction") is None       # a condition
+        assert cat.condition("entering_junction") is None
+        assert cat.action("cruise_speed").sets == "cruise_speed_kmh"
+
+
+def _condition_calls():
+    """One call per condition; one per member of each enum argument."""
+    for entry in default_catalog().conditions:
+        choices = [p.values if p.type == "enum" else (10,) for p in entry.params]
+        for args in itertools.product(*choices):
+            yield Call(entry.name, args)
+
+
+def _busy_scene(light_color):
+    return make_scene(speed=50.0, npc_ahead_dist=5.0, nearest_npc_dist=5.0,
+                      nearest_npc_sep=3.0, light_color=light_color,
+                      light_dist_raw=5.0, dist_to_stopline=5.0, rain=0.8,
+                      fog=0.8, snow=0.8, visibility=5.0, in_junction=True,
+                      dist_to_junction=0.0, congested=True)
+
+
 class TestStepRules:
     def run_sequence(self, program, scenes, base=None):
         base = base or PlannerParams()
@@ -513,6 +560,16 @@ class TestStepRules:
                             dist_to_junction=0.0)
         params = self.run_sequence(program, [outside, inside, outside])
         assert any(p.cruise_speed_kmh == 10.0 for p in params)
+
+    @pytest.mark.parametrize("call", list(_condition_calls()),
+                             ids=lambda c: f"{c.name}{list(c.args)}")
+    def test_every_condition_can_hold_and_fail(self, call):
+        program = MuDriveProgram((Rule("c", Call("always"), ((False, call),),
+                                       (Call("cruise_speed", (10,)),)),))
+        scenes = [make_scene()] + [_busy_scene(color)
+                                   for color in ("red", "yellow", "green")]
+        speeds = {p.cruise_speed_kmh for p in self.run_sequence(program, scenes)}
+        assert speeds == {10.0, 72.0}
 
     def test_always_rule_tracks_conditions_each_tick(self):
         text = ('rule "fog"\ntrigger\n always\ncondition\n is_weather(fog)\n'

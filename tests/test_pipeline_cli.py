@@ -353,6 +353,31 @@ class TestCli:
         doc = json.loads(result.output)
         assert len(doc["rows"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        "sweep-delta --scenario S6 --deltas 1,nan",
+        "sweep-delta --scenario S6 --deltas 1,abc",
+        "repair --scenario S6 --delta -1 --out {runs}",
+        "repair --scenario S6 --n 0 --out {runs}",
+        "repair --scenario S99 --out {runs}",
+        "repair --scenario S99 --spec law46 --out {runs}",
+        "localize --record {record} --spec law46 --delta nan",
+        "localize --record {record} --spec law46 --dt 0",
+        "localize --record {record} --spec law46 --dt nan",
+        "localize --record {record} --spec nosuch",
+        "prompt --record {record} --spec law46 --delta -3 --out {runs}",
+    ])
+    def test_bad_input_prints_error_and_exits_1(self, tmp_path, argv):
+        # exit 2 is reserved for "violation found, nothing fixed it"
+        record = tmp_path / "ramp.jsonl"
+        save_record(ramp_frames(20), record)
+        args = [a.format(record=record, runs=tmp_path / "runs")
+                for a in argv.split()]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith("Error: "), result.output
+        assert not (tmp_path / "runs").exists()
+
     def test_config_file_sets_backend(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"backend": "mock"}), encoding="utf-8")

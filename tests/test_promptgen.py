@@ -149,6 +149,16 @@ class TestBuildPrompt:
         assert "max planning speed = 72 km/h" in text
         assert "lane borrow enabled = off" in text
 
+    def test_default_segment_exact_text(self):
+        # each setting is named and unit-labelled by the action that sets it
+        assert located_bundle().segments["default"] == (
+            "In the original ADS, the initial settings are:"
+            " max planning speed = 72 km/h, follow distance = 15 m,"
+            " yield distance = 20 m, overtake distance = 30 m,"
+            " obstacle stop distance = 8 m, obstacle decrease ratio = 1,"
+            " traffic light stop distance = 2 m, stop sign wait = 2 s,"
+            " lane borrow enabled = off.")
+
     def test_two_images_near_miss_first(self):
         bundle = located_bundle()
         assert len(bundle.images) == 2
