@@ -11,23 +11,28 @@ from pathlib import Path
 
 import click
 
-from .localizer import locate
-from .mudrive import MuDriveSyntaxError, parse_program, validate
+from .mudrive import MuDriveSyntaxError, parse_program, require_valid
 from .mudrive.catalog import PlannerParams
 from .mudrive.schema import schema_json
-from .pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
-from .promptgen import build_prompt, bundle_to_json
+from .pipeline import (
+    PipelineConfig,
+    cmd_repair,
+    cmd_sweep_delta,
+    locate_record,
+    resolve_script,
+    write_prompt,
+)
+from .promptgen import build_prompt
 from .repair_llm import BackendConfig
 from .simulator import (
     PAIRED_SPECS,
     benchmark_suite,
     evaluate_trace,
-    load_script,
     run_scenario,
     scenario_by_id,
 )
-from .spec_lang import BUILTIN_SPEC_ENTRIES, parse_spec, resolve_spec
-from .trace_model import build_trace, load_record, save_record
+from .spec_lang import BUILTIN_SPEC_ENTRIES
+from .trace_model import save_record
 
 
 def _load_config(path):
@@ -76,9 +81,7 @@ def _backend_config(ctx, backend, model, endpoint):
 @click.option("--dt", type=float, default=0.1, show_default=True)
 def localize(record, spec, delta, dt):
     """Find the violation and near-miss moments of a record."""
-    entry = resolve_spec(spec)
-    trace = build_trace(load_record(record), dt=dt)
-    moments = locate(parse_spec(entry.stl), trace, delta)
+    entry, _, moments = locate_record(record, spec, delta, dt)
     click.echo(json.dumps({
         "spec": entry.name,
         "delta": delta,
@@ -97,21 +100,14 @@ def localize(record, spec, delta, dt):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def prompt_cmd(record, spec, delta, out_dir):
     """Render the two critical moments and the six-segment text prompt."""
-    entry = resolve_spec(spec)
-    frames = load_record(record)
-    trace = build_trace(frames)
-    moments = locate(parse_spec(entry.stl), trace, delta)
+    entry, frames, moments = locate_record(record, spec, delta)
     if not moments.located:
         raise click.ClickException("record does not violate the spec;"
                                    " nothing to prompt")
     bundle = build_prompt(moments, frames, entry.name, entry.prose,
                           PlannerParams(), record_id=Path(record).stem)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "near_miss.svg").write_text(bundle.images[0], encoding="utf-8")
-    (out / "violation.svg").write_text(bundle.images[1], encoding="utf-8")
-    (out / "bundle.json").write_text(bundle_to_json(bundle), encoding="utf-8")
-    click.echo(f"wrote {out / 'bundle.json'}")
+    write_prompt(out_dir, bundle)
+    click.echo(f"wrote {Path(out_dir) / 'bundle.json'}")
 
 
 @main.command()
@@ -132,10 +128,6 @@ def prompt_cmd(record, spec, delta, out_dir):
 def repair(ctx, record, scenario, scenario_file, spec, delta, n, backend,
            model, endpoint, seed, out_dir):
     """Run the whole pipeline and report per-candidate replay verdicts."""
-    if spec is None and scenario in PAIRED_SPECS:
-        spec = PAIRED_SPECS[scenario]
-    if spec is None:
-        raise click.ClickException("--spec is required (no paired default)")
     cfg = PipelineConfig(
         spec=spec, record=record, scenario=scenario,
         scenario_file=scenario_file, delta=delta, n=n, base_seed=seed,
@@ -155,16 +147,13 @@ def repair(ctx, record, scenario, scenario_file, spec, delta, n, backend,
 @click.option("--record", type=click.Path(exists=True), default=None)
 @click.option("--scenario", default=None)
 @click.option("--scenario-file", type=click.Path(exists=True), default=None)
-@click.option("--spec", default=None)
+@click.option("--spec", default=None, help="Defaults to the scenario's"
+                                           " paired spec.")
 @click.option("--deltas", default="1,5,10,15,20,25,30", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.pass_context
 def sweep_delta(ctx, record, scenario, scenario_file, spec, deltas, seed):
     """Near-miss step and mock fix verdict across thresholds."""
-    if spec is None and scenario in PAIRED_SPECS:
-        spec = PAIRED_SPECS[scenario]
-    if spec is None:
-        raise click.ClickException("--spec is required (no paired default)")
     values = [float(d) for d in deltas.split(",") if d.strip()]
     cfg = PipelineConfig(spec=spec, record=record, scenario=scenario,
                          scenario_file=scenario_file, base_seed=seed,
@@ -174,10 +163,12 @@ def sweep_delta(ctx, record, scenario, scenario_file, spec, deltas, seed):
 
 
 def _read_program(path):
+    """Parse and validate a .mud file."""
     try:
-        return parse_program(Path(path).read_text(encoding="utf-8"))
+        program = parse_program(Path(path).read_text(encoding="utf-8"))
     except MuDriveSyntaxError as exc:
         raise click.ClickException(f"syntax error: {exc}")
+    return require_valid(program)
 
 
 @main.group()
@@ -202,20 +193,10 @@ def sim_list():
 @click.option("--metrics", "show_metrics", is_flag=True)
 def sim_run(scenario, scenario_file, repair_file, out_path, show_metrics):
     """Replay one scenario, optionally under a repair program."""
-    if scenario_file:
-        script = load_script(scenario_file)
-    elif scenario:
-        script = scenario_by_id(scenario)
-    else:
+    script = resolve_script(scenario, scenario_file)
+    if script is None:
         raise click.ClickException("need --scenario or --scenario-file")
-    program = None
-    if repair_file:
-        program = _read_program(repair_file)
-        problems = validate(program)
-        if problems:
-            raise click.ClickException(
-                "repair program is invalid:\n"
-                + "\n".join(str(p) for p in problems))
+    program = _read_program(repair_file) if repair_file else None
     frames, outcome = run_scenario(script, program)
     summary = {"scenario": script.id, "outcome": outcome,
                "frames": len(frames)}
@@ -237,11 +218,6 @@ def mudrive_group():
 def mudrive_check(file):
     """Parse and validate a .mud program."""
     program = _read_program(file)
-    problems = validate(program)
-    if problems:
-        for p in problems:
-            click.echo(str(p), err=True)
-        sys.exit(1)
     click.echo(f"ok: {len(program.rules)} rule(s)")
 
 

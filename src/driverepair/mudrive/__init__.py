@@ -23,7 +23,7 @@ from .grammar import (
 )
 from .runtime import RuleStates, step_rules
 from .schema import SchemaConversionError, emit_schema, from_json, to_json
-from .validate import Diagnostic, validate
+from .validate import Diagnostic, require_valid, validate
 
 __all__ = [
     "ACTIONS",
@@ -43,6 +43,7 @@ __all__ = [
     "from_json",
     "parse_program",
     "pretty_print",
+    "require_valid",
     "step_rules",
     "to_json",
     "validate",

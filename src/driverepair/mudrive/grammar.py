@@ -97,6 +97,9 @@ def _tokenize(text):
             j = i + 1
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
+            if text.count(".", i, j) > 1:
+                raise MuDriveSyntaxError(f"malformed number {text[i:j]!r}",
+                                         line, col)
             tokens.append(("number", text[i:j], line, col))
             col += j - i
             i = j

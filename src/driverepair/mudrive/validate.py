@@ -106,3 +106,12 @@ def validate(program: MuDriveProgram):
             _check_trigger(rule.until, cat, rule.name, "until", out)
 
     return out
+
+
+def require_valid(program: MuDriveProgram) -> MuDriveProgram:
+    """Returns `program`; raises a ValueError, one line per diagnostic, if
+    `validate` finds a problem."""
+    problems = validate(program)
+    if problems:
+        raise ValueError("\n".join(["program is invalid:", *map(str, problems)]))
+    return program

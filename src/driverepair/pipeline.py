@@ -16,7 +16,7 @@ from pathlib import Path
 from .localizer import first_at_or_below, locate
 from .mudrive import PlannerParams, pretty_print
 from .mudrive.schema import schema_json
-from .promptgen import build_prompt, bundle_to_json
+from .promptgen import PromptBundle, build_prompt, bundle_to_json
 from .repair_llm import BackendConfig, batch_generate, make_backend
 from .simulator import (
     PAIRED_SPECS,
@@ -26,8 +26,8 @@ from .simulator import (
     scenario_by_id,
     script_to_dict,
 )
-from .spec_lang import builtin_specs, parse_spec, resolve_spec, robustness
-from .trace_model import build_trace, frame_to_line, load_record
+from .spec_lang import parse_spec, resolve_spec, robustness
+from .trace_model import DEFAULT_DT, build_trace, frame_to_line, load_record
 
 REPORT_VERSION = 2
 
@@ -40,7 +40,8 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    spec: str                             # built-in name or spec-file path
+    spec: str | None = None               # built-in name or spec-file path;
+                                          # None: the scenario's paired spec
     record: str | None = None             # existing record to analyze
     scenario: str | None = None           # scenario id for baseline + replays
     scenario_file: str | None = None      # scenario JSON instead of an id
@@ -58,14 +59,32 @@ class PipelineConfig:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
         if not (self.record or self.scenario or self.scenario_file):
             raise ValueError("need a record path or a scenario")
+        if self.spec is None:
+            if self.scenario is not None:
+                scenario_by_id(self.scenario)       # names an unknown id
+            if self.scenario not in PAIRED_SPECS:
+                raise ValueError("need a spec: only the scenarios"
+                                 f" {sorted(PAIRED_SPECS)} have a paired one")
+            self.spec = PAIRED_SPECS[self.scenario]
 
 
-def _resolve_script(cfg: PipelineConfig):
-    if cfg.scenario_file:
-        return load_script(cfg.scenario_file)
-    if cfg.scenario:
-        return scenario_by_id(cfg.scenario)
+def resolve_script(scenario: str | None, scenario_file: str | None):
+    """The script in `scenario_file`, else the built-in `scenario`, else
+    None."""
+    if scenario_file:
+        return load_script(scenario_file)
+    if scenario:
+        return scenario_by_id(scenario)
     return None
+
+
+def locate_record(record, spec: str, delta: float, dt: float = DEFAULT_DT):
+    """Load a record and locate its moments; returns (spec entry, frames,
+    moments)."""
+    entry = resolve_spec(spec)
+    frames = load_record(record)
+    moments = locate(parse_spec(entry.stl), build_trace(frames, dt=dt), delta)
+    return entry, frames, moments
 
 
 @functools.cache
@@ -107,48 +126,47 @@ def _record_text(frames) -> str:
     return "".join(frame_to_line(f) for f in frames)
 
 
-@dataclass(frozen=True)
-class _Replay:
-    """What one replay contributes to a report; the frames are not kept."""
-    outcome: str
-    rho_spec: float
-    rho_no_collision: float
-    metrics: dict
-
-    @property
-    def fixed(self) -> bool:
-        return self.rho_spec > 0 and self.rho_no_collision > 0
+def write_prompt(out_dir, bundle: PromptBundle):
+    """Write the two moment images and the bundle JSON into `out_dir`."""
+    out = Path(out_dir)
+    _write(out / "near_miss.svg", bundle.images[0])
+    _write(out / "violation.svg", bundle.images[1])
+    _write(out / "bundle.json", bundle_to_json(bundle))
 
 
-def _replay(script, program, params, phi, nc_phi) -> tuple[_Replay, str]:
-    """Replay `program` on `script`; returns the verdict and the record text."""
+def _replay(script, program, params, phi, nc_phi, record=None):
+    """Replay `program` on `script`; returns the report's replay entry, which
+    names `record` as its record file, and the replayed frames."""
     frames, outcome = run_scenario(script, program, params)
     trace = build_trace(frames)
-    replay = _Replay(
-        outcome=outcome,
-        rho_spec=robustness(phi, trace, 0),
-        rho_no_collision=robustness(nc_phi, trace, 0),
-        metrics=evaluate_trace(frames),
-    )
-    return replay, _record_text(frames)
+    rho_spec = robustness(phi, trace, 0)
+    rho_no_collision = robustness(nc_phi, trace, 0)
+    return {"outcome": outcome,
+            "rho_spec": rho_spec,
+            "rho_no_collision": rho_no_collision,
+            "fixed": rho_spec > 0 and rho_no_collision > 0,
+            "record": record,
+            "metrics": evaluate_trace(frames)}, frames
 
 
-def _prepare_record(cfg: PipelineConfig):
-    """Returns (frames, record_id, script, baseline_outcome)."""
-    script = _resolve_script(cfg)
+def _prepare(cfg: PipelineConfig):
+    """Returns (spec entry, formula, no-collision formula, frames, record id,
+    script, baseline outcome); the outcome is None for a loaded record."""
+    entry = resolve_spec(cfg.spec)
+    phi = parse_spec(entry.stl)
+    nc_phi = parse_spec(resolve_spec(NO_COLLISION).stl)
+    script = resolve_script(cfg.scenario, cfg.scenario_file)
     if cfg.record:
-        return load_record(cfg.record), Path(cfg.record).stem, script, None
-    frames, outcome = run_scenario(script, program=None, base=cfg.params)
-    return frames, script.id, script, outcome
+        return (entry, phi, nc_phi, load_record(cfg.record),
+                Path(cfg.record).stem, script, None)
+    frames, outcome = run_scenario(script, None, cfg.params)
+    return entry, phi, nc_phi, frames, script.id, script, outcome
 
 
 def cmd_repair(cfg: PipelineConfig) -> dict:
     """Full pipeline; always writes report.json and returns the report."""
-    spec_entry = resolve_spec(cfg.spec)
-    phi = parse_spec(spec_entry.stl)
-    nc_phi = builtin_specs()[NO_COLLISION]
-
-    frames, record_id, script, baseline_outcome = _prepare_record(cfg)
+    (spec_entry, phi, nc_phi, frames, record_id, script,
+     baseline_outcome) = _prepare(cfg)
 
     record_lines = _record_text(frames)
     key = _run_key(cfg, script, record_lines.encode(), spec_entry.stl)
@@ -198,9 +216,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
 
     bundle = build_prompt(moments, frames, spec_entry.name, spec_entry.prose,
                           cfg.params, record_id=record_id)
-    _write(run_dir / "prompt" / "near_miss.svg", bundle.images[0])
-    _write(run_dir / "prompt" / "violation.svg", bundle.images[1])
-    _write(run_dir / "prompt" / "bundle.json", bundle_to_json(bundle))
+    write_prompt(run_dir / "prompt", bundle)
     report["moments"] = {
         "violation_step": moments.violation_step,
         "near_miss_step": moments.near_miss_step,
@@ -228,18 +244,13 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
                                  "replay": None, "metrics_delta": None}
         if script is None:
             continue
-        replay, record_text = _replay(script, program, cfg.params, phi, nc_phi)
-        _write(run_dir / "replays" / f"{stem}.jsonl", record_text)
-        doc["replay"] = {
-            "outcome": replay.outcome,
-            "rho_spec": replay.rho_spec,
-            "rho_no_collision": replay.rho_no_collision,
-            "fixed": replay.fixed,
-            "record": f"replays/{stem}.jsonl",
-            "metrics": replay.metrics,
-        }
+        record = f"replays/{stem}.jsonl"
+        replay, replay_frames = _replay(script, program, cfg.params, phi,
+                                        nc_phi, record)
+        _write(run_dir / record, _record_text(replay_frames))
+        doc["replay"] = replay
         doc["metrics_delta"] = {
-            key: (replay.metrics[key] - baseline_metrics[key])
+            key: (replay["metrics"][key] - baseline_metrics[key])
             for key in ("avg_speed_ms", "max_speed_ms", "stop_time_s",
                         "energy_j")
         }
@@ -280,11 +291,7 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
     """Near-miss step and one-candidate fix verdict per threshold."""
     if not deltas:
         raise ValueError("need at least one delta")
-    spec_entry = resolve_spec(cfg.spec)
-    phi = parse_spec(spec_entry.stl)
-    nc_phi = builtin_specs()[NO_COLLISION]
-
-    frames, record_id, script, _ = _prepare_record(cfg)
+    spec_entry, phi, nc_phi, frames, record_id, script, _ = _prepare(cfg)
     base = locate(phi, build_trace(frames), cfg.delta)
     backend = make_backend(cfg.backend)
 
@@ -307,7 +314,7 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
                 program = batch.candidates[0].program
                 if program not in fixed:
                     fixed[program] = _replay(script, program, cfg.params,
-                                             phi, nc_phi)[0].fixed
+                                             phi, nc_phi)[0]["fixed"]
                 row["fixed"] = fixed[program]
         rows.append(row)
     return {"record_id": record_id, "spec": spec_entry.name, "rows": rows}

@@ -16,6 +16,7 @@ from ..geometry import segment_hits_aabb
 from ..mudrive.catalog import PlannerParams
 from ..mudrive.grammar import MuDriveProgram
 from ..mudrive.runtime import RuleStates, step_rules
+from ..mudrive.validate import require_valid
 from ..trace_model import (
     EGO_HALF_LEN,
     EgoPose,
@@ -256,8 +257,11 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
                  base: PlannerParams | None = None):
     """Replay a script, optionally under a repair program.
 
-    Returns (frames, outcome); deterministic for identical inputs.
+    Returns (frames, outcome); deterministic for identical inputs. A program
+    that fails `validate` raises a ValueError naming each problem.
     """
+    if program is not None:
+        require_valid(program)
     base = base or PlannerParams()
     world = _World(script)
     states = RuleStates.initial()

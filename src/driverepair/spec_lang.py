@@ -15,6 +15,7 @@ final step is vacuously +infinity.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -677,6 +678,9 @@ def resolve_spec(name_or_path) -> SpecEntry:
     name_or_path = str(name_or_path)
     if name_or_path in _BUILTINS:
         return _BUILTINS[name_or_path]
+    if not os.path.exists(name_or_path):
+        raise ValueError(f"unknown spec {name_or_path!r}: neither a spec file"
+                         f" nor a built-in ({', '.join(_BUILTINS)})")
     entries = load_spec_file(name_or_path)
     if len(entries) != 1:
         raise SpecSyntaxError(f"{name_or_path} must define exactly one spec"

@@ -326,37 +326,29 @@ class Scene:
         return self.speed < STOPPED_KMH
 
 
-def _ego_frame_offsets(ego: EgoPose, ob: Obstacle):
-    dx, dy = ob.x - ego.x, ob.y - ego.y
-    c, s = math.cos(ego.heading), math.sin(ego.heading)
-    lon = c * dx + s * dy
-    lat = -s * dx + c * dy
-    return lon, lat
-
-
 def scene_from_frame(frame: RawRecordFrame) -> Scene:
     ego = frame.ego
     ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
+    c, s = math.cos(ego.heading), math.sin(ego.heading)
+    dj = frame.map_ctx.dist_to_junction
 
     ahead = FAR
     nearest = FAR
     sep = FAR
+    slow_near_junction = 0
     for ob in frame.obstacles:
-        lon, lat = _ego_frame_offsets(ego, ob)
-        dist = math.hypot(ob.x - ego.x, ob.y - ego.y)
+        dx, dy = ob.x - ego.x, ob.y - ego.y
+        lon = c * dx + s * dy
+        lat = -s * dx + c * dy
+        dist = math.hypot(dx, dy)
         nearest = min(nearest, dist)
         box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
         sep = min(sep, obb_distance(ego_box, box))
         if lon > 0 and abs(lat) < AHEAD_LATERAL_M:
             ahead = min(ahead, lon)
-
-    dj = frame.map_ctx.dist_to_junction
-    slow_near_junction = 0
-    for ob in frame.obstacles:
-        if ob.speed < JAM_SPEED_KMH:
-            dist = math.hypot(ob.x - ego.x, ob.y - ego.y)
-            if max(0.0, dj - 5.0) <= dist <= dj + 45.0:
-                slow_near_junction += 1
+        if (ob.speed < JAM_SPEED_KMH
+                and max(0.0, dj - 5.0) <= dist <= dj + 45.0):
+            slow_near_junction += 1
 
     if frame.traffic_light is None:
         color, raw = "off", FAR

@@ -138,6 +138,25 @@ class TestParse:
         else:
             pytest.fail("expected a syntax error")
 
+    def test_malformed_number_is_syntax_error(self):
+        bad = 'rule "x"\ntrigger\n always\nthen\n cruise_speed(1.2.3)\nend\n'
+        with pytest.raises(MuDriveSyntaxError, match="'1.2.3'") as info:
+            parse_program(bad)
+        assert (info.value.line, info.value.col) == (5, 15)
+
+    def test_comment_lines_are_skipped(self):
+        text = ('# slow down everywhere\nrule "x"  # trailing\ntrigger\n'
+                ' always\nthen\n# cruise_speed(99)\n cruise_speed(10)\nend\n')
+        (rule,) = parse_program(text).rules
+        assert rule.actions == (Call("cruise_speed", (10,)),)
+
+    def test_escaped_quote_in_rule_name(self):
+        text = ('rule "say \\"stop\\" \\\\ go"\ntrigger\n always\nthen\n'
+                ' cruise_speed(10)\nend\n')
+        program = parse_program(text)
+        assert program.rules[0].name == 'say "stop" \\ go'
+        assert parse_program(pretty_print(program)) == program
+
 
 class TestValidate:
     def test_examples_clean(self):

@@ -13,7 +13,12 @@ from driverepair.localizer import locate
 from driverepair.mudrive import PlannerParams
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
 from driverepair.repair_llm import BackendConfig
-from driverepair.simulator import PAIRED_SPECS, run_scenario, scenario_by_id
+from driverepair.simulator import (
+    PAIRED_SPECS,
+    run_scenario,
+    scenario_by_id,
+    script_to_dict,
+)
 from driverepair.spec_lang import parse_spec
 from driverepair.trace_model import build_trace, save_record
 
@@ -193,6 +198,17 @@ class TestCmdRepair:
         with pytest.raises(ValueError):
             PipelineConfig(spec="law46", scenario="S6", n=0)
 
+    def test_spec_defaults_to_the_paired_spec(self):
+        for sid, spec in PAIRED_SPECS.items():
+            assert PipelineConfig(scenario=sid).spec == spec
+        assert PipelineConfig(spec="law46", scenario="S1").spec == "law46"
+        with pytest.raises(ValueError, match="unknown scenario 'S99'"):
+            PipelineConfig(scenario="S99")
+        for kwargs in ({"scenario": "empty"}, {"record": "r.jsonl"},
+                       {"scenario_file": "s.json"}):
+            with pytest.raises(ValueError, match="need a spec"):
+                PipelineConfig(**kwargs)
+
 
 class TestCmdSweepDelta:
     def test_ramp_monotone_and_zero_delta(self, tmp_path):
@@ -276,6 +292,42 @@ class TestCli:
                                       "--out", str(tmp_path / "runs")])
         assert result.exit_code == 0, result.output
 
+    def test_prompt_matches_the_pipeline_prompt_dir(self, s6_report, tmp_path):
+        frames, _ = run_scenario(scenario_by_id("S6"))
+        record = tmp_path / "S6.jsonl"
+        save_record(frames, record)
+        out = tmp_path / "prompt"
+        result = CliRunner().invoke(main, ["prompt", "--record", str(record),
+                                           "--spec", "law46", "--out",
+                                           str(out)])
+        assert result.exit_code == 0, result.output
+        expected = Path(s6_report[0]["run_dir"]) / "prompt"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in expected.iterdir())
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    def test_scenario_file_runs_like_its_id(self, tmp_path):
+        script_file = tmp_path / "s6.json"
+        script_file.write_text(json.dumps(script_to_dict(
+            scenario_by_id("S6"))), encoding="utf-8")
+        runner = CliRunner()
+        trees = []
+        for i, source in enumerate((["--scenario", "S6"],
+                                    ["--scenario-file", str(script_file)])):
+            out = tmp_path / f"runs{i}"
+            result = runner.invoke(main, ["repair", *source, "--spec", "law46",
+                                          "--n", "2", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        assert trees[0] == trees[1]
+        sims = [runner.invoke(main, ["sim", "run", *source, "--metrics"])
+                for source in (["--scenario", "S6"],
+                               ["--scenario-file", str(script_file)])]
+        assert sims[0].exit_code == sims[1].exit_code == 0
+        assert sims[0].output == sims[1].output
+
     def test_repair_exit_code_unfixed(self, tmp_path):
         # delta 1 forces the too-late emergency template on S1
         runner = CliRunner()
@@ -313,6 +365,10 @@ class TestCli:
                                           "--repair", str(program)])
             assert result.exit_code == 1
             assert "Error:" in result.output
+        result = runner.invoke(main, ["mudrive", "check", str(invalid)])
+        assert result.exit_code == 1
+        assert result.output == ("Error: program is invalid:\n[x] action:"
+                                 " unknown action 'warp_speed'\n")
 
     def test_mudrive_check(self, tmp_path):
         good = tmp_path / "good.mud"
@@ -376,6 +432,10 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.startswith("Error: "), result.output
+        for value, message in (("S99", "unknown scenario 'S99'"),
+                               ("nosuch", "unknown spec 'nosuch'")):
+            if value in argv:
+                assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()
 
     def test_config_file_sets_backend(self, tmp_path):

@@ -86,6 +86,16 @@ class TestRunScenario:
             assert len(again) == len(run["frames"])
             build_trace(again)
 
+    @pytest.mark.parametrize("word, then", [
+        ("unknown event 'nosuch'", "nosuch\nthen\n cruise_speed(30)"),
+        ("unknown action 'warp'", "always\nthen\n warp(3)"),
+        ("cruise_speed takes 1 argument", "always\nthen\n cruise_speed"),
+    ], ids=["unknown-event", "unknown-action", "missing-argument"])
+    def test_invalid_program_refused(self, word, then):
+        program = parse_program(f'rule "x"\ntrigger\n {then}\nend\n')
+        with pytest.raises(ValueError, match=word):
+            run_scenario(scenario_by_id("S6"), program)
+
     def test_malformed_script_rejected(self):
         with pytest.raises(ScenarioError):
             script_from_dict({"id": "bad", "route_len_m": -5})
