@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .localizer import CriticalMoments, locate, moment_frames, prefix_robustness
+from .localizer import CriticalMoments, locate, moment_frames
 from .spec_lang import builtin_specs, parse_spec, robustness, satisfies
 from .trace_model import (
     RawRecordFrame,
@@ -12,7 +12,6 @@ from .trace_model import (
     build_trace,
     load_record,
     save_record,
-    scene_value,
 )
 
 __all__ = [
@@ -27,9 +26,7 @@ __all__ = [
     "locate",
     "moment_frames",
     "parse_spec",
-    "prefix_robustness",
     "robustness",
     "satisfies",
     "save_record",
-    "scene_value",
 ]

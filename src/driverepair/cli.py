@@ -5,6 +5,7 @@ found but no candidate fixed it, 1 on errors (bad input prints `Error: ...`).
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from .pipeline import (
     cmd_repair,
     cmd_sweep_delta,
     locate_record,
-    resolve_script,
     write_prompt,
 )
 from .promptgen import build_prompt
@@ -28,6 +28,7 @@ from .simulator import (
     PAIRED_SPECS,
     benchmark_suite,
     evaluate_trace,
+    resolve_script,
     run_scenario,
     scenario_by_id,
 )
@@ -42,18 +43,36 @@ def _load_config(path):
         return json.load(fh)
 
 
-class _Group(click.Group):
-    """Reports bad input as an `Error:` line and exit 1, not a traceback.
+@contextlib.contextmanager
+def _input_errors_exit_1():
+    """Report bad input as an `Error:` line and exit 1, not a traceback.
 
     The program's input errors are all ValueErrors (bad numbers, unknown
     scenarios, malformed records and specs) or OSErrors (unreadable files).
+    Click's usage errors (a bad option value, a missing or unknown option)
+    exit 1 too: exit 2 means a violation that no candidate fixed.
     """
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise       # a bare group prints its help, not an `Error:` line
+    except click.UsageError as exc:
+        raise click.ClickException(exc.format_message()) from exc
+    except (ValueError, OSError) as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
+class _Group(click.Group):
+    """Top-level group: bad input to its own options or to any command goes
+    through `_input_errors_exit_1`."""
+
+    def make_context(self, *args, **kwargs):
+        with _input_errors_exit_1():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        try:
+        with _input_errors_exit_1():
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
 
 
 @click.group(cls=_Group)
@@ -63,6 +82,9 @@ class _Group(click.Group):
 def main(ctx, config_path):
     """Trace analysis and rule-based driving strategy repair."""
     ctx.obj = _load_config(config_path)
+
+
+_SCENARIO_HELP = "Built-in scenario id or path to a scenario JSON file."
 
 
 def _backend_config(ctx, backend, model, endpoint):
@@ -112,8 +134,7 @@ def prompt_cmd(record, spec, delta, out_dir):
 
 @main.command()
 @click.option("--record", type=click.Path(exists=True), default=None)
-@click.option("--scenario", default=None)
-@click.option("--scenario-file", type=click.Path(exists=True), default=None)
+@click.option("--scenario", default=None, help=_SCENARIO_HELP)
 @click.option("--spec", default=None, help="Defaults to the scenario's"
                                            " paired spec.")
 @click.option("--delta", type=float, default=15.0, show_default=True)
@@ -125,13 +146,13 @@ def prompt_cmd(record, spec, delta, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), default="runs",
               show_default=True)
 @click.pass_context
-def repair(ctx, record, scenario, scenario_file, spec, delta, n, backend,
-           model, endpoint, seed, out_dir):
+def repair(ctx, record, scenario, spec, delta, n, backend, model, endpoint,
+           seed, out_dir):
     """Run the whole pipeline and report per-candidate replay verdicts."""
     cfg = PipelineConfig(
-        spec=spec, record=record, scenario=scenario,
-        scenario_file=scenario_file, delta=delta, n=n, base_seed=seed,
-        out_dir=out_dir, backend=_backend_config(ctx, backend, model, endpoint))
+        spec=spec, record=record, scenario=scenario, delta=delta, n=n,
+        base_seed=seed, out_dir=out_dir,
+        backend=_backend_config(ctx, backend, model, endpoint))
     report = cmd_repair(cfg)
 
     click.echo(json.dumps({k: report[k] for k in
@@ -145,18 +166,17 @@ def repair(ctx, record, scenario, scenario_file, spec, delta, n, backend,
 
 @main.command("sweep-delta")
 @click.option("--record", type=click.Path(exists=True), default=None)
-@click.option("--scenario", default=None)
-@click.option("--scenario-file", type=click.Path(exists=True), default=None)
+@click.option("--scenario", default=None, help=_SCENARIO_HELP)
 @click.option("--spec", default=None, help="Defaults to the scenario's"
                                            " paired spec.")
 @click.option("--deltas", default="1,5,10,15,20,25,30", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.pass_context
-def sweep_delta(ctx, record, scenario, scenario_file, spec, deltas, seed):
+def sweep_delta(ctx, record, scenario, spec, deltas, seed):
     """Near-miss step and mock fix verdict across thresholds."""
     values = [float(d) for d in deltas.split(",") if d.strip()]
     cfg = PipelineConfig(spec=spec, record=record, scenario=scenario,
-                         scenario_file=scenario_file, base_seed=seed,
+                         base_seed=seed,
                          backend=_backend_config(ctx, None, None, None))
     table = cmd_sweep_delta(cfg, values)
     click.echo(json.dumps(table, indent=2))
@@ -184,18 +204,15 @@ def sim_list():
 
 
 @sim.command("run")
-@click.option("--scenario", default=None)
-@click.option("--scenario-file", type=click.Path(exists=True), default=None)
+@click.option("--scenario", required=True, help=_SCENARIO_HELP)
 @click.option("--repair", "repair_file", type=click.Path(exists=True),
               default=None, help="Apply a repair program during the run.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the record as JSONL.")
 @click.option("--metrics", "show_metrics", is_flag=True)
-def sim_run(scenario, scenario_file, repair_file, out_path, show_metrics):
+def sim_run(scenario, repair_file, out_path, show_metrics):
     """Replay one scenario, optionally under a repair program."""
-    script = resolve_script(scenario, scenario_file)
-    if script is None:
-        raise click.ClickException("need --scenario or --scenario-file")
+    script = resolve_script(scenario)
     program = _read_program(repair_file) if repair_file else None
     frames, outcome = run_scenario(script, program)
     summary = {"scenario": script.id, "outcome": outcome,

@@ -50,18 +50,13 @@ class CriticalMoments:
         return self.violation_step is not None and self.near_miss_step is not None
 
 
-def prefix_robustness(phi: Formula, trace: Trace, k: int) -> float:
-    """Robustness of phi over the prefix ending at step k (no trace copies)."""
-    return robustness_bounded(phi, trace, k)
-
-
 def _prefix_rhos(phi: Formula, trace: Trace):
-    """Yield prefix_robustness(phi, trace, k) for k = 0, 1, ..."""
+    """Yield robustness_bounded(phi, trace, k) for k = 0, 1, ..."""
     h = (horizon(phi.child) if isinstance(phi, Always) and math.isinf(phi.hi)
          else math.inf)
     if math.isinf(h):
         for k in range(len(trace)):
-            yield prefix_robustness(phi, trace, k)
+            yield robustness_bounded(phi, trace, k)
         return
     lo = int(phi.lo)
     if lo < len(trace):

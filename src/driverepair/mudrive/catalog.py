@@ -189,9 +189,6 @@ class VocabularyCatalog:
             object.__setattr__(self, "_" + kind,
                                {e.name: e for e in getattr(self, kind)})
 
-    def event(self, name):
-        return self._events.get(name)
-
     def trigger(self, name):
         """What a `trigger` or `until` may name: an event, or ALWAYS."""
         return ALWAYS if name == ALWAYS.name else self._events.get(name)

@@ -21,9 +21,8 @@ from .repair_llm import BackendConfig, batch_generate, make_backend
 from .simulator import (
     PAIRED_SPECS,
     evaluate_trace,
-    load_script,
+    resolve_script,
     run_scenario,
-    scenario_by_id,
     script_to_dict,
 )
 from .spec_lang import parse_spec, resolve_spec, robustness
@@ -43,8 +42,8 @@ class PipelineConfig:
     spec: str | None = None               # built-in name or spec-file path;
                                           # None: the scenario's paired spec
     record: str | None = None             # existing record to analyze
-    scenario: str | None = None           # scenario id for baseline + replays
-    scenario_file: str | None = None      # scenario JSON instead of an id
+    scenario: str | None = None           # built-in id or scenario JSON
+                                          # path, for baseline + replays
     delta: float = 15.0
     n: int = 20
     base_seed: int = 0
@@ -57,25 +56,15 @@ class PipelineConfig:
             raise ValueError(f"delta must be non-negative, got {self.delta!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
-        if not (self.record or self.scenario or self.scenario_file):
+        if not (self.record or self.scenario):
             raise ValueError("need a record path or a scenario")
         if self.spec is None:
-            if self.scenario is not None:
-                scenario_by_id(self.scenario)       # names an unknown id
             if self.scenario not in PAIRED_SPECS:
+                if self.scenario:
+                    resolve_script(self.scenario)   # names an unknown one
                 raise ValueError("need a spec: only the scenarios"
                                  f" {sorted(PAIRED_SPECS)} have a paired one")
             self.spec = PAIRED_SPECS[self.scenario]
-
-
-def resolve_script(scenario: str | None, scenario_file: str | None):
-    """The script in `scenario_file`, else the built-in `scenario`, else
-    None."""
-    if scenario_file:
-        return load_script(scenario_file)
-    if scenario:
-        return scenario_by_id(scenario)
-    return None
 
 
 def locate_record(record, spec: str, delta: float, dt: float = DEFAULT_DT):
@@ -155,7 +144,7 @@ def _prepare(cfg: PipelineConfig):
     entry = resolve_spec(cfg.spec)
     phi = parse_spec(entry.stl)
     nc_phi = parse_spec(resolve_spec(NO_COLLISION).stl)
-    script = resolve_script(cfg.scenario, cfg.scenario_file)
+    script = resolve_script(cfg.scenario) if cfg.scenario else None
     if cfg.record:
         return (entry, phi, nc_phi, load_record(cfg.record),
                 Path(cfg.record).stem, script, None)

@@ -30,9 +30,13 @@ class BackendError(RuntimeError):
 
 
 class GenerationFailedError(RuntimeError):
-    def __init__(self, attempts, diagnostics):
+    """No valid program; carries the tokens its attempts were billed."""
+
+    def __init__(self, attempts, diagnostics, input_tokens, output_tokens):
         self.attempts = attempts
         self.diagnostics = diagnostics
+        self.input_tokens = input_tokens
+        self.output_tokens = output_tokens
         super().__init__(
             f"no valid program after {attempts} attempt(s); last diagnostics: "
             + "; ".join(str(d) for d in diagnostics))
@@ -344,7 +348,11 @@ def make_backend(cfg: BackendConfig):
 
 def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
                     backend=None, seed: int = 0) -> RepairCandidate:
-    """Query the backend until a program validates cleanly, or fail."""
+    """Query the backend until a program validates cleanly, or fail.
+
+    A transport error ends the attempts; like running out of them, it
+    raises GenerationFailedError with the tokens billed so far.
+    """
     cfg = cfg or BackendConfig()
     backend = backend or make_backend(cfg)
     schema = emit_schema()
@@ -353,8 +361,12 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
     total_in = total_out = 0
     last_diags = []
     for attempt in range(1, cfg.max_retries + 1):
-        raw, (tok_in, tok_out) = backend.complete(bundle, schema, seed,
-                                                  tuple(feedback))
+        try:
+            raw, (tok_in, tok_out) = backend.complete(bundle, schema, seed,
+                                                      tuple(feedback))
+        except BackendError as exc:
+            raise GenerationFailedError(attempt, [exc], total_in,
+                                        total_out) from exc
         total_in += tok_in
         total_out += tok_out
         try:
@@ -376,13 +388,15 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
             "The previous program was invalid: "
             + "; ".join(str(d) for d in diags)
             + ". Return a corrected program through the same function call.")
-    raise GenerationFailedError(cfg.max_retries, last_diags)
+    raise GenerationFailedError(cfg.max_retries, last_diags, total_in,
+                                total_out)
 
 
 @dataclass
 class BatchResult:
     candidates: list = field(default_factory=list)
     failures: list = field(default_factory=list)   # (seed, message)
+    failed_cost_usd: float = 0.0    # billed to slots that yielded no program
 
     @property
     def distinct_programs(self) -> int:
@@ -390,7 +404,7 @@ class BatchResult:
 
     @property
     def total_cost_usd(self) -> float:
-        return sum(c.cost_usd for c in self.candidates)
+        return sum(c.cost_usd for c in self.candidates) + self.failed_cost_usd
 
 
 def batch_generate(bundle: PromptBundle, n: int,
@@ -407,6 +421,8 @@ def batch_generate(bundle: PromptBundle, n: int,
         try:
             result.candidates.append(
                 generate_repair(bundle, cfg, backend=backend, seed=seed))
-        except (GenerationFailedError, BackendError) as exc:
+        except GenerationFailedError as exc:
             result.failures.append((seed, str(exc)))
+            result.failed_cost_usd += cost_usd(exc.input_tokens,
+                                               exc.output_tokens, cfg)
     return result

@@ -8,7 +8,7 @@ from .scenarios import (
     NpcSpec,
     ScenarioScript,
     benchmark_suite,
-    load_script,
+    resolve_script,
     scenario_by_id,
     script_from_dict,
     script_to_dict,
@@ -22,7 +22,7 @@ __all__ = [
     "ScenarioScript",
     "benchmark_suite",
     "evaluate_trace",
-    "load_script",
+    "resolve_script",
     "run_scenario",
     "scenario_by_id",
     "script_from_dict",

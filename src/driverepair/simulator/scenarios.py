@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
-from ..trace_model import WeatherState
+from ..trace_model import LANE_KINDS, LIGHT_COLORS, OBSTACLE_KINDS, WeatherState
 
 
 class ScenarioError(ValueError):
@@ -328,6 +329,13 @@ def _finite(value, name) -> float:
     return out
 
 
+def _member(value, allowed, name) -> str:
+    if value not in allowed:
+        raise ScenarioError(f"bad scenario document: {name} must be one of"
+                            f" {list(allowed)}, got {value!r}")
+    return value
+
+
 def script_from_dict(doc: dict) -> ScenarioScript:
     try:
         weather = doc.get("weather", {})
@@ -339,18 +347,23 @@ def script_from_dict(doc: dict) -> ScenarioScript:
             start_speed_kmh=_finite(doc.get("start_speed_kmh", 0.0),
                                     "start_speed_kmh"),
             lane_segments=tuple((_finite(a, "lane_segments"),
-                                 _finite(b, "lane_segments"), str(k))
+                                 _finite(b, "lane_segments"),
+                                 _member(k, LANE_KINDS, "lane_segments"))
                                 for a, b, k in doc.get("lane_segments", [])),
             junctions=tuple((_finite(a, "junctions"), _finite(b, "junctions"))
                             for a, b in doc.get("junctions", [])),
             lights=tuple(LightSpec(_finite(li["stopline_s"], "lights.stopline_s"),
                                    _finite(li["release_s"], "lights.release_s"),
-                                   tuple((str(c), _finite(d, "lights.schedule"))
+                                   tuple((_member(c, LIGHT_COLORS,
+                                                  "lights.schedule"),
+                                          _finite(d, "lights.schedule"))
                                          for c, d in li["schedule"]))
                          for li in doc.get("lights", [])),
             stop_signs=tuple(_finite(s, "stop_signs")
                              for s in doc.get("stop_signs", [])),
-            npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
+            npcs=tuple(NpcSpec(id=str(n["id"]),
+                               kind=_member(n.get("kind", "vehicle"),
+                                            OBSTACLE_KINDS, "npcs.kind"),
                                half_len=_finite(n.get("half_len", 2.3),
                                                 "npcs.half_len"),
                                half_wid=_finite(n.get("half_wid", 1.0),
@@ -372,6 +385,14 @@ def script_from_dict(doc: dict) -> ScenarioScript:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
 
 
-def load_script(path) -> ScenarioScript:
-    with open(path, "r", encoding="utf-8") as fh:
+def resolve_script(name_or_path) -> ScenarioScript:
+    """Accept a built-in scenario id or a path to a scenario JSON file."""
+    name_or_path = str(name_or_path)
+    if name_or_path in _BUILDERS:
+        return _BUILDERS[name_or_path]()
+    if not os.path.exists(name_or_path):
+        raise ScenarioError(f"unknown scenario {name_or_path!r}: neither a"
+                            " scenario file nor a built-in"
+                            f" ({', '.join(_BUILDERS)})")
+    with open(name_or_path, "r", encoding="utf-8") as fh:
         return script_from_dict(json.load(fh))

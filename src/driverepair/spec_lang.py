@@ -221,18 +221,26 @@ class _Parser:
     def maybe_interval(self):
         if not self.at("["):
             return 0.0, INF
-        self.next()
-        lo = self.number()
+        pos = self.next()[2]
+        lo = self.step_bound()
         self.expect(",")
         if self.at("inf"):
             self.next()
             hi = INF
         else:
-            hi = self.number()
+            hi = self.step_bound()
         self.expect("]")
         if lo < 0 or lo > hi:
-            raise SpecSyntaxError(f"malformed interval [{lo},{hi}]")
+            raise SpecSyntaxError(f"malformed interval [{lo:g},{hi:g}]", pos)
         return lo, hi
+
+    def step_bound(self):
+        pos = self.peek()[2]
+        value = self.number()
+        if not value.is_integer():
+            raise SpecSyntaxError("interval bounds count steps and must be"
+                                  f" whole numbers, found {value:g}", pos)
+        return value
 
     def number(self):
         kind, val, pos = self.next()
@@ -306,7 +314,7 @@ class _Parser:
                     const += coef
             elif kind == "name" and val not in _KEYWORDS:
                 name = val
-                enum_value = self._try_enum_literal(name, enum_partner)
+                enum_value = self._try_enum_literal(name, enum_partner, pos)
                 if enum_value is not None:
                     self.next()
                     const += sign * enum_value
@@ -326,8 +334,9 @@ class _Parser:
             break
         return LinExpr(tuple(terms), const)
 
-    def _try_enum_literal(self, name, partner):
-        """Resolve bare names like `red` against an enum variable on the lhs."""
+    def _try_enum_literal(self, name, partner, pos):
+        """Resolve bare names like `red` against an enum variable on the lhs;
+        None for a variable. Any other name is not a value of the enum."""
         if partner is None or len(partner.terms) != 1:
             return None
         pvar = partner.terms[0][1]
@@ -335,8 +344,13 @@ class _Parser:
             return None
         try:
             return enum_code(pvar.name, name)
+        except CatalogError as exc:
+            not_a_value = SpecSyntaxError(exc.args[0], pos)
+        try:
+            catalog_kind(name)      # a variable compared with the enum
         except CatalogError:
-            return None
+            raise not_a_value from None
+        return None
 
     def variable(self):
         kind, val, pos = self.next()
@@ -348,8 +362,10 @@ class _Parser:
             arg = self.number()
             self.expect(")")
         var = SignalVar(val, arg)
-        catalog_kind(val)  # raises CatalogError for unknown names
-        needs = catalog_kind(val) == "pred"
+        try:
+            needs = catalog_kind(val) == "pred"
+        except CatalogError as exc:
+            raise SpecSyntaxError(exc.args[0], pos) from None
         if needs and arg is None:
             raise SpecSyntaxError(f"{val} requires a parameter, e.g. {val}(10)", pos)
         if not needs and arg is not None:
@@ -643,32 +659,46 @@ def builtin_spec_entry(name: str) -> SpecEntry:
 
 
 def load_spec_file(path) -> dict:
-    """Parse a spec file: stanzas of `name:` / `stl:` / optional `prose:` lines."""
+    """Parse a spec file: stanzas of `name:` / `stl:` / optional `prose:` lines.
+
+    Every line belongs to a stanza, each stanza has its own name, and a
+    stanza holds each field once.
+    """
     entries = {}
-    name = stl = prose = None
+    stanza = None       # field -> value of the stanza being read
 
     def flush():
-        nonlocal name, stl, prose
-        if name is not None:
-            if stl is None:
-                raise SpecSyntaxError(f"spec {name!r} has no stl: line")
-            entries[name] = SpecEntry(name, stl, prose or name)
-        name = stl = prose = None
+        if stanza is None:
+            return
+        name = stanza["name"]
+        if "stl" not in stanza:
+            raise SpecSyntaxError(f"spec {name!r} has no stl: line")
+        entries[name] = SpecEntry(name, stanza["stl"],
+                                  stanza.get("prose") or name)
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("name:"):
-                flush()
-                name = line[len("name:"):].strip()
-            elif line.startswith("stl:"):
-                stl = line[len("stl:"):].strip()
-            elif line.startswith("prose:"):
-                prose = line[len("prose:"):].strip()
-            else:
+            key, colon, value = line.partition(":")
+            if not colon or key not in ("name", "stl", "prose"):
                 raise SpecSyntaxError(f"unexpected spec-file line: {line!r}")
+            value = value.strip()
+            if key == "name":
+                flush()
+                if value in entries:
+                    raise SpecSyntaxError(f"line {lineno}: spec {value!r} is"
+                                          " defined twice")
+                stanza = {"name": value}
+            elif stanza is None:
+                raise SpecSyntaxError(f"line {lineno}: {line!r} comes before"
+                                      " the first name: line")
+            elif key in stanza:
+                raise SpecSyntaxError(f"line {lineno}: spec {stanza['name']!r}"
+                                      f" has a second {key}: line")
+            else:
+                stanza[key] = value
     flush()
     return entries
 

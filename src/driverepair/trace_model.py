@@ -321,10 +321,6 @@ class Scene:
     changing_lane: bool
     congested: bool
 
-    @property
-    def stopped(self) -> bool:
-        return self.speed < STOPPED_KMH
-
 
 def scene_from_frame(frame: RawRecordFrame) -> Scene:
     ego = frame.ego
@@ -419,7 +415,7 @@ _CATALOG = {
     "isChangingLane": ("bool", "changing_lane", None),
     "inJunction": ("bool", "in_junction", None),
     "junctionCongested": ("bool", "congested", None),
-    "stopped": ("bool", "stopped", None),
+    "stopped": ("bool", "speed", None),
     "NPCAhead": ("pred", "npc_ahead_dist", None),
     "junctionAhead": ("pred", "dist_to_junction", None),
     "stoplineAhead": ("pred", "dist_to_stopline", None),
@@ -446,25 +442,10 @@ def _entry(var: SignalVar):
     return _CATALOG[var.name]
 
 
-def var_value(scene: Scene, var: SignalVar):
-    """Catalog valuation of a variable in one scene.
-
-    Reals and enums return their stored value; booleans and parametric
-    predicates return the truth of their defining condition.
-    """
-    kind, attr, _ = _entry(var)
-    raw = getattr(scene, attr)
-    if kind in ("real", "enum"):
-        return raw
-    if kind == "bool":
-        return bool(raw)
-    return raw <= var.arg  # pred: feature within the threshold distance
-
-
 def var_margin(scene: Scene, var: SignalVar) -> float:
     """Signed satisfaction margin used by the quantitative semantics.
 
-    Positive iff `var_value` is true (booleans map to +/-1, `stopped` to its
+    Positive iff the variable holds (booleans map to +/-1, `stopped` to its
     speed margin, parametric predicates to threshold minus distance).
     """
     kind, attr, _ = _entry(var)
@@ -515,16 +496,6 @@ class Trace:
 
     def __len__(self):
         return len(self.scenes)
-
-    def scene(self, t: int) -> Scene:
-        if not 0 <= t < len(self.scenes):
-            raise IndexError(f"step {t} outside trace of length {len(self.scenes)}")
-        return self.scenes[t]
-
-
-def scene_value(trace: Trace, var: SignalVar, t: int):
-    """Valuation of one catalog variable at step t. Pure."""
-    return var_value(trace.scene(t), var)
 
 
 def step_frames(frames, dt: float = DEFAULT_DT) -> list[int]:

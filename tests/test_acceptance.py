@@ -15,7 +15,7 @@ from formula_gen import random_formula
 from oracle_boolean import holds
 from oracle_reference import rho_ref
 
-from driverepair.localizer import locate, prefix_robustness
+from driverepair.localizer import locate
 from driverepair.mudrive import (
     SchemaConversionError,
     from_json,
@@ -43,6 +43,7 @@ from driverepair.spec_lang import (
     builtin_specs,
     parse_spec,
     robustness,
+    robustness_bounded,
 )
 from driverepair.mudrive.catalog import PlannerParams
 from driverepair.trace_model import EgoPose, RawRecordFrame, build_trace
@@ -63,10 +64,10 @@ def test_criterion_1_robustness_exactness():
     ramp = speed_trace(range(91))
     assert robustness(phi, ramp, 0) == -30.0
     for k in range(56):
-        assert prefix_robustness(phi, ramp, k) == 60.0 - k
-    assert prefix_robustness(phi, ramp, 55) == 5.0
-    assert prefix_robustness(phi, ramp, 60) == 0.0
-    assert prefix_robustness(phi, ramp, 61) == -1.0
+        assert robustness_bounded(phi, ramp, k) == 60.0 - k
+    assert robustness_bounded(phi, ramp, 55) == 5.0
+    assert robustness_bounded(phi, ramp, 60) == 0.0
+    assert robustness_bounded(phi, ramp, 61) == -1.0
 
     moments = locate(phi, ramp, delta=5.0)
     assert moments.violation_step == 60

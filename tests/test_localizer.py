@@ -17,10 +17,9 @@ from driverepair.localizer import (
     MomentsNotFoundError,
     locate,
     moment_frames,
-    prefix_robustness,
 )
 from driverepair.simulator import PAIRED_SPECS
-from driverepair.spec_lang import parse_spec
+from driverepair.spec_lang import parse_spec, robustness_bounded
 from driverepair.trace_model import Trace, build_trace
 
 
@@ -36,20 +35,20 @@ def cap60():
 
 class TestPrefixRobustness:
     def test_ramp_prefixes(self, ramp, cap60):
-        assert prefix_robustness(cap60, ramp, 0) == pytest.approx(60.0)
-        assert prefix_robustness(cap60, ramp, 1) == pytest.approx(59.0)
-        assert prefix_robustness(cap60, ramp, 55) == pytest.approx(5.0)
-        assert prefix_robustness(cap60, ramp, 60) == pytest.approx(0.0)
-        assert prefix_robustness(cap60, ramp, 61) == pytest.approx(-1.0)
+        assert robustness_bounded(cap60, ramp, 0) == pytest.approx(60.0)
+        assert robustness_bounded(cap60, ramp, 1) == pytest.approx(59.0)
+        assert robustness_bounded(cap60, ramp, 55) == pytest.approx(5.0)
+        assert robustness_bounded(cap60, ramp, 60) == pytest.approx(0.0)
+        assert robustness_bounded(cap60, ramp, 61) == pytest.approx(-1.0)
 
     def test_full_prefix_equals_whole_trace(self, ramp, cap60):
         from driverepair.spec_lang import robustness
-        assert (prefix_robustness(cap60, ramp, len(ramp) - 1)
+        assert (robustness_bounded(cap60, ramp, len(ramp) - 1)
                 == robustness(cap60, ramp, 0))
 
     def test_out_of_range(self, ramp, cap60):
         with pytest.raises(IndexError):
-            prefix_robustness(cap60, ramp, len(ramp))
+            robustness_bounded(cap60, ramp, len(ramp))
 
     def test_equals_truncated_copy(self):
         # bounded evaluation must agree with physically cutting the trace
@@ -59,7 +58,7 @@ class TestPrefixRobustness:
             trace = random_trace(rng, max_len=10)
             k = rng.randrange(len(trace))
             cut = Trace(trace.scenes[: k + 1], dt=trace.dt)
-            assert prefix_robustness(phi, trace, k) == pytest.approx(
+            assert robustness_bounded(phi, trace, k) == pytest.approx(
                 rho_ref(phi, cut, 0), abs=1e-9)
 
 
@@ -95,7 +94,7 @@ class TestLocate:
             trace = speed_trace(speeds)
             delta = rng.uniform(0, 20)
             moments = locate(cap60, trace, delta)
-            rhos = [prefix_robustness(cap60, trace, k)
+            rhos = [robustness_bounded(cap60, trace, k)
                     for k in range(len(trace))]
             expect_near = next((k for k, r in enumerate(rhos) if r <= delta), None)
             expect_viol = next((k for k, r in enumerate(rhos) if r <= 0), None)

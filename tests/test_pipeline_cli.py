@@ -12,7 +12,7 @@ from driverepair.cli import main
 from driverepair.localizer import locate
 from driverepair.mudrive import PlannerParams
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
-from driverepair.repair_llm import BackendConfig
+from driverepair.repair_llm import BackendConfig, cost_usd
 from driverepair.simulator import (
     PAIRED_SPECS,
     run_scenario,
@@ -98,6 +98,25 @@ class TestCmdRepair:
         assert report["candidates"] == []
         assert calls == []
         assert report["total_cost_usd"] == 0.0
+
+    def test_failed_generation_cost_is_reported(self, tmp_path, monkeypatch):
+        class NotJson:
+            name = "not-json"
+
+            def complete(self, bundle, schema, seed, feedback=()):
+                return "not json", (1000, 50)
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: NotJson())
+        cfg = PipelineConfig(scenario="S6", n=2,
+                             out_dir=str(tmp_path / "runs"))
+        report = cmd_repair(cfg)
+        assert report["candidates"] == []
+        assert len(report["generation_failures"]) == 2
+        assert report["total_cost_usd"] == pytest.approx(
+            2 * cfg.backend.max_retries * cost_usd(1000, 50, cfg.backend))
+        on_disk = json.loads(
+            (Path(report["run_dir"]) / "report.json").read_text())
+        assert on_disk["total_cost_usd"] == report["total_cost_usd"]
 
     def test_record_without_scenario_is_not_replayed(self, tmp_path):
         frames, _ = run_scenario(scenario_by_id("S6"))
@@ -198,14 +217,17 @@ class TestCmdRepair:
         with pytest.raises(ValueError):
             PipelineConfig(spec="law46", scenario="S6", n=0)
 
-    def test_spec_defaults_to_the_paired_spec(self):
+    def test_spec_defaults_to_the_paired_spec(self, tmp_path):
         for sid, spec in PAIRED_SPECS.items():
             assert PipelineConfig(scenario=sid).spec == spec
         assert PipelineConfig(spec="law46", scenario="S1").spec == "law46"
         with pytest.raises(ValueError, match="unknown scenario 'S99'"):
             PipelineConfig(scenario="S99")
+        script_file = tmp_path / "s6.json"
+        script_file.write_text(json.dumps(script_to_dict(
+            scenario_by_id("S6"))), encoding="utf-8")
         for kwargs in ({"scenario": "empty"}, {"record": "r.jsonl"},
-                       {"scenario_file": "s.json"}):
+                       {"scenario": str(script_file)}):
             with pytest.raises(ValueError, match="need a spec"):
                 PipelineConfig(**kwargs)
 
@@ -314,7 +336,7 @@ class TestCli:
         runner = CliRunner()
         trees = []
         for i, source in enumerate((["--scenario", "S6"],
-                                    ["--scenario-file", str(script_file)])):
+                                    ["--scenario", str(script_file)])):
             out = tmp_path / f"runs{i}"
             result = runner.invoke(main, ["repair", *source, "--spec", "law46",
                                           "--n", "2", "--out", str(out)])
@@ -324,7 +346,7 @@ class TestCli:
         assert trees[0] == trees[1]
         sims = [runner.invoke(main, ["sim", "run", *source, "--metrics"])
                 for source in (["--scenario", "S6"],
-                               ["--scenario-file", str(script_file)])]
+                               ["--scenario", str(script_file)])]
         assert sims[0].exit_code == sims[1].exit_code == 0
         assert sims[0].output == sims[1].output
 
@@ -421,12 +443,23 @@ class TestCli:
         "localize --record {record} --spec law46 --dt nan",
         "localize --record {record} --spec nosuch",
         "prompt --record {record} --spec law46 --delta -3 --out {runs}",
+        # usage errors: a bad option value, a missing or an unknown option
+        "repair --scenario S6 --n abc --out {runs}",
+        "repair --record {tmp}/nonexistent.jsonl --spec law46 --out {runs}",
+        "localize --spec law46",
+        "sim run --metrics",
+        "repair --scenario S6 --scenario-file {s1} --out {runs}",
+        "--config {tmp}/nonexistent.json specs",
     ])
     def test_bad_input_prints_error_and_exits_1(self, tmp_path, argv):
         # exit 2 is reserved for "violation found, nothing fixed it"
         record = tmp_path / "ramp.jsonl"
         save_record(ramp_frames(20), record)
-        args = [a.format(record=record, runs=tmp_path / "runs")
+        s1 = tmp_path / "s1.json"
+        s1.write_text(json.dumps(script_to_dict(scenario_by_id("S1"))),
+                      encoding="utf-8")
+        args = [a.format(record=record, runs=tmp_path / "runs", tmp=tmp_path,
+                         s1=s1)
                 for a in argv.split()]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1, result.output
@@ -437,6 +470,24 @@ class TestCli:
             if value in argv:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("name: x\nstl: G (warpDrive < 3)\n",
+         "unknown signal variable 'warpDrive' (at position 3)"),
+        ("name: x\nstl: G (trafficLightColor == purple)\n",
+         "'purple' is not a value of trafficLightColor (expected one of"
+         " ['green', 'off', 'red', 'yellow']) (at position 24)"),
+    ], ids=["unknown-variable", "unknown-enum-value"])
+    def test_bad_spec_file_prints_error_and_exits_1(self, tmp_path, text,
+                                                    message):
+        record = tmp_path / "ramp.jsonl"
+        save_record(ramp_frames(20), record)
+        spec_file = tmp_path / "bad.spec"
+        spec_file.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, ["localize", "--record", str(record),
+                                           "--spec", str(spec_file)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {message}\n"
 
     def test_config_file_sets_backend(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -152,9 +152,10 @@ class TestGenerateRepair:
                 return json.dumps({"rules": []}), (10, 2)
 
         cfg = BackendConfig(max_retries=3)
-        with pytest.raises(GenerationFailedError):
+        with pytest.raises(GenerationFailedError) as info:
             generate_repair(bundle, cfg, backend=BrokenBackend(), seed=0)
         assert BrokenBackend.calls == 3  # never exceeds max_retries
+        assert (info.value.input_tokens, info.value.output_tokens) == (30, 6)
 
     def test_unknown_backend_kind(self):
         with pytest.raises(ValueError):
@@ -202,6 +203,29 @@ class TestBatchGenerate:
                                backend=HalfBroken(), base_seed=0)
         assert len(batch.candidates) == 2
         assert len(batch.failures) == 2
+
+    @pytest.mark.parametrize("transport_error", [False, True],
+                             ids=["invalid-answers", "then-transport-error"])
+    def test_failed_slots_keep_their_cost(self, repair_results,
+                                          transport_error):
+        class NotJson:
+            name = "not-json"
+
+            def complete(self, bundle, schema, seed, feedback=()):
+                if transport_error and feedback:
+                    raise BackendError("timeout")
+                return "not json", (1000, 50)
+
+        cfg = BackendConfig()
+        batch = batch_generate(repair_results["S6"]["bundle"], 2, cfg,
+                               backend=NotJson())
+        assert batch.candidates == [] and len(batch.failures) == 2
+        # each slot pays for every answer it got
+        paid = 1 if transport_error else cfg.max_retries
+        assert batch.total_cost_usd == pytest.approx(
+            2 * paid * cost_usd(1000, 50, cfg))
+        if transport_error:
+            assert all("timeout" in msg for _, msg in batch.failures)
 
     def test_n_must_be_positive(self, repair_results):
         with pytest.raises(ValueError):

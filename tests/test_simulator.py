@@ -11,6 +11,7 @@ from driverepair.simulator import (
     PAIRED_SPECS,
     benchmark_suite,
     evaluate_trace,
+    resolve_script,
     run_scenario,
     scenario_by_id,
     script_from_dict,
@@ -108,6 +109,23 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match=field):
             script_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("npcs.kind", "truck"),
+        ("lights.schedule", "blue"),
+        ("lane_segments", "express"),
+    ])
+    def test_value_a_record_refuses_is_rejected(self, field, value):
+        doc = script_to_dict(scenario_by_id("S1"))
+        if field == "npcs.kind":
+            doc["npcs"][0]["kind"] = value
+        elif field == "lights.schedule":
+            doc["lights"][0]["schedule"] = [[value, 10.0]]
+        else:
+            doc["lane_segments"] = [[0.0, 50.0, value]]
+        with pytest.raises(ScenarioError, match=rf"{field} must be one of"
+                                                rf" .*, got '{value}'"):
+            script_from_dict(doc)
+
 
 class TestBenchmarkSuite:
     def test_eight_scripts(self):
@@ -157,15 +175,29 @@ class TestScenarioFiles:
         assert again == script
 
     def test_load_script(self, tmp_path):
-        from driverepair.simulator import load_script
         path = tmp_path / "s7.json"
         path.write_text(json.dumps(script_to_dict(scenario_by_id("S7"))),
                         encoding="utf-8")
-        assert load_script(path) == scenario_by_id("S7")
+        assert resolve_script(path) == scenario_by_id("S7")
 
     def test_unknown_id(self):
         with pytest.raises(ScenarioError):
             scenario_by_id("S99")
+
+    def test_resolve_script_prefers_a_built_in_id(self, tmp_path,
+                                                  monkeypatch):
+        # a file named like a built-in id does not shadow it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "S7").write_text(json.dumps(script_to_dict(
+            scenario_by_id("S3"))), encoding="utf-8")
+        assert resolve_script("S7") == scenario_by_id("S7")
+        assert resolve_script("./S7") == scenario_by_id("S3")
+
+    def test_resolve_script_names_an_unknown_scenario(self):
+        with pytest.raises(ScenarioError, match=r"^unknown scenario 'S99':"
+                                                r" neither a scenario file nor"
+                                                r" a built-in \(S1, S2, "):
+            resolve_script("S99")
 
 
 def frames_from_speeds_ms(speeds_ms, dt=0.1):

@@ -74,10 +74,32 @@ class TestParser:
         "NPCAhead > 3",            # predicate in arithmetic
         "speed",                   # numeric var used as proposition
         "G (speed < 60) trailing",
+        "G (warpDrive < 3)",               # unknown variable, nested
+        "G (trafficLightColor == purple)",  # not a value of the enum
+        "F[0.5,1.5] (speed > 1)",         # bounds count whole steps
+        "G[0,2.5] (speed > 1)",
+        "(speed > 1) U[1.5,inf] stopped",
     ])
     def test_rejects(self, bad):
-        with pytest.raises((SpecSyntaxError, KeyError)):
+        with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
+
+    def test_enum_compared_with_a_variable(self):
+        phi = parse_spec("trafficLightColor == gear")
+        assert phi == Prop(LinExpr(((1.0, SignalVar("trafficLightColor")),
+                                    (-1.0, SignalVar("gear")))), "==")
+
+    def test_errors_carry_a_position(self):
+        with pytest.raises(SpecSyntaxError, match="'warpDrive'") as info:
+            parse_spec("G (warpDrive < 3)")
+        assert info.value.pos == 3
+        with pytest.raises(SpecSyntaxError,
+                           match=r"expected one of \['green', 'off'") as info:
+            parse_spec("G (trafficLightColor == purple)")
+        assert info.value.pos == 24
+        with pytest.raises(SpecSyntaxError, match="found 1.5") as info:
+            parse_spec("F[1,1.5] (speed > 1)")
+        assert info.value.pos == 4
 
 
 class TestRobustnessExamples:
@@ -142,6 +164,29 @@ class TestBuiltins:
         assert set(entries) == {"slowish"}
         assert entries["slowish"].prose == "Keep it under 40."
         parse_spec(entries["slowish"].stl)
+
+    @pytest.mark.parametrize("text, message", [
+        ("name: a\nstl: G (speed < 40)\nname: a\nstl: G (speed < 50)\n",
+         "line 3: spec 'a' is defined twice"),
+        ("stl: G (speed < 40)\nname: a\nstl: G (speed < 50)\n",
+         "line 1: 'stl: G (speed < 40)' comes before the first name: line"),
+        ("# a comment\nprose: Slow.\nname: a\nstl: G (speed < 50)\n",
+         "line 2: 'prose: Slow.' comes before the first name: line"),
+        ("name: a\nstl: G (speed < 40)\nstl: G (speed < 90)\n",
+         "line 3: spec 'a' has a second stl: line"),
+        ("name: a\nprose: Slow.\nstl: G (speed < 40)\nprose: Fast.\n",
+         "line 4: spec 'a' has a second prose: line"),
+        ("name: a\nstl G (speed < 40)\n",
+         "unexpected spec-file line: 'stl G (speed < 40)'"),
+        ("name: a\nprose: Slow.\n", "spec 'a' has no stl: line"),
+    ], ids=["repeated-name", "stl-before-name", "prose-before-name",
+            "second-stl", "second-prose", "no-colon", "no-stl"])
+    def test_spec_file_drops_no_line(self, tmp_path, text, message):
+        path = tmp_path / "custom.spec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SpecSyntaxError) as info:
+            load_spec_file(path)
+        assert str(info.value) == message
 
 
 class TestEvaluatorEquivalence:

@@ -8,6 +8,7 @@ from conftest import make_scene, ramp_frames
 
 from driverepair.simulator import run_scenario, scenario_by_id
 from driverepair.trace_model import (
+    LIGHT_CODE,
     CatalogError,
     EgoPose,
     Obstacle,
@@ -19,7 +20,8 @@ from driverepair.trace_model import (
     load_record,
     save_record,
     scene_from_frame,
-    scene_value,
+    var_margin,
+    var_numeric,
 )
 
 
@@ -123,23 +125,24 @@ class TestLoadRecord:
         save_record(load_record(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         trace = build_trace(load_record(p1))
-        assert scene_value(trace, SignalVar("fogIntensity"), 0) == 0.8
+        assert var_numeric(trace.scenes[0], SignalVar("fogIntensity")) == 0.8
 
 
 class TestBuildTrace:
     def test_single_frame(self):
         trace = build_trace([frame_with(speed=50.0)])
         assert len(trace) == 1
-        assert scene_value(trace, SignalVar("speed"), 0) == 50.0
+        assert var_numeric(trace.scenes[0], SignalVar("speed")) == 50.0
 
     def test_ahead_geometry(self):
         ob = Obstacle(id="a", kind="vehicle", x=8.0, y=0.0, heading=0.0,
                       speed=20.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[ob])])
-        assert scene_value(trace, SignalVar("NPCAhead", 10), 0) is True
-        assert scene_value(trace, SignalVar("NPCAhead", 5), 0) is False
+        scene = trace.scenes[0]
+        assert var_margin(scene, SignalVar("NPCAhead", 10)) > 0
+        assert var_margin(scene, SignalVar("NPCAhead", 5)) < 0
         # clearance: 8 m centre gap minus the two facing half-lengths
-        sep = trace.scene(0).nearest_npc_sep
+        sep = scene.nearest_npc_sep
         assert sep == pytest.approx(8.0 - 2.4 - 2.3, abs=1e-6)
 
     def test_behind_and_offset_obstacles_not_ahead(self):
@@ -148,13 +151,13 @@ class TestBuildTrace:
         wide = Obstacle(id="w", kind="vehicle", x=8.0, y=3.0, heading=0.0,
                         speed=0.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[behind, wide])])
-        assert scene_value(trace, SignalVar("NPCAhead", 50), 0) is False
+        assert var_margin(trace.scenes[0], SignalVar("NPCAhead", 50)) < 0
 
     def test_ramp_speed_signal_matches_input(self):
         trace = build_trace(ramp_frames(91), dt=0.1)
         assert len(trace) == 91
         for k in (0, 1, 55, 60, 90):
-            assert scene_value(trace, SignalVar("speed"), k) == float(k)
+            assert var_numeric(trace.scenes[k], SignalVar("speed")) == float(k)
 
     def test_resample_at_native_dt_is_identity(self):
         frames = ramp_frames(40)
@@ -174,31 +177,37 @@ class TestBuildTrace:
 
     def test_stopped_threshold(self):
         trace = build_trace([frame_with(speed=0.4)])
-        assert scene_value(trace, SignalVar("stopped"), 0) is True
+        assert var_margin(trace.scenes[0], SignalVar("stopped")) > 0
         trace = build_trace([frame_with(speed=0.6)])
-        assert scene_value(trace, SignalVar("stopped"), 0) is False
+        assert var_margin(trace.scenes[0], SignalVar("stopped")) < 0
+        with pytest.raises(CatalogError):
+            var_numeric(trace.scenes[0], SignalVar("stopped"))
 
 
 class TestSceneValue:
     def test_range_error(self):
         trace = build_trace([frame_with()])
         with pytest.raises(IndexError):
-            scene_value(trace, SignalVar("speed"), 1)
+            trace.scenes[1]
 
     def test_unknown_variable(self):
         trace = build_trace([frame_with()])
-        with pytest.raises(CatalogError):
-            scene_value(trace, SignalVar("warpDrive"), 0)
+        for read in (var_margin, var_numeric):
+            with pytest.raises(CatalogError):
+                read(trace.scenes[0], SignalVar("warpDrive"))
 
     def test_pred_requires_arg(self):
         trace = build_trace([frame_with()])
-        with pytest.raises(CatalogError):
-            scene_value(trace, SignalVar("NPCAhead"), 0)
+        for read in (var_margin, var_numeric):
+            with pytest.raises(CatalogError):
+                read(trace.scenes[0], SignalVar("NPCAhead"))
 
     def test_enum_values_are_strings(self):
         trace = build_trace([frame_with()])
-        assert scene_value(trace, SignalVar("trafficLightColor"), 0) == "off"
-        assert scene_value(trace, SignalVar("gear"), 0) == "drive"
+        scene = trace.scenes[0]
+        assert (scene.light_color, scene.gear) == ("off", "drive")
+        assert var_numeric(scene, SignalVar("trafficLightColor")) == \
+            LIGHT_CODE["off"]
 
 
 class TestNearestSep:
