@@ -50,12 +50,14 @@ def _input_errors_exit_1():
     The program's input errors are all ValueErrors (bad numbers, unknown
     scenarios, malformed records and specs) or OSErrors (unreadable files).
     Click's usage errors (a bad option value, a missing or unknown option)
-    exit 1 too: exit 2 means a violation that no candidate fixed.
+    exit 1 too, and so does a bare group, which prints its help without an
+    `Error:` prefix: exit 2 means a violation that no candidate fixed.
     """
     try:
         yield
-    except click.exceptions.NoArgsIsHelpError:
-        raise       # a bare group prints its help, not an `Error:` line
+    except click.exceptions.NoArgsIsHelpError as exc:
+        exc.exit_code = 1
+        raise
     except click.UsageError as exc:
         raise click.ClickException(exc.format_message()) from exc
     except (ValueError, OSError) as exc:

@@ -35,13 +35,13 @@ def obb_overlap(c1, c2):
     return True
 
 
-def _point_segment_dist(px, py, x1, y1, x2, y2):
-    dx, dy = x2 - x1, y2 - y1
-    den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(px - x1, py - y1)
-    t = max(0.0, min(1.0, ((px - x1) * dx + (py - y1) * dy) / den))
-    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+def _edges(corners):
+    """Each edge's (x1, y1, dx, dy, dx*dx + dy*dy), from corner i to i + 1."""
+    edges = []
+    for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy = x2 - x1, y2 - y1
+        edges.append((x1, y1, dx, dy, dx * dx + dy * dy))
+    return edges
 
 
 def obb_distance(c1, c2):
@@ -49,12 +49,20 @@ def obb_distance(c1, c2):
     if obb_overlap(c1, c2):
         return 0.0
     best = math.inf
-    for a, b in ((c1, c2), (c2, c1)):
-        for px, py in a:
-            for i in range(4):
-                x1, y1 = b[i]
-                x2, y2 = b[(i + 1) % 4]
-                d = _point_segment_dist(px, py, x1, y1, x2, y2)
+    hypot = math.hypot
+    for points, edges in ((c1, _edges(c2)), (c2, _edges(c1))):
+        for x1, y1, dx, dy, den in edges:
+            for px, py in points:
+                if den == 0.0:
+                    d = hypot(px - x1, py - y1)
+                else:
+                    # max(0.0, min(1.0, t)) without the calls
+                    t = ((px - x1) * dx + (py - y1) * dy) / den
+                    if not t < 1.0:
+                        t = 1.0
+                    elif not t > 0.0:
+                        t = 0.0
+                    d = hypot(px - (x1 + t * dx), py - (y1 + t * dy))
                 if d < best:
                     best = d
     # Rounding can put a corner exactly on a nearly parallel edge that the

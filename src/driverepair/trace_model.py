@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ FAR = 9999.0               # distance sentinel: no such feature on the route
 
 EGO_HALF_LEN = 2.4
 EGO_HALF_WID = 1.05
+_EGO_RADIUS = math.hypot(EGO_HALF_LEN, EGO_HALF_WID)   # half-diagonal
+_SKIP_MARGIN = 1e-9        # relative rounding margin of the clearance skip
 
 OBSTACLE_KINDS = ("vehicle", "pedestrian", "cyclist", "unknown")
 GEARS = ("drive", "reverse", "park")
@@ -143,8 +146,8 @@ def _frame_from_dict(doc, where=""):
             x=float(ob["x"]), y=float(ob["y"]), heading=float(ob.get("heading", 0.0)),
             speed=float(ob["speed"]),
             half_len=float(ob["half_len"]), half_wid=float(ob["half_wid"]),
-            predicted=tuple((float(p[0]), float(p[1]), float(p[2]))
-                            for p in ob.get("predicted", [])),
+            predicted=tuple([(float(t), float(x), float(y))
+                             for t, x, y in ob.get("predicted", [])]),
         ))
 
     light = None
@@ -324,27 +327,43 @@ class Scene:
 
 def scene_from_frame(frame: RawRecordFrame) -> Scene:
     ego = frame.ego
-    ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
     c, s = math.cos(ego.heading), math.sin(ego.heading)
     dj = frame.map_ctx.dist_to_junction
 
     ahead = FAR
     nearest = FAR
-    sep = FAR
     slow_near_junction = 0
+    by_dist = []
     for ob in frame.obstacles:
         dx, dy = ob.x - ego.x, ob.y - ego.y
         lon = c * dx + s * dy
         lat = -s * dx + c * dy
         dist = math.hypot(dx, dy)
         nearest = min(nearest, dist)
-        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
-        sep = min(sep, obb_distance(ego_box, box))
+        by_dist.append((dist, ob))
         if lon > 0 and abs(lat) < AHEAD_LATERAL_M:
             ahead = min(ahead, lon)
         if (ob.speed < JAM_SPEED_KMH
                 and max(0.0, dj - 5.0) <= dist <= dj + 45.0):
             slow_near_junction += 1
+
+    # No point of a box lies farther from its centre than its half-diagonal
+    # r, so the clearance is at least dist - both r, and a pair whose bound
+    # exceeds the best clearance so far cannot hold the minimum; nearest
+    # centres go first so the best drops early. The margin covers the
+    # rounding of the corners and of the bound, about 1e-16 of the
+    # coordinates: without it a pair a few ulps below the best could be
+    # skipped and change `sep`.
+    by_dist.sort(key=operator.itemgetter(0))
+    ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
+    scale = abs(ego.x) + abs(ego.y) + _EGO_RADIUS
+    sep = FAR
+    for dist, ob in by_dist:
+        r = math.hypot(ob.half_len, ob.half_wid)
+        if dist - _EGO_RADIUS - r - _SKIP_MARGIN * (scale + dist + r) > sep:
+            continue
+        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
+        sep = min(sep, obb_distance(ego_box, box))
 
     if frame.traffic_light is None:
         color, raw = "off", FAR

@@ -1,7 +1,11 @@
-"""Direct recursive robustness evaluator, transcribed from the definition.
+"""Reference implementations kept apart from the production code so each
+can check the other.
 
-Scalar recursion with explicit loops and no numpy, kept deliberately apart
-from the vectorized production evaluator so each can check the other.
+`rho_ref` is the direct recursive robustness evaluator, transcribed from
+the definition: scalar recursion with explicit loops and no numpy.
+`obb_distance_ref` and `nearest_npc_sep_ref` are the former box clearance:
+every corner against every edge, and every obstacle of a frame tested, none
+skipped.
 """
 from __future__ import annotations
 
@@ -19,7 +23,14 @@ from driverepair.spec_lang import (
     Prop,
     Until,
 )
-from driverepair.trace_model import var_margin, var_numeric
+from driverepair.geometry import obb_corners, obb_overlap
+from driverepair.trace_model import (
+    EGO_HALF_LEN,
+    EGO_HALF_WID,
+    FAR,
+    var_margin,
+    var_numeric,
+)
 
 INF = math.inf
 
@@ -94,3 +105,40 @@ def until_double_loop(c1, c2, lo, hi, end: int) -> list:
                 best = max(best, min(c2[t1], run))
         out[t] = best
     return out
+
+
+def _point_segment_dist(px, py, x1, y1, x2, y2):
+    dx, dy = x2 - x1, y2 - y1
+    den = dx * dx + dy * dy
+    if den == 0.0:
+        return math.hypot(px - x1, py - y1)
+    t = max(0.0, min(1.0, ((px - x1) * dx + (py - y1) * dy) / den))
+    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
+
+
+def obb_distance_ref(c1, c2):
+    """The former `geometry.obb_distance`: 32 point-segment distances."""
+    if obb_overlap(c1, c2):
+        return 0.0
+    best = math.inf
+    for a, b in ((c1, c2), (c2, c1)):
+        for px, py in a:
+            for i in range(4):
+                x1, y1 = b[i]
+                x2, y2 = b[(i + 1) % 4]
+                d = _point_segment_dist(px, py, x1, y1, x2, y2)
+                if d < best:
+                    best = d
+    return best if best > 0.0 else math.ulp(0.0)
+
+
+def nearest_npc_sep_ref(frame):
+    """The former clearance loop of `scene_from_frame`: every obstacle's box
+    is built and tested against the ego's, in record order."""
+    ego = frame.ego
+    ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
+    sep = FAR
+    for ob in frame.obstacles:
+        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
+        sep = min(sep, obb_distance_ref(ego_box, box))
+    return sep

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import obb_distance_ref
+
 from driverepair.geometry import (
     obb_corners,
     obb_distance,
@@ -71,6 +73,17 @@ offset = st.floats(-8.0, 8.0)
 heading = st.floats(-math.pi, math.pi)
 half = st.floats(0.05, 5.0)
 quarter = st.integers(1, 16).map(lambda k: k / 4)
+# (ax, ay, al, aw, bl, bw, side, slide, hb, gap) for `resting`
+resting_args = (st.integers(-20, 20), st.integers(-20, 20), quarter, quarter,
+                quarter, quarter,
+                st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+                st.integers(-64, 64),
+                st.sampled_from([0.0, math.pi / 2, math.pi]),
+                st.sampled_from([0.0, 1e-12, -1e-12]))
+# b turned by pi: its side lies 1e-16 off a's, and the point-to-edge
+# distance rounds to 0 while the separating-axis test finds the gap
+rounds_to_zero = example(ax=0, ay=0, al=0.25, aw=0.25, bl=0.25, bw=0.5,
+                         side=(-1, 0), slide=2, hb=math.pi, gap=0.0)
 
 
 @settings(max_examples=500, deadline=None)
@@ -81,17 +94,19 @@ def test_zero_clearance_iff_overlap_random(x, y, ha, al, aw, hb, bl, bw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.integers(-20, 20), st.integers(-20, 20), quarter, quarter,
-       quarter, quarter, st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
-       st.integers(-64, 64), st.sampled_from([0.0, math.pi / 2, math.pi]),
-       st.sampled_from([0.0, 1e-12, -1e-12]))
-# b turned by pi: its side lies 1e-16 off a's, and the point-to-edge
-# distance rounds to 0 while the separating-axis test finds the gap
-@example(ax=0, ay=0, al=0.25, aw=0.25, bl=0.25, bw=0.5, side=(-1, 0),
-         slide=2, hb=math.pi, gap=0.0)
+@given(*resting_args)
+@rounds_to_zero
 def test_zero_clearance_iff_overlap_touching(ax, ay, al, aw, bl, bw, side,
                                              slide, hb, gap):
-    """b rests against a side of a, slid along it as far as a corner."""
+    a, b = resting(ax, ay, al, aw, bl, bw, side, slide, hb, gap)
+    assert_zero_iff_overlap(a, b)
+    if hb == 0.0 and gap == 0.0:
+        assert obb_overlap(a, b)      # exact contact counts as overlap
+
+
+def resting(ax, ay, al, aw, bl, bw, side, slide, hb, gap):
+    """Boxes a and b, b resting against a side of a, slid along it as far
+    as a corner."""
     ex, ey = (bw, bl) if hb == math.pi / 2 else (bl, bw)
     sx, sy = side
     if sx:
@@ -100,11 +115,31 @@ def test_zero_clearance_iff_overlap_touching(ax, ay, al, aw, bl, bw, side,
     else:
         along = max(-(al + ex), min(al + ex, slide / 4))
         bx, by = ax + along, ay + sy * (aw + ey + gap)
-    a = obb_corners(ax, ay, 0.0, al, aw)
-    b = obb_corners(bx, by, hb, bl, bw)
-    assert_zero_iff_overlap(a, b)
-    if hb == 0.0 and gap == 0.0:
-        assert obb_overlap(a, b)      # exact contact counts as overlap
+    return obb_corners(ax, ay, 0.0, al, aw), obb_corners(bx, by, hb, bl, bw)
+
+
+def assert_matches_oracle(a, b):
+    assert obb_distance(a, b).hex() == obb_distance_ref(a, b).hex()
+    assert obb_distance(b, a).hex() == obb_distance_ref(b, a).hex()
+
+
+far = st.floats(-5000.0, 5000.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(far, far, heading, half, half, offset, offset, heading, half, half)
+def test_distance_matches_oracle_random(ax, ay, ha, al, aw, x, y, hb, bl, bw):
+    assert_matches_oracle(obb_corners(ax, ay, ha, al, aw),
+                          obb_corners(ax + x, ay + y, hb, bl, bw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(*resting_args)
+@rounds_to_zero
+def test_distance_matches_oracle_touching(ax, ay, al, aw, bl, bw, side,
+                                          slide, hb, gap):
+    assert_matches_oracle(*resting(ax, ay, al, aw, bl, bw, side, slide, hb,
+                                   gap))
 
 
 class TestSegmentAabb:

@@ -471,6 +471,14 @@ class TestCli:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("argv", [[], ["sim"], ["mudrive"]],
+                             ids=["driverepair", "sim", "mudrive"])
+    def test_bare_group_prints_help_and_exits_1(self, argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("Usage: "), result.output
+        assert "Error" not in result.output
+
     @pytest.mark.parametrize("text, message", [
         ("name: x\nstl: G (warpDrive < 3)\n",
          "unknown signal variable 'warpDrive' (at position 3)"),

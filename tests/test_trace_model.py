@@ -104,6 +104,18 @@ class TestLoadRecord:
         path = self._record_with_obstacle_x(tmp_path, literal)
         assert load_record(path)[1].obstacles[0].x == value
 
+    @pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+                             ids=["two-values", "four-values"])
+    def test_predicted_point_needs_three_values(self, tmp_path, point):
+        path = tmp_path / "rec.jsonl"
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+               "obstacles": [{"id": "o", "x": 9.0, "y": 0.0, "speed": 0.0,
+                              "half_len": 2.0, "half_wid": 1.0,
+                              "predicted": [[0.5, 9.0, 0.0], point]}]}
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=r"line 1: bad frame \("):
+            load_record(path)
+
     @staticmethod
     def _record_with_obstacle_x(tmp_path, literal):
         frames = ramp_frames(3)
