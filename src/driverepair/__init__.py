@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .localizer import CriticalMoments, locate, moment_frames
-from .spec_lang import builtin_specs, parse_spec, robustness, satisfies
+from .spec_lang import builtin_specs, parse_spec, robustness
 from .trace_model import (
     RawRecordFrame,
     Scene,
@@ -27,6 +27,5 @@ __all__ = [
     "moment_frames",
     "parse_spec",
     "robustness",
-    "satisfies",
     "save_record",
 ]

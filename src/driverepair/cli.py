@@ -13,8 +13,8 @@ from pathlib import Path
 import click
 
 from .mudrive import MuDriveSyntaxError, parse_program, require_valid
-from .mudrive.catalog import PlannerParams
 from .mudrive.schema import schema_json
+from .localizer import DEFAULT_DELTA
 from .pipeline import (
     PipelineConfig,
     cmd_repair,
@@ -36,11 +36,22 @@ from .spec_lang import BUILTIN_SPEC_ENTRIES
 from .trace_model import save_record
 
 
+_CONFIG_KEYS = ("backend", "model", "endpoint")
+
+
 def _load_config(path):
+    """The `--config` file: a JSON object holding some of _CONFIG_KEYS."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a config file must hold a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)};"
+                         f" allowed: {', '.join(_CONFIG_KEYS)}")
+    return doc
 
 
 @contextlib.contextmanager
@@ -101,7 +112,7 @@ def _backend_config(ctx, backend, model, endpoint):
 @main.command()
 @click.option("--record", required=True, type=click.Path(exists=True))
 @click.option("--spec", required=True)
-@click.option("--delta", type=float, default=15.0, show_default=True)
+@click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
 @click.option("--dt", type=float, default=0.1, show_default=True)
 def localize(record, spec, delta, dt):
     """Find the violation and near-miss moments of a record."""
@@ -120,7 +131,7 @@ def localize(record, spec, delta, dt):
 @main.command("prompt")
 @click.option("--record", required=True, type=click.Path(exists=True))
 @click.option("--spec", required=True)
-@click.option("--delta", type=float, default=15.0, show_default=True)
+@click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def prompt_cmd(record, spec, delta, out_dir):
     """Render the two critical moments and the six-segment text prompt."""
@@ -129,7 +140,7 @@ def prompt_cmd(record, spec, delta, out_dir):
         raise click.ClickException("record does not violate the spec;"
                                    " nothing to prompt")
     bundle = build_prompt(moments, frames, entry.name, entry.prose,
-                          PlannerParams(), record_id=Path(record).stem)
+                          record_id=Path(record).stem)
     write_prompt(out_dir, bundle)
     click.echo(f"wrote {Path(out_dir) / 'bundle.json'}")
 
@@ -139,7 +150,7 @@ def prompt_cmd(record, spec, delta, out_dir):
 @click.option("--scenario", default=None, help=_SCENARIO_HELP)
 @click.option("--spec", default=None, help="Defaults to the scenario's"
                                            " paired spec.")
-@click.option("--delta", type=float, default=15.0, show_default=True)
+@click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
 @click.option("--n", type=int, default=20, show_default=True)
 @click.option("--backend", type=click.Choice(["mock", "live"]), default=None)
 @click.option("--model", default=None)

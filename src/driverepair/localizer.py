@@ -32,6 +32,8 @@ import numpy as np
 from .spec_lang import Always, Formula, evaluate, horizon, robustness_bounded
 from .trace_model import Trace, step_frames
 
+DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
+
 
 class MomentsNotFoundError(LookupError):
     """Raised when an operation needs moments that were not located."""
@@ -80,7 +82,8 @@ def first_at_or_below(prefix_rho, delta: float) -> int | None:
     return next((k for k, rho in enumerate(prefix_rho) if rho <= delta), None)
 
 
-def locate(phi: Formula, trace: Trace, delta: float = 15.0) -> CriticalMoments:
+def locate(phi: Formula, trace: Trace,
+           delta: float = DEFAULT_DELTA) -> CriticalMoments:
     """Search from k = 0 for the first near-miss and violation; the scan
     stops at the violation, so `prefix_rho` does not depend on delta."""
     rhos = []

@@ -8,6 +8,7 @@ planner-parameter actions while active, and may carry a single exit trigger.
 from .catalog import (
     ACTIONS,
     CONDITIONS,
+    DEFAULT_PARAMS,
     EVENTS,
     PlannerParams,
     VocabularyCatalog,
@@ -30,6 +31,7 @@ __all__ = [
     "CONDITIONS",
     "EVENTS",
     "Call",
+    "DEFAULT_PARAMS",
     "Diagnostic",
     "MuDriveProgram",
     "MuDriveSyntaxError",

@@ -224,3 +224,8 @@ class PlannerParams:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be non-negative")
+
+
+# The original ADS settings: every run starts from these, and a repair
+# program overrides them while its rules are active.
+DEFAULT_PARAMS = PlannerParams()

@@ -8,15 +8,15 @@ Per tick: an `always` rule is active exactly when all of its (possibly
 negated) conditions hold. An event-triggered rule activates on the rising
 edge of its event, provided the conditions hold at that moment; with an
 `until` trigger it stays active until that event fires, otherwise it stays
-active while the conditions keep holding. Active rules overwrite parameters
-in program order, so later rules win conflicts.
+active while the conditions keep holding. Active rules overwrite fields of
+`DEFAULT_PARAMS` in program order, so later rules win conflicts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 from ..trace_model import Scene
-from .catalog import ALWAYS, PlannerParams, default_catalog
+from .catalog import ALWAYS, DEFAULT_PARAMS, default_catalog
 from .grammar import MuDriveProgram
 
 
@@ -40,8 +40,7 @@ def _conditions_hold(cat, rule, scene: Scene) -> bool:
                for negated, call in rule.conditions)
 
 
-def step_rules(program: MuDriveProgram, scene: Scene, prev: RuleStates,
-               base: PlannerParams):
+def step_rules(program: MuDriveProgram, scene: Scene, prev: RuleStates):
     """One activation tick. Returns (effective params, next states)."""
     cat = default_catalog()
     was_active = prev.active or (False,) * len(program.rules)
@@ -65,5 +64,5 @@ def step_rules(program: MuDriveProgram, scene: Scene, prev: RuleStates,
             for call in rule.actions:
                 updates[cat.action(call.name).sets] = call.args[0]
 
-    params = replace(base, **updates) if updates else base
+    params = replace(DEFAULT_PARAMS, **updates) if updates else DEFAULT_PARAMS
     return params, RuleStates(tuple(active), scene)

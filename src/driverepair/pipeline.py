@@ -13,11 +13,12 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .localizer import first_at_or_below, locate
-from .mudrive import PlannerParams, pretty_print
+from .localizer import DEFAULT_DELTA, first_at_or_below, locate
+from .mudrive import DEFAULT_PARAMS, pretty_print
 from .mudrive.schema import schema_json
 from .promptgen import PromptBundle, build_prompt, bundle_to_json
-from .repair_llm import BackendConfig, batch_generate, make_backend
+from .repair_llm import MAX_ATTEMPTS, TEMPERATURE, BackendConfig
+from .repair_llm import batch_generate, make_backend
 from .simulator import (
     PAIRED_SPECS,
     evaluate_trace,
@@ -25,6 +26,7 @@ from .simulator import (
     run_scenario,
     script_to_dict,
 )
+from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
 from .trace_model import DEFAULT_DT, build_trace, frame_to_line, load_record
 
@@ -44,12 +46,11 @@ class PipelineConfig:
     record: str | None = None             # existing record to analyze
     scenario: str | None = None           # built-in id or scenario JSON
                                           # path, for baseline + replays
-    delta: float = 15.0
+    delta: float = DEFAULT_DELTA
     n: int = 20
     base_seed: int = 0
     out_dir: str = "runs"
     backend: BackendConfig = field(default_factory=BackendConfig)
-    params: PlannerParams = field(default_factory=PlannerParams)
 
     def __post_init__(self):
         if not self.delta >= 0:     # also rejects NaN
@@ -87,6 +88,7 @@ def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
     """Hash of every input that shapes the run directory's bytes."""
     backend = asdict(cfg.backend)
     del backend["api_key_env"]      # names where the key is, not what it is
+    backend.update(max_retries=MAX_ATTEMPTS, temperature=TEMPERATURE)
     h = hashlib.sha256(record_bytes)
     h.update(json.dumps({
         "report_version": REPORT_VERSION,
@@ -96,7 +98,7 @@ def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
         "delta": cfg.delta,
         "n": cfg.n,
         "base_seed": cfg.base_seed,
-        "params": asdict(cfg.params),
+        "params": asdict(DEFAULT_PARAMS),
         "backend": backend,
     }, sort_keys=True).encode())
     return h.hexdigest()[:12]
@@ -123,17 +125,20 @@ def write_prompt(out_dir, bundle: PromptBundle):
     _write(out / "bundle.json", bundle_to_json(bundle))
 
 
-def _replay(script, program, params, phi, nc_phi, record=None):
+def _replay(script, program, phi, nc_phi, record=None):
     """Replay `program` on `script`; returns the report's replay entry, which
-    names `record` as its record file, and the replayed frames."""
-    frames, outcome = run_scenario(script, program, params)
+    names `record` as its record file, and the replayed frames. A replay is
+    fixed when it keeps the spec, collides with nothing and reaches the
+    destination."""
+    frames, outcome = run_scenario(script, program)
     trace = build_trace(frames)
     rho_spec = robustness(phi, trace, 0)
     rho_no_collision = robustness(nc_phi, trace, 0)
     return {"outcome": outcome,
             "rho_spec": rho_spec,
             "rho_no_collision": rho_no_collision,
-            "fixed": rho_spec > 0 and rho_no_collision > 0,
+            "fixed": (rho_spec > 0 and rho_no_collision > 0
+                      and outcome == OUTCOME_REACHED),
             "record": record,
             "metrics": evaluate_trace(frames)}, frames
 
@@ -148,7 +153,7 @@ def _prepare(cfg: PipelineConfig):
     if cfg.record:
         return (entry, phi, nc_phi, load_record(cfg.record),
                 Path(cfg.record).stem, script, None)
-    frames, outcome = run_scenario(script, None, cfg.params)
+    frames, outcome = run_scenario(script)
     return entry, phi, nc_phi, frames, script.id, script, outcome
 
 
@@ -204,7 +209,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
             " moments are the first crossings")
 
     bundle = build_prompt(moments, frames, spec_entry.name, spec_entry.prose,
-                          cfg.params, record_id=record_id)
+                          record_id=record_id)
     write_prompt(run_dir / "prompt", bundle)
     report["moments"] = {
         "violation_step": moments.violation_step,
@@ -234,8 +239,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         if script is None:
             continue
         record = f"replays/{stem}.jsonl"
-        replay, replay_frames = _replay(script, program, cfg.params, phi,
-                                        nc_phi, record)
+        replay, replay_frames = _replay(script, program, phi, nc_phi, record)
         _write(run_dir / record, _record_text(replay_frames))
         doc["replay"] = replay
         doc["metrics_delta"] = {
@@ -295,15 +299,14 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
                "fixed": None}
         if moments.located and script is not None:
             bundle = build_prompt(moments, frames, spec_entry.name,
-                                  spec_entry.prose, cfg.params,
-                                  record_id=record_id)
+                                  spec_entry.prose, record_id=record_id)
             batch = batch_generate(bundle, 1, cfg.backend, backend=backend,
                                    base_seed=cfg.base_seed)
             if batch.candidates:
                 program = batch.candidates[0].program
                 if program not in fixed:
-                    fixed[program] = _replay(script, program, cfg.params,
-                                             phi, nc_phi)[0]["fixed"]
+                    fixed[program] = _replay(script, program, phi,
+                                             nc_phi)[0]["fixed"]
                 row["fixed"] = fixed[program]
         rows.append(row)
     return {"record_id": record_id, "spec": spec_entry.name, "rows": rows}

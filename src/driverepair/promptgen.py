@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .localizer import CriticalMoments, MomentsNotFoundError, moment_frames
-from .mudrive.catalog import ACTIONS, PlannerParams
+from .mudrive.catalog import ACTIONS, DEFAULT_PARAMS
 from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, RawRecordFrame
 
 VIEW_M = 80.0               # metres shown edge to edge, ego centered
@@ -73,7 +73,7 @@ def _box_rect(frame, cls, x, y, heading, half_len, half_wid, fill):
             f' transform="rotate({_f(angle)} {_f(cx)} {_f(cy)})"/>')
 
 
-def render_moment(frame: RawRecordFrame, params: PlannerParams) -> str:
+def render_moment(frame: RawRecordFrame) -> str:
     """One moment as a two-panel SVG: road view plus dashboard."""
     ego = frame.ego
     width = ROAD_PX + DASH_PX
@@ -133,7 +133,7 @@ def render_moment(frame: RawRecordFrame, params: PlannerParams) -> str:
         f"speed: {_f(ego.speed)} km/h",
         f"steering: {_f(ego.steering)} deg",
         f"gear: {ego.gear}",
-        f"cruise set: {_f(params.cruise_speed_kmh)} km/h",
+        f"cruise set: {_f(DEFAULT_PARAMS.cruise_speed_kmh)} km/h",
         f"t = {_f(frame.t)} s",
     ]
     for i, row in enumerate(rows):
@@ -161,10 +161,10 @@ def _gap_text(gap: float) -> str:
     return str(int(gap)) if float(gap).is_integer() else f"{gap:g}"
 
 
-def _default_segment(defaults: PlannerParams) -> str:
+def _default_segment() -> str:
     bits = []
     for action in ACTIONS:
-        value = getattr(defaults, action.sets)
+        value = getattr(DEFAULT_PARAMS, action.sets)
         if isinstance(value, bool):
             bits.append(f"{action.label} = {'on' if value else 'off'}")
         else:
@@ -196,8 +196,7 @@ def _scene_features(near_frame, violation_frame) -> dict:
 
 
 def build_prompt(moments: CriticalMoments, frames, spec_name: str,
-                 spec_text: str, defaults: PlannerParams,
-                 record_id: str = "record") -> PromptBundle:
+                 spec_text: str, record_id: str = "record") -> PromptBundle:
     """Assemble the six segments and both moment renderings."""
     if not moments.located:
         raise MomentsNotFoundError("cannot build a prompt without both moments")
@@ -211,10 +210,9 @@ def build_prompt(moments: CriticalMoments, frames, spec_name: str,
         "sequence": f"The second picture was taken {_gap_text(gap)} seconds"
                     " later than the first picture, capturing the moment when"
                     " the rule violation occurred.",
-        "default": _default_segment(defaults),
+        "default": _default_segment(),
     }
-    images = (render_moment(near_frame, defaults),
-              render_moment(violation_frame, defaults))
+    images = (render_moment(near_frame), render_moment(violation_frame))
     meta = {
         "record_id": record_id,
         "spec_name": spec_name,
@@ -232,8 +230,3 @@ def bundle_to_json(bundle: PromptBundle) -> str:
            "images": list(bundle.images), "meta": bundle.meta}
     return json.dumps(doc, indent=2, sort_keys=False)
 
-
-def bundle_from_json(text: str) -> PromptBundle:
-    doc = json.loads(text)
-    return PromptBundle(segments=doc["segments"], images=tuple(doc["images"]),
-                        meta=doc["meta"])

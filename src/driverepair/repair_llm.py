@@ -23,6 +23,8 @@ from .mudrive.schema import emit_schema
 from .promptgen import PromptBundle
 
 TOOL_NAME = "submit_driving_strategy_repair"
+MAX_ATTEMPTS = 3            # backend queries per candidate, retries included
+TEMPERATURE = 0.2           # sampling temperature sent to the live backend
 
 
 class BackendError(RuntimeError):
@@ -50,14 +52,10 @@ class BackendConfig:
     api_key_env: str = "OPENAI_API_KEY"
     price_in: float = 10.0                  # USD per 1e6 input tokens
     price_out: float = 30.0                 # USD per 1e6 output tokens
-    max_retries: int = 3
-    temperature: float = 0.2
 
     def __post_init__(self):
         if self.price_in < 0 or self.price_out < 0:
             raise ValueError("token prices must be non-negative")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
 
 
 def cost_usd(input_tokens: int, output_tokens: int,
@@ -69,7 +67,6 @@ def cost_usd(input_tokens: int, output_tokens: int,
 @dataclass(frozen=True)
 class RepairCandidate:
     program: MuDriveProgram
-    raw_json: dict
     attempts: int
     input_tokens: int
     output_tokens: int
@@ -304,7 +301,7 @@ class LiveBackend:
             messages.append({"role": "user", "content": msg})
         payload = {
             "model": self.cfg.model,
-            "temperature": self.cfg.temperature,
+            "temperature": TEMPERATURE,
             "seed": seed,
             "messages": messages,
             "tools": [{
@@ -360,7 +357,7 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
     feedback: list[str] = []
     total_in = total_out = 0
     last_diags = []
-    for attempt in range(1, cfg.max_retries + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             raw, (tok_in, tok_out) = backend.complete(bundle, schema, seed,
                                                       tuple(feedback))
@@ -370,16 +367,14 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
         total_in += tok_in
         total_out += tok_out
         try:
-            doc = json.loads(raw)
-            program = from_json(doc)
+            program = from_json(json.loads(raw))
             diags = validate(program)
         except ValueError as exc:
             diags = [exc]
-            doc = None
             program = None
         if program is not None and not diags:
             return RepairCandidate(
-                program=program, raw_json=doc, attempts=attempt,
+                program=program, attempts=attempt,
                 input_tokens=total_in, output_tokens=total_out,
                 cost_usd=cost_usd(total_in, total_out, cfg),
                 backend=getattr(backend, "name", cfg.backend), seed=seed)
@@ -388,7 +383,7 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
             "The previous program was invalid: "
             + "; ".join(str(d) for d in diags)
             + ". Return a corrected program through the same function call.")
-    raise GenerationFailedError(cfg.max_retries, last_diags, total_in,
+    raise GenerationFailedError(MAX_ATTEMPTS, last_diags, total_in,
                                 total_out)
 
 

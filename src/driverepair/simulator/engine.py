@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 from ..geometry import segment_hits_aabb
-from ..mudrive.catalog import PlannerParams
+from ..mudrive.catalog import DEFAULT_PARAMS, PlannerParams
 from ..mudrive.grammar import MuDriveProgram
 from ..mudrive.runtime import RuleStates, step_rules
 from ..mudrive.validate import require_valid
 from ..trace_model import (
     EGO_HALF_LEN,
+    FAR,
+    STOPPED_KMH,
     EgoPose,
     MapContext,
     Obstacle,
@@ -32,7 +34,7 @@ STOPLINE_STANDOFF = 4.0     # stop this far before a stop line or sign
 CRUISE_MARGIN_KMH = 0.5     # planner keeps this much under the cruise setting
 BASE_ACCEL = 3.0            # m/s^2 at obstacle_decrease_ratio 1
 CORRIDOR_HALF_WIDTH = 2.0
-STANDSTILL = 0.139          # m/s, matches the 0.5 km/h stopped threshold
+STANDSTILL = STOPPED_KMH / 3.6  # m/s
 BORROW_OFFSET = 3.0
 BORROW_SLEW = 1.5           # m/s lateral
 BLOCKED_BEFORE_BORROW_S = 5.0
@@ -101,7 +103,7 @@ class _World:
                 dist_to_stopline=_round4(light.stopline_s - self.s))
 
         signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
-        dist_sign = min(signs_ahead) - self.s if signs_ahead else 9999.0
+        dist_sign = min(signs_ahead) - self.s if signs_ahead else FAR
 
         steering = 0.0
         if abs(self.offset_goal - self.offset) > 1e-9:
@@ -253,8 +255,7 @@ class _World:
         self.t += DT
 
 
-def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
-                 base: PlannerParams | None = None):
+def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
     """Replay a script, optionally under a repair program.
 
     Returns (frames, outcome); deterministic for identical inputs. A program
@@ -262,7 +263,6 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
     """
     if program is not None:
         require_valid(program)
-    base = base or PlannerParams()
     world = _World(script)
     states = RuleStates.initial()
     frames = []
@@ -285,9 +285,9 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None,
             break
 
         if program is not None:
-            params, states = step_rules(program, scene, states, base)
+            params, states = step_rules(program, scene, states)
         else:
-            params = base
+            params = DEFAULT_PARAMS
         target, a_max = world.plan(frame, params)
         world.integrate(target, a_max)
 

@@ -12,7 +12,11 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 
-from ..trace_model import LANE_KINDS, LIGHT_COLORS, OBSTACLE_KINDS, WeatherState
+from ..trace_model import FAR, LANE_KINDS, LIGHT_COLORS, OBSTACLE_KINDS
+from ..trace_model import WeatherState
+
+PREDICTION_HORIZON_S = 3.0  # an NPC's predicted path reaches this far ahead
+PREDICTION_STEP_S = 0.5     # at points this far apart
 
 
 class ScenarioError(ValueError):
@@ -56,13 +60,13 @@ class NpcSpec:
                                   wps[i + 1][1] - wps[i][1])
         return 0.0
 
-    def predicted(self, t: float, horizon=3.0, step=0.5):
+    def predicted(self, t: float):
         out = []
-        rel = step
-        while rel <= horizon + 1e-9:
+        rel = PREDICTION_STEP_S
+        while rel <= PREDICTION_HORIZON_S + 1e-9:
             x, y, _, _ = self.state_at(t + rel)
             out.append((rel, x, y))
-            rel += step
+            rel += PREDICTION_STEP_S
         return tuple(out)
 
 
@@ -127,7 +131,7 @@ class ScenarioScript:
         if self.junction_at(s) is not None:
             return 0.0
         ahead = [s0 - s for s0, _ in self.junctions if s0 > s]
-        return min(ahead) if ahead else 9999.0
+        return min(ahead) if ahead else FAR
 
 
 # ---------------------------------------------------------------------------

@@ -488,16 +488,12 @@ def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
     return best
 
 
-def _eval(node, trace: Trace, start: int, end: int, memo: dict) -> np.ndarray:
+def _eval(node, trace: Trace, start: int, end: int) -> np.ndarray:
     """Robustness of `node` at every t in [start, end], trace clipped at `end`.
 
     Every operator looks only forward in time, so this equals evaluating the
     slice of scenes [start, end] on its own.
     """
-    key = (id(node), start, end)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     n = end - start + 1
 
     if isinstance(node, Prop):
@@ -507,30 +503,28 @@ def _eval(node, trace: Trace, start: int, end: int, memo: dict) -> np.ndarray:
     elif isinstance(node, BoolLit):
         out = np.full(n, INF if node.value else -INF)
     elif isinstance(node, Not):
-        out = -_eval(node.child, trace, start, end, memo)
+        out = -_eval(node.child, trace, start, end)
     elif isinstance(node, And):
-        out = np.minimum(_eval(node.left, trace, start, end, memo),
-                         _eval(node.right, trace, start, end, memo))
+        out = np.minimum(_eval(node.left, trace, start, end),
+                         _eval(node.right, trace, start, end))
     elif isinstance(node, Or):
-        out = np.maximum(_eval(node.left, trace, start, end, memo),
-                         _eval(node.right, trace, start, end, memo))
+        out = np.maximum(_eval(node.left, trace, start, end),
+                         _eval(node.right, trace, start, end))
     elif isinstance(node, Next):
-        child = _eval(node.child, trace, start, end, memo)
+        child = _eval(node.child, trace, start, end)
         out = np.append(child[1:], INF)
     elif isinstance(node, Always):
-        out = _window_agg(_eval(node.child, trace, start, end, memo),
+        out = _window_agg(_eval(node.child, trace, start, end),
                           node.lo, node.hi, n - 1, is_min=True)
     elif isinstance(node, Eventually):
-        out = _window_agg(_eval(node.child, trace, start, end, memo),
+        out = _window_agg(_eval(node.child, trace, start, end),
                           node.lo, node.hi, n - 1, is_min=False)
     elif isinstance(node, Until):
-        out = _until(_eval(node.left, trace, start, end, memo),
-                     _eval(node.right, trace, start, end, memo),
+        out = _until(_eval(node.left, trace, start, end),
+                     _eval(node.right, trace, start, end),
                      node.lo, node.hi, n)
     else:
         raise TypeError(f"not a formula node: {node!r}")
-
-    memo[key] = out
     return out
 
 
@@ -539,7 +533,7 @@ def evaluate(phi: Formula, trace: Trace, start: int, end: int) -> np.ndarray:
     if not 0 <= start <= end < len(trace):
         raise IndexError(f"steps [{start}, {end}] outside trace of length"
                          f" {len(trace)}")
-    return _eval(phi, trace, start, end, {})
+    return _eval(phi, trace, start, end)
 
 
 def horizon(node) -> float:
@@ -571,18 +565,14 @@ def robustness(phi: Formula, trace: Trace, t: int = 0) -> float:
     """Robustness degree of phi over the trace, evaluated at step t."""
     if not 0 <= t < len(trace):
         raise IndexError(f"step {t} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, 0, len(trace) - 1, {})[t]) + 0.0
+    return float(_eval(phi, trace, 0, len(trace) - 1)[t]) + 0.0
 
 
 def robustness_bounded(phi: Formula, trace: Trace, end: int) -> float:
     """Robustness at step 0 with evaluation clipped to scenes [0, end]."""
     if not 0 <= end < len(trace):
         raise IndexError(f"step {end} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, 0, end, {})[0]) + 0.0
-
-
-def satisfies(phi: Formula, trace: Trace) -> bool:
-    return robustness(phi, trace, 0) > 0
+    return float(_eval(phi, trace, 0, end)[0]) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +639,6 @@ _BUILTINS = {entry.name: entry for entry in BUILTIN_SPEC_ENTRIES}
 def builtin_specs() -> dict:
     """Name to parsed formula for every built-in specification."""
     return {name: parse_spec(entry.stl) for name, entry in _BUILTINS.items()}
-
-
-def builtin_spec_entry(name: str) -> SpecEntry:
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise KeyError(f"no built-in specification named {name!r}") from None
 
 
 def load_spec_file(path) -> dict:

@@ -4,11 +4,10 @@ import random
 import pytest
 
 from driverepair.localizer import locate
-from driverepair.mudrive import PlannerParams
 from driverepair.promptgen import build_prompt
 from driverepair.repair_llm import BackendConfig, MockBackend, batch_generate
 from driverepair.simulator import PAIRED_SPECS, benchmark_suite, run_scenario
-from driverepair.spec_lang import builtin_spec_entry, builtin_specs, robustness
+from driverepair.spec_lang import builtin_specs, resolve_spec, robustness
 from driverepair.trace_model import (
     FAR,
     EgoPose,
@@ -117,8 +116,7 @@ def repair_results(baseline_runs, specs):
         phi = specs[spec_name]
         moments = locate(phi, run["trace"], delta=15.0)
         bundle = build_prompt(moments, run["frames"], spec_name,
-                              builtin_spec_entry(spec_name).prose,
-                              PlannerParams(), record_id=sid)
+                              resolve_spec(spec_name).prose, record_id=sid)
         batch = batch_generate(bundle, 3, BackendConfig(),
                                backend=MockBackend(), base_seed=0)
         replays = []

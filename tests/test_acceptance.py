@@ -39,13 +39,12 @@ from driverepair.simulator import (
     run_scenario,
 )
 from driverepair.spec_lang import (
-    builtin_spec_entry,
     builtin_specs,
     parse_spec,
+    resolve_spec,
     robustness,
     robustness_bounded,
 )
-from driverepair.mudrive.catalog import PlannerParams
 from driverepair.trace_model import EgoPose, RawRecordFrame, build_trace
 
 
@@ -139,10 +138,10 @@ def test_criterion_3_rule_dsl_conformance():
 
 
 def test_criterion_4_pipeline_efficacy():
-    """Each baseline violates; some mock repair flips the sign, collision-free."""
+    """Each baseline violates; some mock repair flips the sign, collision-free,
+    and reaches the destination."""
     t0 = time.monotonic()
     specs = builtin_specs()
-    defaults = PlannerParams()
     for script in benchmark_suite():
         spec_name = PAIRED_SPECS[script.id]
         phi = specs[spec_name]
@@ -155,7 +154,7 @@ def test_criterion_4_pipeline_efficacy():
         moments = locate(phi, trace, delta=15.0)
         assert moments.located, script.id
         bundle = build_prompt(moments, frames, spec_name,
-                              builtin_spec_entry(spec_name).prose, defaults,
+                              resolve_spec(spec_name).prose,
                               record_id=script.id)
         batch = batch_generate(bundle, 3, BackendConfig(),
                                backend=MockBackend(), base_seed=0)
@@ -163,10 +162,11 @@ def test_criterion_4_pipeline_efficacy():
 
         fixed = False
         for cand in batch.candidates:
-            rframes, _ = run_scenario(script, cand.program)
+            rframes, routcome = run_scenario(script, cand.program)
             rtrace = build_trace(rframes)
             if (robustness(phi, rtrace) > 0
-                    and robustness(specs["no_collision"], rtrace) > 0):
+                    and robustness(specs["no_collision"], rtrace) > 0
+                    and routcome == "reached_destination"):
                 fixed = True
                 break
         assert fixed, f"{script.id}: no candidate repaired the violation"
@@ -189,8 +189,7 @@ def test_criterion_5_cost_accounting():
     trace = build_trace(frames)
     moments = locate(specs["law46"], trace, delta=15.0)
     bundle = build_prompt(moments, frames, "law46",
-                          builtin_spec_entry("law46").prose, PlannerParams(),
-                          record_id="S6")
+                          resolve_spec("law46").prose, record_id="S6")
     batch = batch_generate(bundle, 5, BackendConfig(), backend=MockBackend())
     for cand in batch.candidates:
         assert cand.cost_usd < 0.08

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_scene
 
 from driverepair.mudrive import (
+    DEFAULT_PARAMS,
     Call,
     MuDriveProgram,
     MuDriveSyntaxError,
@@ -513,12 +514,11 @@ def _busy_scene(light_color):
 
 
 class TestStepRules:
-    def run_sequence(self, program, scenes, base=None):
-        base = base or PlannerParams()
+    def run_sequence(self, program, scenes):
         states = RuleStates.initial()
         out = []
         for scene in scenes:
-            params, states = step_rules(program, scene, states, base)
+            params, states = step_rules(program, scene, states)
             out.append(params)
         return out
 
@@ -540,7 +540,7 @@ class TestStepRules:
         program = parse_program(TWO_RULE_PROGRAM)
         scene = make_scene()
         (params,) = self.run_sequence(program, [scene])
-        assert params == PlannerParams()
+        assert params == DEFAULT_PARAMS == PlannerParams()
 
     def test_later_rule_wins_conflicts(self):
         text = ('rule "a"\ntrigger\n always\nthen\n follow_dist(5)\nend\n'
@@ -602,20 +602,18 @@ class TestStepRules:
     def test_deterministic_and_pure(self):
         program = parse_program(TWO_RULE_PROGRAM)
         scene = make_scene(npc_ahead_dist=5.0)
-        base = PlannerParams()
         states = RuleStates.initial()
-        p1, s1 = step_rules(program, scene, states, base)
-        p2, s2 = step_rules(program, scene, states, base)
+        p1, s1 = step_rules(program, scene, states)
+        p2, s2 = step_rules(program, scene, states)
         assert p1 == p2 and s1 == s2
-        assert base == PlannerParams()  # base untouched
+        assert DEFAULT_PARAMS == PlannerParams()  # defaults untouched
 
     def test_deactivation_leaves_no_residue(self):
         program = parse_program(JUNCTION_SLOWDOWN)
-        base = PlannerParams()
         inside = make_scene(nearest_npc_dist=10.0, light_color="green",
                             in_junction=True, dist_to_junction=0.0)
         outside = make_scene()
         seq = [outside, inside, outside, outside]
-        for params, scene in zip(self.run_sequence(program, seq, base), seq):
+        for params, scene in zip(self.run_sequence(program, seq), seq):
             if not scene.in_junction:
-                assert params == base
+                assert params == DEFAULT_PARAMS

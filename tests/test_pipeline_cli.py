@@ -10,16 +10,16 @@ from conftest import ramp_frames
 from driverepair import pipeline
 from driverepair.cli import main
 from driverepair.localizer import locate
-from driverepair.mudrive import PlannerParams
+from driverepair.mudrive import PlannerParams, parse_program
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
-from driverepair.repair_llm import BackendConfig, cost_usd
+from driverepair.repair_llm import MAX_ATTEMPTS, BackendConfig, cost_usd
 from driverepair.simulator import (
     PAIRED_SPECS,
     run_scenario,
     scenario_by_id,
     script_to_dict,
 )
-from driverepair.spec_lang import parse_spec
+from driverepair.spec_lang import parse_spec, resolve_spec
 from driverepair.trace_model import build_trace, save_record
 
 
@@ -113,7 +113,7 @@ class TestCmdRepair:
         assert report["candidates"] == []
         assert len(report["generation_failures"]) == 2
         assert report["total_cost_usd"] == pytest.approx(
-            2 * cfg.backend.max_retries * cost_usd(1000, 50, cfg.backend))
+            2 * MAX_ATTEMPTS * cost_usd(1000, 50, cfg.backend))
         on_disk = json.loads(
             (Path(report["run_dir"]) / "report.json").read_text())
         assert on_disk["total_cost_usd"] == report["total_cost_usd"]
@@ -153,23 +153,29 @@ class TestCmdRepair:
             on_disk = json.loads((run_dir / "report.json").read_text())
             assert on_disk["scenario"] == report["scenario"]
 
+    # a change is a config field to set or a (constant, value) to patch
     @pytest.mark.parametrize("change", [
-        {"params": PlannerParams(cruise_speed_kmh=50.0)},
+        ("DEFAULT_PARAMS", PlannerParams(cruise_speed_kmh=50.0)),
         {"backend": BackendConfig(endpoint="http://localhost:8000/v1")},
         {"backend": BackendConfig(price_in=1.0)},
         {"backend": BackendConfig(price_out=1.0)},
-        {"backend": BackendConfig(max_retries=5)},
-        {"backend": BackendConfig(temperature=0.7)},
+        ("MAX_ATTEMPTS", 5),
+        ("TEMPERATURE", 0.7),
     ])
-    def test_run_key_covers_artifact_inputs(self, change):
+    def test_run_key_covers_artifact_inputs(self, change, monkeypatch):
         script = scenario_by_id("S1")
 
         def key(cfg):
             return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
 
         base = PipelineConfig(spec="law46", scenario="S1")
-        assert key(base) != key(PipelineConfig(spec="law46", scenario="S1",
-                                               **change))
+        before = key(base)
+        if isinstance(change, dict):
+            changed = PipelineConfig(spec="law46", scenario="S1", **change)
+        else:
+            monkeypatch.setattr(pipeline, *change)
+            changed = base
+        assert key(changed) != before
 
     def test_run_key_covers_report_version_not_key_location(self,
                                                             monkeypatch):
@@ -230,6 +236,21 @@ class TestCmdRepair:
                        {"scenario": str(script_file)}):
             with pytest.raises(ValueError, match="need a spec"):
                 PipelineConfig(**kwargs)
+
+    def test_parked_program_fixes_nothing(self):
+        # standing still breaks no law and hits nothing, but never arrives
+        parked = parse_program('rule "park"\ntrigger\n always\nthen\n'
+                               ' cruise_speed(0)\nend\n')
+        nc_phi = parse_spec(resolve_spec("no_collision").stl)
+        verdicts = {}
+        for sid, spec in PAIRED_SPECS.items():
+            replay, _ = pipeline._replay(scenario_by_id(sid), parked,
+                                         parse_spec(resolve_spec(spec).stl),
+                                         nc_phi)
+            assert replay["outcome"] == "timed_out", sid
+            verdicts[sid] = replay["fixed"]
+        assert sorted(verdicts) == [f"S{i}" for i in range(1, 9)]
+        assert not any(verdicts.values()), verdicts
 
 
 class TestCmdSweepDelta:
@@ -450,6 +471,8 @@ class TestCli:
         "sim run --metrics",
         "repair --scenario S6 --scenario-file {s1} --out {runs}",
         "--config {tmp}/nonexistent.json specs",
+        "--config {tmp}/list.json specs",
+        "--config {tmp}/typo.json specs",
     ])
     def test_bad_input_prints_error_and_exits_1(self, tmp_path, argv):
         # exit 2 is reserved for "violation found, nothing fixed it"
@@ -458,6 +481,9 @@ class TestCli:
         s1 = tmp_path / "s1.json"
         s1.write_text(json.dumps(script_to_dict(scenario_by_id("S1"))),
                       encoding="utf-8")
+        (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+        (tmp_path / "typo.json").write_text('{"modle": "x"}',
+                                            encoding="utf-8")
         args = [a.format(record=record, runs=tmp_path / "runs", tmp=tmp_path,
                          s1=s1)
                 for a in argv.split()]
@@ -466,7 +492,9 @@ class TestCli:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.startswith("Error: "), result.output
         for value, message in (("S99", "unknown scenario 'S99'"),
-                               ("nosuch", "unknown spec 'nosuch'")):
+                               ("nosuch", "unknown spec 'nosuch'"),
+                               ("list.json", "must hold a JSON object"),
+                               ("typo.json", "unknown config key(s) modle")):
             if value in argv:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -5,11 +6,9 @@ import pytest
 from conftest import at_20hz, drop_sixth_of_ten, ramp_frames
 
 from driverepair.localizer import MomentsNotFoundError, locate
-from driverepair.mudrive import PlannerParams
 from driverepair.promptgen import (
     SEGMENT_ORDER,
     build_prompt,
-    bundle_from_json,
     bundle_to_json,
     render_moment,
 )
@@ -51,36 +50,36 @@ def golden_frame():
 
 class TestRenderMoment:
     def test_matches_golden_bytes(self):
-        svg = render_moment(golden_frame(), PlannerParams())
+        svg = render_moment(golden_frame())
         assert svg == GOLDEN.read_text(encoding="utf-8")
 
     def test_render_is_pure(self):
-        a = render_moment(golden_frame(), PlannerParams())
-        b = render_moment(golden_frame(), PlannerParams())
+        a = render_moment(golden_frame())
+        b = render_moment(golden_frame())
         assert a == b
 
     def test_vehicle_annotations(self):
-        svg = render_moment(golden_frame(), PlannerParams())
+        svg = render_moment(golden_frame())
         assert 'fill="#2e8b57"' in svg            # vehicle box is green
         assert "8.0m" in svg and "20.0km/h" in svg
 
     def test_every_obstacle_appears_exactly_once(self):
-        svg = render_moment(golden_frame(), PlannerParams())
+        svg = render_moment(golden_frame())
         assert svg.count('class="obstacle"') == len(golden_frame().obstacles)
         assert svg.count('class="ego"') == 1
 
     def test_empty_frame_renders_only_ego(self):
         frame = RawRecordFrame(t=0.0, ego=golden_frame().ego)
-        svg = render_moment(frame, PlannerParams())
+        svg = render_moment(frame)
         assert svg.count('class="obstacle"') == 0
         assert svg.count('class="ego"') == 1
 
     def test_red_light_glyph(self):
-        svg = render_moment(golden_frame(), PlannerParams())
+        svg = render_moment(golden_frame())
         assert '<circle class="light"' in svg and 'fill="#d62020"' in svg
 
     def test_kind_colors(self):
-        svg = render_moment(golden_frame(), PlannerParams())
+        svg = render_moment(golden_frame())
         for color in ("#2e8b57", "#e6b800", "#2060c0", "#7a2ea0"):
             assert f'fill="{color}"' in svg
 
@@ -94,7 +93,7 @@ def located_bundle(weather=None, delta=5.0):
     trace = build_trace(frames)
     moments = locate(parse_spec("G (speed < 60)"), trace, delta=delta)
     return build_prompt(moments, frames, "speed_cap", "Keep under the limit.",
-                        PlannerParams(), record_id="ramp")
+                        record_id="ramp")
 
 
 class TestBuildPrompt:
@@ -118,7 +117,7 @@ class TestBuildPrompt:
         trace = build_trace(frames)
         moments = locate(parse_spec("G (speed < 60)"), trace, delta=40.0)
         bundle = build_prompt(moments, frames, "speed_cap", "slow",
-                              PlannerParams(), record_id="ramp")
+                              record_id="ramp")
         assert moments.violation_step - moments.near_miss_step == 40
         assert "4 seconds later" in bundle.segments["sequence"]
 
@@ -131,7 +130,7 @@ class TestBuildPrompt:
         moments = locate(specs[PAIRED_SPECS["S4"]], build_trace(frames),
                          delta=15.0)
         bundle = build_prompt(moments, frames, "law38_red", "stop at red",
-                              PlannerParams(), record_id="S4")
+                              record_id="S4")
         assert bundle.meta["gap_seconds"] == gap
         assert f"{gap:g} seconds later" in bundle.segments["sequence"]
         assert "t = 9.9 s" in bundle.images[0]
@@ -170,11 +169,13 @@ class TestBuildPrompt:
         trace = build_trace(frames)
         moments = locate(parse_spec("G (speed < 60)"), trace, delta=5.0)
         with pytest.raises(MomentsNotFoundError):
-            build_prompt(moments, frames, "cap", "slow", PlannerParams())
+            build_prompt(moments, frames, "cap", "slow")
 
     def test_json_envelope_roundtrip(self):
         bundle = located_bundle()
-        again = bundle_from_json(bundle_to_json(bundle))
-        assert again.segments == bundle.segments
-        assert again.images == bundle.images
-        assert again.meta == bundle.meta
+        doc = json.loads(bundle_to_json(bundle))
+        assert list(doc) == ["segments", "images", "meta"]
+        assert list(doc["segments"]) == list(SEGMENT_ORDER)
+        assert doc["segments"] == bundle.segments
+        assert tuple(doc["images"]) == bundle.images
+        assert doc["meta"] == bundle.meta

@@ -5,6 +5,7 @@ import pytest
 from driverepair.mudrive import validate
 from driverepair.mudrive.grammar import parse_program, pretty_print
 from driverepair.repair_llm import (
+    MAX_ATTEMPTS,
     BackendConfig,
     BackendError,
     GenerationFailedError,
@@ -45,7 +46,7 @@ class TestCostAccounting:
         with pytest.raises(ValueError):
             BackendConfig(price_in=-1.0)
         with pytest.raises(ValueError):
-            BackendConfig(max_retries=0)
+            BackendConfig(price_out=-1.0)
 
 
 class TestMockBackend:
@@ -151,10 +152,10 @@ class TestGenerateRepair:
                 BrokenBackend.calls += 1
                 return json.dumps({"rules": []}), (10, 2)
 
-        cfg = BackendConfig(max_retries=3)
         with pytest.raises(GenerationFailedError) as info:
-            generate_repair(bundle, cfg, backend=BrokenBackend(), seed=0)
-        assert BrokenBackend.calls == 3  # never exceeds max_retries
+            generate_repair(bundle, BackendConfig(), backend=BrokenBackend(),
+                            seed=0)
+        assert BrokenBackend.calls == MAX_ATTEMPTS == 3
         assert (info.value.input_tokens, info.value.output_tokens) == (30, 6)
 
     def test_unknown_backend_kind(self):
@@ -221,7 +222,7 @@ class TestBatchGenerate:
                                backend=NotJson())
         assert batch.candidates == [] and len(batch.failures) == 2
         # each slot pays for every answer it got
-        paid = 1 if transport_error else cfg.max_retries
+        paid = 1 if transport_error else MAX_ATTEMPTS
         assert batch.total_cost_usd == pytest.approx(
             2 * paid * cost_usd(1000, 50, cfg))
         if transport_error:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from driverepair import pipeline, trace_model
-from driverepair.mudrive import PlannerParams, parse_program
+from driverepair.mudrive import parse_program
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
 from driverepair.simulator import (
     PAIRED_SPECS,
@@ -22,7 +22,7 @@ from driverepair.trace_model import build_trace, save_record, scene_from_frame
 
 
 def _oracle_replay(script, program, phi, nc_phi, record_path):
-    frames, outcome = run_scenario(script, program, PlannerParams())
+    frames, outcome = run_scenario(script, program)
     save_record(frames, record_path)
     trace = build_trace(frames)
     rho_spec = robustness(phi, trace, 0)
@@ -31,7 +31,8 @@ def _oracle_replay(script, program, phi, nc_phi, record_path):
         "outcome": outcome,
         "rho_spec": rho_spec,
         "rho_no_collision": rho_nc,
-        "fixed": rho_spec > 0 and rho_nc > 0,
+        "fixed": (rho_spec > 0 and rho_nc > 0
+                  and outcome == "reached_destination"),
         "metrics": evaluate_trace(frames),
     }
 
@@ -63,9 +64,9 @@ def _count_replays(monkeypatch):
     programs = []
     original = pipeline.run_scenario
 
-    def counting(script, program=None, base=None):
+    def counting(script, program=None):
         programs.append(program)
-        return original(script, program, base)
+        return original(script, program)
 
     monkeypatch.setattr(pipeline, "run_scenario", counting)
     return programs

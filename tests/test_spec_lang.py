@@ -22,12 +22,11 @@ from driverepair.spec_lang import (
     Prop,
     SpecSyntaxError,
     Until,
-    builtin_spec_entry,
     builtin_specs,
     load_spec_file,
     parse_spec,
+    resolve_spec,
     robustness,
-    satisfies,
 )
 from driverepair.trace_model import SignalVar, Trace
 
@@ -108,19 +107,19 @@ class TestRobustnessExamples:
         trace = speed_trace([0, 0.3, 10, 25, 40, 50])
         phi = parse_spec("G (speed < 60)")
         assert robustness(phi, trace, 0) == pytest.approx(10.0)
-        assert satisfies(phi, trace)
+        assert robustness(phi, trace) > 0
 
     def test_ramp_violates_by_30(self):
         trace = speed_trace(range(91))
         phi = parse_spec("G (speed < 60)")
         assert robustness(phi, trace, 0) == pytest.approx(-30.0)
-        assert not satisfies(phi, trace)
+        assert robustness(phi, trace) <= 0
 
     def test_empty_window_eventually_is_false(self):
         trace = speed_trace([10, 10, 10])
         phi = parse_spec("F[5,9] (speed > 0)")
         assert robustness(phi, trace, 0) == -math.inf
-        assert not satisfies(phi, trace)
+        assert robustness(phi, trace) <= 0
 
     def test_next_vacuous_at_last_step(self):
         trace = speed_trace([10, 20])
@@ -154,7 +153,7 @@ class TestBuiltins:
         assert "unknown" not in specs
 
     def test_entry_has_prose(self):
-        assert builtin_spec_entry("no_collision").prose
+        assert resolve_spec("no_collision").prose
 
     def test_spec_file_roundtrip(self, tmp_path):
         path = tmp_path / "custom.spec"
