@@ -113,10 +113,9 @@ def _backend_config(ctx, backend, model, endpoint):
 @click.option("--record", required=True, type=click.Path(exists=True))
 @click.option("--spec", required=True)
 @click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
-@click.option("--dt", type=float, default=0.1, show_default=True)
-def localize(record, spec, delta, dt):
+def localize(record, spec, delta):
     """Find the violation and near-miss moments of a record."""
-    entry, _, moments = locate_record(record, spec, delta, dt)
+    entry, _, moments = locate_record(record, spec, delta)
     click.echo(json.dumps({
         "spec": entry.name,
         "delta": delta,

@@ -17,10 +17,10 @@ Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported
 regardless, and the report carries a note to that effect.
 
-Moments are trace steps. `locate` keeps the trace's dt with them, and
-`moment_frames` maps each step back to the frame `build_trace` took for it
-(`trace_model.step_frames`), so the rendered moments are the scenes the
-formula was evaluated on, whatever the record's frame rate or gaps.
+Moments are trace steps, STEP_S apart. `moment_frames` maps each step back
+to the frame `build_trace` took for it (`trace_model.step_frames`), so the
+rendered moments are the scenes the formula was evaluated on, whatever the
+record's frame rate or gaps.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_lang import Always, Formula, evaluate, horizon, robustness_bounded
-from .trace_model import Trace, step_frames
+from .trace_model import STEP_S, Trace, step_frames
 
 DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
 
@@ -45,7 +45,6 @@ class CriticalMoments:
     near_miss_step: int | None
     delta: float
     prefix_rho: tuple  # rho over prefixes k = 0 .. last step scanned
-    dt: float          # step spacing of the located trace
 
     @property
     def located(self) -> bool:
@@ -93,25 +92,25 @@ def locate(phi: Formula, trace: Trace,
             break
     return CriticalMoments(violation_step=first_at_or_below(rhos, 0.0),
                            near_miss_step=first_at_or_below(rhos, delta),
-                           delta=delta, prefix_rho=tuple(rhos), dt=trace.dt)
+                           delta=delta, prefix_rho=tuple(rhos))
 
 
 def moment_frames(moments: CriticalMoments, frames) -> tuple:
     """Raw frames behind both located moments plus the gap in seconds.
 
     `frames` are the ones the located trace was built from; each moment's
-    frame is the one `build_trace` took for that step at `moments.dt`. The
-    gap is the step difference times dt, rounded to 0.1 s.
+    frame is the one `build_trace` took for that step. The gap is the step
+    difference times STEP_S, rounded to 0.1 s.
     """
     if not moments.located:
         raise MomentsNotFoundError("both moments must be located first")
     if not frames:
         raise MomentsNotFoundError("no frames supplied")
-    index = step_frames(frames, moments.dt)
+    index = step_frames(frames)
     if moments.violation_step >= len(index):   # near miss <= violation
         raise MomentsNotFoundError("the moments lie past the last frame")
     near = frames[index[moments.near_miss_step]]
     viol = frames[index[moments.violation_step]]
     steps = moments.violation_step - moments.near_miss_step
-    gap = round(steps * moments.dt * 10) / 10
+    gap = round(steps * STEP_S * 10) / 10
     return near, viol, gap

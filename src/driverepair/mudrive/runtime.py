@@ -26,10 +26,6 @@ class RuleStates:
     active: tuple = ()
     prev: Scene | None = None       # the previous tick's scene
 
-    @staticmethod
-    def initial() -> "RuleStates":
-        return RuleStates()
-
 
 def _fired(cat, call, scene: Scene, prev: Scene | None) -> bool:
     return cat.trigger(call.name).holds(scene, prev)

@@ -28,7 +28,7 @@ from .simulator import (
 )
 from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
-from .trace_model import DEFAULT_DT, build_trace, frame_to_line, load_record
+from .trace_model import build_trace, frame_to_line, load_record
 
 REPORT_VERSION = 2
 
@@ -68,12 +68,12 @@ class PipelineConfig:
             self.spec = PAIRED_SPECS[self.scenario]
 
 
-def locate_record(record, spec: str, delta: float, dt: float = DEFAULT_DT):
+def locate_record(record, spec: str, delta: float):
     """Load a record and locate its moments; returns (spec entry, frames,
     moments)."""
     entry = resolve_spec(spec)
     frames = load_record(record)
-    moments = locate(parse_spec(entry.stl), build_trace(frames, dt=dt), delta)
+    moments = locate(parse_spec(entry.stl), build_trace(frames), delta)
     return entry, frames, moments
 
 

@@ -71,7 +71,6 @@ class RepairCandidate:
     input_tokens: int
     output_tokens: int
     cost_usd: float
-    backend: str
     seed: int = 0
 
 
@@ -241,7 +240,6 @@ def _select_template(spec_name: str, features: dict, variant: int) -> dict:
 class MockBackend:
     """Offline deterministic backend: same bundle and seed, same bytes."""
 
-    name = "mock"
     VARIANTS = 3
 
     def complete(self, bundle: PromptBundle, schema: dict, seed: int,
@@ -263,8 +261,6 @@ class LiveBackend:
     Images are rasterized to PNG when a rasterizer is importable; otherwise
     the SVG sources are inlined as text parts so the request stays valid.
     """
-
-    name = "live"
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
@@ -376,8 +372,7 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
             return RepairCandidate(
                 program=program, attempts=attempt,
                 input_tokens=total_in, output_tokens=total_out,
-                cost_usd=cost_usd(total_in, total_out, cfg),
-                backend=getattr(backend, "name", cfg.backend), seed=seed)
+                cost_usd=cost_usd(total_in, total_out, cfg), seed=seed)
         last_diags = diags
         feedback.append(
             "The previous program was invalid: "

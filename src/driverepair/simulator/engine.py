@@ -264,7 +264,7 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
     if program is not None:
         require_valid(program)
     world = _World(script)
-    states = RuleStates.initial()
+    states = RuleStates()
     frames = []
     outcome = OUTCOME_TIMEOUT
 

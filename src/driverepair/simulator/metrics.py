@@ -1,7 +1,7 @@
 """Trajectory metrics over a recorded run."""
 from __future__ import annotations
 
-from ..trace_model import STOPPED_KMH
+from ..trace_model import STEP_S, STOPPED_KMH
 
 VEHICLE_MASS_KG = 1500.0
 
@@ -19,7 +19,7 @@ def evaluate_trace(frames) -> dict:
     speeds = [f.ego.speed / 3.6 for f in frames]
     accels = [abs(f.ego.accel) for f in frames]
     dt = ((frames[-1].t - frames[0].t) / (len(frames) - 1)
-          if len(frames) > 1 else 0.1)
+          if len(frames) > 1 else STEP_S)
 
     seps = []
     for frame in frames:

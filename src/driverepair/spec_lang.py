@@ -587,7 +587,8 @@ class SpecEntry:
 
 
 # The four numbered laws are simplified desk-scale encodings of the cited
-# road regulations; window widths are chosen to be robust at a 10 Hz step.
+# road regulations. Windows count trace steps of trace_model.STEP_S, so
+# F[0,200] spans 20 s.
 BUILTIN_SPEC_ENTRIES = (
     SpecEntry(
         "no_collision",
@@ -641,24 +642,10 @@ def builtin_specs() -> dict:
     return {name: parse_spec(entry.stl) for name, entry in _BUILTINS.items()}
 
 
-def load_spec_file(path) -> dict:
-    """Parse a spec file: stanzas of `name:` / `stl:` / optional `prose:` lines.
-
-    Every line belongs to a stanza, each stanza has its own name, and a
-    stanza holds each field once.
-    """
-    entries = {}
-    stanza = None       # field -> value of the stanza being read
-
-    def flush():
-        if stanza is None:
-            return
-        name = stanza["name"]
-        if "stl" not in stanza:
-            raise SpecSyntaxError(f"spec {name!r} has no stl: line")
-        entries[name] = SpecEntry(name, stanza["stl"],
-                                  stanza.get("prose") or name)
-
+def load_spec_file(path) -> SpecEntry:
+    """Parse a spec file: one spec as `name:`, `stl:` and optional `prose:`
+    lines, the name: line first and each line once."""
+    fields = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -667,35 +654,27 @@ def load_spec_file(path) -> dict:
             key, colon, value = line.partition(":")
             if not colon or key not in ("name", "stl", "prose"):
                 raise SpecSyntaxError(f"unexpected spec-file line: {line!r}")
-            value = value.strip()
-            if key == "name":
-                flush()
-                if value in entries:
-                    raise SpecSyntaxError(f"line {lineno}: spec {value!r} is"
-                                          " defined twice")
-                stanza = {"name": value}
-            elif stanza is None:
+            if not fields and key != "name":
                 raise SpecSyntaxError(f"line {lineno}: {line!r} comes before"
-                                      " the first name: line")
-            elif key in stanza:
-                raise SpecSyntaxError(f"line {lineno}: spec {stanza['name']!r}"
+                                      " the name: line")
+            if key in fields:
+                raise SpecSyntaxError(f"line {lineno}: spec {fields['name']!r}"
                                       f" has a second {key}: line")
-            else:
-                stanza[key] = value
-    flush()
-    return entries
+            fields[key] = value.strip()
+    if not fields:
+        raise SpecSyntaxError("spec file has no name: line")
+    if "stl" not in fields:
+        raise SpecSyntaxError(f"spec {fields['name']!r} has no stl: line")
+    return SpecEntry(fields["name"], fields["stl"],
+                     fields.get("prose") or fields["name"])
 
 
 def resolve_spec(name_or_path) -> SpecEntry:
-    """Accept a built-in name or a path to a spec file with one stanza."""
+    """Accept a built-in name or a path to a spec file."""
     name_or_path = str(name_or_path)
     if name_or_path in _BUILTINS:
         return _BUILTINS[name_or_path]
     if not os.path.exists(name_or_path):
         raise ValueError(f"unknown spec {name_or_path!r}: neither a spec file"
                          f" nor a built-in ({', '.join(_BUILTINS)})")
-    entries = load_spec_file(name_or_path)
-    if len(entries) != 1:
-        raise SpecSyntaxError(f"{name_or_path} must define exactly one spec"
-                              f" (found {len(entries)})")
-    return next(iter(entries.values()))
+    return load_spec_file(name_or_path)

@@ -2,8 +2,8 @@
 
 A record is a JSONL file, one frame per line. Each frame snapshots the ego
 vehicle, surrounding obstacles, the governing traffic light, weather, and
-map context. A trace resamples a record at a fixed step and evaluates every
-signal variable the property language can mention, one scene per step.
+map context. A trace resamples a record every STEP_S seconds and evaluates
+every signal variable the property language can mention, one scene per step.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .geometry import obb_corners, obb_distance
 
-DEFAULT_DT = 0.1
+STEP_S = 0.1               # trace step in seconds: spec windows count steps
 STOPPED_KMH = 0.5          # below this the vehicle counts as stopped
 AHEAD_LATERAL_M = 2.0      # half-width of the "ahead" corridor in the ego frame
 FAR = 9999.0               # distance sentinel: no such feature on the route
@@ -406,12 +406,6 @@ class SignalVar:
     name: str
     arg: float | None = None
 
-    def __str__(self):
-        if self.arg is None:
-            return self.name
-        arg = int(self.arg) if float(self.arg).is_integer() else self.arg
-        return f"{self.name}({arg})"
-
 
 def _bool_margin(flag: bool) -> float:
     return 1.0 if flag else -1.0
@@ -501,45 +495,40 @@ def enum_code(name: str, literal: str) -> float:
 # ---------------------------------------------------------------------------
 
 class Trace:
-    """Immutable sequence of scenes at a fixed time step."""
+    """Immutable sequence of scenes, one per STEP_S seconds."""
 
-    def __init__(self, scenes, dt: float = DEFAULT_DT):
+    def __init__(self, scenes):
         scenes = tuple(scenes)
         if not scenes:
             raise ValueError("trace must contain at least one scene")
-        if not dt > 0:      # also rejects NaN
-            raise ValueError(f"dt must be positive, got {dt!r}")
         self.scenes = scenes
-        self.dt = dt
         self._signal_cache: dict = {}
 
     def __len__(self):
         return len(self.scenes)
 
 
-def step_frames(frames, dt: float = DEFAULT_DT) -> list[int]:
-    """Index of the frame behind each trace step at spacing dt.
+def step_frames(frames) -> list[int]:
+    """Index of the frame behind each trace step.
 
-    Step i stands for time frames[0].t + i * dt; its frame is the one
+    Step i stands for time frames[0].t + i * STEP_S; its frame is the one
     nearest in time, the later one on a tie.
     """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
-    if not dt > 0:      # also rejects NaN
-        raise ValueError(f"dt must be positive, got {dt!r}")
     t0 = frames[0].t
-    steps = int(round((frames[-1].t - t0) / dt)) + 1
+    steps = int(round((frames[-1].t - t0) / STEP_S)) + 1
     times = [f.t for f in frames]
     indices = []
     j = 0
     for i in range(steps):
-        target = t0 + i * dt
+        target = t0 + i * STEP_S
         while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
             j += 1
         indices.append(j)
     return indices
 
 
-def build_trace(frames, dt: float = DEFAULT_DT) -> Trace:
-    """Resample frames at spacing dt (see `step_frames`) and evaluate scenes."""
-    return Trace([frames[j].scene for j in step_frames(frames, dt)], dt=dt)
+def build_trace(frames) -> Trace:
+    """Resample frames at STEP_S (see `step_frames`) and evaluate scenes."""
+    return Trace([frames[j].scene for j in step_frames(frames)])

@@ -33,8 +33,8 @@ def make_scene(**overrides) -> Scene:
     return Scene(**values)
 
 
-def speed_trace(speeds, dt=0.1) -> Trace:
-    return Trace([make_scene(speed=float(v)) for v in speeds], dt=dt)
+def speed_trace(speeds) -> Trace:
+    return Trace([make_scene(speed=float(v)) for v in speeds])
 
 
 def random_scene(rng: random.Random) -> Scene:

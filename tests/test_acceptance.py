@@ -3,14 +3,13 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.
 """
-import json
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import ramp_frames, random_trace, speed_trace
+from conftest import random_trace, speed_trace
 from formula_gen import random_formula
 from oracle_boolean import holds
 from oracle_reference import rho_ref

@@ -57,7 +57,7 @@ class TestPrefixRobustness:
             phi = random_formula(rng, depth=3)
             trace = random_trace(rng, max_len=10)
             k = rng.randrange(len(trace))
-            cut = Trace(trace.scenes[: k + 1], dt=trace.dt)
+            cut = Trace(trace.scenes[: k + 1])
             assert robustness_bounded(phi, trace, k) == pytest.approx(
                 rho_ref(phi, cut, 0), abs=1e-9)
 
@@ -110,8 +110,8 @@ class TestLocate:
 
 class TestMomentFrames:
     def test_gap_for_ramp(self, cap60):
-        frames = ramp_frames(91, dt=0.1)
-        trace = build_trace(frames, dt=0.1)
+        frames = ramp_frames(91)
+        trace = build_trace(frames)
         moments = locate(cap60, trace, delta=5.0)
         near, viol, gap = moment_frames(moments, frames)
         assert near.ego.speed == 55.0
@@ -119,23 +119,23 @@ class TestMomentFrames:
         assert gap == pytest.approx(0.5)
 
     def test_zero_gap(self, cap60):
-        frames = ramp_frames(91, dt=0.1)
-        trace = build_trace(frames, dt=0.1)
+        frames = ramp_frames(91)
+        trace = build_trace(frames)
         moments = locate(cap60, trace, delta=0.0)
         _, _, gap = moment_frames(moments, frames)
         assert gap == 0.0
 
     def test_missing_moments_raise(self, cap60):
-        frames = ramp_frames(10, dt=0.1)
-        trace = build_trace(frames, dt=0.1)
+        frames = ramp_frames(10)
+        trace = build_trace(frames)
         moments = locate(cap60, trace, delta=5.0)
         assert moments.violation_step is None
         with pytest.raises(MomentsNotFoundError):
             moment_frames(moments, frames)
 
     def test_moments_past_the_last_frame_raise(self, cap60):
-        frames = ramp_frames(91, dt=0.1)
-        moments = locate(cap60, build_trace(frames, dt=0.1), delta=5.0)
+        frames = ramp_frames(91)
+        moments = locate(cap60, build_trace(frames), delta=5.0)
         with pytest.raises(MomentsNotFoundError):
             moment_frames(moments, frames[:60])
 
@@ -146,7 +146,7 @@ class TestMomentFrames:
         assert 0 < gap <= 10.0
 
     # S4 at 10 Hz locates law38_red at steps 99 (near miss) and 106. The
-    # rendered frames are the ones the trace evaluated, at step * dt, and
+    # rendered frames are the ones the trace evaluated, at step * STEP_S, and
     # the gap is counted in trace steps, whatever the record's frame rate.
     @pytest.mark.parametrize("resample, steps, times, gap", [
         (at_20hz, (99, 106), (9.9, 10.6), 0.7),
@@ -165,4 +165,3 @@ class TestMomentFrames:
         assert near.scene is trace.scenes[moments.near_miss_step]
         assert viol.scene is trace.scenes[moments.violation_step]
         assert got_gap == gap
-        assert moments.dt == trace.dt

@@ -515,7 +515,7 @@ def _busy_scene(light_color):
 
 class TestStepRules:
     def run_sequence(self, program, scenes):
-        states = RuleStates.initial()
+        states = RuleStates()
         out = []
         for scene in scenes:
             params, states = step_rules(program, scene, states)
@@ -602,7 +602,7 @@ class TestStepRules:
     def test_deterministic_and_pure(self):
         program = parse_program(TWO_RULE_PROGRAM)
         scene = make_scene(npc_ahead_dist=5.0)
-        states = RuleStates.initial()
+        states = RuleStates()
         p1, s1 = step_rules(program, scene, states)
         p2, s2 = step_rules(program, scene, states)
         assert p1 == p2 and s1 == s2

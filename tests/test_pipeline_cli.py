@@ -80,8 +80,6 @@ class TestCmdRepair:
         import driverepair.pipeline as pipeline
 
         class CountingBackend:
-            name = "counting"
-
             def complete(self, *args, **kwargs):
                 calls.append(1)
                 raise AssertionError("backend must not be called")
@@ -101,8 +99,6 @@ class TestCmdRepair:
 
     def test_failed_generation_cost_is_reported(self, tmp_path, monkeypatch):
         class NotJson:
-            name = "not-json"
-
             def complete(self, bundle, schema, seed, feedback=()):
                 return "not json", (1000, 50)
 
@@ -460,8 +456,6 @@ class TestCli:
         "repair --scenario S99 --out {runs}",
         "repair --scenario S99 --spec law46 --out {runs}",
         "localize --record {record} --spec law46 --delta nan",
-        "localize --record {record} --spec law46 --dt 0",
-        "localize --record {record} --spec law46 --dt nan",
         "localize --record {record} --spec nosuch",
         "prompt --record {record} --spec law46 --delta -3 --out {runs}",
         # usage errors: a bad option value, a missing or an unknown option
@@ -513,7 +507,9 @@ class TestCli:
         ("name: x\nstl: G (trafficLightColor == purple)\n",
          "'purple' is not a value of trafficLightColor (expected one of"
          " ['green', 'off', 'red', 'yellow']) (at position 24)"),
-    ], ids=["unknown-variable", "unknown-enum-value"])
+        ("name: a\nstl: G (speed < 40)\nname: b\nstl: G (speed < 50)\n",
+         "line 3: spec 'a' has a second name: line"),
+    ], ids=["unknown-variable", "unknown-enum-value", "two-specs"])
     def test_bad_spec_file_prints_error_and_exits_1(self, tmp_path, text,
                                                     message):
         record = tmp_path / "ramp.jsonl"

@@ -10,7 +10,6 @@ from driverepair.repair_llm import (
     BackendError,
     GenerationFailedError,
     MockBackend,
-    RepairCandidate,
     batch_generate,
     cost_usd,
     generate_repair,
@@ -95,15 +94,12 @@ class TestGenerateRepair:
                 assert parse_program(pretty_print(cand.program)) == cand.program
                 assert cand.cost_usd == pytest.approx(
                     cost_usd(cand.input_tokens, cand.output_tokens))
-                assert cand.backend == "mock"
 
     def test_retry_on_invalid_then_valid(self, repair_results):
         bundle = repair_results["S6"]["bundle"]
         good_raw, usage = MockBackend().complete(bundle, {}, seed=0)
 
         class FlakyBackend:
-            name = "flaky"
-
             def __init__(self):
                 self.calls = 0
 
@@ -131,8 +127,6 @@ class TestGenerateRepair:
         replies = [(nan_raw, (100, 10)), (good_raw, usage)]
 
         class NanFirstBackend:
-            name = "nan-first"
-
             def complete(self, bundle, schema, seed, feedback=()):
                 return replies.pop(0)
 
@@ -145,7 +139,6 @@ class TestGenerateRepair:
         bundle = repair_results["S6"]["bundle"]
 
         class BrokenBackend:
-            name = "broken"
             calls = 0
 
             def complete(self, bundle, schema, seed, feedback=()):
@@ -193,8 +186,6 @@ class TestBatchGenerate:
         bundle = repair_results["S6"]["bundle"]
 
         class HalfBroken:
-            name = "half"
-
             def complete(self, bundle, schema, seed, feedback=()):
                 if seed % 2 == 0:
                     return MockBackend().complete(bundle, schema, seed, feedback)
@@ -210,8 +201,6 @@ class TestBatchGenerate:
     def test_failed_slots_keep_their_cost(self, repair_results,
                                           transport_error):
         class NotJson:
-            name = "not-json"
-
             def complete(self, bundle, schema, seed, feedback=()):
                 if transport_error and feedback:
                     raise BackendError("timeout")

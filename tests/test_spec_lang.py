@@ -20,9 +20,9 @@ from driverepair.spec_lang import (
     Or,
     PredAtom,
     Prop,
+    SpecEntry,
     SpecSyntaxError,
     Until,
-    builtin_specs,
     load_spec_file,
     parse_spec,
     resolve_spec,
@@ -159,18 +159,20 @@ class TestBuiltins:
         path = tmp_path / "custom.spec"
         path.write_text("name: slowish\nstl: G (speed < 40)\n"
                         "prose: Keep it under 40.\n", encoding="utf-8")
-        entries = load_spec_file(path)
-        assert set(entries) == {"slowish"}
-        assert entries["slowish"].prose == "Keep it under 40."
-        parse_spec(entries["slowish"].stl)
+        entry = load_spec_file(path)
+        assert entry == SpecEntry("slowish", "G (speed < 40)",
+                                  "Keep it under 40.")
+        parse_spec(entry.stl)
 
     @pytest.mark.parametrize("text, message", [
         ("name: a\nstl: G (speed < 40)\nname: a\nstl: G (speed < 50)\n",
-         "line 3: spec 'a' is defined twice"),
+         "line 3: spec 'a' has a second name: line"),
+        ("name: a\nstl: G (speed < 40)\nname: b\nstl: G (speed < 50)\n",
+         "line 3: spec 'a' has a second name: line"),
         ("stl: G (speed < 40)\nname: a\nstl: G (speed < 50)\n",
-         "line 1: 'stl: G (speed < 40)' comes before the first name: line"),
+         "line 1: 'stl: G (speed < 40)' comes before the name: line"),
         ("# a comment\nprose: Slow.\nname: a\nstl: G (speed < 50)\n",
-         "line 2: 'prose: Slow.' comes before the first name: line"),
+         "line 2: 'prose: Slow.' comes before the name: line"),
         ("name: a\nstl: G (speed < 40)\nstl: G (speed < 90)\n",
          "line 3: spec 'a' has a second stl: line"),
         ("name: a\nprose: Slow.\nstl: G (speed < 40)\nprose: Fast.\n",
@@ -178,8 +180,10 @@ class TestBuiltins:
         ("name: a\nstl G (speed < 40)\n",
          "unexpected spec-file line: 'stl G (speed < 40)'"),
         ("name: a\nprose: Slow.\n", "spec 'a' has no stl: line"),
-    ], ids=["repeated-name", "stl-before-name", "prose-before-name",
-            "second-stl", "second-prose", "no-colon", "no-stl"])
+        ("# only a comment\n\n# and another\n", "spec file has no name: line"),
+    ], ids=["repeated-name", "two-specs", "stl-before-name",
+            "prose-before-name", "second-stl", "second-prose", "no-colon",
+            "no-stl", "comments-only"])
     def test_spec_file_drops_no_line(self, tmp_path, text, message):
         path = tmp_path / "custom.spec"
         path.write_text(text, encoding="utf-8")
