@@ -12,13 +12,15 @@ def obb_corners(x, y, heading, half_len, half_wid):
     return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in local]
 
 
-def _interval(corners, ax):
-    dots = [cx * ax[0] + cy * ax[1] for cx, cy in corners]
-    return min(dots), max(dots)
-
-
 def obb_overlap(c1, c2):
-    """Separating-axis test between two convex quads (corner lists)."""
+    """Separating-axis test between two convex quads (corner lists).
+
+    Each box's extent along an axis is the min and max of its four corner
+    projections, taken in corner order with the comparisons that builtin
+    `min` and `max` make, so the result matches theirs, NaN included.
+    """
+    (p0x, p0y), (p1x, p1y), (p2x, p2y), (p3x, p3y) = c1
+    (q0x, q0y), (q1x, q1y), (q2x, q2y), (q3x, q3y) = c2
     for corners in (c1, c2):
         for i in range(4):
             x1, y1 = corners[i]
@@ -27,9 +29,39 @@ def obb_overlap(c1, c2):
             norm = math.hypot(nx, ny)
             if norm == 0.0:
                 continue
-            ax = (nx / norm, ny / norm)
-            lo1, hi1 = _interval(c1, ax)
-            lo2, hi2 = _interval(c2, ax)
+            ax, ay = nx / norm, ny / norm
+            lo1 = hi1 = p0x * ax + p0y * ay
+            d = p1x * ax + p1y * ay
+            if d < lo1:
+                lo1 = d
+            elif d > hi1:
+                hi1 = d
+            d = p2x * ax + p2y * ay
+            if d < lo1:
+                lo1 = d
+            elif d > hi1:
+                hi1 = d
+            d = p3x * ax + p3y * ay
+            if d < lo1:
+                lo1 = d
+            elif d > hi1:
+                hi1 = d
+            lo2 = hi2 = q0x * ax + q0y * ay
+            d = q1x * ax + q1y * ay
+            if d < lo2:
+                lo2 = d
+            elif d > hi2:
+                hi2 = d
+            d = q2x * ax + q2y * ay
+            if d < lo2:
+                lo2 = d
+            elif d > hi2:
+                hi2 = d
+            d = q3x * ax + q3y * ay
+            if d < lo2:
+                lo2 = d
+            elif d > hi2:
+                hi2 = d
             if hi1 < lo2 or hi2 < lo1:
                 return False
     return True

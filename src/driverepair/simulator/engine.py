@@ -6,6 +6,11 @@ applicable speed targets (cruise, light stop, sign stop, obstacle stop or
 follow, yield hold) and tracks it with bounded acceleration. Rule programs
 rewrite planner parameters live through the same scene the emitted frame
 describes, so replaying the record reproduces every decision input.
+
+The NPCs follow their scripts whatever the ego does, so a tick's obstacles
+depend only on the script and the tick's time. They are built once per
+script and time, kept in `ScenarioScript.npc_timeline`, and every replay of
+that script shares them.
 """
 from __future__ import annotations
 
@@ -59,6 +64,19 @@ def _round4(x: float) -> float:
     return round(x + 0.0, 4)
 
 
+def _npc_obstacle(npc, t: float) -> Obstacle:
+    """A scripted NPC as a frame at time t records it."""
+    x, y, heading, speed = npc.state_at(t)
+    return Obstacle(
+        id=npc.id, kind=npc.kind,
+        x=_round4(x), y=_round4(y), heading=_round4(heading),
+        speed=_round4(speed),
+        half_len=npc.half_len, half_wid=npc.half_wid,
+        predicted=tuple((_round4(p[0]), _round4(p[1]), _round4(p[2]))
+                        for p in npc.predicted(t)),
+    )
+
+
 class _World:
     def __init__(self, script: ScenarioScript):
         self.script = script
@@ -83,17 +101,11 @@ class _World:
 
     def emit_frame(self) -> RawRecordFrame:
         script = self.script
-        obstacles = []
-        for npc in script.npcs:
-            x, y, heading, speed = npc.state_at(self.t)
-            obstacles.append(Obstacle(
-                id=npc.id, kind=npc.kind,
-                x=_round4(x), y=_round4(y), heading=_round4(heading),
-                speed=_round4(speed),
-                half_len=npc.half_len, half_wid=npc.half_wid,
-                predicted=tuple((_round4(p[0]), _round4(p[1]), _round4(p[2]))
-                                for p in npc.predicted(self.t)),
-            ))
+        timeline = script.npc_timeline
+        obstacles = timeline.get(self.t)
+        if obstacles is None:
+            obstacles = timeline[self.t] = tuple(
+                _npc_obstacle(npc, self.t) for npc in script.npcs)
 
         light = self.current_light()
         light_state = None
@@ -116,7 +128,7 @@ class _World:
             ego=EgoPose(x=_round4(self.s), y=_round4(self.offset), heading=0.0,
                         speed=_round4(self.v * 3.6), accel=_round4(accel),
                         steering=_round4(steering), gear="drive"),
-            obstacles=tuple(obstacles),
+            obstacles=obstacles,
             traffic_light=light_state,
             weather=script.weather,
             map_ctx=MapContext(

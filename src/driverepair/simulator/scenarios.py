@@ -7,6 +7,7 @@ violates its paired specification. Route geometry is one straight lane along
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -114,6 +115,14 @@ class ScenarioScript:
         for light in self.lights:
             if any(d <= 0 for _, d in light.schedule):
                 raise ScenarioError("light phases must have positive duration")
+
+    @functools.cached_property
+    def npc_timeline(self) -> dict:
+        """Tick time -> that tick's NPC obstacles, filled by the simulator on
+        first use. Every replay of this script shares it: each one steps its
+        clock from 0.0 by the same increment, and an NPC's state depends on
+        nothing but the time."""
+        return {}
 
     def lane_kind_at(self, s: float) -> str:
         for s0, s1, kind in self.lane_segments:

@@ -7,6 +7,7 @@ every signal variable the property language can mention, one scene per step.
 """
 from __future__ import annotations
 
+import array
 import functools
 import json
 import math
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 from .geometry import obb_corners, obb_distance
 
 STEP_S = 0.1               # trace step in seconds: spec windows count steps
+MAX_FRAME_GAP_S = 1.0      # a record's consecutive frames lie at most this
+                           # far apart: a trace has a step per STEP_S
 STOPPED_KMH = 0.5          # below this the vehicle counts as stopped
 AHEAD_LATERAL_M = 2.0      # half-width of the "ahead" corridor in the ego frame
 FAR = 9999.0               # distance sentinel: no such feature on the route
@@ -256,8 +259,10 @@ def _may_overflow(line: str) -> bool:
 
 
 def load_record(path) -> list[RawRecordFrame]:
-    """Parse a JSONL record. Frames come back sorted by t, strictly increasing."""
+    """Parse a JSONL record. Frames come back sorted by t, strictly
+    increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
+    linenos = array.array("L")     # each frame's line, for the messages
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -273,14 +278,26 @@ def load_record(path) -> list[RawRecordFrame]:
                 raise RecordError(f"line {lineno}: {exc}") from None
             try:
                 frames.append(_frame_from_dict(doc, where=f" (line {lineno})"))
+                linenos.append(lineno)
             except (KeyError, TypeError, ValueError) as exc:
                 if isinstance(exc, RecordError):
                     raise
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
-    frames.sort(key=lambda f: f.t)
-    for a, b in zip(frames, frames[1:]):
-        _require(b.t > a.t, f"timestamps not strictly increasing at t={b.t}")
-    return frames
+
+    def line_of(frame):
+        return linenos[next(i for i, f in enumerate(frames) if f is frame)]
+
+    ordered = sorted(frames, key=lambda f: f.t)
+    for a, b in zip(ordered, ordered[1:]):
+        if not b.t > a.t:
+            raise RecordError(f"line {line_of(b)}: timestamps not strictly"
+                              f" increasing at t={b.t}")
+        if b.t - a.t > MAX_FRAME_GAP_S:
+            raise RecordError(
+                f"line {line_of(b)}: frame at t={b.t} comes {b.t - a.t} s"
+                f" after the one at t={a.t} (line {line_of(a)}); frames may"
+                f" be at most {MAX_FRAME_GAP_S} s apart")
+    return ordered
 
 
 def frame_to_line(frame: RawRecordFrame) -> str:

@@ -5,7 +5,9 @@ can check the other.
 the definition: scalar recursion with explicit loops and no numpy.
 `obb_distance_ref` and `nearest_npc_sep_ref` are the former box clearance:
 every corner against every edge, and every obstacle of a frame tested, none
-skipped.
+skipped. `obb_overlap_ref` is the former separating-axis test, which builds
+each box's projections as a list for builtin `min` and `max`.
+`npc_obstacles_ref` is the former per-tick NPC loop of the simulator.
 """
 from __future__ import annotations
 
@@ -23,11 +25,12 @@ from driverepair.spec_lang import (
     Prop,
     Until,
 )
-from driverepair.geometry import obb_corners, obb_overlap
+from driverepair.geometry import obb_corners
 from driverepair.trace_model import (
     EGO_HALF_LEN,
     EGO_HALF_WID,
     FAR,
+    Obstacle,
     var_margin,
     var_numeric,
 )
@@ -116,9 +119,33 @@ def _point_segment_dist(px, py, x1, y1, x2, y2):
     return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
 
 
+def _interval(corners, ax):
+    dots = [cx * ax[0] + cy * ax[1] for cx, cy in corners]
+    return min(dots), max(dots)
+
+
+def obb_overlap_ref(c1, c2):
+    """The former `geometry.obb_overlap`: separating-axis test between two
+    convex quads (corner lists)."""
+    for corners in (c1, c2):
+        for i in range(4):
+            x1, y1 = corners[i]
+            x2, y2 = corners[(i + 1) % 4]
+            nx, ny = y1 - y2, x2 - x1
+            norm = math.hypot(nx, ny)
+            if norm == 0.0:
+                continue
+            ax = (nx / norm, ny / norm)
+            lo1, hi1 = _interval(c1, ax)
+            lo2, hi2 = _interval(c2, ax)
+            if hi1 < lo2 or hi2 < lo1:
+                return False
+    return True
+
+
 def obb_distance_ref(c1, c2):
     """The former `geometry.obb_distance`: 32 point-segment distances."""
-    if obb_overlap(c1, c2):
+    if obb_overlap_ref(c1, c2):
         return 0.0
     best = math.inf
     for a, b in ((c1, c2), (c2, c1)):
@@ -142,3 +169,23 @@ def nearest_npc_sep_ref(frame):
         box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
         sep = min(sep, obb_distance_ref(ego_box, box))
     return sep
+
+
+def npc_obstacles_ref(script, t):
+    """The former per-tick loop of `engine._World.emit_frame`: every NPC's
+    state, prediction and rounding computed afresh at time t."""
+    def round4(x):
+        return round(x + 0.0, 4)
+
+    obstacles = []
+    for npc in script.npcs:
+        x, y, heading, speed = npc.state_at(t)
+        obstacles.append(Obstacle(
+            id=npc.id, kind=npc.kind,
+            x=round4(x), y=round4(y), heading=round4(heading),
+            speed=round4(speed),
+            half_len=npc.half_len, half_wid=npc.half_wid,
+            predicted=tuple((round4(p[0]), round4(p[1]), round4(p[2]))
+                            for p in npc.predicted(t)),
+        ))
+    return tuple(obstacles)

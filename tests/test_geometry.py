@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import obb_distance_ref
+from oracle_reference import obb_distance_ref, obb_overlap_ref
 
 from driverepair.geometry import (
     obb_corners,
@@ -140,6 +140,40 @@ def test_distance_matches_oracle_touching(ax, ay, al, aw, bl, bw, side,
                                           slide, hb, gap):
     assert_matches_oracle(*resting(ax, ay, al, aw, bl, bw, side, slide, hb,
                                    gap))
+
+
+def assert_overlap_matches_oracle(a, b):
+    assert obb_overlap(a, b) == obb_overlap_ref(a, b)
+    assert obb_overlap(b, a) == obb_overlap_ref(b, a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(far, far, heading, half, half, offset, offset, heading, half, half)
+def test_overlap_matches_oracle_random(ax, ay, ha, al, aw, x, y, hb, bl, bw):
+    assert_overlap_matches_oracle(obb_corners(ax, ay, ha, al, aw),
+                                  obb_corners(ax + x, ay + y, hb, bl, bw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(*resting_args)
+@rounds_to_zero
+def test_overlap_matches_oracle_touching(ax, ay, al, aw, bl, bw, side, slide,
+                                         hb, gap):
+    assert_overlap_matches_oracle(*resting(ax, ay, al, aw, bl, bw, side,
+                                           slide, hb, gap))
+
+
+# A NaN or infinite corner makes comparisons false; the projection extents
+# must still come out as builtin min and max give them.
+@settings(max_examples=500, deadline=None)
+@given(offset, offset, heading, heading, st.integers(0, 7), st.booleans(),
+       st.floats())
+def test_overlap_matches_oracle_non_finite(x, y, ha, hb, corner, on_x, value):
+    boxes = (obb_corners(0.0, 0.0, ha, 2.0, 1.0),
+             obb_corners(x, y, hb, 2.0, 1.0))
+    box, i = boxes[corner // 4], corner % 4
+    box[i] = (value, box[i][1]) if on_x else (box[i][0], value)
+    assert_overlap_matches_oracle(*boxes)
 
 
 class TestSegmentAabb:

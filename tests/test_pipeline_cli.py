@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -458,6 +459,7 @@ class TestCli:
         "localize --record {record} --spec law46 --delta nan",
         "localize --record {record} --spec nosuch",
         "prompt --record {record} --spec law46 --delta -3 --out {runs}",
+        "localize --record {tmp}/gap.jsonl --spec law46",
         # usage errors: a bad option value, a missing or an unknown option
         "repair --scenario S6 --n abc --out {runs}",
         "repair --record {tmp}/nonexistent.jsonl --spec law46 --out {runs}",
@@ -478,6 +480,10 @@ class TestCli:
         (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
         (tmp_path / "typo.json").write_text('{"modle": "x"}',
                                             encoding="utf-8")
+        # two frames 20000 s apart would make a 200,001-step trace
+        frame = ramp_frames(1)[0]
+        save_record([frame, dataclasses.replace(frame, t=20000.0)],
+                    tmp_path / "gap.jsonl")
         args = [a.format(record=record, runs=tmp_path / "runs", tmp=tmp_path,
                          s1=s1)
                 for a in argv.split()]
@@ -488,7 +494,8 @@ class TestCli:
         for value, message in (("S99", "unknown scenario 'S99'"),
                                ("nosuch", "unknown spec 'nosuch'"),
                                ("list.json", "must hold a JSON object"),
-                               ("typo.json", "unknown config key(s) modle")):
+                               ("typo.json", "unknown config key(s) modle"),
+                               ("gap.jsonl", "Error: line 2: ")):
             if value in argv:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()

@@ -1,7 +1,8 @@
 """Replays run once per distinct program and scenes once per frame.
 
-The oracle replays every candidate afresh, with no state shared between
-candidates, and must agree with the report and run directory byte for byte.
+The oracle replays every candidate afresh, each from a script of its own,
+so no state is shared between candidates, not even the scripted NPC
+timeline. It must agree with the report and run directory byte for byte.
 """
 from collections import Counter
 from pathlib import Path
@@ -21,8 +22,8 @@ from driverepair.spec_lang import builtin_specs, robustness
 from driverepair.trace_model import build_trace, save_record, scene_from_frame
 
 
-def _oracle_replay(script, program, phi, nc_phi, record_path):
-    frames, outcome = run_scenario(script, program)
+def _oracle_replay(sid, program, phi, nc_phi, record_path):
+    frames, outcome = run_scenario(scenario_by_id(sid), program)
     save_record(frames, record_path)
     trace = build_trace(frames)
     rho_spec = robustness(phi, trace, 0)
@@ -41,7 +42,6 @@ def _oracle_replay(script, program, phi, nc_phi, record_path):
 def test_report_matches_uncached_oracle(tmp_path, sid):
     specs = builtin_specs()
     phi, nc_phi = specs[PAIRED_SPECS[sid]], specs["no_collision"]
-    script = scenario_by_id(sid)
     report = cmd_repair(PipelineConfig(spec=PAIRED_SPECS[sid], scenario=sid,
                                        n=6, out_dir=str(tmp_path / "runs")))
     run_dir = Path(report["run_dir"])
@@ -50,7 +50,7 @@ def test_report_matches_uncached_oracle(tmp_path, sid):
         program = parse_program(
             (run_dir / cand["program_file"]).read_text(encoding="utf-8"))
         oracle_path = tmp_path / f"oracle_{cand['index']}.jsonl"
-        expected = _oracle_replay(script, program, phi, nc_phi, oracle_path)
+        expected = _oracle_replay(sid, program, phi, nc_phi, oracle_path)
         replay = dict(cand["replay"])
         stem = Path(cand["program_file"]).stem
         assert replay.pop("record") == f"replays/{stem}.jsonl"

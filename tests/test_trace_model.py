@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from conftest import make_scene, ramp_frames
 from driverepair.simulator import run_scenario, scenario_by_id
 from driverepair.trace_model import (
     LIGHT_CODE,
+    MAX_FRAME_GAP_S,
     CatalogError,
     EgoPose,
     Obstacle,
@@ -43,8 +45,37 @@ class TestLoadRecord:
                RawRecordFrame(t=frames[1].t, ego=frames[2].ego)]
         path = tmp_path / "rec.jsonl"
         save_record(bad, path)
-        with pytest.raises(RecordError, match="strictly increasing"):
+        with pytest.raises(RecordError,
+                           match="^line 3: timestamps not strictly increasing"):
             load_record(path)
+
+    @pytest.mark.parametrize("late_t", [20000.0, 1e9])
+    def test_frame_gap_over_limit_rejected(self, tmp_path, late_t):
+        # the trace would need a step per STEP_S across the gap: 200,001
+        # steps at t = 20000 s, 1e10 at t = 1e9 s
+        frames = ramp_frames(2)
+        frames[1] = dataclasses.replace(frames[1], t=late_t)
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        with pytest.raises(RecordError, match=(
+                rf"^line 2: frame at t={late_t} comes .* after the one at"
+                r" t=0\.0 \(line 1\)")):
+            load_record(path)
+
+    def test_frame_gap_names_lines_of_unsorted_record(self, tmp_path):
+        frames = ramp_frames(3)
+        frames[2] = dataclasses.replace(frames[2], t=5.0)
+        path = tmp_path / "rec.jsonl"
+        save_record([frames[2], frames[0], frames[1]], path)
+        with pytest.raises(RecordError, match=r"^line 1: .* \(line 3\)"):
+            load_record(path)
+
+    def test_frame_gap_at_limit_loads(self, tmp_path):
+        frames = ramp_frames(2)
+        frames[1] = dataclasses.replace(frames[1], t=MAX_FRAME_GAP_S)
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        assert [f.t for f in load_record(path)] == [0.0, MAX_FRAME_GAP_S]
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "rec.jsonl"
