@@ -10,7 +10,10 @@ describes, so replaying the record reproduces every decision input.
 The NPCs follow their scripts whatever the ego does, so a tick's obstacles
 depend only on the script and the tick's time. They are built once per
 script and time, kept in `ScenarioScript.npc_timeline`, and every replay of
-that script shares them.
+that script shares them. An NPC that is parked, waiting or finished holds
+still: while a tick's prediction window lies inside one such hold
+(`NpcSpec.hold_at`), every tick takes the one obstacle built for that hold,
+kept in `ScenarioScript.npc_holds`.
 """
 from __future__ import annotations
 
@@ -72,9 +75,26 @@ def _npc_obstacle(npc, t: float) -> Obstacle:
         x=_round4(x), y=_round4(y), heading=_round4(heading),
         speed=_round4(speed),
         half_len=npc.half_len, half_wid=npc.half_wid,
-        predicted=tuple((_round4(p[0]), _round4(p[1]), _round4(p[2]))
-                        for p in npc.predicted(t)),
+        predicted=tuple((rel, _round4(px), _round4(py))
+                        for rel, px, py in npc.predicted(t)),
     )
+
+
+def _npc_obstacles(script: ScenarioScript, t: float) -> tuple:
+    """Every NPC of the script at tick time t; an NPC within a hold gets the
+    hold's obstacle, built at the first tick that reaches it."""
+    holds = script.npc_holds
+    obstacles = []
+    for k, npc in enumerate(script.npcs):
+        hold = npc.hold_at(t)
+        if hold is None:
+            obstacles.append(_npc_obstacle(npc, t))
+            continue
+        ob = holds.get((k, hold))
+        if ob is None:
+            ob = holds[k, hold] = _npc_obstacle(npc, t)
+        obstacles.append(ob)
+    return tuple(obstacles)
 
 
 class _World:
@@ -104,8 +124,7 @@ class _World:
         timeline = script.npc_timeline
         obstacles = timeline.get(self.t)
         if obstacles is None:
-            obstacles = timeline[self.t] = tuple(
-                _npc_obstacle(npc, self.t) for npc in script.npcs)
+            obstacles = timeline[self.t] = _npc_obstacles(script, self.t)
 
         light = self.current_light()
         light_state = None

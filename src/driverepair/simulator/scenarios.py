@@ -7,6 +7,7 @@ violates its paired specification. Route geometry is one straight lane along
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -16,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 from ..trace_model import FAR, LANE_KINDS, LIGHT_COLORS, OBSTACLE_KINDS
 from ..trace_model import WeatherState
 
-PREDICTION_HORIZON_S = 3.0  # an NPC's predicted path reaches this far ahead
-PREDICTION_STEP_S = 0.5     # at points this far apart
+# The offsets ahead of a tick at which an NPC's predicted path is sampled:
+# every 0.5 s up to 3 s, each exact in binary.
+PREDICTION_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 class ScenarioError(ValueError):
@@ -63,12 +65,51 @@ class NpcSpec:
 
     def predicted(self, t: float):
         out = []
-        rel = PREDICTION_STEP_S
-        while rel <= PREDICTION_HORIZON_S + 1e-9:
+        for rel in PREDICTION_TIMES:
             x, y, _, _ = self.state_at(t + rel)
             out.append((rel, x, y))
-            rel += PREDICTION_STEP_S
         return tuple(out)
+
+    @functools.cached_property
+    def _still(self) -> tuple:
+        """Whether `state_at` is constant on each piece (see `_piece`): the
+        spans before the first and after the last waypoint always are, a
+        segment is when it does not move."""
+        wps = self.waypoints
+        return ((True,)
+                + tuple(a[1] == b[1] and a[2] == b[2]
+                        for a, b in zip(wps, wps[1:]))
+                + (True,))
+
+    @functools.cached_property
+    def _times(self) -> tuple:
+        return tuple(w[0] for w in self.waypoints)
+
+    def _piece(self, t: float) -> int:
+        """Which branch of `state_at` serves time t: 0 up to the first
+        waypoint, i + 1 for segment i (its left end belongs to the segment
+        before), len(waypoints) from the last waypoint on."""
+        times = self._times
+        if t <= times[0]:
+            return 0
+        if t >= times[-1]:
+            return len(times)
+        return bisect.bisect_left(times, t)
+
+    def hold_at(self, t: float):
+        """The hold that covers the prediction window of a tick at time t,
+        [t, t + PREDICTION_TIMES[-1]], or None.
+
+        A hold is a piece of `state_at` on which it returns one constant
+        value, so the obstacle built at any tick whose window lies inside it
+        is the obstacle of every such tick."""
+        if not self.waypoints:
+            return None
+        piece = self._piece(t)
+        if (self._still[piece]
+                and self._piece(t + PREDICTION_TIMES[-1]) == piece):
+            return piece
+        return None
 
 
 @dataclass(frozen=True)
@@ -121,7 +162,15 @@ class ScenarioScript:
         """Tick time -> that tick's NPC obstacles, filled by the simulator on
         first use. Every replay of this script shares it: each one steps its
         clock from 0.0 by the same increment, and an NPC's state depends on
-        nothing but the time."""
+        nothing but the time. On a miss, an NPC whose prediction window lies
+        in one hold (`NpcSpec.hold_at`) takes its obstacle from `npc_holds`,
+        so the ticks of a hold share one obstacle."""
+        return {}
+
+    @functools.cached_property
+    def npc_holds(self) -> dict:
+        """(NPC index, hold) -> the obstacle of that NPC over that hold,
+        filled by the simulator at the first tick that reaches the hold."""
         return {}
 
     def lane_kind_at(self, s: float) -> str:

@@ -117,11 +117,6 @@ class RawRecordFrame:
         return scene_from_frame(self)
 
 
-def _require(cond, msg):
-    if not cond:
-        raise RecordError(msg)
-
-
 def _frame_from_dict(doc, where=""):
     known = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}
     extra = set(doc) - known
@@ -129,8 +124,10 @@ def _frame_from_dict(doc, where=""):
         warnings.warn(f"ignoring unknown record fields {sorted(extra)}{where}")
 
     ego_doc = doc["ego"]
-    _require(ego_doc.get("gear", "drive") in GEARS, f"bad gear{where}")
-    _require(ego_doc["speed"] >= 0, f"negative ego speed{where}")
+    if ego_doc.get("gear", "drive") not in GEARS:
+        raise RecordError(f"bad gear{where}")
+    if not ego_doc["speed"] >= 0:
+        raise RecordError(f"negative ego speed{where}")
     ego = EgoPose(
         x=float(ego_doc["x"]), y=float(ego_doc["y"]),
         heading=float(ego_doc["heading"]), speed=float(ego_doc["speed"]),
@@ -141,9 +138,12 @@ def _frame_from_dict(doc, where=""):
 
     obstacles = []
     for ob in doc.get("obstacles", []):
-        _require(ob.get("kind", "unknown") in OBSTACLE_KINDS, f"bad obstacle kind{where}")
-        _require(ob["half_len"] > 0 and ob["half_wid"] > 0, f"non-positive obstacle box{where}")
-        _require(ob["speed"] >= 0, f"negative obstacle speed{where}")
+        if ob.get("kind", "unknown") not in OBSTACLE_KINDS:
+            raise RecordError(f"bad obstacle kind{where}")
+        if not (ob["half_len"] > 0 and ob["half_wid"] > 0):
+            raise RecordError(f"non-positive obstacle box{where}")
+        if not ob["speed"] >= 0:
+            raise RecordError(f"negative obstacle speed{where}")
         obstacles.append(Obstacle(
             id=str(ob["id"]), kind=ob.get("kind", "unknown"),
             x=float(ob["x"]), y=float(ob["y"]), heading=float(ob.get("heading", 0.0)),
@@ -156,7 +156,8 @@ def _frame_from_dict(doc, where=""):
     light = None
     if doc.get("traffic_light") is not None:
         tl = doc["traffic_light"]
-        _require(tl["color"] in LIGHT_COLORS, f"bad light color{where}")
+        if tl["color"] not in LIGHT_COLORS:
+            raise RecordError(f"bad light color{where}")
         light = TrafficLightState(color=tl["color"],
                                   dist_to_stopline=float(tl["dist_to_stopline"]))
 
@@ -165,10 +166,12 @@ def _frame_from_dict(doc, where=""):
         rain=float(w.get("rain", 0.0)), fog=float(w.get("fog", 0.0)),
         snow=float(w.get("snow", 0.0)), visibility=float(w.get("visibility", 500.0)),
     )
-    _require(weather.visibility > 0, f"non-positive visibility{where}")
+    if not weather.visibility > 0:
+        raise RecordError(f"non-positive visibility{where}")
 
     m = doc.get("map_ctx", {})
-    _require(m.get("lane_kind", "normal") in LANE_KINDS, f"bad lane kind{where}")
+    if m.get("lane_kind", "normal") not in LANE_KINDS:
+        raise RecordError(f"bad lane kind{where}")
     map_ctx = MapContext(
         in_junction=bool(m.get("in_junction", False)),
         dist_to_junction=float(m.get("dist_to_junction", FAR)),

@@ -1,15 +1,20 @@
 """The scripted NPC timeline: each tick's obstacles are built once per
-script and shared by every replay of that script.
+script and shared by every replay of that script, and an NPC that holds
+still is built once per hold.
 
 The reference rebuilds every NPC at every tick, as the simulator once did;
 the shared timeline must agree with it bit for bit on every frame of the
-baseline and of each distinct replay.
+baseline and of each distinct replay, and on generated NPC scripts.
 """
 import dataclasses
+import hashlib
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle_reference import npc_obstacles_ref
 
@@ -18,10 +23,15 @@ from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
 from driverepair.simulator import (
     PAIRED_SPECS,
     NpcSpec,
+    ScenarioScript,
     run_scenario,
     scenario_by_id,
 )
-from driverepair.simulator.engine import DT
+from driverepair.simulator.engine import DT, _World
+from driverepair.simulator.scenarios import PREDICTION_TIMES, ScenarioError
+from driverepair.trace_model import frame_to_line
+
+GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.sha256"
 
 SCENARIOS = sorted(PAIRED_SPECS)
 
@@ -101,12 +111,116 @@ def test_replays_share_each_tick_with_the_baseline(repairs, sid):
             assert frame.obstacles is other.obstacles
 
 
+def _build_unit(npc, t):
+    """What one obstacle build serves: the NPC's hold, or the single tick
+    whose prediction window lies in no hold."""
+    hold = npc.hold_at(t)
+    return ("tick", t) if hold is None else ("hold", hold)
+
+
 @pytest.mark.parametrize("sid", SCENARIOS)
 def test_predicted_once_per_npc_and_tick(repairs, sid):
+    """One `predicted` call per (NPC, hold) reached, one per (NPC, tick)
+    whose window is in no hold, and no other call."""
     scripts, runs, predicted = repairs[sid]
+    npcs = {npc.id: npc for npc in scripts[0].npcs}
     ticks = _tick_times(max(len(frames) for frames in runs))
-    assert predicted == Counter({(npc.id, t): 1
-                                 for npc in scripts[0].npcs for t in ticks})
+    expected = Counter({(npc.id, _build_unit(npc, t)): 1
+                        for npc in npcs.values() for t in ticks})
+    found = Counter()
+    for (npc_id, t), calls in predicted.items():
+        found[npc_id, _build_unit(npcs[npc_id], t)] += calls
+    assert found == expected
+    assert sum(expected.values()) < len(ticks) * len(npcs)
+
+
+@pytest.mark.parametrize("sid", SCENARIOS)
+def test_baseline_record_matches_golden_digest(sid):
+    golden = dict(reversed(line.split()) for line in
+                  GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines())
+    frames, _ = run_scenario(scenario_by_id(sid))
+    data = "".join(frame_to_line(frame) for frame in frames).encode()
+    assert hashlib.sha256(data).hexdigest() == golden[sid]
+
+
+def _emitted(script, n_ticks):
+    """The frames a simulation of the script emits over n ticks, the clock
+    stepped as the simulator steps it, whatever the ego does."""
+    world = _World(script)
+    frames = []
+    for _ in range(n_ticks):
+        frames.append(world.emit_frame())
+        world.t += DT
+    return frames
+
+
+N_TICKS = 150
+_TICKS = _tick_times(N_TICKS)
+# Waypoint times at the edges the hold test must get right: a tick's time
+# and the end of its prediction window.
+_EDGE_TIMES = sorted(set(_TICKS[::10])
+                     | {t + PREDICTION_TIMES[-1] for t in _TICKS[::10]})
+_coords = st.sampled_from([0.0, -0.0, 1.5, -4.0, 12.25]) | st.floats(-50, 50)
+_times = (st.sampled_from(_EDGE_TIMES) | st.sampled_from([-1.0, 0.0])
+          | st.floats(-2.0, 16.0))
+_waypoint = st.tuples(_times, _coords, _coords,
+                      st.sampled_from([0.0, 10.0, 36.0]))
+
+
+@st.composite
+def _waypoints(draw):
+    """1..5 time-ordered waypoints; a drawn point may repeat the one before,
+    and a drawn time may repeat, giving zero-length first or last segments."""
+    waypoints = []
+    for _ in range(draw(st.integers(1, 5))):
+        t, x, y, v = draw(_waypoint)
+        if waypoints and draw(st.booleans()):
+            x, y = waypoints[-1][1], waypoints[-1][2]
+        if waypoints and draw(st.booleans()):
+            t = waypoints[-1][0]
+        waypoints.append((t, x, y, v))
+    return tuple(sorted(waypoints, key=lambda w: w[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(paths=st.lists(_waypoints(), min_size=1, max_size=3))
+# all waypoints at one tick's time: that tick reads the first, not the last
+@example(paths=[((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.5, 0.0))])
+@example(paths=[((_TICKS[10], 5.0, 0.0, 0.0), (_TICKS[10], -0.0, 0.0, 0.0),
+                 (_TICKS[40], -0.0, 9.0, 36.0), (_TICKS[40], 0.0, 9.0, 0.0))])
+def test_emitted_obstacles_match_reference(paths):
+    npcs = tuple(NpcSpec(id=f"npc{k}", waypoints=waypoints)
+                 for k, waypoints in enumerate(paths))
+    script = ScenarioScript(id="gen", route_len_m=100.0, npcs=npcs)
+    shared = {}
+    for frame, t in zip(_emitted(script, N_TICKS), _TICKS):
+        ref = npc_obstacles_ref(script, t)
+        assert _bits(frame.obstacles) == _bits(ref), t
+        assert (frame_to_line(frame)
+                == frame_to_line(dataclasses.replace(frame, obstacles=ref)))
+        for k, (npc, ob) in enumerate(zip(npcs, frame.obstacles)):
+            hold = npc.hold_at(t)
+            if hold is not None:
+                assert shared.setdefault((k, hold), ob) is ob
+
+
+def test_one_obstacle_serves_a_long_parked_hold():
+    parked = NpcSpec(id="parked", waypoints=((0.0, 40.0, 7.0, 0.0),
+                                             (100.0, 40.0, 7.0, 0.0)))
+    script = ScenarioScript(id="parked", route_len_m=100.0, npcs=(parked,))
+    frames = _emitted(script, 900)
+    # tick 0 sits on the first waypoint, before the parked segment's span
+    assert parked.hold_at(0.0) is None
+    held = frames[1].obstacles[0]
+    assert all(frame.obstacles[0] is held for frame in frames[1:])
+    assert len(script.npc_holds) == 1
+
+
+def test_npc_without_waypoints_is_a_scenario_error():
+    script = ScenarioScript(id="bare", route_len_m=100.0,
+                            npcs=(NpcSpec(id="ghost"),))
+    with pytest.raises(ScenarioError, match="npc ghost has no waypoints"):
+        run_scenario(script)
 
 
 def test_scripts_do_not_share_a_timeline():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -99,6 +100,42 @@ class TestLoadRecord:
         doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": -1}}
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         with pytest.raises(RecordError):
+            load_record(path)
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("ego", "gear", "hover", "bad gear"),
+        ("ego", "speed", -0.5, "negative ego speed"),
+        ("obstacle", "kind", "dragon", "bad obstacle kind"),
+        ("obstacle", "half_wid", 0.0, "non-positive obstacle box"),
+        ("obstacle", "speed", -1.0, "negative obstacle speed"),
+        ("traffic_light", "color", "blue", "bad light color"),
+        ("weather", "visibility", 0.0, "non-positive visibility"),
+        ("map_ctx", "lane_kind", "river", "bad lane kind"),
+    ])
+    def test_domain_check_names_its_line(self, tmp_path, part, key, value,
+                                         message):
+        docs = []
+        for t in (0.0, 0.1, 0.2):
+            docs.append({
+                "t": t,
+                "ego": {"x": t, "y": 0, "heading": 0, "speed": 1.0},
+                "obstacles": [{"id": "o", "kind": "vehicle", "x": 9.0,
+                               "y": 0.0, "speed": 0.0, "half_len": 2.0,
+                               "half_wid": 1.0}],
+                "traffic_light": {"color": "green", "dist_to_stopline": 5.0},
+                "weather": {"visibility": 300.0},
+                "map_ctx": {"lane_kind": "normal"},
+            })
+        path = tmp_path / "rec.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        assert len(load_record(path)) == 3
+        target = docs[1]["obstacles"][0] if part == "obstacle" else docs[1][part]
+        target[key] = value
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        with pytest.raises(RecordError,
+                           match=f"^{re.escape(message)} \\(line 2\\)$"):
             load_record(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
