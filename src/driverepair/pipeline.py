@@ -1,30 +1,31 @@
 """End-to-end orchestration: analyze, localize, prompt, generate, replay,
-report. Every stage persists its artifact under a content-addressed run
-directory, so reruns with identical inputs rewrite identical bytes. Each
-distinct candidate program is written once, as `candidates/<stem>.mud`, and
-replayed once, into `replays/<stem>.jsonl`; candidates share both files.
+report. `cmd_repair` builds every artifact in memory, then writes them all
+into a run directory named `<record_id>_<digest>`, where the digest is the
+first 12 hex digits of the sha256 over each (relative path, bytes) pair in
+path order, each part preceded by its length. Equal bytes share a directory,
+and any changed byte (a live backend's new answer, say) names a new one
+instead of overwriting. A run that raises writes nothing, and a run whose
+record already satisfies the spec still writes and reports its directory.
+Each distinct candidate program is written once, as `candidates/<stem>.mud`,
+and replayed once, into `replays/<stem>.jsonl`; candidates share both files.
 """
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .localizer import DEFAULT_DELTA, first_at_or_below, locate
-from .mudrive import DEFAULT_PARAMS, pretty_print
-from .mudrive.schema import schema_json
+from .mudrive import pretty_print
 from .promptgen import PromptBundle, build_prompt, bundle_to_json
-from .repair_llm import MAX_ATTEMPTS, TEMPERATURE, BackendConfig
-from .repair_llm import batch_generate, make_backend
+from .repair_llm import BackendConfig, batch_generate, make_backend
 from .simulator import (
     PAIRED_SPECS,
     evaluate_trace,
     resolve_script,
     run_scenario,
-    script_to_dict,
 )
 from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
@@ -33,10 +34,6 @@ from .trace_model import build_trace, frame_to_line, load_record
 REPORT_VERSION = 2
 
 NO_COLLISION = "no_collision"
-
-
-class PipelineError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -77,52 +74,48 @@ def locate_record(record, spec: str, delta: float):
     return entry, frames, moments
 
 
-@functools.cache
-def _program_schema() -> str:
-    """The program schema text that every backend receives."""
-    return schema_json()
-
-
-def _run_key(cfg: PipelineConfig, script, record_bytes: bytes,
-             spec_stl: str) -> str:
-    """Hash of every input that shapes the run directory's bytes."""
-    backend = asdict(cfg.backend)
-    del backend["api_key_env"]      # names where the key is, not what it is
-    backend.update(max_retries=MAX_ATTEMPTS, temperature=TEMPERATURE)
-    h = hashlib.sha256(record_bytes)
-    h.update(json.dumps({
-        "report_version": REPORT_VERSION,
-        "program_schema": _program_schema(),
-        "spec": spec_stl,
-        "script": script_to_dict(script) if script is not None else None,
-        "delta": cfg.delta,
-        "n": cfg.n,
-        "base_seed": cfg.base_seed,
-        "params": asdict(DEFAULT_PARAMS),
-        "backend": backend,
-    }, sort_keys=True).encode())
-    return h.hexdigest()[:12]
-
-
-def _write(path: Path, text: str):
+def _write(path: Path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
 
 
-def _json_dump(doc) -> str:
-    return json.dumps(doc, indent=2)
+def _write_run(out_dir, record_id: str, files: dict, report: dict) -> dict:
+    """Add report.json to `files` (relative path -> bytes), write them all
+    into the run directory named by their digest (see the module docstring)
+    and return the report with `run_dir` set."""
+    files["report.json"] = _json_bytes(report)
+    paths = sorted(files)
+    digest = hashlib.sha256()
+    for path in paths:
+        for part in (path.encode(), files[path]):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+    run_dir = Path(out_dir) / f"{record_id}_{digest.hexdigest()[:12]}"
+    for path in paths:
+        _write(run_dir / path, files[path])
+    report["run_dir"] = str(run_dir)
+    return report
 
 
-def _record_text(frames) -> str:
-    return "".join(frame_to_line(f) for f in frames)
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc, indent=2).encode()
+
+
+def _record_bytes(frames) -> bytes:
+    return "".join(frame_to_line(f) for f in frames).encode()
+
+
+def _prompt_files(bundle: PromptBundle) -> dict:
+    """The two moment images and the bundle JSON, by file name."""
+    return {"near_miss.svg": bundle.images[0].encode(),
+            "violation.svg": bundle.images[1].encode(),
+            "bundle.json": bundle_to_json(bundle).encode()}
 
 
 def write_prompt(out_dir, bundle: PromptBundle):
     """Write the two moment images and the bundle JSON into `out_dir`."""
-    out = Path(out_dir)
-    _write(out / "near_miss.svg", bundle.images[0])
-    _write(out / "violation.svg", bundle.images[1])
-    _write(out / "bundle.json", bundle_to_json(bundle))
+    for name, data in _prompt_files(bundle).items():
+        _write(Path(out_dir) / name, data)
 
 
 def _replay(script, program, phi, nc_phi, record=None):
@@ -158,14 +151,11 @@ def _prepare(cfg: PipelineConfig):
 
 
 def cmd_repair(cfg: PipelineConfig) -> dict:
-    """Full pipeline; always writes report.json and returns the report."""
+    """Full pipeline; writes the run directory, report.json included, and
+    returns the report with `run_dir` added."""
     (spec_entry, phi, nc_phi, frames, record_id, script,
      baseline_outcome) = _prepare(cfg)
-
-    record_lines = _record_text(frames)
-    key = _run_key(cfg, script, record_lines.encode(), spec_entry.stl)
-    run_dir = Path(cfg.out_dir) / f"{record_id}_{key}"
-    _write(run_dir / "record.jsonl", record_lines)
+    files = {"record.jsonl": _record_bytes(frames)}
 
     trace = build_trace(frames)
     rho_before = robustness(phi, trace, 0)
@@ -195,13 +185,9 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         report["candidates"] = []
         report["fix_rate"] = None
         report["total_cost_usd"] = 0.0
-        _write(run_dir / "report.json", _json_dump(report))
-        return report
+        return _write_run(cfg.out_dir, record_id, files, report)
 
     moments = locate(phi, trace, cfg.delta)
-    if not moments.located:
-        raise PipelineError("trace violates the spec but no moments were"
-                            " located; cannot continue")
     rhos = moments.prefix_rho
     if any(b > a for a, b in zip(rhos, rhos[1:])):
         report["notes"].append(
@@ -210,7 +196,8 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
 
     bundle = build_prompt(moments, frames, spec_entry.name, spec_entry.prose,
                           record_id=record_id)
-    write_prompt(run_dir / "prompt", bundle)
+    files.update((f"prompt/{name}", data)
+                 for name, data in _prompt_files(bundle).items())
     report["moments"] = {
         "violation_step": moments.violation_step,
         "near_miss_step": moments.near_miss_step,
@@ -231,16 +218,16 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     # same program share both files and every report field they shape.
     shared = {}
     for program in dict.fromkeys(cand.program for cand in batch.candidates):
-        text = pretty_print(program)
-        stem = hashlib.sha256(text.encode()).hexdigest()[:12]
-        _write(run_dir / "candidates" / f"{stem}.mud", text)
+        text = pretty_print(program).encode()
+        stem = hashlib.sha256(text).hexdigest()[:12]
+        files[f"candidates/{stem}.mud"] = text
         doc = shared[program] = {"program_file": f"candidates/{stem}.mud",
                                  "replay": None, "metrics_delta": None}
         if script is None:
             continue
         record = f"replays/{stem}.jsonl"
         replay, replay_frames = _replay(script, program, phi, nc_phi, record)
-        _write(run_dir / record, _record_text(replay_frames))
+        files[record] = _record_bytes(replay_frames)
         doc["replay"] = replay
         doc["metrics_delta"] = {
             key: (replay["metrics"][key] - baseline_metrics[key])
@@ -264,7 +251,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         {"seed": seed, "error": msg} for seed, msg in batch.failures]
     report["distinct_programs"] = batch.distinct_programs
     report["total_cost_usd"] = batch.total_cost_usd
-    _write(run_dir / "costs.json", _json_dump(costs))
+    files["costs.json"] = _json_bytes(costs)
 
     if script is not None:
         report["fix_rate"] = fixed_count / len(candidates) if candidates else 0.0
@@ -275,9 +262,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         report["notes"].append("no scenario available; candidates were not"
                                " replay-verified")
 
-    _write(run_dir / "report.json", _json_dump(report))
-    report["run_dir"] = str(run_dir)
-    return report
+    return _write_run(cfg.out_dir, record_id, files, report)
 
 
 def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:

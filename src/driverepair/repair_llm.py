@@ -25,6 +25,8 @@ from .promptgen import PromptBundle
 TOOL_NAME = "submit_driving_strategy_repair"
 MAX_ATTEMPTS = 3            # backend queries per candidate, retries included
 TEMPERATURE = 0.2           # sampling temperature sent to the live backend
+PRICE_IN = 10.0             # USD per 1e6 input tokens (GPT-4 Turbo)
+PRICE_OUT = 30.0            # USD per 1e6 output tokens (GPT-4 Turbo)
 
 
 class BackendError(RuntimeError):
@@ -50,18 +52,10 @@ class BackendConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-4-turbo"
     api_key_env: str = "OPENAI_API_KEY"
-    price_in: float = 10.0                  # USD per 1e6 input tokens
-    price_out: float = 30.0                 # USD per 1e6 output tokens
-
-    def __post_init__(self):
-        if self.price_in < 0 or self.price_out < 0:
-            raise ValueError("token prices must be non-negative")
 
 
-def cost_usd(input_tokens: int, output_tokens: int,
-             cfg: BackendConfig | None = None) -> float:
-    cfg = cfg or BackendConfig()
-    return input_tokens * cfg.price_in / 1e6 + output_tokens * cfg.price_out / 1e6
+def cost_usd(input_tokens: int, output_tokens: int) -> float:
+    return input_tokens * PRICE_IN / 1e6 + output_tokens * PRICE_OUT / 1e6
 
 
 @dataclass(frozen=True)
@@ -372,7 +366,7 @@ def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
             return RepairCandidate(
                 program=program, attempts=attempt,
                 input_tokens=total_in, output_tokens=total_out,
-                cost_usd=cost_usd(total_in, total_out, cfg), seed=seed)
+                cost_usd=cost_usd(total_in, total_out), seed=seed)
         last_diags = diags
         feedback.append(
             "The previous program was invalid: "
@@ -414,5 +408,5 @@ def batch_generate(bundle: PromptBundle, n: int,
         except GenerationFailedError as exc:
             result.failures.append((seed, str(exc)))
             result.failed_cost_usd += cost_usd(exc.input_tokens,
-                                               exc.output_tokens, cfg)
+                                               exc.output_tokens)
     return result

@@ -391,6 +391,25 @@ def _finite(value, name) -> float:
     return out
 
 
+def _sign_ok(value, name, zero_ok=True) -> float:
+    """A finite number that is not negative, nor zero unless `zero_ok`."""
+    out = _finite(value, name)
+    if out < 0 or (out == 0 and not zero_ok):
+        raise ScenarioError(f"bad scenario document: {name} must be"
+                            f" {'non-negative' if zero_ok else 'positive'},"
+                            f" got {value!r}")
+    return out
+
+
+def _waypoints(doc) -> tuple:
+    if not doc or any(len(w) != 4 for w in doc):
+        raise ScenarioError("bad scenario document: npcs.waypoints must be a"
+                            " non-empty list of [t, x, y, speed_kmh], got"
+                            f" {doc!r}")
+    return tuple((*(_finite(v, "npcs.waypoints") for v in w[:3]),
+                  _sign_ok(w[3], "npcs.waypoints speed_kmh")) for w in doc)
+
+
 def _member(value, allowed, name) -> str:
     if value not in allowed:
         raise ScenarioError(f"bad scenario document: {name} must be one of"
@@ -406,8 +425,8 @@ def script_from_dict(doc: dict) -> ScenarioScript:
             description=doc.get("description", ""),
             route_len_m=_finite(doc["route_len_m"], "route_len_m"),
             duration_s=_finite(doc.get("duration_s", 200.0), "duration_s"),
-            start_speed_kmh=_finite(doc.get("start_speed_kmh", 0.0),
-                                    "start_speed_kmh"),
+            start_speed_kmh=_sign_ok(doc.get("start_speed_kmh", 0.0),
+                                     "start_speed_kmh"),
             lane_segments=tuple((_finite(a, "lane_segments"),
                                  _finite(b, "lane_segments"),
                                  _member(k, LANE_KINDS, "lane_segments"))
@@ -426,20 +445,18 @@ def script_from_dict(doc: dict) -> ScenarioScript:
             npcs=tuple(NpcSpec(id=str(n["id"]),
                                kind=_member(n.get("kind", "vehicle"),
                                             OBSTACLE_KINDS, "npcs.kind"),
-                               half_len=_finite(n.get("half_len", 2.3),
-                                                "npcs.half_len"),
-                               half_wid=_finite(n.get("half_wid", 1.0),
-                                                "npcs.half_wid"),
-                               waypoints=tuple(tuple(_finite(v, "npcs.waypoints")
-                                                     for v in w)
-                                               for w in n["waypoints"]))
+                               half_len=_sign_ok(n.get("half_len", 2.3),
+                                                 "npcs.half_len", False),
+                               half_wid=_sign_ok(n.get("half_wid", 1.0),
+                                                 "npcs.half_wid", False),
+                               waypoints=_waypoints(n["waypoints"]))
                        for n in doc.get("npcs", [])),
             weather=WeatherState(
                 rain=_finite(weather.get("rain", 0.0), "weather.rain"),
                 fog=_finite(weather.get("fog", 0.0), "weather.fog"),
                 snow=_finite(weather.get("snow", 0.0), "weather.snow"),
-                visibility=_finite(weather.get("visibility", 500.0),
-                                   "weather.visibility")),
+                visibility=_sign_ok(weather.get("visibility", 500.0),
+                                    "weather.visibility", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

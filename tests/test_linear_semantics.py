@@ -141,6 +141,8 @@ def test_locate_prefix_rho_matches_per_prefix(seed, shape, delta):
     assert moments.near_miss_step == next(
         (k for k, r in enumerate(rhos) if r <= delta), None)
     assert viol is not None or len(rhos) == len(trace)
+    # a violated trace always has both moments
+    assert moments.located or robustness(phi, trace, 0) > 0
 
 
 @settings(max_examples=150, deadline=None)

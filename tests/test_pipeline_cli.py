@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ from conftest import ramp_frames
 from driverepair import pipeline
 from driverepair.cli import main
 from driverepair.localizer import locate
-from driverepair.mudrive import PlannerParams, parse_program
+from driverepair.mudrive import PlannerParams, catalog, parse_program
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
 from driverepair.repair_llm import MAX_ATTEMPTS, BackendConfig, cost_usd
 from driverepair.simulator import (
@@ -22,6 +23,28 @@ from driverepair.simulator import (
 )
 from driverepair.spec_lang import parse_spec, resolve_spec
 from driverepair.trace_model import build_trace, save_record
+
+
+def _tree(run_dir: Path) -> dict:
+    """Relative path -> bytes of every file under a run directory."""
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in run_dir.rglob("*") if p.is_file()}
+
+
+def _digest(tree: dict) -> str:
+    """The run directory name's digest, recomputed from its files."""
+    h = hashlib.sha256()
+    for path, data in sorted(tree.items()):
+        for part in (path.encode(), data):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+    return h.hexdigest()[:12]
+
+
+@pytest.fixture(scope="module")
+def s6_n1_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    return cmd_repair(PipelineConfig(scenario="S6", n=1, out_dir=str(out)))
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +120,9 @@ class TestCmdRepair:
         assert report["candidates"] == []
         assert calls == []
         assert report["total_cost_usd"] == 0.0
+        run_dir = Path(report["run_dir"])
+        assert sorted(_tree(run_dir)) == ["record.jsonl", "report.json"]
+        assert run_dir.name == f"empty_{_digest(_tree(run_dir))}"
 
     def test_failed_generation_cost_is_reported(self, tmp_path, monkeypatch):
         class NotJson:
@@ -110,7 +136,7 @@ class TestCmdRepair:
         assert report["candidates"] == []
         assert len(report["generation_failures"]) == 2
         assert report["total_cost_usd"] == pytest.approx(
-            2 * MAX_ATTEMPTS * cost_usd(1000, 50, cfg.backend))
+            2 * MAX_ATTEMPTS * cost_usd(1000, 50))
         on_disk = json.loads(
             (Path(report["run_dir"]) / "report.json").read_text())
         assert on_disk["total_cost_usd"] == report["total_cost_usd"]
@@ -150,65 +176,62 @@ class TestCmdRepair:
             on_disk = json.loads((run_dir / "report.json").read_text())
             assert on_disk["scenario"] == report["scenario"]
 
-    # a change is a config field to set or a (constant, value) to patch
-    @pytest.mark.parametrize("change", [
-        ("DEFAULT_PARAMS", PlannerParams(cruise_speed_kmh=50.0)),
-        {"backend": BackendConfig(endpoint="http://localhost:8000/v1")},
-        {"backend": BackendConfig(price_in=1.0)},
-        {"backend": BackendConfig(price_out=1.0)},
-        ("MAX_ATTEMPTS", 5),
-        ("TEMPERATURE", 0.7),
-    ])
-    def test_run_key_covers_artifact_inputs(self, change, monkeypatch):
-        script = scenario_by_id("S1")
+    def test_run_dir_is_named_by_its_bytes(self, s6_n1_run):
+        run_dir = Path(s6_n1_run["run_dir"])
+        assert run_dir.name == f"S6_{_digest(_tree(run_dir))}"
 
-        def key(cfg):
-            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
-
-        base = PipelineConfig(spec="law46", scenario="S1")
-        before = key(base)
-        if isinstance(change, dict):
-            changed = PipelineConfig(spec="law46", scenario="S1", **change)
-        else:
-            monkeypatch.setattr(pipeline, *change)
-            changed = base
-        assert key(changed) != before
-
-    def test_run_key_covers_report_version_not_key_location(self,
-                                                            monkeypatch):
-        script = scenario_by_id("S1")
-
-        def key(cfg):
-            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
-
-        base = PipelineConfig(spec="law46", scenario="S1")
-        assert key(base) == key(PipelineConfig(
-            spec="law46", scenario="S1",
-            backend=BackendConfig(api_key_env="OTHER_KEY")))
-        before = key(base)
-        monkeypatch.setattr(pipeline, "REPORT_VERSION",
-                            pipeline.REPORT_VERSION + 1)
-        assert key(base) != before
-
-    def test_run_key_covers_program_schema(self, monkeypatch):
+    @pytest.mark.parametrize("config, patches", [
+        ({}, {f"driverepair.{module}.DEFAULT_PARAMS":
+              PlannerParams(cruise_speed_kmh=50.0)
+              for module in ("simulator.engine", "mudrive.runtime",
+                             "promptgen")}),
         # the schema goes to the backend and into the mock's token count
-        from driverepair.mudrive import catalog
-        script = scenario_by_id("S1")
-        cfg = PipelineConfig(spec="law46", scenario="S1")
+        ({}, {"driverepair.mudrive.catalog._DEFAULT":
+              catalog.VocabularyCatalog(events=catalog.EVENTS[1:])}),
+        ({}, {"driverepair.pipeline.REPORT_VERSION":
+              pipeline.REPORT_VERSION + 1}),
+        ({"base_seed": 1}, {}),
+        ({"delta": 10.0}, {}),
+    ], ids=["planner-defaults", "catalog-without-an-event", "report-version",
+            "base-seed", "delta"])
+    def test_changed_bytes_get_a_new_run_dir(self, s6_n1_run, tmp_path,
+                                             monkeypatch, config, patches):
+        for target, value in patches.items():
+            monkeypatch.setattr(target, value)
+        base_dir = Path(s6_n1_run["run_dir"])
+        run_dir = Path(cmd_repair(PipelineConfig(
+            scenario="S6", n=1, out_dir=str(tmp_path), **config))["run_dir"])
+        assert run_dir.name != base_dir.name
+        assert _tree(run_dir) != _tree(base_dir)
+        assert run_dir.name == f"S6_{_digest(_tree(run_dir))}"
 
-        def key():
-            return pipeline._run_key(cfg, script, b"{}\n", "G (speed < 60)")
+    @pytest.mark.parametrize("config, patches", [
+        ({}, {"driverepair.repair_llm.MAX_ATTEMPTS": 5}),
+        ({}, {"driverepair.repair_llm.TEMPERATURE": 0.7}),
+        ({"backend": BackendConfig(endpoint="http://localhost:8000/v1")}, {}),
+        ({"backend": BackendConfig(api_key_env="OTHER_KEY")}, {}),
+    ], ids=["max-attempts", "temperature", "endpoint", "api-key-env"])
+    def test_unchanged_bytes_share_the_run_dir(self, s6_n1_run, tmp_path,
+                                               monkeypatch, config, patches):
+        # the mock backend answers alike whatever these say
+        for target, value in patches.items():
+            monkeypatch.setattr(target, value)
+        base_dir = Path(s6_n1_run["run_dir"])
+        run_dir = Path(cmd_repair(PipelineConfig(
+            scenario="S6", n=1, out_dir=str(tmp_path), **config))["run_dir"])
+        assert run_dir.name == base_dir.name
+        assert _tree(run_dir) == _tree(base_dir)
 
-        before = key()
-        try:
-            monkeypatch.setattr(catalog, "_DEFAULT", catalog.VocabularyCatalog(
-                events=catalog.EVENTS[1:]))
-            pipeline._program_schema.cache_clear()
-            assert key() != before
-        finally:
-            monkeypatch.undo()
-            pipeline._program_schema.cache_clear()
-        assert key() == before
+    def test_run_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+        class Down:
+            def complete(self, *args, **kwargs):
+                raise RuntimeError("backend down")
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: Down())
+        out = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="backend down"):
+            cmd_repair(PipelineConfig(scenario="S6", n=1, out_dir=str(out)))
+        assert not out.exists()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +390,19 @@ class TestCli:
                                ["--scenario", str(script_file)])]
         assert sims[0].exit_code == sims[1].exit_code == 0
         assert sims[0].output == sims[1].output
+
+    def test_repair_reports_the_run_dir_of_a_non_violating_record(
+            self, tmp_path):
+        frames, _ = run_scenario(scenario_by_id("empty"))
+        record = tmp_path / "empty.jsonl"
+        save_record(frames, record)
+        result = CliRunner().invoke(main, [
+            "repair", "--record", str(record), "--spec", "no_collision",
+            "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 0, result.output
+        assert '"status": "no_violation"' in result.output
+        run_dir = Path(result.output.split("artifacts: ")[1].strip())
+        assert (run_dir / "report.json").is_file()
 
     def test_repair_exit_code_unfixed(self, tmp_path):
         # delta 1 forces the too-late emergency template on S1

@@ -37,16 +37,6 @@ class TestCostAccounting:
     def test_reported_costs_reproduce(self, sid, tin, tout, printed):
         assert abs(cost_usd(tin, tout) - printed) < 0.001
 
-    def test_prices_configurable(self):
-        cfg = BackendConfig(price_in=5.0, price_out=10.0)
-        assert cost_usd(1_000_000, 1_000_000, cfg) == pytest.approx(15.0)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            BackendConfig(price_in=-1.0)
-        with pytest.raises(ValueError):
-            BackendConfig(price_out=-1.0)
-
 
 class TestMockBackend:
     def test_deterministic_bytes(self, repair_results):
@@ -213,7 +203,7 @@ class TestBatchGenerate:
         # each slot pays for every answer it got
         paid = 1 if transport_error else MAX_ATTEMPTS
         assert batch.total_cost_usd == pytest.approx(
-            2 * paid * cost_usd(1000, 50, cfg))
+            2 * paid * cost_usd(1000, 50))
         if transport_error:
             assert all("timeout" in msg for _, msg in batch.failures)
 

@@ -127,6 +127,27 @@ class TestRunScenario:
             script_from_dict(doc)
 
 
+    @pytest.mark.parametrize("field, edit", [
+        ("npcs.half_len", lambda doc: doc["npcs"][0].update(half_len=0)),
+        # a moving NPC whose speed the record would hold
+        ("npcs.waypoints speed_kmh", lambda doc: doc["npcs"][0].update(
+            waypoints=[[0.0, 200.0, 7.0, 0.0], [60.0, 260.0, 7.0, -10.0]])),
+        ("weather.visibility",
+         lambda doc: doc["weather"].update(visibility=0)),
+        ("start_speed_kmh", lambda doc: doc.update(start_speed_kmh=-10)),
+        (r"npcs.waypoints must be a non-empty list of \[t, x, y,",
+         lambda doc: doc["npcs"][0]["waypoints"][0].pop()),
+        ("npcs.waypoints must be a non-empty list",
+         lambda doc: doc["npcs"][0].update(waypoints=[])),
+    ], ids=["zero-half-len", "negative-waypoint-speed", "zero-visibility",
+            "negative-start-speed", "three-number-waypoint", "no-waypoints"])
+    def test_value_a_record_refuses_is_rejected_on_load(self, field, edit):
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S6"))))
+        edit(doc)
+        with pytest.raises(ScenarioError, match=field):
+            script_from_dict(doc)
+
+
 class TestBenchmarkSuite:
     def test_eight_scripts(self):
         suite = benchmark_suite()
@@ -169,10 +190,11 @@ class TestBenchmarkSuite:
 
 class TestScenarioFiles:
     def test_roundtrip(self, tmp_path):
-        script = scenario_by_id("S3")
-        doc = script_to_dict(script)
-        again = script_from_dict(json.loads(json.dumps(doc)))
-        assert again == script
+        for sid in ["empty", *(f"S{i}" for i in range(1, 9))]:
+            script = scenario_by_id(sid)
+            doc = script_to_dict(script)
+            again = script_from_dict(json.loads(json.dumps(doc)))
+            assert again == script
 
     def test_load_script(self, tmp_path):
         path = tmp_path / "s7.json"
