@@ -23,7 +23,7 @@ from .pipeline import (
     write_prompt,
 )
 from .promptgen import build_prompt
-from .repair_llm import BackendConfig
+from .repair_llm import BackendError, LiveBackend, MockBackend
 from .simulator import (
     PAIRED_SPECS,
     benchmark_suite,
@@ -34,24 +34,6 @@ from .simulator import (
 )
 from .spec_lang import BUILTIN_SPEC_ENTRIES
 from .trace_model import save_record
-
-
-_CONFIG_KEYS = ("backend", "model", "endpoint")
-
-
-def _load_config(path):
-    """The `--config` file: a JSON object holding some of _CONFIG_KEYS."""
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)};"
-                         f" allowed: {', '.join(_CONFIG_KEYS)}")
-    return doc
 
 
 @contextlib.contextmanager
@@ -89,24 +71,22 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="JSON file with default option values.")
-@click.pass_context
-def main(ctx, config_path):
+def main():
     """Trace analysis and rule-based driving strategy repair."""
-    ctx.obj = _load_config(config_path)
 
 
 _SCENARIO_HELP = "Built-in scenario id or path to a scenario JSON file."
 
 
-def _backend_config(ctx, backend, model, endpoint):
-    cfg = ctx.obj or {}
-    return BackendConfig(
-        backend=backend or cfg.get("backend", "mock"),
-        model=model or cfg.get("model", BackendConfig.model),
-        endpoint=endpoint or cfg.get("endpoint", BackendConfig.endpoint),
-    )
+def _backend(kind, model, endpoint):
+    """The backend `repair --backend` names; a live one without its key is
+    bad input, refused before any work."""
+    if kind == "mock":
+        return MockBackend()
+    try:
+        return LiveBackend(model, endpoint)
+    except BackendError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 @main.command()
@@ -151,20 +131,23 @@ def prompt_cmd(record, spec, delta, out_dir):
                                            " paired spec.")
 @click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
 @click.option("--n", type=int, default=20, show_default=True)
-@click.option("--backend", type=click.Choice(["mock", "live"]), default=None)
-@click.option("--model", default=None)
-@click.option("--endpoint", default=None)
+@click.option("--backend", type=click.Choice(["mock", "live"]), default="mock",
+              show_default=True)
+@click.option("--model", default="gpt-4-turbo", show_default=True,
+              help="Live backend only.")
+@click.option("--endpoint", show_default=True,
+              default="https://api.openai.com/v1/chat/completions",
+              help="Live backend only.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default="runs",
               show_default=True)
-@click.pass_context
-def repair(ctx, record, scenario, spec, delta, n, backend, model, endpoint,
-           seed, out_dir):
+def repair(record, scenario, spec, delta, n, backend, model, endpoint, seed,
+           out_dir):
     """Run the whole pipeline and report per-candidate replay verdicts."""
     cfg = PipelineConfig(
         spec=spec, record=record, scenario=scenario, delta=delta, n=n,
         base_seed=seed, out_dir=out_dir,
-        backend=_backend_config(ctx, backend, model, endpoint))
+        backend=_backend(backend, model, endpoint))
     report = cmd_repair(cfg)
 
     click.echo(json.dumps({k: report[k] for k in
@@ -183,13 +166,11 @@ def repair(ctx, record, scenario, spec, delta, n, backend, model, endpoint,
                                            " paired spec.")
 @click.option("--deltas", default="1,5,10,15,20,25,30", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.pass_context
-def sweep_delta(ctx, record, scenario, spec, deltas, seed):
+def sweep_delta(record, scenario, spec, deltas, seed):
     """Near-miss step and mock fix verdict across thresholds."""
     values = [float(d) for d in deltas.split(",") if d.strip()]
     cfg = PipelineConfig(spec=spec, record=record, scenario=scenario,
-                         base_seed=seed,
-                         backend=_backend_config(ctx, None, None, None))
+                         base_seed=seed)
     table = cmd_sweep_delta(cfg, values)
     click.echo(json.dumps(table, indent=2))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from .localizer import DEFAULT_DELTA, first_at_or_below, locate
 from .mudrive import pretty_print
 from .promptgen import PromptBundle, build_prompt, bundle_to_json
-from .repair_llm import BackendConfig, batch_generate, make_backend
+from .repair_llm import MockBackend, batch_generate
 from .simulator import (
     PAIRED_SPECS,
     evaluate_trace,
@@ -47,7 +47,8 @@ class PipelineConfig:
     n: int = 20
     base_seed: int = 0
     out_dir: str = "runs"
-    backend: BackendConfig = field(default_factory=BackendConfig)
+    # any object with a `name` and `complete` (see repair_llm)
+    backend: object = field(default_factory=MockBackend)
 
     def __post_init__(self):
         if not self.delta >= 0:     # also rejects NaN
@@ -169,7 +170,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         "spec": spec_entry.name,
         "spec_stl": spec_entry.stl,
         "delta": cfg.delta,
-        "backend": cfg.backend.backend,
+        "backend": cfg.backend.name,
         "n": cfg.n,
         "baseline": {
             "outcome": baseline_outcome,
@@ -209,9 +210,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         "images": ["prompt/near_miss.svg", "prompt/violation.svg"],
     }
 
-    backend = make_backend(cfg.backend)
-    batch = batch_generate(bundle, cfg.n, cfg.backend, backend=backend,
-                           base_seed=cfg.base_seed)
+    batch = batch_generate(bundle, cfg.n, cfg.backend, cfg.base_seed)
 
     # One program file and one replay per distinct program, in first-seen
     # order, named by the digest of the program text. Candidates with the
@@ -271,7 +270,6 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
         raise ValueError("need at least one delta")
     spec_entry, phi, nc_phi, frames, record_id, script, _ = _prepare(cfg)
     base = locate(phi, build_trace(frames), cfg.delta)
-    backend = make_backend(cfg.backend)
 
     fixed = {}      # program -> verdict, so each is replayed once
     rows = []
@@ -285,8 +283,7 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
         if moments.located and script is not None:
             bundle = build_prompt(moments, frames, spec_entry.name,
                                   spec_entry.prose, record_id=record_id)
-            batch = batch_generate(bundle, 1, cfg.backend, backend=backend,
-                                   base_seed=cfg.base_seed)
+            batch = batch_generate(bundle, 1, cfg.backend, cfg.base_seed)
             if batch.candidates:
                 program = batch.candidates[0].program
                 if program not in fixed:

@@ -1,7 +1,9 @@
 """Repair-candidate generation through a schema-constrained tool call.
 
-A backend receives the prompt bundle plus the program JSON schema and must
-answer with tool-call arguments. Whatever comes back is parsed, converted,
+A backend is any object with a `name` and a method
+`complete(bundle, schema, seed, feedback)`: it receives the prompt bundle
+plus the program JSON schema and answers with the tool-call arguments and
+the (input, output) token counts. Whatever comes back is parsed, converted,
 and statically validated; invalid answers trigger a feedback retry. Only
 validated programs leave this module.
 
@@ -27,6 +29,7 @@ MAX_ATTEMPTS = 3            # backend queries per candidate, retries included
 TEMPERATURE = 0.2           # sampling temperature sent to the live backend
 PRICE_IN = 10.0             # USD per 1e6 input tokens (GPT-4 Turbo)
 PRICE_OUT = 30.0            # USD per 1e6 output tokens (GPT-4 Turbo)
+API_KEY_ENV = "OPENAI_API_KEY"  # where the live backend reads its key
 
 
 class BackendError(RuntimeError):
@@ -44,14 +47,6 @@ class GenerationFailedError(RuntimeError):
         super().__init__(
             f"no valid program after {attempts} attempt(s); last diagnostics: "
             + "; ".join(str(d) for d in diagnostics))
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    backend: str = "mock"                   # "mock" | "live"
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4-turbo"
-    api_key_env: str = "OPENAI_API_KEY"
 
 
 def cost_usd(input_tokens: int, output_tokens: int) -> float:
@@ -234,6 +229,7 @@ def _select_template(spec_name: str, features: dict, variant: int) -> dict:
 class MockBackend:
     """Offline deterministic backend: same bundle and seed, same bytes."""
 
+    name = "mock"
     VARIANTS = 3
 
     def complete(self, bundle: PromptBundle, schema: dict, seed: int,
@@ -256,12 +252,14 @@ class LiveBackend:
     the SVG sources are inlined as text parts so the request stays valid.
     """
 
-    def __init__(self, cfg: BackendConfig):
-        self.cfg = cfg
-        key = os.environ.get(cfg.api_key_env, "")
-        if not key:
-            raise BackendError(f"set {cfg.api_key_env} to use the live backend")
-        self._key = key
+    name = "live"
+
+    def __init__(self, model: str, endpoint: str):
+        self.model = model
+        self.endpoint = endpoint
+        self._key = os.environ.get(API_KEY_ENV, "")
+        if not self._key:
+            raise BackendError(f"set {API_KEY_ENV} to use the live backend")
 
     def _image_parts(self, bundle):
         try:
@@ -290,7 +288,7 @@ class LiveBackend:
         for msg in feedback:
             messages.append({"role": "user", "content": msg})
         payload = {
-            "model": self.cfg.model,
+            "model": self.model,
             "temperature": TEMPERATURE,
             "seed": seed,
             "messages": messages,
@@ -305,13 +303,13 @@ class LiveBackend:
         }
         try:
             resp = requests.post(
-                self.cfg.endpoint,
+                self.endpoint,
                 headers={"Authorization": f"Bearer {self._key}"},
                 json=payload, timeout=120)
             resp.raise_for_status()
+            body = resp.json()
         except requests.RequestException as exc:
             raise BackendError(f"backend request failed: {exc}") from exc
-        body = resp.json()
         try:
             raw = body["choices"][0]["message"]["tool_calls"][0]["function"]["arguments"]
             usage = (int(body["usage"]["prompt_tokens"]),
@@ -321,27 +319,17 @@ class LiveBackend:
         return raw, usage
 
 
-def make_backend(cfg: BackendConfig):
-    if cfg.backend == "mock":
-        return MockBackend()
-    if cfg.backend == "live":
-        return LiveBackend(cfg)
-    raise ValueError(f"unknown backend {cfg.backend!r}")
-
-
 # ---------------------------------------------------------------------------
 # Generation with validation retries
 # ---------------------------------------------------------------------------
 
-def generate_repair(bundle: PromptBundle, cfg: BackendConfig | None = None,
-                    backend=None, seed: int = 0) -> RepairCandidate:
+def generate_repair(bundle: PromptBundle, backend,
+                    seed: int = 0) -> RepairCandidate:
     """Query the backend until a program validates cleanly, or fail.
 
     A transport error ends the attempts; like running out of them, it
     raises GenerationFailedError with the tokens billed so far.
     """
-    cfg = cfg or BackendConfig()
-    backend = backend or make_backend(cfg)
     schema = emit_schema()
 
     feedback: list[str] = []
@@ -391,20 +379,17 @@ class BatchResult:
         return sum(c.cost_usd for c in self.candidates) + self.failed_cost_usd
 
 
-def batch_generate(bundle: PromptBundle, n: int,
-                   cfg: BackendConfig | None = None, backend=None,
+def batch_generate(bundle: PromptBundle, n: int, backend,
                    base_seed: int = 0) -> BatchResult:
     """n independent candidates; per-slot failures do not abort the batch."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cfg = cfg or BackendConfig()
-    backend = backend or make_backend(cfg)
     result = BatchResult()
     for i in range(n):
         seed = base_seed + i
         try:
             result.candidates.append(
-                generate_repair(bundle, cfg, backend=backend, seed=seed))
+                generate_repair(bundle, backend, seed))
         except GenerationFailedError as exc:
             result.failures.append((seed, str(exc)))
             result.failed_cost_usd += cost_usd(exc.input_tokens,

@@ -39,21 +39,20 @@ class NpcSpec:
         wps = self.waypoints
         if not wps:
             raise ScenarioError(f"npc {self.id} has no waypoints")
-        if t <= wps[0][0]:
+        piece = self._piece(t)
+        if piece == 0:
             return wps[0][1], wps[0][2], self._heading(0), 0.0
-        if t >= wps[-1][0]:
+        if piece == len(wps):
             return wps[-1][1], wps[-1][2], self._heading(len(wps) - 2), 0.0
-        for i in range(len(wps) - 1):
-            t0, x0, y0, _ = wps[i]
-            t1, x1, y1, v1 = wps[i + 1]
-            if t0 <= t <= t1:
-                frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                x = x0 + frac * (x1 - x0)
-                y = y0 + frac * (y1 - y0)
-                if x0 == x1 and y0 == y1:
-                    return x, y, self._heading(i), 0.0
-                return x, y, math.atan2(y1 - y0, x1 - x0), v1
-        return wps[-1][1], wps[-1][2], self._heading(len(wps) - 2), 0.0
+        # segment piece - 1, with t0 < t <= t1
+        t0, x0, y0, _ = wps[piece - 1]
+        t1, x1, y1, v1 = wps[piece]
+        frac = (t - t0) / (t1 - t0)
+        x = x0 + frac * (x1 - x0)
+        y = y0 + frac * (y1 - y0)
+        if x0 == x1 and y0 == y1:
+            return x, y, self._heading(piece - 1), 0.0
+        return x, y, math.atan2(y1 - y0, x1 - x0), v1
 
     def _heading(self, seg: int):
         wps = self.waypoints

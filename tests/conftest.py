@@ -5,7 +5,7 @@ import pytest
 
 from driverepair.localizer import locate
 from driverepair.promptgen import build_prompt
-from driverepair.repair_llm import BackendConfig, MockBackend, batch_generate
+from driverepair.repair_llm import MockBackend, batch_generate
 from driverepair.simulator import PAIRED_SPECS, benchmark_suite, run_scenario
 from driverepair.spec_lang import builtin_specs, resolve_spec, robustness
 from driverepair.trace_model import (
@@ -117,8 +117,7 @@ def repair_results(baseline_runs, specs):
         moments = locate(phi, run["trace"], delta=15.0)
         bundle = build_prompt(moments, run["frames"], spec_name,
                               resolve_spec(spec_name).prose, record_id=sid)
-        batch = batch_generate(bundle, 3, BackendConfig(),
-                               backend=MockBackend(), base_seed=0)
+        batch = batch_generate(bundle, 3, MockBackend(), base_seed=0)
         replays = []
         for cand in batch.candidates:
             rframes, routcome = run_scenario(run["script"], cand.program)

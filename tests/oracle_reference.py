@@ -171,6 +171,27 @@ def nearest_npc_sep_ref(frame):
     return sep
 
 
+def state_at_ref(npc, t):
+    """The former body of `NpcSpec.state_at`: a linear scan for the first
+    segment whose closed span holds t."""
+    wps = npc.waypoints
+    if t <= wps[0][0]:
+        return wps[0][1], wps[0][2], npc._heading(0), 0.0
+    if t >= wps[-1][0]:
+        return wps[-1][1], wps[-1][2], npc._heading(len(wps) - 2), 0.0
+    for i in range(len(wps) - 1):
+        t0, x0, y0, _ = wps[i]
+        t1, x1, y1, v1 = wps[i + 1]
+        if t0 <= t <= t1:
+            frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            x = x0 + frac * (x1 - x0)
+            y = y0 + frac * (y1 - y0)
+            if x0 == x1 and y0 == y1:
+                return x, y, npc._heading(i), 0.0
+            return x, y, math.atan2(y1 - y0, x1 - x0), v1
+    raise AssertionError("unreachable for time-ordered waypoints")
+
+
 def npc_obstacles_ref(script, t):
     """The former per-tick loop of `engine._World.emit_frame`: every NPC's
     state, prediction and rounding computed afresh at time t."""

@@ -25,12 +25,7 @@ from driverepair.mudrive import (
 )
 from driverepair.pipeline import PipelineConfig, cmd_repair
 from driverepair.promptgen import build_prompt
-from driverepair.repair_llm import (
-    BackendConfig,
-    MockBackend,
-    batch_generate,
-    cost_usd,
-)
+from driverepair.repair_llm import MockBackend, batch_generate, cost_usd
 from driverepair.simulator import (
     PAIRED_SPECS,
     benchmark_suite,
@@ -155,8 +150,7 @@ def test_criterion_4_pipeline_efficacy():
         bundle = build_prompt(moments, frames, spec_name,
                               resolve_spec(spec_name).prose,
                               record_id=script.id)
-        batch = batch_generate(bundle, 3, BackendConfig(),
-                               backend=MockBackend(), base_seed=0)
+        batch = batch_generate(bundle, 3, MockBackend(), base_seed=0)
         assert batch.candidates, script.id
 
         fixed = False
@@ -189,7 +183,7 @@ def test_criterion_5_cost_accounting():
     moments = locate(specs["law46"], trace, delta=15.0)
     bundle = build_prompt(moments, frames, "law46",
                           resolve_spec("law46").prose, record_id="S6")
-    batch = batch_generate(bundle, 5, BackendConfig(), backend=MockBackend())
+    batch = batch_generate(bundle, 5, MockBackend())
     for cand in batch.candidates:
         assert cand.cost_usd < 0.08
     _report("5 cost accounting",

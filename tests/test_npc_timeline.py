@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import npc_obstacles_ref
+from oracle_reference import npc_obstacles_ref, state_at_ref
 
 from driverepair import pipeline
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
@@ -202,6 +202,18 @@ def test_emitted_obstacles_match_reference(paths):
             hold = npc.hold_at(t)
             if hold is not None:
                 assert shared.setdefault((k, hold), ob) is ob
+
+
+@settings(max_examples=200, deadline=None)
+@given(waypoints=_waypoints(), t=_times)
+@example(waypoints=((1.0, 0.0, 0.0, 0.0), (2.0, 4.0, 0.0, 36.0),
+                    (2.0, 4.0, 3.0, 10.0), (3.0, 4.0, 6.0, 10.0)), t=2.0)
+def test_state_at_matches_the_segment_scan(waypoints, t):
+    """`state_at` finds its segment by bisection; the scan it replaced gives
+    the same bits at every time, a waypoint's own time included."""
+    npc = NpcSpec(id="npc", waypoints=waypoints)
+    for time in (t, *(w[0] for w in waypoints)):
+        assert _bits(npc.state_at(time)) == _bits(state_at_ref(npc, time))
 
 
 def test_one_obstacle_serves_a_long_parked_hold():

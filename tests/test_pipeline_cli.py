@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from conftest import ramp_frames
@@ -14,7 +15,13 @@ from driverepair.cli import main
 from driverepair.localizer import locate
 from driverepair.mudrive import PlannerParams, catalog, parse_program
 from driverepair.pipeline import PipelineConfig, cmd_repair, cmd_sweep_delta
-from driverepair.repair_llm import MAX_ATTEMPTS, BackendConfig, cost_usd
+from driverepair.repair_llm import (
+    API_KEY_ENV,
+    MAX_ATTEMPTS,
+    LiveBackend,
+    MockBackend,
+    cost_usd,
+)
 from driverepair.simulator import (
     PAIRED_SPECS,
     run_scenario,
@@ -23,6 +30,8 @@ from driverepair.simulator import (
 )
 from driverepair.spec_lang import parse_spec, resolve_spec
 from driverepair.trace_model import build_trace, save_record
+
+GOLDEN_RUN_DIRS = Path(__file__).parent / "golden" / "run_dirs.txt"
 
 
 def _tree(run_dir: Path) -> dict:
@@ -39,6 +48,13 @@ def _digest(tree: dict) -> str:
             h.update(len(part).to_bytes(8, "big"))
             h.update(part)
     return h.hexdigest()[:12]
+
+
+class _MockWithEndpoint(MockBackend):
+    """The mock, carrying a setting that a live backend would send."""
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
 
 
 @pytest.fixture(scope="module")
@@ -101,21 +117,17 @@ class TestCmdRepair:
         save_record(frames, record)
 
         calls = []
-        import driverepair.pipeline as pipeline
 
         class CountingBackend:
+            name = "counting"
+
             def complete(self, *args, **kwargs):
                 calls.append(1)
                 raise AssertionError("backend must not be called")
 
-        original = pipeline.make_backend
-        pipeline.make_backend = lambda cfg: CountingBackend()
-        try:
-            cfg = PipelineConfig(spec="no_collision", record=str(record),
-                                 n=3, out_dir=str(tmp_path / "runs"))
-            report = cmd_repair(cfg)
-        finally:
-            pipeline.make_backend = original
+        report = cmd_repair(PipelineConfig(
+            spec="no_collision", record=str(record), n=3,
+            out_dir=str(tmp_path / "runs"), backend=CountingBackend()))
         assert report["status"] == "no_violation"
         assert report["candidates"] == []
         assert calls == []
@@ -124,14 +136,16 @@ class TestCmdRepair:
         assert sorted(_tree(run_dir)) == ["record.jsonl", "report.json"]
         assert run_dir.name == f"empty_{_digest(_tree(run_dir))}"
 
-    def test_failed_generation_cost_is_reported(self, tmp_path, monkeypatch):
+    def test_failed_generation_cost_is_reported(self, tmp_path):
         class NotJson:
+            name = "not-json"
+
             def complete(self, bundle, schema, seed, feedback=()):
                 return "not json", (1000, 50)
 
-        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: NotJson())
         cfg = PipelineConfig(scenario="S6", n=2,
-                             out_dir=str(tmp_path / "runs"))
+                             out_dir=str(tmp_path / "runs"),
+                             backend=NotJson())
         report = cmd_repair(cfg)
         assert report["candidates"] == []
         assert len(report["generation_failures"]) == 2
@@ -208,30 +222,60 @@ class TestCmdRepair:
     @pytest.mark.parametrize("config, patches", [
         ({}, {"driverepair.repair_llm.MAX_ATTEMPTS": 5}),
         ({}, {"driverepair.repair_llm.TEMPERATURE": 0.7}),
-        ({"backend": BackendConfig(endpoint="http://localhost:8000/v1")}, {}),
-        ({"backend": BackendConfig(api_key_env="OTHER_KEY")}, {}),
+        # a backend is read only for its name and its answers
+        ({"backend": _MockWithEndpoint("http://localhost:8000/v1")}, {}),
+        ({}, {API_KEY_ENV: "sk-test"}),
     ], ids=["max-attempts", "temperature", "endpoint", "api-key-env"])
     def test_unchanged_bytes_share_the_run_dir(self, s6_n1_run, tmp_path,
                                                monkeypatch, config, patches):
         # the mock backend answers alike whatever these say
         for target, value in patches.items():
-            monkeypatch.setattr(target, value)
+            if target == API_KEY_ENV:
+                monkeypatch.setenv(target, value)
+            else:
+                monkeypatch.setattr(target, value)
         base_dir = Path(s6_n1_run["run_dir"])
         run_dir = Path(cmd_repair(PipelineConfig(
             scenario="S6", n=1, out_dir=str(tmp_path), **config))["run_dir"])
         assert run_dir.name == base_dir.name
         assert _tree(run_dir) == _tree(base_dir)
 
-    def test_run_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+    def test_run_that_raises_writes_nothing(self, tmp_path):
         class Down:
+            name = "down"
+
             def complete(self, *args, **kwargs):
                 raise RuntimeError("backend down")
 
-        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: Down())
         out = tmp_path / "runs"
         with pytest.raises(RuntimeError, match="backend down"):
-            cmd_repair(PipelineConfig(scenario="S6", n=1, out_dir=str(out)))
+            cmd_repair(PipelineConfig(scenario="S6", n=1, out_dir=str(out),
+                                      backend=Down()))
         assert not out.exists()
+
+    def test_live_reply_that_is_not_json_fails_only_its_slot(
+            self, tmp_path, monkeypatch):
+        # a proxy's login page answers with 200 and HTML
+        posted = []
+
+        def post(url, **kwargs):
+            posted.append(url)
+            resp = requests.Response()
+            resp.status_code = 200
+            resp._content = b"<html><body>Sign in to continue</body></html>"
+            return resp
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        report = cmd_repair(PipelineConfig(
+            scenario="S6", n=2, out_dir=str(tmp_path / "runs"),
+            backend=LiveBackend("gpt-4-turbo", "http://localhost:8000/v1")))
+        assert posted == ["http://localhost:8000/v1"] * 2
+        assert report["backend"] == "live"
+        assert report["candidates"] == []
+        assert [f["seed"] for f in report["generation_failures"]] == [0, 1]
+        for failure in report["generation_failures"]:
+            assert "backend request failed" in failure["error"], failure
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -498,13 +542,11 @@ class TestCli:
         "localize --record {tmp}/gap.jsonl --spec law46",
         # usage errors: a bad option value, a missing or an unknown option
         "repair --scenario S6 --n abc --out {runs}",
+        "repair --scenario S6 --backend psychic --out {runs}",
         "repair --record {tmp}/nonexistent.jsonl --spec law46 --out {runs}",
         "localize --spec law46",
         "sim run --metrics",
         "repair --scenario S6 --scenario-file {s1} --out {runs}",
-        "--config {tmp}/nonexistent.json specs",
-        "--config {tmp}/list.json specs",
-        "--config {tmp}/typo.json specs",
     ])
     def test_bad_input_prints_error_and_exits_1(self, tmp_path, argv):
         # exit 2 is reserved for "violation found, nothing fixed it"
@@ -513,9 +555,6 @@ class TestCli:
         s1 = tmp_path / "s1.json"
         s1.write_text(json.dumps(script_to_dict(scenario_by_id("S1"))),
                       encoding="utf-8")
-        (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
-        (tmp_path / "typo.json").write_text('{"modle": "x"}',
-                                            encoding="utf-8")
         # two frames 20000 s apart would make a 200,001-step trace
         frame = ramp_frames(1)[0]
         save_record([frame, dataclasses.replace(frame, t=20000.0)],
@@ -529,8 +568,6 @@ class TestCli:
         assert result.output.startswith("Error: "), result.output
         for value, message in (("S99", "unknown scenario 'S99'"),
                                ("nosuch", "unknown spec 'nosuch'"),
-                               ("list.json", "must hold a JSON object"),
-                               ("typo.json", "unknown config key(s) modle"),
                                ("gap.jsonl", "Error: line 2: ")):
             if value in argv:
                 assert message in result.output, result.output
@@ -564,11 +601,29 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert result.output == f"Error: {message}\n"
 
-    def test_config_file_sets_backend(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"backend": "mock"}), encoding="utf-8")
-        runner = CliRunner()
-        result = runner.invoke(main, ["--config", str(config), "repair",
-                                      "--scenario", "S6", "--n", "1",
-                                      "--out", str(tmp_path / "runs")])
-        assert result.exit_code == 0, result.output
+    def test_live_backend_without_key_is_refused_before_any_work(
+            self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the scenario must not be simulated")
+
+        monkeypatch.setattr(pipeline, "run_scenario", no_work)
+        result = CliRunner().invoke(
+            main, ["repair", "--scenario", "S6", "--backend", "live",
+                   "--out", str(tmp_path / "runs")],
+            env={API_KEY_ENV: None})
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("Error: set OPENAI_API_KEY to use the live"
+                                 " backend\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_dir_names_match_golden(self, tmp_path):
+        """`repair --n 2` on S1..S8, as CI runs it: any moved byte renames
+        its run directory."""
+        for sid in sorted(PAIRED_SPECS):
+            result = CliRunner().invoke(main, [
+                "repair", "--scenario", sid, "--n", "2",
+                "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+        golden = GOLDEN_RUN_DIRS.read_text(encoding="utf-8").split()
+        assert sorted(p.name for p in tmp_path.iterdir()) == golden

@@ -5,15 +5,15 @@ import pytest
 from driverepair.mudrive import validate
 from driverepair.mudrive.grammar import parse_program, pretty_print
 from driverepair.repair_llm import (
+    API_KEY_ENV,
     MAX_ATTEMPTS,
-    BackendConfig,
     BackendError,
     GenerationFailedError,
+    LiveBackend,
     MockBackend,
     batch_generate,
     cost_usd,
     generate_repair,
-    make_backend,
 )
 
 TABLE_COSTS = [
@@ -103,7 +103,7 @@ class TestGenerateRepair:
                 return good_raw, usage
 
         backend = FlakyBackend()
-        cand = generate_repair(bundle, BackendConfig(), backend=backend, seed=0)
+        cand = generate_repair(bundle, backend, seed=0)
         assert backend.calls == 2
         assert cand.attempts == 2
         assert validate(cand.program) == []
@@ -120,8 +120,7 @@ class TestGenerateRepair:
             def complete(self, bundle, schema, seed, feedback=()):
                 return replies.pop(0)
 
-        cand = generate_repair(bundle, BackendConfig(), backend=NanFirstBackend(),
-                               seed=0)
+        cand = generate_repair(bundle, NanFirstBackend(), seed=0)
         assert cand.attempts == 2
         assert validate(cand.program) == []
 
@@ -136,39 +135,31 @@ class TestGenerateRepair:
                 return json.dumps({"rules": []}), (10, 2)
 
         with pytest.raises(GenerationFailedError) as info:
-            generate_repair(bundle, BackendConfig(), backend=BrokenBackend(),
-                            seed=0)
+            generate_repair(bundle, BrokenBackend(), seed=0)
         assert BrokenBackend.calls == MAX_ATTEMPTS == 3
         assert (info.value.input_tokens, info.value.output_tokens) == (30, 6)
 
-    def test_unknown_backend_kind(self):
-        with pytest.raises(ValueError):
-            make_backend(BackendConfig(backend="psychic"))
-
     def test_live_backend_needs_api_key(self, monkeypatch):
-        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
         with pytest.raises(BackendError, match="OPENAI_API_KEY"):
-            make_backend(BackendConfig(backend="live"))
+            LiveBackend("gpt-4-turbo", "http://localhost:8000/v1")
 
 
 class TestBatchGenerate:
     def test_batch_of_20_has_at_most_3_distinct(self, repair_results):
         bundle = repair_results["S6"]["bundle"]
-        batch = batch_generate(bundle, 20, BackendConfig(),
-                               backend=MockBackend(), base_seed=0)
+        batch = batch_generate(bundle, 20, MockBackend(), base_seed=0)
         assert len(batch.candidates) == 20
         assert batch.distinct_programs <= 3
 
     def test_singleton(self, repair_results):
         bundle = repair_results["S6"]["bundle"]
-        batch = batch_generate(bundle, 1, BackendConfig(),
-                               backend=MockBackend())
+        batch = batch_generate(bundle, 1, MockBackend())
         assert len(batch.candidates) == 1
 
     def test_aggregate_cost_is_sum(self, repair_results):
         bundle = repair_results["S6"]["bundle"]
-        batch = batch_generate(bundle, 5, BackendConfig(),
-                               backend=MockBackend())
+        batch = batch_generate(bundle, 5, MockBackend())
         assert batch.total_cost_usd == pytest.approx(
             sum(c.cost_usd for c in batch.candidates))
 
@@ -181,8 +172,7 @@ class TestBatchGenerate:
                     return MockBackend().complete(bundle, schema, seed, feedback)
                 return json.dumps({"rules": []}), (10, 2)
 
-        batch = batch_generate(bundle, 4, BackendConfig(),
-                               backend=HalfBroken(), base_seed=0)
+        batch = batch_generate(bundle, 4, HalfBroken(), base_seed=0)
         assert len(batch.candidates) == 2
         assert len(batch.failures) == 2
 
@@ -196,9 +186,7 @@ class TestBatchGenerate:
                     raise BackendError("timeout")
                 return "not json", (1000, 50)
 
-        cfg = BackendConfig()
-        batch = batch_generate(repair_results["S6"]["bundle"], 2, cfg,
-                               backend=NotJson())
+        batch = batch_generate(repair_results["S6"]["bundle"], 2, NotJson())
         assert batch.candidates == [] and len(batch.failures) == 2
         # each slot pays for every answer it got
         paid = 1 if transport_error else MAX_ATTEMPTS
@@ -209,7 +197,7 @@ class TestBatchGenerate:
 
     def test_n_must_be_positive(self, repair_results):
         with pytest.raises(ValueError):
-            batch_generate(repair_results["S6"]["bundle"], 0, BackendConfig())
+            batch_generate(repair_results["S6"]["bundle"], 0, MockBackend())
 
     def test_mock_cost_under_eight_cents(self, repair_results):
         for sid, result in repair_results.items():
