@@ -314,7 +314,7 @@ class LiveBackend:
             raw = body["choices"][0]["message"]["tool_calls"][0]["function"]["arguments"]
             usage = (int(body["usage"]["prompt_tokens"]),
                      int(body["usage"]["completion_tokens"]))
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"unexpected backend response shape: {exc}") from exc
         return raw, usage
 

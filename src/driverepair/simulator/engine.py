@@ -311,9 +311,6 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
         if script.route_len_m - world.s <= 0.5:
             outcome = OUTCOME_REACHED
             break
-        if world.t >= script.duration_s:
-            outcome = OUTCOME_TIMEOUT
-            break
 
         if program is not None:
             params, states = step_rules(program, scene, states)

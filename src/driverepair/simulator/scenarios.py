@@ -3,7 +3,9 @@
 The eight benchmark scripts recreate classic misbehaviour archetypes; the
 default planner parameters are deliberately mis-tuned, so every baseline run
 violates its paired specification. Route geometry is one straight lane along
-+x with a neighbour lane at +3.5 m for borrow maneuvers.
++x with a neighbour lane at +3.5 m for borrow maneuvers. Each scenario type
+checks its own values when it is built, so built-in scripts and scenario
+files pass the same checks.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 
-from ..trace_model import FAR, LANE_KINDS, LIGHT_COLORS, OBSTACLE_KINDS
-from ..trace_model import WeatherState
+from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
+from ..trace_model import WeatherState, require_non_negative, require_one_of
+from ..trace_model import require_positive
 
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
@@ -26,6 +29,16 @@ class ScenarioError(ValueError):
     """Malformed scenario script."""
 
 
+def _raises_scenario_error(check):
+    """A `__post_init__` that raises a broken value rule as a ScenarioError."""
+    def post_init(self):
+        try:
+            check(self)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+    return post_init
+
+
 @dataclass(frozen=True)
 class NpcSpec:
     id: str
@@ -34,11 +47,23 @@ class NpcSpec:
     half_wid: float = 1.0
     waypoints: tuple = ()     # ((t, x, y, speed_kmh), ...) time-ordered
 
+    @_raises_scenario_error
+    def __post_init__(self):
+        wps = self.waypoints
+        if not wps or any(len(w) != 4 for w in wps):
+            raise ValueError("npcs.waypoints must be a non-empty list of"
+                             f" [t, x, y, speed_kmh], got {wps!r}")
+        if any(a[0] > b[0] for a, b in zip(wps, wps[1:])):
+            raise ValueError(f"npcs.waypoints must be in time order, got {wps!r}")
+        for w in wps:
+            require_non_negative(w[3], "npcs.waypoints speed_kmh")
+        require_one_of(self.kind, OBSTACLE_KINDS, "npcs.kind")
+        require_positive(self.half_len, "npcs.half_len")
+        require_positive(self.half_wid, "npcs.half_wid")
+
     def state_at(self, t: float):
         """Position, heading, speed at time t (holds endpoints)."""
         wps = self.waypoints
-        if not wps:
-            raise ScenarioError(f"npc {self.id} has no waypoints")
         piece = self._piece(t)
         if piece == 0:
             return wps[0][1], wps[0][2], self._heading(0), 0.0
@@ -102,8 +127,6 @@ class NpcSpec:
         A hold is a piece of `state_at` on which it returns one constant
         value, so the obstacle built at any tick whose window lies inside it
         is the obstacle of every such tick."""
-        if not self.waypoints:
-            return None
         piece = self._piece(t)
         if (self._still[piece]
                 and self._piece(t + PREDICTION_TIMES[-1]) == piece):
@@ -117,10 +140,16 @@ class LightSpec:
     release_s: float                     # control span ends here
     schedule: tuple                      # ((color, duration_s), ...) cycled
 
+    @_raises_scenario_error
+    def __post_init__(self):
+        if not self.schedule:
+            raise ValueError("lights.schedule must not be empty")
+        for color, dur in self.schedule:
+            require_one_of(color, LIGHT_CODE, "lights.schedule")
+            require_positive(dur, "lights.schedule duration_s")
+
     def color_at(self, t: float) -> str:
         total = sum(d for _, d in self.schedule)
-        if total <= 0:
-            raise ScenarioError("light schedule must have positive duration")
         t = t % total
         for color, dur in self.schedule:
             if t < dur:
@@ -143,18 +172,14 @@ class ScenarioScript:
     npcs: tuple = ()
     weather: WeatherState = field(default_factory=WeatherState)
 
+    @_raises_scenario_error
     def __post_init__(self):
-        if self.route_len_m <= 0:
-            raise ScenarioError("route must have positive length")
-        if self.duration_s <= 0:
-            raise ScenarioError("duration must be positive")
-        for npc in self.npcs:
-            times = [w[0] for w in npc.waypoints]
-            if times != sorted(times):
-                raise ScenarioError(f"npc {npc.id} waypoints out of order")
-        for light in self.lights:
-            if any(d <= 0 for _, d in light.schedule):
-                raise ScenarioError("light phases must have positive duration")
+        require_positive(self.route_len_m, "route_len_m")
+        require_positive(self.duration_s, "duration_s")
+        require_non_negative(self.start_speed_kmh, "start_speed_kmh")
+        for _, _, kind in self.lane_segments:
+            require_one_of(kind, LANE_CODE, "lane_segments")
+        require_positive(self.weather.visibility, "weather.visibility")
 
     @functools.cached_property
     def npc_timeline(self) -> dict:
@@ -385,38 +410,12 @@ def _finite(value, name) -> float:
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise ScenarioError(f"bad scenario document: {name} must be a finite"
-                            f" number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return out
-
-
-def _sign_ok(value, name, zero_ok=True) -> float:
-    """A finite number that is not negative, nor zero unless `zero_ok`."""
-    out = _finite(value, name)
-    if out < 0 or (out == 0 and not zero_ok):
-        raise ScenarioError(f"bad scenario document: {name} must be"
-                            f" {'non-negative' if zero_ok else 'positive'},"
-                            f" got {value!r}")
-    return out
-
-
-def _waypoints(doc) -> tuple:
-    if not doc or any(len(w) != 4 for w in doc):
-        raise ScenarioError("bad scenario document: npcs.waypoints must be a"
-                            " non-empty list of [t, x, y, speed_kmh], got"
-                            f" {doc!r}")
-    return tuple((*(_finite(v, "npcs.waypoints") for v in w[:3]),
-                  _sign_ok(w[3], "npcs.waypoints speed_kmh")) for w in doc)
-
-
-def _member(value, allowed, name) -> str:
-    if value not in allowed:
-        raise ScenarioError(f"bad scenario document: {name} must be one of"
-                            f" {list(allowed)}, got {value!r}")
-    return value
 
 
 def script_from_dict(doc: dict) -> ScenarioScript:
+    """A script from its JSON document; the scenario types check the values."""
     try:
         weather = doc.get("weather", {})
         return ScenarioScript(
@@ -424,42 +423,37 @@ def script_from_dict(doc: dict) -> ScenarioScript:
             description=doc.get("description", ""),
             route_len_m=_finite(doc["route_len_m"], "route_len_m"),
             duration_s=_finite(doc.get("duration_s", 200.0), "duration_s"),
-            start_speed_kmh=_sign_ok(doc.get("start_speed_kmh", 0.0),
-                                     "start_speed_kmh"),
+            start_speed_kmh=_finite(doc.get("start_speed_kmh", 0.0),
+                                    "start_speed_kmh"),
             lane_segments=tuple((_finite(a, "lane_segments"),
-                                 _finite(b, "lane_segments"),
-                                 _member(k, LANE_KINDS, "lane_segments"))
+                                 _finite(b, "lane_segments"), k)
                                 for a, b, k in doc.get("lane_segments", [])),
             junctions=tuple((_finite(a, "junctions"), _finite(b, "junctions"))
                             for a, b in doc.get("junctions", [])),
             lights=tuple(LightSpec(_finite(li["stopline_s"], "lights.stopline_s"),
                                    _finite(li["release_s"], "lights.release_s"),
-                                   tuple((_member(c, LIGHT_COLORS,
-                                                  "lights.schedule"),
-                                          _finite(d, "lights.schedule"))
+                                   tuple((c, _finite(d, "lights.schedule"))
                                          for c, d in li["schedule"]))
                          for li in doc.get("lights", [])),
             stop_signs=tuple(_finite(s, "stop_signs")
                              for s in doc.get("stop_signs", [])),
-            npcs=tuple(NpcSpec(id=str(n["id"]),
-                               kind=_member(n.get("kind", "vehicle"),
-                                            OBSTACLE_KINDS, "npcs.kind"),
-                               half_len=_sign_ok(n.get("half_len", 2.3),
-                                                 "npcs.half_len", False),
-                               half_wid=_sign_ok(n.get("half_wid", 1.0),
-                                                 "npcs.half_wid", False),
-                               waypoints=_waypoints(n["waypoints"]))
+            npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
+                               half_len=_finite(n.get("half_len", 2.3),
+                                                "npcs.half_len"),
+                               half_wid=_finite(n.get("half_wid", 1.0),
+                                                "npcs.half_wid"),
+                               waypoints=tuple(tuple(_finite(v, "npcs.waypoints")
+                                                     for v in w)
+                                               for w in n["waypoints"]))
                        for n in doc.get("npcs", [])),
             weather=WeatherState(
                 rain=_finite(weather.get("rain", 0.0), "weather.rain"),
                 fog=_finite(weather.get("fog", 0.0), "weather.fog"),
                 snow=_finite(weather.get("snow", 0.0), "weather.snow"),
-                visibility=_sign_ok(weather.get("visibility", 500.0),
-                                    "weather.visibility", False)),
+                visibility=_finite(weather.get("visibility", 500.0),
+                                   "weather.visibility")),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(f"bad scenario document: {exc}") from exc
 
 

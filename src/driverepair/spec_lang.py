@@ -25,6 +25,7 @@ from .trace_model import (
     CatalogError,
     SignalVar,
     Trace,
+    _entry,
     catalog_kind,
     enum_code,
     var_margin,
@@ -363,13 +364,9 @@ class _Parser:
             self.expect(")")
         var = SignalVar(val, arg)
         try:
-            needs = catalog_kind(val) == "pred"
+            _entry(var)
         except CatalogError as exc:
             raise SpecSyntaxError(exc.args[0], pos) from None
-        if needs and arg is None:
-            raise SpecSyntaxError(f"{val} requires a parameter, e.g. {val}(10)", pos)
-        if not needs and arg is not None:
-            raise SpecSyntaxError(f"{val} does not take a parameter", pos)
         return var
 
 

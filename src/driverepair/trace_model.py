@@ -4,6 +4,7 @@ A record is a JSONL file, one frame per line. Each frame snapshots the ego
 vehicle, surrounding obstacles, the governing traffic light, weather, and
 map context. A trace resamples a record every STEP_S seconds and evaluates
 every signal variable the property language can mention, one scene per step.
+The value rules that records share with scenario documents live here too.
 """
 from __future__ import annotations
 
@@ -30,10 +31,7 @@ _EGO_RADIUS = math.hypot(EGO_HALF_LEN, EGO_HALF_WID)   # half-diagonal
 _SKIP_MARGIN = 1e-9        # relative rounding margin of the clearance skip
 
 OBSTACLE_KINDS = ("vehicle", "pedestrian", "cyclist", "unknown")
-GEARS = ("drive", "reverse", "park")
-LIGHT_COLORS = ("off", "red", "yellow", "green")
-LANE_KINDS = ("normal", "fast", "slow")
-
+# The values of each enum a record holds, with the codes specs compare.
 LIGHT_CODE = {"off": 0.0, "red": 1.0, "yellow": 2.0, "green": 3.0}
 LANE_CODE = {"normal": 0.0, "fast": 1.0, "slow": 2.0}
 GEAR_CODE = {"park": 0.0, "drive": 1.0, "reverse": 2.0}
@@ -117,38 +115,48 @@ class RawRecordFrame:
         return scene_from_frame(self)
 
 
-def _frame_from_dict(doc, where=""):
-    known = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}
-    extra = set(doc) - known
-    if extra:
-        warnings.warn(f"ignoring unknown record fields {sorted(extra)}{where}")
+# Value rules that records and scenario documents share. Each names the field
+# by its document path and returns the value it accepts.
 
+def require_one_of(value, allowed, name):
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
+    return value
+
+
+def require_positive(value, name):
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def require_non_negative(value, name):
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
+def _frame_from_dict(doc):
     ego_doc = doc["ego"]
-    if ego_doc.get("gear", "drive") not in GEARS:
-        raise RecordError(f"bad gear{where}")
-    if not ego_doc["speed"] >= 0:
-        raise RecordError(f"negative ego speed{where}")
     ego = EgoPose(
         x=float(ego_doc["x"]), y=float(ego_doc["y"]),
-        heading=float(ego_doc["heading"]), speed=float(ego_doc["speed"]),
+        heading=float(ego_doc["heading"]),
+        speed=float(require_non_negative(ego_doc["speed"], "ego.speed")),
         accel=float(ego_doc.get("accel", 0.0)),
         steering=float(ego_doc.get("steering", 0.0)),
-        gear=ego_doc.get("gear", "drive"),
+        gear=require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"),
     )
 
     obstacles = []
     for ob in doc.get("obstacles", []):
-        if ob.get("kind", "unknown") not in OBSTACLE_KINDS:
-            raise RecordError(f"bad obstacle kind{where}")
-        if not (ob["half_len"] > 0 and ob["half_wid"] > 0):
-            raise RecordError(f"non-positive obstacle box{where}")
-        if not ob["speed"] >= 0:
-            raise RecordError(f"negative obstacle speed{where}")
         obstacles.append(Obstacle(
-            id=str(ob["id"]), kind=ob.get("kind", "unknown"),
+            id=str(ob["id"]),
+            kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
+                                "obstacles.kind"),
             x=float(ob["x"]), y=float(ob["y"]), heading=float(ob.get("heading", 0.0)),
-            speed=float(ob["speed"]),
-            half_len=float(ob["half_len"]), half_wid=float(ob["half_wid"]),
+            speed=float(require_non_negative(ob["speed"], "obstacles.speed")),
+            half_len=float(require_positive(ob["half_len"], "obstacles.half_len")),
+            half_wid=float(require_positive(ob["half_wid"], "obstacles.half_wid")),
             predicted=tuple([(float(t), float(x), float(y))
                              for t, x, y in ob.get("predicted", [])]),
         ))
@@ -156,26 +164,24 @@ def _frame_from_dict(doc, where=""):
     light = None
     if doc.get("traffic_light") is not None:
         tl = doc["traffic_light"]
-        if tl["color"] not in LIGHT_COLORS:
-            raise RecordError(f"bad light color{where}")
-        light = TrafficLightState(color=tl["color"],
-                                  dist_to_stopline=float(tl["dist_to_stopline"]))
+        light = TrafficLightState(
+            color=require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
+            dist_to_stopline=float(tl["dist_to_stopline"]))
 
     w = doc.get("weather", {})
     weather = WeatherState(
         rain=float(w.get("rain", 0.0)), fog=float(w.get("fog", 0.0)),
-        snow=float(w.get("snow", 0.0)), visibility=float(w.get("visibility", 500.0)),
+        snow=float(w.get("snow", 0.0)),
+        visibility=float(require_positive(w.get("visibility", 500.0),
+                                          "weather.visibility")),
     )
-    if not weather.visibility > 0:
-        raise RecordError(f"non-positive visibility{where}")
 
     m = doc.get("map_ctx", {})
-    if m.get("lane_kind", "normal") not in LANE_KINDS:
-        raise RecordError(f"bad lane kind{where}")
     map_ctx = MapContext(
         in_junction=bool(m.get("in_junction", False)),
         dist_to_junction=float(m.get("dist_to_junction", FAR)),
-        lane_kind=m.get("lane_kind", "normal"),
+        lane_kind=require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
+                                 "map_ctx.lane_kind"),
         dist_to_dest=float(m.get("dist_to_dest", FAR)),
         dist_to_stop_sign=float(m.get("dist_to_stop_sign", FAR)),
         is_changing_lane=bool(m.get("is_changing_lane", False)),
@@ -280,12 +286,15 @@ def load_record(path) -> list[RawRecordFrame]:
             except RecordError as exc:
                 raise RecordError(f"line {lineno}: {exc}") from None
             try:
-                frames.append(_frame_from_dict(doc, where=f" (line {lineno})"))
-                linenos.append(lineno)
+                frames.append(_frame_from_dict(doc))
             except (KeyError, TypeError, ValueError) as exc:
-                if isinstance(exc, RecordError):
-                    raise
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
+            linenos.append(lineno)
+            extra = doc.keys() - {"t", "ego", "obstacles", "traffic_light",
+                                  "weather", "map_ctx"}
+            if extra:
+                warnings.warn(f"ignoring unknown record fields {sorted(extra)}"
+                              f" (line {lineno})")
 
     def line_of(frame):
         return linenos[next(i for i, f in enumerate(frames) if f is frame)]

@@ -229,10 +229,10 @@ def test_one_obstacle_serves_a_long_parked_hold():
 
 
 def test_npc_without_waypoints_is_a_scenario_error():
-    script = ScenarioScript(id="bare", route_len_m=100.0,
-                            npcs=(NpcSpec(id="ghost"),))
-    with pytest.raises(ScenarioError, match="npc ghost has no waypoints"):
-        run_scenario(script)
+    # refused when the NPC is built, before any script or tick uses it
+    with pytest.raises(ScenarioError, match=r"^npcs\.waypoints must be a"
+                                            r" non-empty list of \[t, x, y,"):
+        NpcSpec(id="ghost")
 
 
 def test_scripts_do_not_share_a_timeline():

@@ -378,6 +378,28 @@ class TestCli:
         assert doc["near_miss_step"] == 55
         assert doc["rho_at_each"][0] == 60.0
 
+    def test_record_that_keeps_the_spec(self, tmp_path):
+        # the ramp never reaches 100 km/h
+        record = tmp_path / "ramp.jsonl"
+        save_record(ramp_frames(91), record)
+        spec_file = tmp_path / "cap.spec"
+        spec_file.write_text("name: cap100\nstl: G (speed < 100)\n",
+                             encoding="utf-8")
+        result = CliRunner().invoke(main, ["localize", "--record", str(record),
+                                           "--spec", str(spec_file)])
+        assert result.exit_code == 0, result.output
+        doc, end = json.JSONDecoder().raw_decode(result.output)
+        assert doc["violation_step"] is None
+        assert result.output[end:] == "\nno violation found\n"
+        out = tmp_path / "prompt"
+        result = CliRunner().invoke(main, ["prompt", "--record", str(record),
+                                           "--spec", str(spec_file),
+                                           "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output == ("Error: record does not violate the spec;"
+                                 " nothing to prompt\n")
+        assert not out.exists()
+
     def test_prompt_writes_bundle(self, tmp_path):
         frames, _ = run_scenario(scenario_by_id("S6"))
         record = tmp_path / "s6.jsonl"

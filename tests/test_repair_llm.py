@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 from driverepair.mudrive import validate
 from driverepair.mudrive.grammar import parse_program, pretty_print
@@ -151,6 +152,30 @@ class TestBatchGenerate:
         batch = batch_generate(bundle, 20, MockBackend(), base_seed=0)
         assert len(batch.candidates) == 20
         assert batch.distinct_programs <= 3
+
+    def test_live_usage_that_is_not_a_number_fails_only_its_slot(
+            self, repair_results, monkeypatch):
+        bundle = repair_results["S6"]["bundle"]
+        raw, _ = MockBackend().complete(bundle, {}, 0)
+        usages = iter([{"prompt_tokens": "n/a", "completion_tokens": 12},
+                       {"prompt_tokens": 900, "completion_tokens": 12}])
+
+        def post(url, **kwargs):
+            resp = requests.Response()
+            resp.status_code = 200
+            resp._content = json.dumps({
+                "choices": [{"message": {"tool_calls": [
+                    {"function": {"arguments": raw}}]}}],
+                "usage": next(usages)}).encode()
+            return resp
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        batch = batch_generate(
+            bundle, 2, LiveBackend("gpt-4-turbo", "http://localhost:8000/v1"))
+        assert [c.seed for c in batch.candidates] == [1]
+        assert [seed for seed, _ in batch.failures] == [0]
+        assert "unexpected backend response shape" in batch.failures[0][1]
 
     def test_singleton(self, repair_results):
         bundle = repair_results["S6"]["bundle"]

@@ -17,7 +17,7 @@ from driverepair.simulator import (
     script_from_dict,
     script_to_dict,
 )
-from driverepair.simulator.scenarios import ScenarioError
+from driverepair.simulator.scenarios import LightSpec, ScenarioError
 from driverepair.spec_lang import robustness
 from driverepair.trace_model import EgoPose, RawRecordFrame, build_trace
 
@@ -146,6 +146,18 @@ class TestRunScenario:
         edit(doc)
         with pytest.raises(ScenarioError, match=field):
             script_from_dict(doc)
+
+    def test_empty_light_schedule_is_refused(self):
+        # refused on load, not at the first tick that reads the light
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S4"))))
+        doc["lights"][0]["schedule"] = []
+        with pytest.raises(ScenarioError, match=r"^bad scenario document:"
+                                                r" lights\.schedule must not"
+                                                r" be empty$"):
+            script_from_dict(doc)
+        with pytest.raises(ScenarioError, match=r"^lights\.schedule must not"
+                                                r" be empty$"):
+            LightSpec(148.0, 176.0, ())
 
 
 class TestBenchmarkSuite:

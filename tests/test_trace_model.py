@@ -86,6 +86,20 @@ class TestLoadRecord:
         with pytest.raises(RecordError, match="line 2"):
             load_record(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        save_record(ramp_frames(3), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace('"gear":"drive"', '"gear":"hover"')
+        path.write_text("\n" + lines[0] + "  \n\n" + lines[1] + "\t\n",
+                        encoding="utf-8")
+        assert load_record(path) == ramp_frames(2)
+        # a later frame is still named by its line in the file
+        path.write_text("\n" + lines[0] + "  \n\n" + lines[1] + "\t\n"
+                        + lines[2], encoding="utf-8")
+        with pytest.raises(RecordError, match=r"^line 7: bad frame \(ego\.gear"):
+            load_record(path)
+
     def test_unknown_fields_warn_and_load(self, tmp_path):
         path = tmp_path / "rec.jsonl"
         doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
@@ -102,7 +116,7 @@ class TestLoadRecord:
         with pytest.raises(RecordError):
             load_record(path)
 
-    @pytest.mark.parametrize("part, key, value, message", [
+    @pytest.mark.parametrize("part, key, value, case", [
         ("ego", "gear", "hover", "bad gear"),
         ("ego", "speed", -0.5, "negative ego speed"),
         ("obstacle", "kind", "dragon", "bad obstacle kind"),
@@ -113,7 +127,7 @@ class TestLoadRecord:
         ("map_ctx", "lane_kind", "river", "bad lane kind"),
     ])
     def test_domain_check_names_its_line(self, tmp_path, part, key, value,
-                                         message):
+                                         case):
         docs = []
         for t in (0.0, 0.1, 0.2):
             docs.append({
@@ -134,8 +148,13 @@ class TestLoadRecord:
         target[key] = value
         path.write_text("".join(json.dumps(d) + "\n" for d in docs),
                         encoding="utf-8")
-        with pytest.raises(RecordError,
-                           match=f"^{re.escape(message)} \\(line 2\\)$"):
+        # the field is named by its path in the frame document
+        field = f"{'obstacles' if part == 'obstacle' else part}.{key}"
+        rule = {"bad": r"one of \[.*\]", "negative": "non-negative",
+                "non-positive": "positive"}[case.split()[0]]
+        with pytest.raises(RecordError, match=(
+                rf"^line 2: bad frame \({re.escape(field)} must be {rule},"
+                rf" got {re.escape(repr(value))}\)$")):
             load_record(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
