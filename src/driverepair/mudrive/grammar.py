@@ -13,20 +13,26 @@ Grammar:
     call          ::= NAME ['(' literal (',' literal)* ')']
     literal       ::= NUMBER | NAME | 'true' | 'false'
 
+Whitespace and `#` comments (to the end of the line) separate tokens; in a
+STRING, a backslash takes the next character literally.
+
 Unknown vocabulary names parse fine; the validator flags them. Structural
 problems (no rules, empty action block, a second `until`) are syntax errors.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
 class MuDriveSyntaxError(ValueError):
-    def __init__(self, msg, line=None, col=None):
-        where = f" (line {line}, column {col})" if line is not None else ""
-        super().__init__(f"{msg}{where}")
-        self.line = line
-        self.col = col
+    """A syntax error at character `offset` of `text`; `line` and `col`
+    count from 1."""
+
+    def __init__(self, msg, text, offset):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{msg} (line {self.line}, column {self.col})")
 
 
 _KEYWORDS = {"rule", "trigger", "condition", "then", "until", "end", "always"}
@@ -57,70 +63,37 @@ class MuDriveProgram:
 # Lexer
 # ---------------------------------------------------------------------------
 
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | "(?P<string>(?:[^"\\]|\\.)*)"
+  | (?P<number>-?\d[\d.]*)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<punct>[(),!])
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(text):
+    """(kind, value, offset) tokens, ending with an "eof" token."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise MuDriveSyntaxError("unterminated string literal", line, col)
-            tokens.append(("string", "".join(buf), line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if text.count(".", i, j) > 1:
-                raise MuDriveSyntaxError(f"malformed number {text[i:j]!r}",
-                                         line, col)
-            tokens.append(("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "name"
-            tokens.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "(),!":
-            tokens.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise MuDriveSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise MuDriveSyntaxError(
+                "unterminated string literal" if text[pos] == '"'
+                else f"unexpected character {text[pos]!r}", text, pos)
+        kind, value = m.lastgroup, m[m.lastgroup]
+        if kind == "string":
+            value = _ESCAPE_RE.sub(r"\1", value)
+        elif kind == "number" and value.count(".") > 1:
+            raise MuDriveSyntaxError(f"malformed number {value!r}", text, pos)
+        elif kind == "name" and value in _KEYWORDS:
+            kind = "keyword"
+        if kind != "skip":
+            tokens.append((kind, value, pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -130,6 +103,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -141,37 +115,37 @@ class _Parser:
         self.i += 1
         return tok
 
+    def error(self, msg, pos):
+        return MuDriveSyntaxError(msg, self.text, pos)
+
     def expect_keyword(self, word):
-        kind, val, line, col = self.next()
+        kind, val, pos = self.next()
         if kind != "keyword" or val != word:
-            raise MuDriveSyntaxError(
-                f"expected {word!r}, found {val or 'end of input'!r}", line, col)
-        return line, col
+            raise self.error(
+                f"expected {word!r}, found {val or 'end of input'!r}", pos)
 
     def at_keyword(self, word):
-        kind, val, _, _ = self.peek()
+        kind, val, _ = self.peek()
         return kind == "keyword" and val == word
 
     def program(self):
         rules = []
         if not self.at_keyword("rule"):
-            kind, val, line, col = self.peek()
-            raise MuDriveSyntaxError(
-                f"a program needs at least one rule; found {val or 'end of input'!r}",
-                line, col)
+            _, val, pos = self.peek()
+            raise self.error("a program needs at least one rule;"
+                             f" found {val or 'end of input'!r}", pos)
         while self.at_keyword("rule"):
             rules.append(self.rule())
-        kind, val, line, col = self.peek()
+        kind, val, pos = self.peek()
         if kind != "eof":
-            raise MuDriveSyntaxError(f"unexpected input after last rule: {val!r}",
-                                     line, col)
+            raise self.error(f"unexpected input after last rule: {val!r}", pos)
         return MuDriveProgram(tuple(rules))
 
     def rule(self):
         self.expect_keyword("rule")
-        kind, name, line, col = self.next()
+        kind, name, pos = self.next()
         if kind != "string":
-            raise MuDriveSyntaxError("rule name must be a quoted string", line, col)
+            raise self.error("rule name must be a quoted string", pos)
 
         self.expect_keyword("trigger")
         trigger = self.event_trigger()
@@ -180,75 +154,66 @@ class _Parser:
         if self.at_keyword("condition"):
             self.next()
             while True:
-                kind, val, cline, ccol = self.peek()
-                negated = False
-                if kind == "punct" and val == "!":
+                negated = self.peek()[:2] == ("punct", "!")
+                if negated:
                     self.next()
-                    negated = True
-                kind, val, cline, ccol = self.peek()
+                kind, val, pos = self.peek()
                 if kind == "keyword" and val == "always":
-                    raise MuDriveSyntaxError("'always' is a trigger, not a condition",
-                                             cline, ccol)
+                    raise self.error("'always' is a trigger, not a condition", pos)
                 if kind != "name":
                     if negated:
-                        raise MuDriveSyntaxError("'!' must prefix a condition name",
-                                                 cline, ccol)
+                        raise self.error("'!' must prefix a condition name", pos)
                     break
                 conditions.append((negated, self.call()))
             if not conditions:
-                kind, val, cline, ccol = self.peek()
-                raise MuDriveSyntaxError("condition block is empty", cline, ccol)
+                raise self.error("condition block is empty", self.peek()[2])
 
         self.expect_keyword("then")
         actions = []
         while self.peek()[0] == "name":
             actions.append(self.call())
         if not actions:
-            kind, val, aline, acol = self.peek()
-            raise MuDriveSyntaxError("a rule needs at least one action", aline, acol)
+            raise self.error("a rule needs at least one action", self.peek()[2])
 
         until = None
         if self.at_keyword("until"):
             self.next()
             until = self.event_trigger()
             if self.at_keyword("until"):
-                kind, val, uline, ucol = self.peek()
-                raise MuDriveSyntaxError("a rule may have at most one 'until'",
-                                         uline, ucol)
+                raise self.error("a rule may have at most one 'until'",
+                                 self.peek()[2])
 
         self.expect_keyword("end")
         return Rule(name=name, trigger=trigger, conditions=tuple(conditions),
                     actions=tuple(actions), until=until)
 
     def event_trigger(self):
-        kind, val, line, col = self.peek()
+        kind, val, pos = self.peek()
         if kind == "keyword" and val == "always":
             self.next()
             return Call("always")
         if kind != "name":
-            raise MuDriveSyntaxError(
-                f"expected an event name or 'always', found {val!r}", line, col)
+            raise self.error(
+                f"expected an event name or 'always', found {val!r}", pos)
         return self.call()
 
     def call(self):
-        kind, name, line, col = self.next()
-        if kind != "name":
-            raise MuDriveSyntaxError(f"expected a name, found {name!r}", line, col)
+        """A call; the caller has checked that the next token is a name."""
+        name = self.next()[1]
         args = []
         if self.peek()[:2] == ("punct", "("):
             self.next()
             while True:
                 args.append(self.literal())
-                kind, val, aline, acol = self.next()
+                _, val, pos = self.next()
                 if val == ")":
                     break
                 if val != ",":
-                    raise MuDriveSyntaxError("expected ',' or ')' in argument list",
-                                             aline, acol)
+                    raise self.error("expected ',' or ')' in argument list", pos)
         return Call(name, tuple(args))
 
     def literal(self):
-        kind, val, line, col = self.next()
+        kind, val, pos = self.next()
         if kind == "number":
             num = float(val)
             return int(num) if num.is_integer() else num
@@ -258,8 +223,7 @@ class _Parser:
             if val == "false":
                 return False
             return val
-        raise MuDriveSyntaxError(f"expected a literal argument, found {val!r}",
-                                 line, col)
+        raise self.error(f"expected a literal argument, found {val!r}", pos)
 
 
 def parse_program(text: str) -> MuDriveProgram:

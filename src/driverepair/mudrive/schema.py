@@ -188,8 +188,8 @@ def from_json(doc) -> MuDriveProgram:
     """Build a program from a JSON document of the shape `emit_schema` describes.
 
     Raises SchemaConversionError at the first JSON path whose structure the
-    schema rejects. Argument values (types, enums, ranges) are left to
-    `validate`, which checks them on every program.
+    schema rejects. Argument values (types, enums, ranges) and empty rule
+    names are left to `validate`, which checks them on every program.
     """
     cat = default_catalog()
     rules = []
@@ -199,8 +199,8 @@ def from_json(doc) -> MuDriveProgram:
         path = f"$.rules[{i}]"
         _object(rdoc, path, ("name", "trigger", "actions"), _RULE_KEYS)
         name = rdoc["name"]
-        if not isinstance(name, str) or not name:
-            raise SchemaConversionError(f"{path}.name", "expected a non-empty string")
+        if not isinstance(name, str):
+            raise SchemaConversionError(f"{path}.name", "expected a string")
         trigger = _call_from_json(rdoc["trigger"], f"{path}.trigger", "event",
                                   cat.trigger)
         conditions = []

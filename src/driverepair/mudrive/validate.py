@@ -78,6 +78,9 @@ def validate(program: MuDriveProgram):
 
     seen = set()
     for rule in program.rules:
+        if not rule.name:
+            out.append(Diagnostic(rule.name, "rule",
+                                  "a rule name must not be empty"))
         if rule.name in seen:
             out.append(Diagnostic(rule.name, "rule", "duplicate rule name"))
         seen.add(rule.name)

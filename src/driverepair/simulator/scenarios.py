@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
 from ..trace_model import WeatherState, require_non_negative, require_one_of
-from ..trace_model import require_positive
+from ..trace_model import require_object, require_positive
 
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
@@ -406,9 +406,9 @@ def script_to_dict(script: ScenarioScript) -> dict:
 
 def _finite(value, name) -> float:
     try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
+        out = value * 1.0   # as in records: a JSON string such as "nan" fails
+    except (TypeError, OverflowError):
+        out = math.nan
     if not math.isfinite(out):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return out
@@ -417,7 +417,8 @@ def _finite(value, name) -> float:
 def script_from_dict(doc: dict) -> ScenarioScript:
     """A script from its JSON document; the scenario types check the values."""
     try:
-        weather = doc.get("weather", {})
+        require_object(doc, "scenario")
+        weather = require_object(doc.get("weather", {}), "weather")
         return ScenarioScript(
             id=str(doc["id"]),
             description=doc.get("description", ""),

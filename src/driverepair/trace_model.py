@@ -136,14 +136,22 @@ def require_non_negative(value, name):
     return value
 
 
+def require_object(value, name):
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _frame_from_dict(doc):
+    # `v * 1.0` is float(v) for a JSON number and a TypeError for a JSON
+    # string, which float() would read ("nan" as NaN, "inf" as infinity)
     ego_doc = doc["ego"]
     ego = EgoPose(
-        x=float(ego_doc["x"]), y=float(ego_doc["y"]),
-        heading=float(ego_doc["heading"]),
-        speed=float(require_non_negative(ego_doc["speed"], "ego.speed")),
-        accel=float(ego_doc.get("accel", 0.0)),
-        steering=float(ego_doc.get("steering", 0.0)),
+        x=ego_doc["x"] * 1.0, y=ego_doc["y"] * 1.0,
+        heading=ego_doc["heading"] * 1.0,
+        speed=require_non_negative(ego_doc["speed"], "ego.speed") * 1.0,
+        accel=ego_doc.get("accel", 0.0) * 1.0,
+        steering=ego_doc.get("steering", 0.0) * 1.0,
         gear=require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"),
     )
 
@@ -153,11 +161,12 @@ def _frame_from_dict(doc):
             id=str(ob["id"]),
             kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
                                 "obstacles.kind"),
-            x=float(ob["x"]), y=float(ob["y"]), heading=float(ob.get("heading", 0.0)),
-            speed=float(require_non_negative(ob["speed"], "obstacles.speed")),
-            half_len=float(require_positive(ob["half_len"], "obstacles.half_len")),
-            half_wid=float(require_positive(ob["half_wid"], "obstacles.half_wid")),
-            predicted=tuple([(float(t), float(x), float(y))
+            x=ob["x"] * 1.0, y=ob["y"] * 1.0,
+            heading=ob.get("heading", 0.0) * 1.0,
+            speed=require_non_negative(ob["speed"], "obstacles.speed") * 1.0,
+            half_len=require_positive(ob["half_len"], "obstacles.half_len") * 1.0,
+            half_wid=require_positive(ob["half_wid"], "obstacles.half_wid") * 1.0,
+            predicted=tuple([(t * 1.0, x * 1.0, y * 1.0)
                              for t, x, y in ob.get("predicted", [])]),
         ))
 
@@ -166,28 +175,28 @@ def _frame_from_dict(doc):
         tl = doc["traffic_light"]
         light = TrafficLightState(
             color=require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
-            dist_to_stopline=float(tl["dist_to_stopline"]))
+            dist_to_stopline=tl["dist_to_stopline"] * 1.0)
 
-    w = doc.get("weather", {})
+    w = require_object(doc.get("weather", {}), "weather")
     weather = WeatherState(
-        rain=float(w.get("rain", 0.0)), fog=float(w.get("fog", 0.0)),
-        snow=float(w.get("snow", 0.0)),
-        visibility=float(require_positive(w.get("visibility", 500.0),
-                                          "weather.visibility")),
+        rain=w.get("rain", 0.0) * 1.0, fog=w.get("fog", 0.0) * 1.0,
+        snow=w.get("snow", 0.0) * 1.0,
+        visibility=require_positive(w.get("visibility", 500.0),
+                                    "weather.visibility") * 1.0,
     )
 
-    m = doc.get("map_ctx", {})
+    m = require_object(doc.get("map_ctx", {}), "map_ctx")
     map_ctx = MapContext(
         in_junction=bool(m.get("in_junction", False)),
-        dist_to_junction=float(m.get("dist_to_junction", FAR)),
+        dist_to_junction=m.get("dist_to_junction", FAR) * 1.0,
         lane_kind=require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
                                  "map_ctx.lane_kind"),
-        dist_to_dest=float(m.get("dist_to_dest", FAR)),
-        dist_to_stop_sign=float(m.get("dist_to_stop_sign", FAR)),
+        dist_to_dest=m.get("dist_to_dest", FAR) * 1.0,
+        dist_to_stop_sign=m.get("dist_to_stop_sign", FAR) * 1.0,
         is_changing_lane=bool(m.get("is_changing_lane", False)),
     )
 
-    return RawRecordFrame(t=float(doc["t"]), ego=ego, obstacles=tuple(obstacles),
+    return RawRecordFrame(t=doc["t"] * 1.0, ego=ego, obstacles=tuple(obstacles),
                           traffic_light=light, weather=weather, map_ctx=map_ctx)
 
 

@@ -75,6 +75,8 @@ then
 end
 """
 
+_HEAD = 'rule "x"\ntrigger\n always\n'
+
 
 class TestParse:
     def test_junction_slowdown_structure(self):
@@ -145,6 +147,73 @@ class TestParse:
             parse_program(bad)
         assert (info.value.line, info.value.col) == (5, 15)
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        ('rule "x\ntrigger\n', "unterminated string literal", 1, 6),
+        (_HEAD + 'then\n cruise_speed(1.2.3)\nend\n',
+         "malformed number '1.2.3'", 5, 15),
+        (_HEAD + 'then\n cruise_speed(10) @\nend\n',
+         "unexpected character '@'", 5, 19),
+        ('rule "x"\n always\nthen\n cruise_speed(10)\nend\n',
+         "expected 'trigger', found 'always'", 2, 2),
+        (_HEAD + 'then\n cruise_speed(10)\n',
+         "expected 'end', found 'end of input'", 6, 1),
+        ("   \n", "a program needs at least one rule; found 'end of input'",
+         2, 1),
+        ("\n  trigger always\n",
+         "a program needs at least one rule; found 'trigger'", 2, 3),
+        (_HEAD + 'then\n cruise_speed(10)\nend\n\nextra\n',
+         "unexpected input after last rule: 'extra'", 8, 1),
+        ('rule x\ntrigger\n always\nthen\n cruise_speed(10)\nend\n',
+         "rule name must be a quoted string", 1, 6),
+        (_HEAD + 'condition\n always\nthen\n cruise_speed(10)\nend\n',
+         "'always' is a trigger, not a condition", 5, 2),
+        (_HEAD + 'condition\n in_junction\n !\nthen\n cruise_speed(10)\nend\n',
+         "'!' must prefix a condition name", 7, 1),
+        (_HEAD + 'condition\nthen\n cruise_speed(10)\nend\n',
+         "condition block is empty", 5, 1),
+        (_HEAD + 'then\nend\n', "a rule needs at least one action", 5, 1),
+        (_HEAD + 'then\n cruise_speed(10)\nuntil\n exiting_junction\n'
+         'until\n entering_junction\nend\n',
+         "a rule may have at most one 'until'", 8, 1),
+        ('rule "x"\ntrigger\nthen\n cruise_speed(1)\nend\n',
+         "expected an event name or 'always', found 'then'", 3, 1),
+        (_HEAD + 'then\n cruise_speed(10 20)\nend\n',
+         "expected ',' or ')' in argument list", 5, 18),
+        (_HEAD + 'then\n cruise_speed(,)\nend\n',
+         "expected a literal argument, found ','", 5, 15),
+    ], ids=["unterminated-string", "malformed-number", "unexpected-character",
+            "expected-keyword", "expected-keyword-at-end", "no-rule",
+            "no-rule-but-a-word", "input-after-last-rule", "unquoted-rule-name",
+            "always-as-condition", "bang-without-name", "empty-condition-block",
+            "no-action", "second-until", "no-event", "bad-argument-separator",
+            "non-literal-argument"])
+    def test_every_syntax_error_names_its_token(self, text, message, line,
+                                                col):
+        with pytest.raises(MuDriveSyntaxError) as info:
+            parse_program(text)
+        assert str(info.value) == f"{message} (line {line}, column {col})"
+        assert (info.value.line, info.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text, line, col", [
+        (_HEAD + 'then\n cruise_speed(10)\n# no end', 6, 9),
+        ('rule "x" # note', 1, 16),
+        ('rule "two\nlines"\ntrigger\nthen\n cruise_speed(1)\nend\n', 4, 1),
+        ('rule "a\nbc" always', 2, 5),
+    ], ids=["end-after-comment", "end-after-comment-on-token-line",
+            "newline-in-rule-name", "newline-in-rule-name-same-line"])
+    def test_position_counts_comments_and_newlines_in_names(self, text, line,
+                                                            col):
+        with pytest.raises(MuDriveSyntaxError) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.col) == (line, col)
+
+    def test_names_keep_unicode_letters(self):
+        text = ('rule "ß"\ntrigger\n always\ncondition\n straße_frei\nthen\n'
+                ' tempo_λ(ωmega)\nend\n')
+        (rule,) = parse_program(text).rules
+        assert rule.conditions == ((False, Call("straße_frei")),)
+        assert rule.actions == (Call("tempo_λ", ("ωmega",)),)
+
     def test_comment_lines_are_skipped(self):
         text = ('# slow down everywhere\nrule "x"  # trailing\ntrigger\n'
                 ' always\nthen\n# cruise_speed(99)\n cruise_speed(10)\nend\n')
@@ -196,6 +265,22 @@ class TestValidate:
                 'rule "same"\ntrigger\n always\nthen\n cruise_speed(20)\nend\n')
         problems = validate(parse_program(text))
         assert any("duplicate" in str(p) for p in problems)
+
+    def test_empty_rule_name_is_refused_in_both_forms(self):
+        program = parse_program('rule ""\ntrigger\n always\nthen\n'
+                                ' cruise_speed(10)\nend\n')
+        problems = [str(p) for p in validate(program)]
+        assert problems == ["[] rule: a rule name must not be empty"]
+        doc = to_json(program)
+        assert doc["rules"][0]["name"] == ""
+        assert [str(p) for p in validate(from_json(doc))] == problems
+
+    @pytest.mark.parametrize("name", [3, None, ["x"]])
+    def test_rule_name_that_is_not_a_string_fails_conversion(self, name):
+        doc = to_json(parse_program(JUNCTION_SLOWDOWN))
+        doc["rules"][0]["name"] = name
+        with pytest.raises(SchemaConversionError, match=r"\$\.rules\[0\]\.name"):
+            from_json(doc)
 
 
 class TestRoundTrips:

@@ -595,6 +595,48 @@ class TestCli:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("localize", '{"t":0,"ego":{"x":0,"y":0,"heading":0,"speed":1},'
+                     '"weather":[]}',
+         "Error: line 1: bad frame (weather must be an object, got [])"),
+        ("localize", '{"t":0,"ego":{"x":0,"y":0,"heading":0,"speed":1},'
+                     '"map_ctx":3}',
+         "Error: line 1: bad frame (map_ctx must be an object, got 3)"),
+        ("localize", '{"t":0,"ego":{"x":0,"y":0,"heading":0,"speed":1},'
+                     '"obstacles":[{"id":"o","x":"nan","y":0,"speed":0,'
+                     '"half_len":2,"half_wid":1}]}',
+         "Error: line 1: bad frame ("),
+        ("localize", '{"t":"inf","ego":{"x":0,"y":0,"heading":0,"speed":1}}',
+         "Error: line 1: bad frame ("),
+        ("sim", "[1,2]",
+         "Error: bad scenario document: scenario must be an object,"
+         " got [1, 2]"),
+        ("sim", '{"id":"w","route_len_m":100,"weather":[]}',
+         "Error: bad scenario document: weather must be an object, got []"),
+        ("mudrive", 'rule ""\ntrigger\n always\nthen\n cruise_speed(10)\nend\n',
+         "Error: program is invalid:\n[] rule: a rule name must not be"
+         " empty\n"),
+        ("mudrive", 'rule "x"\ntrigger\n always\nthen\n cruise_speed(10)\n'
+                    '# end is missing',
+         "Error: syntax error: expected 'end', found 'end of input'"
+         " (line 6, column 17)\n"),
+    ], ids=["record-weather-list", "record-map-ctx-number",
+            "record-nan-string", "record-inf-string-time",
+            "scenario-list", "scenario-weather-list", "empty-rule-name",
+            "syntax-error-after-comment"])
+    def test_bad_document_prints_error_and_exits_1(self, tmp_path, command,
+                                                   text, message):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        argv = {"localize": ["localize", "--record", str(path), "--spec",
+                             "no_collision"],
+                "sim": ["sim", "run", "--scenario", str(path)],
+                "mudrive": ["mudrive", "check", str(path)]}[command]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith(message), result.output
+
     @pytest.mark.parametrize("argv", [[], ["sim"], ["mudrive"]],
                              ids=["driverepair", "sim", "mudrive"])
     def test_bare_group_prints_help_and_exits_1(self, argv):

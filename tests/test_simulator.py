@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -107,6 +108,34 @@ class TestRunScenario:
     def test_non_finite_script_number_rejected(self, field, literal):
         doc = {"id": "bad", "route_len_m": 100, field: json.loads(literal)}
         with pytest.raises(ScenarioError, match=field):
+            script_from_dict(doc)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("route_len_m", lambda doc: doc.update(route_len_m="300")),
+        ("weather.fog", lambda doc: doc["weather"].update(fog="nan")),
+        ("npcs.waypoints",
+         lambda doc: doc["npcs"][0]["waypoints"][0].__setitem__(1, "inf")),
+        ("lights.schedule", lambda doc: doc["lights"][0].update(
+            schedule=[["red", "10"]])),
+    ], ids=["route_len_m", "weather.fog", "npcs.waypoints", "lights.schedule"])
+    def test_number_written_as_a_string_is_refused(self, field, edit):
+        # the reader of records refuses these too
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S4"))))
+        edit(doc)
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {re.escape(field)} must be a"
+                r" finite number, got '")):
+            script_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "scenario must be an object, got [1, 2]"),
+        ("S6", "scenario must be an object, got 'S6'"),
+        ({"id": "w", "route_len_m": 100, "weather": []},
+         "weather must be an object, got []"),
+    ], ids=["list", "string", "weather-list"])
+    def test_document_that_is_not_an_object_is_refused(self, doc, message):
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {re.escape(message)}$")):
             script_from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [

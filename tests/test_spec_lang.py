@@ -88,6 +88,64 @@ class TestParser:
         assert phi == Prop(LinExpr(((1.0, SignalVar("trafficLightColor")),
                                     (-1.0, SignalVar("gear")))), "==")
 
+    @pytest.mark.parametrize("text, terms, const, cmp", [
+        ("speed + accel - 3 < 60", ((1.0, "speed"), (1.0, "accel")), -63.0,
+         "<"),
+        ("-speed > -60", ((-1.0, "speed"),), 60.0, ">"),
+        ("--speed < 60", ((1.0, "speed"),), -60.0, "<"),
+        ("+speed <= 1 - -2", ((1.0, "speed"),), -3.0, "<="),
+        ("2 * speed < accel", ((2.0, "speed"), (-1.0, "accel")), 0.0, "<"),
+        ("speed - 2 * accel + 1 >= 0", ((1.0, "speed"), (-2.0, "accel")),
+         1.0, ">="),
+        # a variable, not an enum value, beside a numeric variable
+        ("speed < accel", ((1.0, "speed"), (-1.0, "accel")), 0.0, "<"),
+    ], ids=["plus-minus", "leading-minus", "repeated-minus",
+            "leading-plus-and-minus-number", "coefficient",
+            "minus-coefficient", "numeric-rhs-variable"])
+    def test_linear_expressions(self, text, terms, const, cmp):
+        expected = Prop(LinExpr(tuple((c, SignalVar(n)) for c, n in terms),
+                                const), cmp)
+        assert parse_spec(text) == expected
+
+    def test_boolean_literals_and_unbounded_interval(self):
+        speed_below_60 = Prop(LinExpr(((1.0, SignalVar("speed")),), -60.0), "<")
+        assert parse_spec("true") == BoolLit(True)
+        assert parse_spec("false | stopped") == Or(
+            BoolLit(False), PredAtom(SignalVar("stopped")))
+        assert parse_spec("G[0,inf] (speed < 60)") == Always(
+            0.0, math.inf, speed_below_60)
+        assert parse_spec("F[2,inf] true") == Eventually(2.0, math.inf,
+                                                         BoolLit(True))
+
+    def test_negative_interval_bound(self):
+        phi = parse_spec("G[-0,3] (speed < 1)")
+        assert (phi.lo, phi.hi) == (0.0, 3.0)
+        assert math.copysign(1.0, phi.lo) == -1.0
+        with pytest.raises(SpecSyntaxError, match=r"^malformed interval"
+                                                  r" \[-1,5\] \(at position 1\)$"):
+            parse_spec("F[-1,5] (speed > 1)")
+
+    @pytest.mark.parametrize("text, message", [
+        ("speed + 3", "expected a comparison (at position 0)"),
+        ("3", "expected a comparison (at position 0)"),
+        ("stopped + 1 > 0", "stopped is a proposition and cannot appear in"
+                            " arithmetic (at position 0)"),
+        ("G (speed < stopped)", "stopped is a proposition and cannot appear"
+                                " in arithmetic (at position 3)"),
+        ("2 * 3 < speed", "expected a variable name, found '3' (at position 4)"),
+        ("2 * G < speed", "expected a variable name, found 'G' (at position 4)"),
+        ("G[a,3] (speed < 1)", "expected a number, found 'a' (at position 2)"),
+        ("G[-x,3] (speed < 1)", "expected a number, found 'x' (at position 3)"),
+        ("speed < 60 @", "unexpected character '@' (at position 11)"),
+    ], ids=["sum-without-comparison", "number-without-comparison",
+            "proposition-on-left", "proposition-on-right",
+            "coefficient-times-number", "coefficient-times-keyword",
+            "name-as-bound", "negated-name-as-bound", "unexpected-character"])
+    def test_error_messages(self, text, message):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_spec(text)
+        assert str(info.value) == message
+
     def test_errors_carry_a_position(self):
         with pytest.raises(SpecSyntaxError, match="'warpDrive'") as info:
             parse_spec("G (warpDrive < 3)")

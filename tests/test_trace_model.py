@@ -203,6 +203,59 @@ class TestLoadRecord:
         with pytest.raises(RecordError, match=r"line 1: bad frame \("):
             load_record(path)
 
+    @pytest.mark.parametrize("path_in_frame, value", [
+        (("obstacles", 0, "x"), "nan"),
+        (("obstacles", 0, "y"), "30"),
+        (("obstacles", 0, "predicted", 0, 1), "inf"),
+        (("t",), "inf"),
+        (("ego", "x"), "1.5"),
+        (("ego", "accel"), "nan"),
+        (("traffic_light", "dist_to_stopline"), "5"),
+        (("weather", "fog"), "nan"),
+        (("map_ctx", "dist_to_dest"), "-inf"),
+    ], ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+    def test_number_written_as_a_string_is_refused(self, tmp_path,
+                                                   path_in_frame, value):
+        # float() would read "nan" as NaN: an obstacle there would collide
+        docs = []
+        for t in (0.0, 0.1, 0.2):
+            docs.append({
+                "t": t,
+                "ego": {"x": t, "y": 0, "heading": 0, "speed": 1.0,
+                        "accel": 0.0},
+                "obstacles": [{"id": "o", "kind": "vehicle", "x": 9.0,
+                               "y": 30.0, "speed": 0.0, "half_len": 2.0,
+                               "half_wid": 1.0,
+                               "predicted": [[0.5, 9.0, 30.0]]}],
+                "traffic_light": {"color": "green", "dist_to_stopline": 5.0},
+                "weather": {"fog": 0.0},
+                "map_ctx": {"dist_to_dest": 100.0},
+            })
+        *parents, key = path_in_frame
+        target = docs[1]
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        path = tmp_path / "rec.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        with pytest.raises(RecordError, match=r"^line 2: bad frame \("):
+            load_record(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weather", []), ("weather", "fog"), ("map_ctx", 3),
+        ("map_ctx", [{"in_junction": True}])])
+    def test_sub_document_that_is_not_an_object_is_refused(self, tmp_path,
+                                                           key, value):
+        path = tmp_path / "rec.jsonl"
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+               key: value}
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=(
+                rf"^line 1: bad frame \({key} must be an object,"
+                rf" got {re.escape(repr(value))}\)$")):
+            load_record(path)
+
     @staticmethod
     def _record_with_obstacle_x(tmp_path, literal):
         frames = ramp_frames(3)
