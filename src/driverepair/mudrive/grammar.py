@@ -205,10 +205,10 @@ class _Parser:
             self.next()
             while True:
                 args.append(self.literal())
-                _, val, pos = self.next()
-                if val == ")":
+                kind, val, pos = self.next()
+                if (kind, val) == ("punct", ")"):
                     break
-                if val != ",":
+                if (kind, val) != ("punct", ","):
                     raise self.error("expected ',' or ')' in argument list", pos)
         return Call(name, tuple(args))
 

@@ -45,7 +45,9 @@ class NpcSpec:
     kind: str = "vehicle"
     half_len: float = 2.3
     half_wid: float = 1.0
-    waypoints: tuple = ()     # ((t, x, y, speed_kmh), ...) time-ordered
+    # ((t, x, y, speed_kmh), ...) time-ordered; keyword-only, so that it
+    # keeps its place after the fields with defaults
+    waypoints: tuple = field(kw_only=True)
 
     @_raises_scenario_error
     def __post_init__(self):

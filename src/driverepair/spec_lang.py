@@ -1,16 +1,19 @@
 """Temporal property language over traces: parser and quantitative semantics.
 
-Formulas combine comparisons of linear expressions over signal variables
-with boolean connectives and the temporal operators always / eventually /
-until / next, each optionally bounded by a step interval [l,u]. Evaluation
-yields a robustness degree: positive means satisfied, <= 0 means violated.
+Binary operators, loosest first: `->` (right-associative), `|`, `&` and
+`U[l,u]` (until); then the prefixes `!`, `X` (next), `G[l,u]` (always) and
+`F[l,u]` (eventually). An interval counts trace steps; `[l,inf]` or no
+interval means unbounded. An atom is a comparison of linear expressions
+(`speed - 2 * accel < 80`), a lone enum variable compared with one of its
+values (`trafficLightColor == red`), a bare boolean or predicate variable
+(`stopped`, `dest(5)`), or `true` / `false`.
 
-Atomic robustness follows the usual sign conventions. For a comparison the
-linear expression f = lhs - rhs gives +f for > and >=, -f for < and <=,
-|f| for != and -|f| for ==. Bare catalog predicates contribute their
-satisfaction margin. Temporal windows are clipped to the trace: an empty
-window makes eventually -infinity and always +infinity, and next at the
-final step is vacuously +infinity.
+Evaluation yields a robustness degree: positive means satisfied, <= 0 means
+violated. For a comparison the linear expression f = lhs - rhs gives +f for
+> and >=, -f for < and <=, |f| for != and -|f| for ==. Bare variables give
+their satisfaction margin. Temporal windows are clipped to the trace: an
+empty window makes eventually -infinity and always +infinity, and next at
+the final step is vacuously +infinity.
 """
 from __future__ import annotations
 
@@ -131,8 +134,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
-_KEYWORDS = {"G", "always", "F", "eventually", "U", "until", "X", "next",
-             "true", "false", "inf"}
+# Prefix operator -> node class; `Always` and `Eventually` take an interval.
+_PREFIX = {"!": Not, "X": Next, "next": Next, "G": Always, "always": Always,
+           "F": Eventually, "eventually": Eventually}
+_KEYWORDS = {op for op in _PREFIX if op.isalpha()} | {"U", "until", "true",
+                                                       "false", "inf"}
 
 
 def _tokenize(text):
@@ -162,77 +168,57 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take(self, *values):
+        """The next token if its value is one of `values`, consumed; else None."""
+        return self.next() if self.toks[self.i][1] in values else None
+
     def expect(self, value):
         kind, val, pos = self.next()
         if val != value:
             raise SpecSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
-    def at(self, value):
-        return self.peek()[1] == value
-
     # formula := or_expr ('->' formula)?   (implication is sugar for !a | b)
     def formula(self):
         left = self.or_expr()
-        if self.at("->"):
-            self.next()
-            right = self.formula()
-            return Or(Not(left), right)
-        return left
+        return Or(Not(left), self.formula()) if self.take("->") else left
 
     def or_expr(self):
         node = self.and_expr()
-        while self.at("|"):
-            self.next()
+        while self.take("|"):
             node = Or(node, self.and_expr())
         return node
 
     def and_expr(self):
         node = self.until_expr()
-        while self.at("&"):
-            self.next()
+        while self.take("&"):
             node = And(node, self.until_expr())
         return node
 
     def until_expr(self):
         node = self.unary()
-        while self.peek()[1] in ("U", "until"):
-            self.next()
-            lo, hi = self.maybe_interval()
-            node = Until(lo, hi, node, self.unary())
+        while self.take("U", "until"):
+            node = Until(*self.maybe_interval(), node, self.unary())
         return node
 
     def unary(self):
-        kind, val, pos = self.peek()
-        if val == "!":
-            self.next()
-            return Not(self.unary())
-        if val in ("G", "always"):
-            self.next()
-            lo, hi = self.maybe_interval()
-            return Always(lo, hi, self.unary())
-        if val in ("F", "eventually"):
-            self.next()
-            lo, hi = self.maybe_interval()
-            return Eventually(lo, hi, self.unary())
-        if val in ("X", "next"):
-            self.next()
-            return Next(self.unary())
-        return self.primary()
+        cls = _PREFIX.get(self.peek()[1])
+        if cls is None:
+            return self.primary()
+        self.next()
+        if cls in (Not, Next):
+            return cls(self.unary())
+        return cls(*self.maybe_interval(), self.unary())
 
     def maybe_interval(self):
-        if not self.at("["):
+        bracket = self.take("[")
+        if bracket is None:
             return 0.0, INF
-        pos = self.next()[2]
         lo = self.step_bound()
         self.expect(",")
-        if self.at("inf"):
-            self.next()
-            hi = INF
-        else:
-            hi = self.step_bound()
+        hi = INF if self.take("inf") else self.step_bound()
         self.expect("]")
         if lo < 0 or lo > hi:
-            raise SpecSyntaxError(f"malformed interval [{lo:g},{hi:g}]", pos)
+            raise SpecSyntaxError(f"malformed interval [{lo:g},{hi:g}]", bracket[2])
         return lo, hi
 
     def step_bound(self):
@@ -244,38 +230,32 @@ class _Parser:
         return value
 
     def number(self):
+        sign = -1.0 if self.take("-") else 1.0
         kind, val, pos = self.next()
-        sign = 1.0
-        if val == "-":
-            sign = -1.0
-            kind, val, pos = self.next()
         if kind != "num":
             raise SpecSyntaxError(f"expected a number, found {val!r}", pos)
         return sign * float(val)
 
     def primary(self):
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
+        if self.take("("):
             node = self.formula()
             self.expect(")")
             return node
-        if val == "true":
-            self.next()
-            return BoolLit(True)
-        if val == "false":
-            self.next()
-            return BoolLit(False)
-        return self.atom()
+        lit = self.take("true", "false")
+        return self.atom() if lit is None else BoolLit(lit[1] == "true")
 
     # atom := linexpr (cmp linexpr)? ; a lone term must be a boolean variable
     def atom(self):
         start = self.peek()[2]
         lhs = self.linexpr()
-        if self.peek()[1] in COMPARATORS:
-            cmp = self.next()[1]
+        cmp = self.take(*COMPARATORS)
+        if cmp is not None:
             rhs = self.linexpr(enum_partner=lhs)
-            return self._comparison(lhs, rhs, cmp, start)
+            for _, var in lhs.terms + rhs.terms:
+                if catalog_kind(var.name) in ("bool", "pred"):
+                    raise SpecSyntaxError(f"{var.name} is a proposition and"
+                                          " cannot appear in arithmetic", start)
+            return Prop(lhs.minus(rhs), cmp[1])
         if len(lhs.terms) == 1 and lhs.const == 0.0 and lhs.terms[0][0] == 1.0:
             var = lhs.terms[0][1]
             if catalog_kind(var.name) in ("bool", "pred"):
@@ -284,38 +264,24 @@ class _Parser:
                 f"{var.name} is numeric; compare it (e.g. {var.name} < 60)", start)
         raise SpecSyntaxError("expected a comparison", start)
 
-    def _comparison(self, lhs, rhs, cmp, pos):
-        for _, var in lhs.terms + rhs.terms:
-            kind = catalog_kind(var.name)
-            if kind in ("bool", "pred"):
-                raise SpecSyntaxError(
-                    f"{var.name} is a proposition and cannot appear in arithmetic", pos)
-        return Prop(lhs.minus(rhs), cmp)
-
     def linexpr(self, enum_partner=None):
         terms = []
         const = 0.0
-        sign = 1.0
         while True:
+            sign = 1.0
+            while sign_tok := self.take("+", "-"):
+                if sign_tok[1] == "-":
+                    sign = -sign
             kind, val, pos = self.peek()
-            if val == "-":
-                self.next()
-                sign = -sign
-                continue
-            if val == "+":
-                self.next()
-                continue
             if kind == "num":
                 self.next()
                 coef = sign * float(val)
-                if self.at("*"):
-                    self.next()
+                if self.take("*"):
                     terms.append((coef, self.variable()))
                 else:
                     const += coef
             elif kind == "name" and val not in _KEYWORDS:
-                name = val
-                enum_value = self._try_enum_literal(name, enum_partner, pos)
+                enum_value = self._try_enum_literal(val, enum_partner, pos)
                 if enum_value is not None:
                     self.next()
                     const += sign * enum_value
@@ -323,17 +289,8 @@ class _Parser:
                     terms.append((sign, self.variable()))
             else:
                 raise SpecSyntaxError(f"expected a variable or number, found {val!r}", pos)
-            sign = 1.0
-            nxt = self.peek()[1]
-            if nxt in ("+", "-"):
-                if nxt == "+":
-                    self.next()
-                else:
-                    self.next()
-                    sign = -1.0
-                continue
-            break
-        return LinExpr(tuple(terms), const)
+            if self.peek()[1] not in ("+", "-"):
+                return LinExpr(tuple(terms), const)
 
     def _try_enum_literal(self, name, partner, pos):
         """Resolve bare names like `red` against an enum variable on the lhs;
@@ -358,8 +315,7 @@ class _Parser:
         if kind != "name" or val in _KEYWORDS:
             raise SpecSyntaxError(f"expected a variable name, found {val!r}", pos)
         arg = None
-        if self.at("("):
-            self.next()
+        if self.take("("):
             arg = self.number()
             self.expect(")")
         var = SignalVar(val, arg)
@@ -383,20 +339,12 @@ def parse_spec(text: str) -> Formula:
 # Quantitative semantics
 # ---------------------------------------------------------------------------
 
-def _signal_array(trace: Trace, var: SignalVar) -> np.ndarray:
-    key = ("num", var)
+def _var_array(trace: Trace, read, var: SignalVar) -> np.ndarray:
+    """`read(scene, var)` at every scene, cached on the trace per reader."""
+    key = (read, var)
     arr = trace._signal_cache.get(key)
     if arr is None:
-        arr = np.array([var_numeric(sc, var) for sc in trace.scenes], dtype=float)
-        trace._signal_cache[key] = arr
-    return arr
-
-
-def _margin_array(trace: Trace, var: SignalVar) -> np.ndarray:
-    key = ("margin", var)
-    arr = trace._signal_cache.get(key)
-    if arr is None:
-        arr = np.array([var_margin(sc, var) for sc in trace.scenes], dtype=float)
+        arr = np.array([read(sc, var) for sc in trace.scenes], dtype=float)
         trace._signal_cache[key] = arr
     return arr
 
@@ -407,7 +355,7 @@ def _prop_array(trace: Trace, node: Prop) -> np.ndarray:
     if arr is None:
         f = np.full(len(trace), node.expr.const, dtype=float)
         for coef, var in node.expr.terms:
-            f = f + coef * _signal_array(trace, var)
+            f = f + coef * _var_array(trace, var_numeric, var)
         if node.cmp in (">", ">="):
             arr = f
         elif node.cmp in ("<", "<="):
@@ -433,6 +381,8 @@ def _window_agg(child: np.ndarray, lo, hi, end: int, is_min: bool) -> np.ndarray
             out[: n - lo_i] = suffix[lo_i:]
         return out
     hi_i = int(hi)
+    if hi_i < lo_i:                           # every window is empty
+        return np.full(n, ident)
     w = hi_i - lo_i + 1
     padded = np.full(n + lo_i + w, ident)
     padded[:n] = child
@@ -445,44 +395,31 @@ def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
     """out[t] = max over t1 in [t+lo, min(t+hi, n-1)] of
     min(c2[t1], min(c1[t..t1])), -inf for an empty window.
 
-    Every step only picks one of the given values with min or max, so the
-    result is exact. Unbounded windows (and bounded ones that reach the end
-    from every t) use the backward recurrence
-    U(t) = min(c1[t], max(c2[t], U(t+1))), U(n) = -inf; a lower bound lo > 0
-    adds the window minimum of c1 over [t, t+lo-1]. Other bounded windows
-    take hi+1 vectorized shift steps.
+    Under min/max robustness phi U[lo,hi] psi is the min of G[0,lo-1] phi,
+    F[lo,hi] psi and the unbounded phi U psi taken at t+lo (Donze, Ferrere
+    and Maler, CAV 2013). The unbounded one is the backward recurrence
+    U(t) = min(c1[t], max(c2[t], U(t+1))) with U(n) = -inf. Every step only
+    picks one of the given values, so the result is exact.
     """
+    left = c1.tolist()
+    right = c2.tolist()
+    unbounded = [0.0] * n
+    u = -INF
+    for t in range(n - 1, -1, -1):
+        if right[t] > u:
+            u = right[t]
+        if left[t] < u:
+            u = left[t]
+        unbounded[t] = u
     lo_i = int(lo)
-    if math.isinf(hi) or int(hi) >= n - 1:
-        left = c1.tolist()
-        right = c2.tolist()
-        u0 = [0.0] * n
-        u = -INF
-        for t in range(n - 1, -1, -1):
-            if right[t] > u:
-                u = right[t]
-            if left[t] < u:
-                u = left[t]
-            u0[t] = u
-        out = np.full(n, -INF)
-        if lo_i < n:
-            out[: n - lo_i] = u0[lo_i:]
-        if lo_i > 0:
-            out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, n - 1,
-                                              is_min=True))
-        return out
-    hi_i = int(hi)
-    left = np.full(n + hi_i, INF)
-    left[:n] = c1
-    right = np.full(n + hi_i, -INF)
-    right[:n] = c2
-    run = np.full(n, INF)
-    best = np.full(n, -INF)
-    for j in range(hi_i + 1):
-        run = np.minimum(run, left[j: j + n])
-        if j >= lo_i:
-            best = np.maximum(best, np.minimum(right[j: j + n], run))
-    return best
+    out = np.full(n, -INF)
+    if lo_i < n:
+        out[: n - lo_i] = unbounded[lo_i:]
+    if lo_i > 0:
+        out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, n - 1, is_min=True))
+    if not math.isinf(hi):
+        out = np.minimum(out, _window_agg(c2, lo, hi, n - 1, is_min=False))
+    return out
 
 
 def _eval(node, trace: Trace, start: int, end: int) -> np.ndarray:
@@ -496,7 +433,7 @@ def _eval(node, trace: Trace, start: int, end: int) -> np.ndarray:
     if isinstance(node, Prop):
         out = _prop_array(trace, node)[start: end + 1]
     elif isinstance(node, PredAtom):
-        out = _margin_array(trace, node.var)[start: end + 1]
+        out = _var_array(trace, var_margin, node.var)[start: end + 1]
     elif isinstance(node, BoolLit):
         out = np.full(n, INF if node.value else -INF)
     elif isinstance(node, Not):

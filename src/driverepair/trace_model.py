@@ -124,6 +124,13 @@ def require_one_of(value, allowed, name):
     return value
 
 
+def require_bool(value, name):
+    # by identity: `1 == True` and `0 == False`
+    if value is not True and value is not False:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def require_positive(value, name):
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
@@ -187,13 +194,15 @@ def _frame_from_dict(doc):
 
     m = require_object(doc.get("map_ctx", {}), "map_ctx")
     map_ctx = MapContext(
-        in_junction=bool(m.get("in_junction", False)),
+        in_junction=require_bool(m.get("in_junction", False),
+                                 "map_ctx.in_junction"),
         dist_to_junction=m.get("dist_to_junction", FAR) * 1.0,
         lane_kind=require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
                                  "map_ctx.lane_kind"),
         dist_to_dest=m.get("dist_to_dest", FAR) * 1.0,
         dist_to_stop_sign=m.get("dist_to_stop_sign", FAR) * 1.0,
-        is_changing_lane=bool(m.get("is_changing_lane", False)),
+        is_changing_lane=require_bool(m.get("is_changing_lane", False),
+                                      "map_ctx.is_changing_lane"),
     )
 
     return RawRecordFrame(t=doc["t"] * 1.0, ego=ego, obstacles=tuple(obstacles),

@@ -20,7 +20,7 @@ from driverepair.localizer import (
 )
 from driverepair.simulator import PAIRED_SPECS
 from driverepair.spec_lang import parse_spec, robustness_bounded
-from driverepair.trace_model import Trace, build_trace
+from driverepair.trace_model import Trace, build_trace, step_frames
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,17 @@ class TestMomentFrames:
         assert moments.violation_step is None
         with pytest.raises(MomentsNotFoundError):
             moment_frames(moments, frames)
+
+    def test_no_frames_raise(self, cap60):
+        moments = locate(cap60, build_trace(ramp_frames(91)), delta=5.0)
+        with pytest.raises(MomentsNotFoundError) as info:
+            moment_frames(moments, [])
+        assert str(info.value) == "no frames supplied"
+
+    def test_step_frames_of_no_frames_raise(self):
+        with pytest.raises(ValueError) as info:
+            step_frames([])
+        assert str(info.value) == "cannot build a trace from an empty record"
 
     def test_moments_past_the_last_frame_raise(self, cap60):
         frames = ramp_frames(91)

@@ -181,12 +181,18 @@ class TestParse:
          "expected ',' or ')' in argument list", 5, 18),
         (_HEAD + 'then\n cruise_speed(,)\nend\n',
          "expected a literal argument, found ','", 5, 15),
+        # a string is a literal, not punctuation, whatever it spells
+        (_HEAD + 'then\n cruise_speed(10 ")" end\n',
+         "expected ',' or ')' in argument list", 5, 18),
+        (_HEAD + 'then\n cruise_speed(10 "," 20)\nend\n',
+         "expected ',' or ')' in argument list", 5, 18),
     ], ids=["unterminated-string", "malformed-number", "unexpected-character",
             "expected-keyword", "expected-keyword-at-end", "no-rule",
             "no-rule-but-a-word", "input-after-last-rule", "unquoted-rule-name",
             "always-as-condition", "bang-without-name", "empty-condition-block",
             "no-action", "second-until", "no-event", "bad-argument-separator",
-            "non-literal-argument"])
+            "non-literal-argument", "string-as-closing-paren",
+            "string-as-comma"])
     def test_every_syntax_error_names_its_token(self, text, message, line,
                                                 col):
         with pytest.raises(MuDriveSyntaxError) as info:

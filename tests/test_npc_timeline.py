@@ -232,7 +232,16 @@ def test_npc_without_waypoints_is_a_scenario_error():
     # refused when the NPC is built, before any script or tick uses it
     with pytest.raises(ScenarioError, match=r"^npcs\.waypoints must be a"
                                             r" non-empty list of \[t, x, y,"):
+        NpcSpec(id="ghost", waypoints=())
+    with pytest.raises(TypeError, match="waypoints"):
         NpcSpec(id="ghost")
+
+
+def test_npc_waypoints_out_of_time_order_are_a_scenario_error():
+    wps = ((1.0, 0.0, 0.0, 0.0), (0.5, 1.0, 0.0, 0.0))
+    with pytest.raises(ScenarioError) as info:
+        NpcSpec(id="back", waypoints=wps)
+    assert str(info.value) == f"npcs.waypoints must be in time order, got {wps!r}"
 
 
 def test_scripts_do_not_share_a_timeline():

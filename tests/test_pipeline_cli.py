@@ -551,6 +551,12 @@ class TestCli:
         doc = json.loads(result.output)
         assert len(doc["rows"]) == 3
 
+    def test_sweep_delta_without_deltas(self):
+        result = CliRunner().invoke(main, ["sweep-delta", "--scenario", "S6",
+                                           "--deltas", ","])
+        assert result.exit_code == 1, result.output
+        assert result.output == "Error: need at least one delta\n"
+
     @pytest.mark.parametrize("argv", [
         "sweep-delta --scenario S6 --deltas 1,nan",
         "sweep-delta --scenario S6 --deltas 1,abc",

@@ -23,6 +23,7 @@ from driverepair.spec_lang import (
     SpecEntry,
     SpecSyntaxError,
     Until,
+    evaluate,
     load_spec_file,
     parse_spec,
     resolve_spec,
@@ -137,10 +138,12 @@ class TestParser:
         ("G[a,3] (speed < 1)", "expected a number, found 'a' (at position 2)"),
         ("G[-x,3] (speed < 1)", "expected a number, found 'x' (at position 3)"),
         ("speed < 60 @", "unexpected character '@' (at position 11)"),
+        ("speed(3) > 1", "speed does not take a parameter (at position 0)"),
     ], ids=["sum-without-comparison", "number-without-comparison",
             "proposition-on-left", "proposition-on-right",
             "coefficient-times-number", "coefficient-times-keyword",
-            "name-as-bound", "negated-name-as-bound", "unexpected-character"])
+            "name-as-bound", "negated-name-as-bound", "unexpected-character",
+            "parameter-on-a-plain-variable"])
     def test_error_messages(self, text, message):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)
@@ -190,6 +193,14 @@ class TestRobustnessExamples:
         trace = speed_trace([10])
         with pytest.raises(IndexError):
             robustness(parse_spec("speed > 0"), trace, 1)
+
+    @pytest.mark.parametrize("start, end", [(-1, 1), (2, 1), (0, 3)])
+    def test_evaluate_steps_outside_the_trace(self, start, end):
+        trace = speed_trace([10, 20, 30])
+        with pytest.raises(IndexError) as info:
+            evaluate(parse_spec("speed > 0"), trace, start, end)
+        assert str(info.value) == (f"steps [{start}, {end}] outside trace of"
+                                   " length 3")
 
 
 class TestBuiltins:

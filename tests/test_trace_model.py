@@ -256,6 +256,44 @@ class TestLoadRecord:
                 rf" got {re.escape(repr(value))}\)$")):
             load_record(path)
 
+    @pytest.mark.parametrize("key", ["in_junction", "is_changing_lane"])
+    @pytest.mark.parametrize("value", ["false", "0", 0, [0], None],
+                             ids=["string-false", "string-0", "zero", "list",
+                                  "null"])
+    def test_map_ctx_flag_must_be_true_or_false(self, tmp_path, key, value):
+        # bool() would read "false", "0" and [0] as true, and 0 == False
+        path = tmp_path / "rec.jsonl"
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+               "map_ctx": {key: value}}
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == (f"line 1: bad frame (map_ctx.{key} must be"
+                                   f" true or false, got {value!r})")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_map_ctx_flags_load_as_written(self, tmp_path, value):
+        path = tmp_path / "rec.jsonl"
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+               "map_ctx": {"in_junction": value, "is_changing_lane": value}}
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        frame, = load_record(path)
+        assert frame.map_ctx.in_junction is value
+        assert frame.map_ctx.is_changing_lane is value
+        assert frame.scene.in_junction is value
+
+    def test_exponents_and_ints_load_like_plain_numbers(self, tmp_path):
+        # a digit before an exponent sends the line to the checking decoder
+        plain = tmp_path / "plain.jsonl"
+        plain.write_text('{"t":0.0,"ego":{"x":150.0,"y":10.0,"heading":0.0,'
+                         '"speed":3.0},"map_ctx":{"dist_to_dest":120.0}}\n',
+                         encoding="utf-8")
+        written = tmp_path / "written.jsonl"
+        written.write_text('{"t":0,"ego":{"x":1.5e2,"y":1E1,"heading":0,'
+                           '"speed":3},"map_ctx":{"dist_to_dest":120}}\n',
+                           encoding="utf-8")
+        assert load_record(written) == load_record(plain)
+
     @staticmethod
     def _record_with_obstacle_x(tmp_path, literal):
         frames = ramp_frames(3)
