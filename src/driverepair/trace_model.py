@@ -149,9 +149,28 @@ def require_object(value, name):
     return value
 
 
-def _frame_from_dict(doc):
-    # `v * 1.0` is float(v) for a JSON number and a TypeError for a JSON
-    # string, which float() would read ("nan" as NaN, "inf" as infinity)
+# `v * 1.0` is float(v) for a JSON number and a TypeError for a JSON string,
+# which float() would read ("nan" as NaN, "inf" as infinity)
+
+def _obstacle_from_dict(ob, id_):
+    return Obstacle(
+        id=id_,
+        kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
+                            "obstacles.kind"),
+        x=ob["x"] * 1.0, y=ob["y"] * 1.0,
+        heading=ob.get("heading", 0.0) * 1.0,
+        speed=require_non_negative(ob["speed"], "obstacles.speed") * 1.0,
+        half_len=require_positive(ob["half_len"], "obstacles.half_len") * 1.0,
+        half_wid=require_positive(ob["half_wid"], "obstacles.half_wid") * 1.0,
+        predicted=tuple([(t * 1.0, x * 1.0, y * 1.0)
+                         for t, x, y in ob.get("predicted", [])]),
+    )
+
+
+def _frame_from_dict(doc, previous, current):
+    """Build one frame. An obstacle object equal to the one with its id in
+    `previous` takes that one's Obstacle; `current` collects this frame's
+    (object, Obstacle) pairs by id for the next frame."""
     ego_doc = doc["ego"]
     ego = EgoPose(
         x=ego_doc["x"] * 1.0, y=ego_doc["y"] * 1.0,
@@ -164,18 +183,14 @@ def _frame_from_dict(doc):
 
     obstacles = []
     for ob in doc.get("obstacles", []):
-        obstacles.append(Obstacle(
-            id=str(ob["id"]),
-            kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
-                                "obstacles.kind"),
-            x=ob["x"] * 1.0, y=ob["y"] * 1.0,
-            heading=ob.get("heading", 0.0) * 1.0,
-            speed=require_non_negative(ob["speed"], "obstacles.speed") * 1.0,
-            half_len=require_positive(ob["half_len"], "obstacles.half_len") * 1.0,
-            half_wid=require_positive(ob["half_wid"], "obstacles.half_wid") * 1.0,
-            predicted=tuple([(t * 1.0, x * 1.0, y * 1.0)
-                             for t, x, y in ob.get("predicted", [])]),
-        ))
+        # by str(id), as the Obstacle holds it: 1 == 1.0 == True, but their
+        # ids "1", "1.0" and "True" differ
+        id_ = str(ob["id"])
+        seen = previous.get(id_)
+        if seen is None or seen[0] != ob:
+            seen = ob, _obstacle_from_dict(ob, id_)
+        current[id_] = seen
+        obstacles.append(seen[1])
 
     light = None
     if doc.get("traffic_light") is not None:
@@ -290,23 +305,33 @@ def load_record(path) -> list[RawRecordFrame]:
     increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
     linenos = array.array("L")     # each frame's line, for the messages
+    # Most obstacles equal their previous frame's, and an equal JSON object
+    # builds an equal Obstacle, except that 0.0 == -0.0: a line that may
+    # hold a negative zero (one from the checking decoder, where -1e-400 is
+    # -0.0, or one with "-0.") neither reuses obstacles nor offers its own.
+    previous = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            decoder = (_STRICT_DECODER if _may_overflow(line)
-                       else _RECORD_DECODER)
+            if _may_overflow(line):
+                decoder, shares = _STRICT_DECODER, False
+            else:
+                decoder, shares = _RECORD_DECODER, "-0." not in line
             try:
                 doc = decoder.decode(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
             except RecordError as exc:
                 raise RecordError(f"line {lineno}: {exc}") from None
+            current = {}
             try:
-                frames.append(_frame_from_dict(doc))
+                frames.append(_frame_from_dict(
+                    doc, previous if shares else {}, current))
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
+            previous = current if shares else {}
             linenos.append(lineno)
             extra = doc.keys() - {"t", "ego", "obstacles", "traffic_light",
                                   "weather", "map_ctx"}

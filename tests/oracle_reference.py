@@ -8,10 +8,14 @@ every corner against every edge, and every obstacle of a frame tested, none
 skipped. `obb_overlap_ref` is the former separating-axis test, which builds
 each box's projections as a list for builtin `min` and `max`.
 `npc_obstacles_ref` is the former per-tick NPC loop of the simulator.
+`load_frames_independently` loads each line of a record as a one-line
+record of its own: with no previous frame, no obstacle is reused, so every
+frame is built afresh through the same decoder choice and value checks.
 """
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 from driverepair.spec_lang import (
     Always,
@@ -31,6 +35,7 @@ from driverepair.trace_model import (
     EGO_HALF_WID,
     FAR,
     Obstacle,
+    load_record,
     var_margin,
     var_numeric,
 )
@@ -210,3 +215,18 @@ def npc_obstacles_ref(script, t):
                             for p in npc.predicted(t)),
         ))
     return tuple(obstacles)
+
+
+def load_frames_independently(path, work_dir):
+    """The frames of the record at `path` in file order, each loaded from a
+    one-line copy of its line written to `work_dir`."""
+    frames = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            alone = Path(work_dir) / f"line{lineno}.jsonl"
+            alone.write_text(line, encoding="utf-8")
+            frame, = load_record(alone)
+            frames.append(frame)
+    return frames

@@ -139,11 +139,18 @@ class TestParser:
         ("G[-x,3] (speed < 1)", "expected a number, found 'x' (at position 3)"),
         ("speed < 60 @", "unexpected character '@' (at position 11)"),
         ("speed(3) > 1", "speed does not take a parameter (at position 0)"),
+        ("red == trafficLightColor", "'red' is a value of trafficLightColor,"
+         " not a variable; write it after its variable, as in"
+         " trafficLightColor == red (at position 0)"),
+        ("G (gear != reverse | park == gear)", "'park' is a value of gear,"
+         " not a variable; write it after its variable, as in gear == park"
+         " (at position 21)"),
     ], ids=["sum-without-comparison", "number-without-comparison",
             "proposition-on-left", "proposition-on-right",
             "coefficient-times-number", "coefficient-times-keyword",
             "name-as-bound", "negated-name-as-bound", "unexpected-character",
-            "parameter-on-a-plain-variable"])
+            "parameter-on-a-plain-variable", "enum-value-on-the-left",
+            "enum-value-on-the-left-nested"])
     def test_error_messages(self, text, message):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from conftest import make_scene, ramp_frames
+from oracle_reference import load_frames_independently
 
 from driverepair.simulator import run_scenario, scenario_by_id
 from driverepair.trace_model import (
@@ -20,6 +21,7 @@ from driverepair.trace_model import (
     SignalVar,
     Trace,
     build_trace,
+    frame_to_line,
     load_record,
     save_record,
     scene_from_frame,
@@ -317,6 +319,232 @@ class TestLoadRecord:
         trace = build_trace(load_record(p1))
         assert var_numeric(trace.scenes[0], SignalVar("fogIntensity")) == 0.8
 
+
+# Spellings of equal values, plain ones first. A zero may decode to 0, 0.0
+# or -0.0, which are all == but do not all write back alike; `-1e-400`
+# decodes to -0.0 without a "-0." in its line. A line with an exponent goes
+# to the checking decoder.
+_SPELLINGS = (
+    ("0", "0.0", "-0", "-0.0", "-0.00", "0e0", "-1e-400"),
+    ("1", "1.0", "true", "1e0", "10E-1"),
+    ("2.5", "2.50", "25e-1"),
+    ("-3.25", "-325e-2"),
+)
+_PLAIN = {"0", "0.0", "-0", "1", "1.0", "true", "2.5", "2.50", "-3.25"}
+_IDS = ("1", "1.0", "true", '"1"', '"a"')      # all but "a" are == 1
+
+
+def _spelling(rng, group, exotic):
+    """A spelling from `group`: one that is not plain with odds `exotic`."""
+    plain = rng.random() >= exotic
+    return rng.choice([v for v in group if (v in _PLAIN) == plain] or group)
+
+
+def _respelled(rng, literal):
+    group = next(g for g in _SPELLINGS if literal in g)
+    return rng.choice(group)
+
+
+def _random_obstacle(rng, exotic):
+    def number(groups=_SPELLINGS):
+        return _spelling(rng, rng.choice(groups), exotic)
+    ob = {"id": rng.choice(_IDS), "x": number(), "y": number(),
+          "speed": number(_SPELLINGS[:1]),
+          "half_len": number(_SPELLINGS[1:3]),
+          "half_wid": number(_SPELLINGS[1:3])}
+    if rng.random() < 0.5:
+        ob["kind"] = rng.choice(('"vehicle"', '"cyclist"'))
+    if rng.random() < 0.5:
+        ob["heading"] = number()
+    if rng.random() < 0.3:
+        ob["predicted"] = [[number() for _ in range(3)]]
+    return ob
+
+
+def _mutated(rng, obstacles, exotic):
+    """The next frame's obstacles: the same, with one obstacle repeated,
+    changed or re-spelled."""
+    obstacles = [dict(ob, predicted=[list(p) for p in ob["predicted"]])
+                 if "predicted" in ob else dict(ob) for ob in obstacles]
+    if not obstacles:
+        return [_random_obstacle(rng, exotic)]
+    ob = rng.choice(obstacles)
+    numeric = [k for k in ("x", "y", "heading", "speed", "half_len",
+                           "half_wid") if k in ob]
+    op = rng.choice(("repeat", "repeat", "respell", "respell", "change",
+                     "id", "heading", "unknown", "twin", "add", "drop",
+                     "predicted", "order"))
+    if op == "respell":
+        key = rng.choice(numeric)
+        ob[key] = _respelled(rng, ob[key])
+    elif op == "change":
+        key = rng.choice(numeric)
+        groups = (_SPELLINGS[1:3] if key.startswith("half_") else
+                  _SPELLINGS[:1] if key == "speed" else _SPELLINGS)
+        ob[key] = _spelling(rng, rng.choice(groups), exotic)
+    elif op == "id":
+        ob["id"] = rng.choice(_IDS)
+    elif op == "heading":
+        # an omitted heading reads as 0.0
+        if "heading" in ob:
+            del ob["heading"]
+        else:
+            ob["heading"] = rng.choice(("0.0", "0", "-0.0"))
+    elif op == "unknown":
+        if "note" in ob:
+            del ob["note"]
+        else:
+            ob["note"] = rng.choice(('"x"', "0", "-0.0"))
+    elif op == "twin":      # two obstacles with one id in the frame
+        twin = dict(ob)
+        twin["x"] = _respelled(rng, twin["x"])
+        obstacles.insert(rng.randrange(len(obstacles) + 1), twin)
+    elif op == "add":
+        obstacles.append(_random_obstacle(rng, exotic))
+    elif op == "drop":
+        obstacles.remove(ob)
+    elif op == "predicted":
+        point = rng.choice(ob.get("predicted") or [["0", "0", "0"]])
+        i = rng.randrange(3)
+        point[i] = _respelled(rng, point[i])
+        ob["predicted"] = [point]
+    elif op == "order":
+        items = list(ob.items())
+        rng.shuffle(items)
+        obstacles[obstacles.index(ob)] = dict(items)
+    return obstacles
+
+
+def _obstacle_text(ob):
+    def value(v):
+        if isinstance(v, list):
+            return "[" + ",".join(value(x) for x in v) + "]"
+        return v
+    return "{" + ",".join(f'"{k}":{value(v)}' for k, v in ob.items()) + "}"
+
+
+def _record_text(rng):
+    exotic = rng.choice((0.0, 0.02, 0.3))
+    obstacles = [_random_obstacle(rng, exotic)
+                 for _ in range(rng.randint(0, 3))]
+    lines = []
+    for i in range(rng.randint(2, 6)):
+        if i:
+            obstacles = _mutated(rng, obstacles, exotic)
+        ego_x = _spelling(rng, ("0", "1.5", "-0.0", "15e-1"), exotic)
+        lines.append(f'{{"t":{i / 10},"ego":{{"x":{ego_x},"y":0,"heading":0,'
+                     f'"speed":1}},"obstacles":['
+                     + ",".join(map(_obstacle_text, obstacles)) + "]}\n")
+    return "".join(lines)
+
+
+def _types(value):
+    if dataclasses.is_dataclass(value):
+        return tuple(_types(getattr(value, f.name))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_types(v) for v in value)
+    return type(value)
+
+
+def _assert_loads_like_each_line_alone(path, work):
+    got = load_record(path)
+    want = load_frames_independently(path, work)
+    assert [frame_to_line(f) for f in got] == [frame_to_line(f) for f in want]
+    assert [repr(f.scene) for f in got] == [repr(f.scene) for f in want]
+    assert [_types(f) for f in got] == [_types(f) for f in want]
+    return got
+
+
+def _reused(frames):
+    return sum(any(ob is prev for prev in a.obstacles)
+               for a, b in zip(frames, frames[1:]) for ob in b.obstacles)
+
+
+class TestObstacleReuse:
+    """A frame takes the previous frame's Obstacle for an equal obstacle
+    object; the frames must equal those built from each line alone."""
+
+    def test_seeded_records_load_like_each_line_alone(self, tmp_path):
+        reused = 0
+        for seed in range(320):
+            path = tmp_path / f"rec{seed}.jsonl"
+            path.write_text(_record_text(random.Random(seed)),
+                            encoding="utf-8")
+            work = tmp_path / f"lines{seed}"
+            work.mkdir()
+            reused += _reused(_assert_loads_like_each_line_alone(path, work))
+        assert reused > 300
+
+    @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted"])
+    def test_every_pair_of_zero_spellings(self, tmp_path, field):
+        # 0.0 == -0.0: an obstacle must neither take nor give its Obstacle
+        # across a line that may hold a negative zero
+        zeros = _SPELLINGS[0]
+        for i, first in enumerate(zeros):
+            for j, second in enumerate(zeros):
+                lines = []
+                for k, zero in enumerate((first, second, first)):
+                    ob = {"id": '"o"', "x": "9", "y": "0", "speed": "0",
+                          "half_len": "2", "half_wid": "1"}
+                    ob[field] = f"[[1,2,{zero}]]" if field == "predicted" \
+                        else zero
+                    lines.append(f'{{"t":{k / 10},"ego":{{"x":0,"y":0,'
+                                 f'"heading":0,"speed":1}},"obstacles":['
+                                 f"{_obstacle_text(ob)}]}}\n")
+                path = tmp_path / f"rec{i}_{j}.jsonl"
+                path.write_text("".join(lines), encoding="utf-8")
+                work = tmp_path / f"lines{i}_{j}"
+                work.mkdir()
+                _assert_loads_like_each_line_alone(path, work)
+
+    @pytest.mark.parametrize("scenario", ["S2", "S5", "S7"])
+    def test_scenario_records_reload_byte_identically(self, tmp_path,
+                                                      scenario):
+        # S2 and S7 hold lines with "-0.", which share nothing
+        frames, _ = run_scenario(scenario_by_id(scenario))
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_record(frames, p1)
+        loaded = load_record(p1)
+        save_record(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [f.scene for f in loaded] == [f.scene for f in frames]
+        if scenario != "S5":
+            assert "-0." in p1.read_text(encoding="utf-8")
+
+    def test_held_npc_is_one_object_across_frames(self, tmp_path):
+        # S5's stalled car stands still: 700 of its 701 obstacles equal the
+        # previous frame's
+        frames, _ = run_scenario(scenario_by_id("S5"))
+        path = tmp_path / "s5.jsonl"
+        save_record(frames, path)
+        loaded = load_record(path)
+        assert [len(f.obstacles) for f in loaded] == [1] * 701
+        stalled = loaded[1].obstacles[0]
+        assert _reused(loaded) == 700
+        assert all(f.obstacles[0] is stalled for f in loaded[1:])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("half_len", 0, "obstacles.half_len must be positive, got 0"),
+        ("kind", "tank", "obstacles.kind must be one of ['vehicle',"
+                         " 'pedestrian', 'cyclist', 'unknown'], got 'tank'"),
+        ("speed", "1", "'>=' not supported between instances of 'str' and"
+                       " 'int'"),
+    ])
+    def test_bad_value_after_shared_frames_names_its_line(self, tmp_path, key,
+                                                          value, message):
+        ob = {"id": "o", "kind": "vehicle", "x": 9.0, "y": 0.0, "speed": 1.0,
+              "half_len": 2.0, "half_wid": 1.0}
+        docs = [{"t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0,
+                                      "speed": 1},
+                 "obstacles": [dict(ob)]} for t in range(5)]
+        docs[3]["obstacles"][0][key] = value
+        path = tmp_path / "rec.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == f"line 4: bad frame ({message})"
 
 class TestBuildTrace:
     def test_single_frame(self):
