@@ -29,7 +29,7 @@ from .simulator import (
 )
 from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
-from .trace_model import build_trace, frame_to_line, load_record
+from .trace_model import build_trace, load_record, record_lines
 
 REPORT_VERSION = 2
 
@@ -103,7 +103,8 @@ def _json_bytes(doc) -> bytes:
 
 
 def _record_bytes(frames) -> bytes:
-    return "".join(frame_to_line(f) for f in frames).encode()
+    # each line is encoded as it comes: the record is never held as text
+    return b"".join([line.encode() for line in record_lines(frames)])
 
 
 def _prompt_files(bundle: PromptBundle) -> dict:

@@ -429,7 +429,9 @@ def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
         out[: n - lo_i] = unbounded[lo_i:]
     if lo_i > 0:
         out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, n - 1, is_min=True))
-    if not math.isinf(hi):
+    # a window reaching the end holds every t1 the recurrence ranges over,
+    # so its max bounds `out` from above
+    if not (math.isinf(hi) or int(hi) >= n - 1):
         out = np.minimum(out, _window_agg(c2, lo, hi, n - 1, is_min=False))
     return out
 

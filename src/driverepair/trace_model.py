@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import array
 import functools
+import itertools
 import json
 import math
 import operator
@@ -224,43 +225,6 @@ def _frame_from_dict(doc, previous, current):
                           traffic_light=light, weather=weather, map_ctx=map_ctx)
 
 
-def frame_to_dict(frame: RawRecordFrame) -> dict:
-    doc = {
-        "t": frame.t,
-        "ego": {
-            "x": frame.ego.x, "y": frame.ego.y, "heading": frame.ego.heading,
-            "speed": frame.ego.speed, "accel": frame.ego.accel,
-            "steering": frame.ego.steering, "gear": frame.ego.gear,
-        },
-        "obstacles": [
-            {
-                "id": ob.id, "kind": ob.kind, "x": ob.x, "y": ob.y,
-                "heading": ob.heading, "speed": ob.speed,
-                "half_len": ob.half_len, "half_wid": ob.half_wid,
-                "predicted": [list(p) for p in ob.predicted],
-            }
-            for ob in frame.obstacles
-        ],
-        "traffic_light": None if frame.traffic_light is None else {
-            "color": frame.traffic_light.color,
-            "dist_to_stopline": frame.traffic_light.dist_to_stopline,
-        },
-        "weather": {
-            "rain": frame.weather.rain, "fog": frame.weather.fog,
-            "snow": frame.weather.snow, "visibility": frame.weather.visibility,
-        },
-        "map_ctx": {
-            "in_junction": frame.map_ctx.in_junction,
-            "dist_to_junction": frame.map_ctx.dist_to_junction,
-            "lane_kind": frame.map_ctx.lane_kind,
-            "dist_to_dest": frame.map_ctx.dist_to_dest,
-            "dist_to_stop_sign": frame.map_ctx.dist_to_stop_sign,
-            "is_changing_lane": frame.map_ctx.is_changing_lane,
-        },
-    }
-    return doc
-
-
 def _reject_non_finite(token):
     raise RecordError(f"non-finite number {token}")
 
@@ -355,16 +319,95 @@ def load_record(path) -> list[RawRecordFrame]:
     return ordered
 
 
+# Records are written through one template per frame, byte for byte what
+# json.dumps(..., separators=(",", ":")) writes for the frame as nested
+# dicts: finite floats by float.__repr__, str by the ASCII-escaping string
+# encoder, True and False by identity (1 in a bool field stays 1), and any
+# other leaf (NaN, +-inf, an int, a non-str id, None) by json itself.
+_json_leaf = json.JSONEncoder(separators=(",", ":")).encode
+_float_text = float.__repr__
+_str_text = json.encoder.encode_basestring_ascii
+
+
+def _num(v):
+    if type(v) is float and v - v == 0.0:      # finite
+        return _float_text(v)
+    return _json_leaf(v)
+
+
+def _str(v):
+    return _str_text(v) if type(v) is str else _json_leaf(v)
+
+
+def _bool(v):
+    return "true" if v is True else "false" if v is False else _json_leaf(v)
+
+
+def _points_text(points) -> str:
+    # Points are most of an obstacle's numbers, and an obstacle that moves
+    # is written anew on every frame: one % call writes triples of finite
+    # floats (%r is float.__repr__ for a float), _num the rest
+    flat = tuple(itertools.chain.from_iterable(points))
+    if (set(map(type, flat)) <= {float} and set(map(len, points)) <= {3}
+            and math.isfinite(sum(flat))):
+        return ",".join(["[%r,%r,%r]"] * len(points)) % flat
+    return ",".join(["[" + ",".join(map(_num, p)) + "]" for p in points])
+
+
+def _obstacle_text(ob: Obstacle) -> str:
+    points = _points_text(ob.predicted)
+    return (f'{{"id":{_str(ob.id)},"kind":{_str(ob.kind)},"x":{_num(ob.x)},'
+            f'"y":{_num(ob.y)},"heading":{_num(ob.heading)},'
+            f'"speed":{_num(ob.speed)},"half_len":{_num(ob.half_len)},'
+            f'"half_wid":{_num(ob.half_wid)},"predicted":[{points}]}}')
+
+
+def _frame_text(frame: RawRecordFrame, obstacles: str) -> str:
+    e, tl, w, m = frame.ego, frame.traffic_light, frame.weather, frame.map_ctx
+    light = "null" if tl is None else (
+        f'{{"color":{_str(tl.color)},'
+        f'"dist_to_stopline":{_num(tl.dist_to_stopline)}}}')
+    return (f'{{"t":{_num(frame.t)},"ego":{{"x":{_num(e.x)},"y":{_num(e.y)},'
+            f'"heading":{_num(e.heading)},"speed":{_num(e.speed)},'
+            f'"accel":{_num(e.accel)},"steering":{_num(e.steering)},'
+            f'"gear":{_str(e.gear)}}},"obstacles":[{obstacles}],'
+            f'"traffic_light":{light},"weather":{{"rain":{_num(w.rain)},'
+            f'"fog":{_num(w.fog)},"snow":{_num(w.snow)},'
+            f'"visibility":{_num(w.visibility)}}},"map_ctx":{{'
+            f'"in_junction":{_bool(m.in_junction)},'
+            f'"dist_to_junction":{_num(m.dist_to_junction)},'
+            f'"lane_kind":{_str(m.lane_kind)},'
+            f'"dist_to_dest":{_num(m.dist_to_dest)},'
+            f'"dist_to_stop_sign":{_num(m.dist_to_stop_sign)},'
+            f'"is_changing_lane":{_bool(m.is_changing_lane)}}}}}\n')
+
+
+def record_lines(frames):
+    """Yield each frame's canonical JSONL line (compact separators, field
+    order fixed). An obstacle object that the previous frame also holds
+    reuses that frame's text; only the previous frame's texts are kept."""
+    previous = {}
+    for frame in frames:
+        # id -> (obstacle, text): holding the obstacle keeps its id unique
+        current = {}
+        for ob in frame.obstacles:
+            key = id(ob)
+            if key not in current:
+                current[key] = previous.get(key) or (ob, _obstacle_text(ob))
+        yield _frame_text(frame, ",".join(
+            [current[id(ob)][1] for ob in frame.obstacles]))
+        previous = current
+
+
 def frame_to_line(frame: RawRecordFrame) -> str:
     """One canonical JSONL line (compact separators, field order fixed)."""
-    return json.dumps(frame_to_dict(frame), separators=(",", ":")) + "\n"
+    return next(record_lines((frame,)))
 
 
 def save_record(frames, path) -> None:
     """Write frames as canonical JSONL, one line at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            fh.write(frame_to_line(frame))
+        fh.writelines(record_lines(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +627,19 @@ def step_frames(frames) -> list[int]:
     """Index of the frame behind each trace step.
 
     Step i stands for time frames[0].t + i * STEP_S; its frame is the one
-    nearest in time, the later one on a tie.
+    nearest in time, the later one on a tie. Times are compared in whole
+    microseconds after the first frame, so a tie is a tie whatever the
+    record's clock offset.
     """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
     t0 = frames[0].t
-    steps = int(round((frames[-1].t - t0) / STEP_S)) + 1
-    times = [f.t for f in frames]
+    times = [round((f.t - t0) * 1e6) for f in frames]
+    step = round(STEP_S * 1e6)
     indices = []
     j = 0
-    for i in range(steps):
-        target = t0 + i * STEP_S
+    for i in range(round(times[-1] / step) + 1):
+        target = i * step
         while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
             j += 1
         indices.append(j)

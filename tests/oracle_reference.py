@@ -8,12 +8,15 @@ every corner against every edge, and every obstacle of a frame tested, none
 skipped. `obb_overlap_ref` is the former separating-axis test, which builds
 each box's projections as a list for builtin `min` and `max`.
 `npc_obstacles_ref` is the former per-tick NPC loop of the simulator.
+`frame_line_ref` is the former record writer: the frame as nested dicts,
+passed whole to `json.dumps`, with no text shared between obstacles.
 `load_frames_independently` loads each line of a record as a one-line
 record of its own: with no previous frame, no obstacle is reused, so every
 frame is built afresh through the same decoder choice and value checks.
 """
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -230,3 +233,42 @@ def load_frames_independently(path, work_dir):
             frame, = load_record(alone)
             frames.append(frame)
     return frames
+
+
+def frame_line_ref(frame) -> str:
+    """The frame's canonical JSONL line, built as nested dicts and encoded
+    by one `json.dumps` call."""
+    doc = {
+        "t": frame.t,
+        "ego": {
+            "x": frame.ego.x, "y": frame.ego.y, "heading": frame.ego.heading,
+            "speed": frame.ego.speed, "accel": frame.ego.accel,
+            "steering": frame.ego.steering, "gear": frame.ego.gear,
+        },
+        "obstacles": [
+            {
+                "id": ob.id, "kind": ob.kind, "x": ob.x, "y": ob.y,
+                "heading": ob.heading, "speed": ob.speed,
+                "half_len": ob.half_len, "half_wid": ob.half_wid,
+                "predicted": [list(p) for p in ob.predicted],
+            }
+            for ob in frame.obstacles
+        ],
+        "traffic_light": None if frame.traffic_light is None else {
+            "color": frame.traffic_light.color,
+            "dist_to_stopline": frame.traffic_light.dist_to_stopline,
+        },
+        "weather": {
+            "rain": frame.weather.rain, "fog": frame.weather.fog,
+            "snow": frame.weather.snow, "visibility": frame.weather.visibility,
+        },
+        "map_ctx": {
+            "in_junction": frame.map_ctx.in_junction,
+            "dist_to_junction": frame.map_ctx.dist_to_junction,
+            "lane_kind": frame.map_ctx.lane_kind,
+            "dist_to_dest": frame.map_ctx.dist_to_dest,
+            "dist_to_stop_sign": frame.map_ctx.dist_to_stop_sign,
+            "is_changing_lane": frame.map_ctx.is_changing_lane,
+        },
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -19,7 +20,7 @@ from driverepair.localizer import (
     moment_frames,
 )
 from driverepair.simulator import PAIRED_SPECS
-from driverepair.spec_lang import parse_spec, robustness_bounded
+from driverepair.spec_lang import parse_spec, robustness, robustness_bounded
 from driverepair.trace_model import Trace, build_trace, step_frames
 
 
@@ -176,3 +177,64 @@ class TestMomentFrames:
         assert near.scene is trace.scenes[moments.near_miss_step]
         assert viol.scene is trace.scenes[moments.violation_step]
         assert got_gap == gap
+
+
+def _at_5hz(frames):
+    return frames[::2]
+
+
+def _at_15hz(frames):
+    """Frames at k / 15 s, each taking the content of the 10 Hz frame
+    nearest before it."""
+    n = (len(frames) - 1) * 3 // 2 + 1
+    return [dataclasses.replace(frames[k * 2 // 3], t=k / 15) for k in range(n)]
+
+
+def _shifted(frames, shift):
+    return [dataclasses.replace(f, t=f.t + shift) for f in frames]
+
+
+def _verdicts(specs, frames):
+    """Moments and robustness of every built-in, floats as hex."""
+    trace = build_trace(frames)
+    out = {}
+    for name, phi in specs.items():
+        m = locate(phi, trace, delta=15.0)
+        out[name] = (m.violation_step, m.near_miss_step,
+                     [r.hex() for r in m.prefix_rho],
+                     robustness(phi, trace).hex())
+    return out
+
+
+class TestClockOffset:
+    """A record's moments depend on its content, not on its clock: shifting
+    every timestamp keeps each step's frame, and so every verdict. At 5 Hz
+    every odd step lies exactly between two frames."""
+
+    SHIFTS = (1.0, 100.0, 86_400.0, 1.7e9)
+
+    @pytest.mark.parametrize("resample", [_at_5hz, _at_15hz],
+                             ids=["5hz", "15hz"])
+    def test_shift_keeps_step_frames(self, baseline_runs, resample):
+        for sid, run in baseline_runs.items():
+            frames = resample(run["frames"])
+            want = step_frames(frames)
+            for shift in self.SHIFTS:
+                assert step_frames(_shifted(frames, shift)) == want, \
+                    (sid, shift)
+
+    @pytest.mark.parametrize("resample", [_at_5hz, _at_15hz],
+                             ids=["5hz", "15hz"])
+    @pytest.mark.parametrize("sid", [f"S{i}" for i in range(1, 9)])
+    def test_shift_keeps_moments_and_robustness(self, baseline_runs, specs,
+                                                resample, sid):
+        frames = resample(baseline_runs[sid]["frames"])
+        want = _verdicts(specs, frames)
+        for shift in self.SHIFTS:
+            assert _verdicts(specs, _shifted(frames, shift)) == want, shift
+
+    def test_tie_takes_the_later_frame_at_any_offset(self):
+        frames = ramp_frames(11, dt=0.2)
+        for shift in (0.0,) + self.SHIFTS:
+            assert step_frames(_shifted(frames, shift)) == [
+                (i + 1) // 2 for i in range(21)], shift

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import ramp_frames
+from oracle_reference import frame_line_ref
 
 from driverepair.mudrive import parse_program
 from driverepair.simulator import (
@@ -62,12 +63,11 @@ class TestRunScenario:
         assert robustness(specs["law38_red"], trace) > 0
 
     def test_determinism_byte_identical(self):
-        from driverepair.trace_model import frame_to_dict
         script = scenario_by_id("S1")
         frames_a, outcome_a = run_scenario(script)
         frames_b, outcome_b = run_scenario(script)
         assert outcome_a == outcome_b
-        dump = lambda frames: json.dumps([frame_to_dict(f) for f in frames])
+        dump = lambda frames: "".join(map(frame_line_ref, frames))
         assert dump(frames_a) == dump(frames_b)
 
     def test_no_teleportation(self, baseline_runs):

@@ -7,22 +7,28 @@ import re
 import pytest
 
 from conftest import make_scene, ramp_frames
-from oracle_reference import load_frames_independently
+from oracle_reference import frame_line_ref, load_frames_independently
 
+from driverepair import trace_model
 from driverepair.simulator import run_scenario, scenario_by_id
 from driverepair.trace_model import (
     LIGHT_CODE,
     MAX_FRAME_GAP_S,
+    OBSTACLE_KINDS,
     CatalogError,
     EgoPose,
+    MapContext,
     Obstacle,
     RawRecordFrame,
     RecordError,
     SignalVar,
     Trace,
+    TrafficLightState,
+    WeatherState,
     build_trace,
     frame_to_line,
     load_record,
+    record_lines,
     save_record,
     scene_from_frame,
     var_margin,
@@ -545,6 +551,166 @@ class TestObstacleReuse:
         with pytest.raises(RecordError) as info:
             load_record(path)
         assert str(info.value) == f"line 4: bad frame ({message})"
+
+# Leaves whose text json.dumps writes in a way of its own
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+               1.7e9 + 0.1, 0.1, -2.5e-7, 1.7976931348623157e308)
+_ODD_IDS = ("car1", "\u00e9", 'a"b', "two\nlines", "\\", "\u2603", 7, 1.5,
+            True, None)
+
+
+def _odd_number(rng):
+    r = rng.random()
+    if r < 0.5:
+        return rng.choice(_ODD_FLOATS)
+    if r < 0.65:
+        return rng.randint(-3, 3)          # an int in a float field
+    if r < 0.7:
+        return rng.choice((True, False, None))
+    return rng.uniform(-1e4, 1e4)
+
+
+def _odd_flag(rng):
+    return rng.choice((True, False, 1, 0))
+
+
+def _odd_obstacle(rng):
+    return Obstacle(
+        id=rng.choice(_ODD_IDS), kind=rng.choice(OBSTACLE_KINDS),
+        x=_odd_number(rng), y=_odd_number(rng), heading=_odd_number(rng),
+        speed=_odd_number(rng), half_len=_odd_number(rng),
+        half_wid=_odd_number(rng),
+        predicted=tuple(tuple(_odd_number(rng) for _ in range(rng.choice((2, 3))))
+                        for _ in range(rng.randint(0, 3))))
+
+
+def _odd_frames(rng, n):
+    """n fresh frames, made one at a time. An obstacle is new, repeated
+    within its frame, the previous frame's, or one last seen two or more
+    frames back."""
+    previous, older = [], []
+    for i in range(n):
+        obstacles = []
+        for _ in range(rng.randint(0, 4)):
+            r = rng.random()
+            if r < 0.15 and obstacles:
+                ob = rng.choice(obstacles)
+            elif r < 0.55 and previous:
+                ob = rng.choice(previous)
+            elif r < 0.7 and older:
+                ob = rng.choice(older)
+            else:
+                ob = _odd_obstacle(rng)
+            obstacles.append(ob)
+        older = (older + [ob for ob in previous if ob not in obstacles])[-3:]
+        previous = obstacles
+        yield RawRecordFrame(
+            t=_odd_number(rng),
+            ego=EgoPose(x=_odd_number(rng), y=_odd_number(rng),
+                        heading=_odd_number(rng), speed=_odd_number(rng),
+                        accel=_odd_number(rng), steering=_odd_number(rng),
+                        gear=rng.choice(("drive", "\u00e9", 'q"', 3))),
+            obstacles=tuple(obstacles),
+            traffic_light=rng.choice((None, TrafficLightState(
+                color=rng.choice(("red", "green", None)),
+                dist_to_stopline=_odd_number(rng)))),
+            weather=WeatherState(rain=_odd_number(rng), fog=_odd_number(rng),
+                                 snow=_odd_number(rng),
+                                 visibility=_odd_number(rng)),
+            map_ctx=MapContext(
+                in_junction=_odd_flag(rng),
+                dist_to_junction=_odd_number(rng),
+                lane_kind=rng.choice(("normal", "\n", None)),
+                dist_to_dest=_odd_number(rng),
+                dist_to_stop_sign=_odd_number(rng),
+                is_changing_lane=_odd_flag(rng)))
+
+
+class TestRecordWriter:
+    """Records are written through a template and share each obstacle's
+    text with the next frame; every line must equal the reference
+    `json.dumps` of the frame as nested dicts."""
+
+    def test_seeded_frames_match_reference(self, tmp_path):
+        for seed in range(40):
+            frames = list(_odd_frames(random.Random(seed), 50))
+            want = [frame_line_ref(f) for f in frames]
+            assert [frame_to_line(f) for f in frames] == want
+            assert list(record_lines(frames)) == want
+            path = tmp_path / f"rec{seed}.jsonl"
+            save_record(frames, path)
+            assert path.read_bytes() == "".join(want).encode()
+
+    def test_frames_made_while_writing_match_reference(self, tmp_path):
+        # frames dropped once written free their obstacles, whose ids the
+        # obstacles of later frames may take
+        for seed in range(20):
+            want = "".join(map(frame_line_ref,
+                               _odd_frames(random.Random(seed), 200)))
+            assert "".join(record_lines(
+                _odd_frames(random.Random(seed), 200))) == want
+            path = tmp_path / f"rec{seed}.jsonl"
+            save_record(_odd_frames(random.Random(seed), 200), path)
+            assert path.read_bytes() == want.encode()
+
+    def test_odd_leaves_are_written_as_json_dumps(self):
+        ob = Obstacle(id="\u00e9", kind="vehicle", x=5e-324, y=1e16,
+                      heading=-0.0, speed=1.7e9 + 0.1, half_len=2,
+                      half_wid=math.nan, predicted=((1.0, math.inf),
+                                                    (-math.inf, 0, 1)))
+        frame = dataclasses.replace(frame_with([ob, ob]),
+                                    map_ctx=MapContext(in_junction=1,
+                                                       is_changing_lane=0))
+        line = frame_to_line(frame)
+        assert line == frame_line_ref(frame)
+        for text in ('"id":"\\u00e9"', '"x":5e-324', '"y":1e+16',
+                     '"heading":-0.0', '"speed":1700000000.1',
+                     '"half_len":2,', '"half_wid":NaN',
+                     '"predicted":[[1.0,Infinity],[-Infinity,0,1]]',
+                     '"in_junction":1,', '"is_changing_lane":0}'):
+            assert text in line, text
+        assert line.count('"half_wid":NaN') == 2
+
+    def test_frames_refilling_one_obstacle_list_match_reference(self):
+        # each frame's obstacles replace the last frame's in one list, so
+        # new obstacles take the ids of freed ones
+        shared = []
+        ego = frame_with().ego
+
+        def frames():
+            for i in range(300):
+                shared.clear()
+                for name in (f"a{i}", f"b{i}"):
+                    shared.append(Obstacle(id=name, kind="vehicle", x=0.5 * i,
+                                           y=0.0, heading=0.0, speed=0.0,
+                                           half_len=2.0, half_wid=1.0))
+                yield RawRecordFrame(t=i * 0.1, ego=ego, obstacles=shared)
+
+        got = list(record_lines(frames()))
+        assert [(line.count(f'"id":"a{i}"'), line.count(f'"id":"b{i}"'))
+                for i, line in enumerate(got)] == [(1, 1)] * 300
+        assert got == list(map(frame_line_ref, frames()))
+
+    def test_obstacle_of_the_previous_frame_is_encoded_once(self,
+                                                            monkeypatch):
+        a, b, c = (Obstacle(id=name, kind="vehicle", x=9.0, y=0.0,
+                            heading=0.0, speed=0.0, half_len=2.0,
+                            half_wid=1.0) for name in "abc")
+        frames = [dataclasses.replace(frame_with(obs), t=i * 0.1)
+                  for i, obs in enumerate([[a, a, b], [a, c], [b, a], []])]
+        encoded = []
+        real = trace_model._obstacle_text
+        monkeypatch.setattr(trace_model, "_obstacle_text",
+                            lambda ob: encoded.append(ob.id) or real(ob))
+        assert list(record_lines(frames)) == list(map(frame_line_ref, frames))
+        # b comes back after a gap: only the previous frame's text is kept
+        assert encoded == ["a", "b", "c", "b"]
+        encoded.clear()
+        # S5's stalled car is one object from frame 1 on
+        s5, _ = run_scenario(scenario_by_id("S5"))
+        assert list(record_lines(s5)) == list(map(frame_line_ref, s5))
+        assert encoded == ["stalled1"] * 2
+
 
 class TestBuildTrace:
     def test_single_frame(self):
