@@ -11,7 +11,6 @@ and replayed once, into `replays/<stem>.jsonl`; candidates share both files.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -215,7 +214,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
 
     # One program file and one replay per distinct program, in first-seen
     # order, named by the digest of the program text. Candidates with the
-    # same program share both files and every report field they shape.
+    # same program share both files and the one report entry built for it.
     shared = {}
     for program in dict.fromkeys(cand.program for cand in batch.candidates):
         text = pretty_print(program).encode()
@@ -239,7 +238,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
                    "input_tokens": cand.input_tokens,
                    "output_tokens": cand.output_tokens,
                    "cost_usd": cand.cost_usd,
-                   **copy.deepcopy(shared[cand.program])}
+                   **shared[cand.program]}
                   for i, cand in enumerate(batch.candidates)]
     costs = [{key: c[key] for key in ("index", "seed", "input_tokens",
                                       "output_tokens", "cost_usd")}

@@ -17,8 +17,8 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
-from ..trace_model import WeatherState, require_non_negative, require_one_of
-from ..trace_model import require_object, require_positive
+from ..trace_model import WeatherState, require_finite, require_non_negative
+from ..trace_model import require_object, require_one_of, require_positive
 
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
@@ -55,13 +55,16 @@ class NpcSpec:
         if not wps or any(len(w) != 4 for w in wps):
             raise ValueError("npcs.waypoints must be a non-empty list of"
                              f" [t, x, y, speed_kmh], got {wps!r}")
+        for w in wps:
+            for v in w:
+                require_finite(v, "npcs.waypoints")
+            require_non_negative(w[3], "npcs.waypoints speed_kmh")
         if any(a[0] > b[0] for a, b in zip(wps, wps[1:])):
             raise ValueError(f"npcs.waypoints must be in time order, got {wps!r}")
-        for w in wps:
-            require_non_negative(w[3], "npcs.waypoints speed_kmh")
         require_one_of(self.kind, OBSTACLE_KINDS, "npcs.kind")
-        require_positive(self.half_len, "npcs.half_len")
-        require_positive(self.half_wid, "npcs.half_wid")
+        for attr in ("half_len", "half_wid"):
+            name = f"npcs.{attr}"
+            require_positive(require_finite(getattr(self, attr), name), name)
 
     def state_at(self, t: float):
         """Position, heading, speed at time t (holds endpoints)."""
@@ -144,11 +147,14 @@ class LightSpec:
 
     @_raises_scenario_error
     def __post_init__(self):
+        require_finite(self.stopline_s, "lights.stopline_s")
+        require_finite(self.release_s, "lights.release_s")
         if not self.schedule:
             raise ValueError("lights.schedule must not be empty")
         for color, dur in self.schedule:
             require_one_of(color, LIGHT_CODE, "lights.schedule")
-            require_positive(dur, "lights.schedule duration_s")
+            require_positive(require_finite(dur, "lights.schedule"),
+                             "lights.schedule duration_s")
 
     def color_at(self, t: float) -> str:
         total = sum(d for _, d in self.schedule)
@@ -176,12 +182,23 @@ class ScenarioScript:
 
     @_raises_scenario_error
     def __post_init__(self):
+        w = self.weather     # checked here: records build one per frame
+        for name, values in {
+                "route_len_m": [self.route_len_m], "duration_s": [self.duration_s],
+                "start_speed_kmh": [self.start_speed_kmh],
+                "lane_segments": [v for seg in self.lane_segments for v in seg[:2]],
+                "junctions": [v for pair in self.junctions for v in pair],
+                "stop_signs": self.stop_signs, "weather.rain": [w.rain],
+                "weather.fog": [w.fog], "weather.snow": [w.snow],
+                "weather.visibility": [w.visibility]}.items():
+            for value in values:
+                require_finite(value, name)
         require_positive(self.route_len_m, "route_len_m")
         require_positive(self.duration_s, "duration_s")
         require_non_negative(self.start_speed_kmh, "start_speed_kmh")
         for _, _, kind in self.lane_segments:
             require_one_of(kind, LANE_CODE, "lane_segments")
-        require_positive(self.weather.visibility, "weather.visibility")
+        require_positive(w.visibility, "weather.visibility")
 
     @functools.cached_property
     def npc_timeline(self) -> dict:
@@ -406,14 +423,12 @@ def script_to_dict(script: ScenarioScript) -> dict:
     return asdict(script)
 
 
-def _finite(value, name) -> float:
+def _number(value):
+    """A JSON number as a float; anything else is left for the types to refuse."""
     try:
-        out = value * 1.0   # as in records: a JSON string such as "nan" fails
+        return value * 1.0
     except (TypeError, OverflowError):
-        out = math.nan
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return out
+        return value
 
 
 def script_from_dict(doc: dict) -> ScenarioScript:
@@ -424,37 +439,30 @@ def script_from_dict(doc: dict) -> ScenarioScript:
         return ScenarioScript(
             id=str(doc["id"]),
             description=doc.get("description", ""),
-            route_len_m=_finite(doc["route_len_m"], "route_len_m"),
-            duration_s=_finite(doc.get("duration_s", 200.0), "duration_s"),
-            start_speed_kmh=_finite(doc.get("start_speed_kmh", 0.0),
-                                    "start_speed_kmh"),
-            lane_segments=tuple((_finite(a, "lane_segments"),
-                                 _finite(b, "lane_segments"), k)
+            route_len_m=_number(doc["route_len_m"]),
+            duration_s=_number(doc.get("duration_s", 200.0)),
+            start_speed_kmh=_number(doc.get("start_speed_kmh", 0.0)),
+            lane_segments=tuple((_number(a), _number(b), k)
                                 for a, b, k in doc.get("lane_segments", [])),
-            junctions=tuple((_finite(a, "junctions"), _finite(b, "junctions"))
+            junctions=tuple((_number(a), _number(b))
                             for a, b in doc.get("junctions", [])),
-            lights=tuple(LightSpec(_finite(li["stopline_s"], "lights.stopline_s"),
-                                   _finite(li["release_s"], "lights.release_s"),
-                                   tuple((c, _finite(d, "lights.schedule"))
+            lights=tuple(LightSpec(_number(li["stopline_s"]),
+                                   _number(li["release_s"]),
+                                   tuple((c, _number(d))
                                          for c, d in li["schedule"]))
                          for li in doc.get("lights", [])),
-            stop_signs=tuple(_finite(s, "stop_signs")
-                             for s in doc.get("stop_signs", [])),
+            stop_signs=tuple(map(_number, doc.get("stop_signs", []))),
             npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
-                               half_len=_finite(n.get("half_len", 2.3),
-                                                "npcs.half_len"),
-                               half_wid=_finite(n.get("half_wid", 1.0),
-                                                "npcs.half_wid"),
-                               waypoints=tuple(tuple(_finite(v, "npcs.waypoints")
-                                                     for v in w)
+                               half_len=_number(n.get("half_len", 2.3)),
+                               half_wid=_number(n.get("half_wid", 1.0)),
+                               waypoints=tuple(tuple(map(_number, w))
                                                for w in n["waypoints"]))
                        for n in doc.get("npcs", [])),
             weather=WeatherState(
-                rain=_finite(weather.get("rain", 0.0), "weather.rain"),
-                fog=_finite(weather.get("fog", 0.0), "weather.fog"),
-                snow=_finite(weather.get("snow", 0.0), "weather.snow"),
-                visibility=_finite(weather.get("visibility", 500.0),
-                                   "weather.visibility")),
+                rain=_number(weather.get("rain", 0.0)),
+                fog=_number(weather.get("fog", 0.0)),
+                snow=_number(weather.get("snow", 0.0)),
+                visibility=_number(weather.get("visibility", 500.0))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trace_model import (
-    _CATALOG,
     CatalogError,
     SignalVar,
     Trace,
-    _entry,
     catalog_kind,
     enum_code,
     var_margin,
@@ -319,23 +317,10 @@ class _Parser:
         if self.take("("):
             arg = self.number()
             self.expect(")")
-        var = SignalVar(val, arg)
         try:
-            _entry(var)
+            return SignalVar(val, arg)
         except CatalogError as exc:
-            raise SpecSyntaxError(_enum_value_hint(val) or exc.args[0],
-                                  pos) from None
-        return var
-
-
-def _enum_value_hint(name):
-    """For a name that is no variable but a value of an enum, say which
-    enum it belongs to and where the value goes; None otherwise."""
-    for var, (kind, _, codes) in _CATALOG.items():
-        if kind == "enum" and name in codes:
-            return (f"{name!r} is a value of {var}, not a variable; write it"
-                    f" after its variable, as in {var} == {name}")
-    return None
+            raise SpecSyntaxError(exc.args[0], pos) from None
 
 
 def parse_spec(text: str) -> Formula:

@@ -2,7 +2,8 @@
 
 A record is a JSONL file, one frame per line. Each frame snapshots the ego
 vehicle, surrounding obstacles, the governing traffic light, weather, and
-map context. A trace resamples a record every STEP_S seconds and evaluates
+map context; a frame keeps its scene and an obstacle its record text once
+computed. A trace resamples a record every STEP_S seconds and evaluates
 every signal variable the property language can mention, one scene per step.
 The value rules that records share with scenario documents live here too.
 """
@@ -76,6 +77,11 @@ class Obstacle:
     half_wid: float
     predicted: tuple = ()   # ((t_rel, x, y), ...)
 
+    @functools.cached_property
+    def record_text(self) -> str:
+        """The obstacle's JSON text in a record line, encoded once."""
+        return _obstacle_text(self)
+
 
 @dataclass(frozen=True)
 class TrafficLightState:
@@ -130,6 +136,15 @@ def require_bool(value, name):
     if value is not True and value is not False:
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def require_finite(value, name):
+    try:    # a string ("nan") or an int beyond the float range fails too
+        if math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def require_positive(value, name):
@@ -250,8 +265,13 @@ def _float_range_int(text):
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
 # A number literal beyond the float range (1e400, or 309 digits or more)
 # would load as inf or fail later in float(). Such a literal has a digit
-# followed by an exponent, or a run of 309 digits. Lines that have neither
-# keep the C decoder; the rest are decoded with checking Python hooks.
+# followed by a positive exponent (a negative one can only underflow) or a
+# run of 309 digits, as any mantissa that large has. Lines with neither
+# keep the C decoder; the rest get checking Python hooks. Equal JSON
+# objects build equal Obstacles except that 0.0 == -0.0, so a line that may
+# hold a negative zero ("-0.", "-0e", "-0E", a three-digit negative
+# exponent as in -1e-400, or any line for the checking decoder) shares no
+# obstacle with its neighbours.
 _STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite,
                                    parse_float=_finite_float,
                                    parse_int=_float_range_int)
@@ -259,9 +279,14 @@ _DIGITS_AS_ZERO = bytes.maketrans(b"123456789E", b"000000000e")
 _LONG_DIGIT_RUN = b"0" * 309
 
 
-def _may_overflow(line: str) -> bool:
+def _line_decoder(line: str):     # -> (decoder, whether the line shares)
     masked = line.encode().translate(_DIGITS_AS_ZERO)
-    return b"0e" in masked or _LONG_DIGIT_RUN in masked
+    exponent = b"0e" in masked      # most lines have none: three scans
+    if _LONG_DIGIT_RUN in masked or exponent and (b"0e0" in masked
+                                                  or b"0e+" in masked):
+        return _STRICT_DECODER, False
+    return _RECORD_DECODER, not ("-0." in line or exponent and (
+        "-0e" in line or "-0E" in line or b"e-000" in masked))
 
 
 def load_record(path) -> list[RawRecordFrame]:
@@ -269,20 +294,14 @@ def load_record(path) -> list[RawRecordFrame]:
     increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
     linenos = array.array("L")     # each frame's line, for the messages
-    # Most obstacles equal their previous frame's, and an equal JSON object
-    # builds an equal Obstacle, except that 0.0 == -0.0: a line that may
-    # hold a negative zero (one from the checking decoder, where -1e-400 is
-    # -0.0, or one with "-0.") neither reuses obstacles nor offers its own.
+    # most obstacles equal their previous frame's (see `_line_decoder`)
     previous = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if _may_overflow(line):
-                decoder, shares = _STRICT_DECODER, False
-            else:
-                decoder, shares = _RECORD_DECODER, "-0." not in line
+            decoder, shares = _line_decoder(line)
             try:
                 doc = decoder.decode(line)
             except json.JSONDecodeError as exc:
@@ -362,8 +381,11 @@ def _obstacle_text(ob: Obstacle) -> str:
             f'"half_wid":{_num(ob.half_wid)},"predicted":[{points}]}}')
 
 
-def _frame_text(frame: RawRecordFrame, obstacles: str) -> str:
+def frame_to_line(frame: RawRecordFrame) -> str:
+    """One canonical JSONL line (compact separators, field order fixed);
+    each obstacle's part is its own `record_text`."""
     e, tl, w, m = frame.ego, frame.traffic_light, frame.weather, frame.map_ctx
+    obstacles = ",".join([ob.record_text for ob in frame.obstacles])
     light = "null" if tl is None else (
         f'{{"color":{_str(tl.color)},'
         f'"dist_to_stopline":{_num(tl.dist_to_stopline)}}}')
@@ -383,25 +405,8 @@ def _frame_text(frame: RawRecordFrame, obstacles: str) -> str:
 
 
 def record_lines(frames):
-    """Yield each frame's canonical JSONL line (compact separators, field
-    order fixed). An obstacle object that the previous frame also holds
-    reuses that frame's text; only the previous frame's texts are kept."""
-    previous = {}
-    for frame in frames:
-        # id -> (obstacle, text): holding the obstacle keeps its id unique
-        current = {}
-        for ob in frame.obstacles:
-            key = id(ob)
-            if key not in current:
-                current[key] = previous.get(key) or (ob, _obstacle_text(ob))
-        yield _frame_text(frame, ",".join(
-            [current[id(ob)][1] for ob in frame.obstacles]))
-        previous = current
-
-
-def frame_to_line(frame: RawRecordFrame) -> str:
-    """One canonical JSONL line (compact separators, field order fixed)."""
-    return next(record_lines((frame,)))
+    """Yield each frame's `frame_to_line`, one frame at a time."""
+    yield from map(frame_to_line, frames)
 
 
 def save_record(frames, path) -> None:
@@ -518,8 +523,16 @@ def scene_from_frame(frame: RawRecordFrame) -> Scene:
 
 @dataclass(frozen=True)
 class SignalVar:
+    """A catalog variable and its parameter, checked once, when built."""
     name: str
     arg: float | None = None
+
+    def __post_init__(self):
+        kind = catalog_kind(self.name)
+        if kind == "pred" and self.arg is None:
+            raise CatalogError(f"{self.name} requires a parameter, e.g. {self.name}(10)")
+        if kind != "pred" and self.arg is not None:
+            raise CatalogError(f"{self.name} does not take a parameter")
 
 
 def _bool_margin(flag: bool) -> float:
@@ -554,20 +567,14 @@ _CATALOG = {
 
 
 def catalog_kind(name: str) -> str:
-    try:
+    if name in _CATALOG:
         return _CATALOG[name][0]
-    except KeyError:
-        raise CatalogError(f"unknown signal variable {name!r}") from None
-
-
-def _entry(var: SignalVar):
-    """The catalog entry of `var`, after checking its parameter."""
-    kind = catalog_kind(var.name)
-    if kind == "pred" and var.arg is None:
-        raise CatalogError(f"{var.name} requires a parameter, e.g. {var.name}(10)")
-    if kind != "pred" and var.arg is not None:
-        raise CatalogError(f"{var.name} does not take a parameter")
-    return _CATALOG[var.name]
+    for var, (kind, _, codes) in _CATALOG.items():
+        if kind == "enum" and name in codes:
+            raise CatalogError(f"{name!r} is a value of {var}, not a variable;"
+                               f" write it after its variable, as in"
+                               f" {var} == {name}")
+    raise CatalogError(f"unknown signal variable {name!r}")
 
 
 def var_margin(scene: Scene, var: SignalVar) -> float:
@@ -576,7 +583,7 @@ def var_margin(scene: Scene, var: SignalVar) -> float:
     Positive iff the variable holds (booleans map to +/-1, `stopped` to its
     speed margin, parametric predicates to threshold minus distance).
     """
-    kind, attr, _ = _entry(var)
+    kind, attr, _ = _CATALOG[var.name]
     if kind == "pred":
         return var.arg - getattr(scene, attr)
     if var.name == "stopped":
@@ -588,7 +595,7 @@ def var_margin(scene: Scene, var: SignalVar) -> float:
 
 def var_numeric(scene: Scene, var: SignalVar) -> float:
     """Numeric value for use inside linear expressions (reals and enums)."""
-    kind, attr, codes = _entry(var)
+    kind, attr, codes = _CATALOG[var.name]
     raw = getattr(scene, attr)
     if kind == "real":
         return float(raw)

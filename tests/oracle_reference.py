@@ -12,7 +12,8 @@ each box's projections as a list for builtin `min` and `max`.
 passed whole to `json.dumps`, with no text shared between obstacles.
 `load_frames_independently` loads each line of a record as a one-line
 record of its own: with no previous frame, no obstacle is reused, so every
-frame is built afresh through the same decoder choice and value checks.
+frame is built afresh through the same decoder choice and value checks. The
+first line that fails raises its error, named by its line in the record.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from driverepair.trace_model import (
     EGO_HALF_WID,
     FAR,
     Obstacle,
+    RecordError,
     load_record,
     var_margin,
     var_numeric,
@@ -230,7 +232,11 @@ def load_frames_independently(path, work_dir):
                 continue
             alone = Path(work_dir) / f"line{lineno}.jsonl"
             alone.write_text(line, encoding="utf-8")
-            frame, = load_record(alone)
+            try:
+                frame, = load_record(alone)
+            except RecordError as exc:     # named by its line in the record
+                raise RecordError(f"line {lineno}"
+                                  + str(exc).removeprefix("line 1")) from None
             frames.append(frame)
     return frames
 

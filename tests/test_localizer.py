@@ -21,7 +21,15 @@ from driverepair.localizer import (
 )
 from driverepair.simulator import PAIRED_SPECS
 from driverepair.spec_lang import parse_spec, robustness, robustness_bounded
-from driverepair.trace_model import Trace, build_trace, step_frames
+from driverepair.trace_model import (
+    FAR,
+    Obstacle,
+    Trace,
+    build_trace,
+    load_record,
+    save_record,
+    step_frames,
+)
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +246,58 @@ class TestClockOffset:
         for shift in (0.0,) + self.SHIFTS:
             assert step_frames(_shifted(frames, shift)) == [
                 (i + 1) // 2 for i in range(21)], shift
+
+
+def _permuted(frames):
+    rng = random.Random(7)
+    return [dataclasses.replace(f, obstacles=tuple(
+        rng.sample(f.obstacles, len(f.obstacles)))) for f in frames]
+
+
+def _renamed(frames):
+    names = {}
+    return [dataclasses.replace(f, obstacles=tuple(
+        dataclasses.replace(ob, id=names.setdefault(ob.id, f"other{len(names)}"))
+        for ob in f.obstacles)) for f in frames]
+
+
+# The congestion band reaches dist_to_junction + 45 m, and dist_to_junction
+# may be FAR: an obstacle closer than that is still read
+_BEYOND_M = 10_100.0       # FAR + 45 m, plus more than both boxes' reach
+_FAR_AWAY = Obstacle(id="far_away", kind="vehicle", x=-_BEYOND_M, y=0.0,
+                     heading=0.0, speed=0.0, half_len=2.3, half_wid=1.0)
+
+
+def _with_far_obstacle(frames):
+    # every ego x lies in [0, route length], so this is behind it
+    assert all(f.ego.x >= 0.0 and f.ego.heading == 0.0 for f in frames)
+    return [dataclasses.replace(f, obstacles=f.obstacles + (_FAR_AWAY,))
+            for f in frames]
+
+
+class TestObstacleRelations:
+    """Moments and robustness depend on which obstacles a frame holds, not
+    on their order or names, and not on one beyond every distance a scene
+    reads; each relation holds bitwise in memory and after a save and load.
+    Besides the built-ins, a never-violated U[0,40] spec runs `locate`'s
+    every-prefix path."""
+
+    UNTIL_SPEC = "G ((speed > 20) -> ((speed > 1) U[0,40] (speed > 2)))"
+
+    @pytest.mark.parametrize("relation", [_permuted, _renamed,
+                                          _with_far_obstacle],
+                             ids=["permuted", "renamed", "far-obstacle"])
+    @pytest.mark.parametrize("resample", [lambda f: f, _at_5hz],
+                             ids=["10hz", "5hz"])
+    @pytest.mark.parametrize("sid", [f"S{i}" for i in range(1, 9)])
+    def test_relation_keeps_moments_and_robustness(
+            self, baseline_runs, specs, tmp_path, relation, resample, sid):
+        specs = dict(specs, until=parse_spec(self.UNTIL_SPEC))
+        frames = resample(baseline_runs[sid]["frames"])
+        want = _verdicts(specs, frames)
+        assert want["until"][0] is None
+        changed = relation(frames)
+        assert _verdicts(specs, changed) == want
+        path = tmp_path / "changed.jsonl"
+        save_record(changed, path)
+        assert _verdicts(specs, load_record(path)) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -19,9 +20,14 @@ from driverepair.simulator import (
     script_from_dict,
     script_to_dict,
 )
-from driverepair.simulator.scenarios import LightSpec, ScenarioError
+from driverepair.simulator.scenarios import LightSpec, NpcSpec, ScenarioError
 from driverepair.spec_lang import robustness
-from driverepair.trace_model import EgoPose, RawRecordFrame, build_trace
+from driverepair.trace_model import (
+    EgoPose,
+    RawRecordFrame,
+    WeatherState,
+    build_trace,
+)
 
 RED_LIGHT_FIX = """
 rule "approach lights gently"
@@ -187,6 +193,76 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match=r"^lights\.schedule must not"
                                                 r" be empty$"):
             LightSpec(148.0, 176.0, ())
+
+
+def _waypoint_with(i, v):
+    point = [0.0, 200.0, 7.0, 0.0]
+    point[i] = v
+    return NpcSpec(id="n", waypoints=(tuple(point), (60.0, 200.0, 7.0, 0.0)))
+
+
+def _script_with(**changes):
+    return dataclasses.replace(scenario_by_id("S4"), **changes)
+
+
+# Each number a scenario type holds, built in Python with value v
+_NUMBER_FIELDS = [
+    ("npcs.waypoints", "t", lambda v: _waypoint_with(0, v)),
+    ("npcs.waypoints", "x", lambda v: _waypoint_with(1, v)),
+    ("npcs.waypoints", "y", lambda v: _waypoint_with(2, v)),
+    ("npcs.waypoints", "speed_kmh", lambda v: _waypoint_with(3, v)),
+    ("npcs.half_len", "", lambda v: NpcSpec(
+        id="n", half_len=v, waypoints=((0.0, 1.0, 2.0, 0.0),))),
+    ("npcs.half_wid", "", lambda v: NpcSpec(
+        id="n", half_wid=v, waypoints=((0.0, 1.0, 2.0, 0.0),))),
+    ("lights.stopline_s", "", lambda v: LightSpec(v, 176.0, (("red", 9.0),))),
+    ("lights.release_s", "", lambda v: LightSpec(148.0, v, (("red", 9.0),))),
+    ("lights.schedule", "", lambda v: LightSpec(148.0, 176.0, (("red", v),))),
+    ("route_len_m", "", lambda v: _script_with(route_len_m=v)),
+    ("duration_s", "", lambda v: _script_with(duration_s=v)),
+    ("start_speed_kmh", "", lambda v: _script_with(start_speed_kmh=v)),
+    ("lane_segments", "", lambda v: _script_with(
+        lane_segments=((40.0, v, "fast"),))),
+    ("junctions", "", lambda v: _script_with(junctions=((v, 176.0),))),
+    ("stop_signs", "", lambda v: _script_with(stop_signs=(80.0, v))),
+    ("weather.rain", "", lambda v: _script_with(weather=WeatherState(rain=v))),
+    ("weather.fog", "", lambda v: _script_with(weather=WeatherState(fog=v))),
+    ("weather.snow", "", lambda v: _script_with(weather=WeatherState(snow=v))),
+    ("weather.visibility", "", lambda v: _script_with(
+        weather=WeatherState(visibility=v))),
+]
+
+_NUMBER_IDS = [field + "." * bool(part) + part
+               for field, part, _ in _NUMBER_FIELDS]
+
+
+class TestScenarioNumbers:
+    """The scenario types refuse a non-finite number in any field, however
+    they are built: an NPC at x = NaN would read as a collision, and a NaN
+    stop sign would hold the ego until the run times out."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, part, build", _NUMBER_FIELDS,
+                             ids=_NUMBER_IDS)
+    def test_non_finite_number_is_refused(self, field, part, build, value):
+        with pytest.raises(ScenarioError, match=(
+                rf"^{re.escape(field)} must be a finite number,"
+                rf" got {re.escape(repr(value))}$")):
+            build(value)
+
+    @pytest.mark.parametrize("field, part, build", _NUMBER_FIELDS,
+                             ids=_NUMBER_IDS)
+    def test_finite_number_is_kept(self, field, part, build):
+        # what the test above refuses is the value, not the call
+        assert "12.5" in json.dumps(dataclasses.asdict(build(12.5)))
+
+    def test_string_number_in_a_file_is_named_by_the_type(self):
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S4"))))
+        doc["stop_signs"] = ["nan"]
+        with pytest.raises(ScenarioError, match=(
+                r"^bad scenario document: stop_signs must be a finite"
+                r" number, got 'nan'$")):
+            script_from_dict(doc)
 
 
 class TestBenchmarkSuite:

@@ -327,16 +327,26 @@ class TestLoadRecord:
 
 
 # Spellings of equal values, plain ones first. A zero may decode to 0, 0.0
-# or -0.0, which are all == but do not all write back alike; `-1e-400`
-# decodes to -0.0 without a "-0." in its line. A line with an exponent goes
-# to the checking decoder.
+# or -0.0, which are all == but do not all write back alike; `-0e0`,
+# `-0E-5` and `-1e-400` decode to -0.0 without a "-0." in their line. A
+# line with a positive exponent or a run of 309 digits goes to the checking
+# decoder; one with only negative exponents keeps the fast one.
 _SPELLINGS = (
-    ("0", "0.0", "-0", "-0.0", "-0.00", "0e0", "-1e-400"),
+    ("0", "0.0", "-0", "-0.0", "-0.00", "0e0", "-0e0", "-0E-5", "-1e-400"),
     ("1", "1.0", "true", "1e0", "10E-1"),
     ("2.5", "2.50", "25e-1"),
     ("-3.25", "-325e-2"),
 )
+# Values taken with the odds of an exotic spelling
+_E308 = "1" + "0" * 308                         # 309 digits, 1e308
+_RARE_SPELLINGS = (
+    ("0.000025", "2.5e-05", "25E-6", "0.0000250"),
+    ("-5e-324", "-4.9e-324", "-0.5e-323"),      # the least subnormal
+    (_E308, _E308 + ".0", "1e308", "1E+308"),
+)
 _PLAIN = {"0", "0.0", "-0", "1", "1.0", "true", "2.5", "2.50", "-3.25"}
+# Literals beyond the float range: a line holding one is refused
+_OVERFLOWS = ("1e400", "-1E+400", "2" + "0" * 308, "9" * 400)
 _IDS = ("1", "1.0", "true", '"1"', '"a"')      # all but "a" are == 1
 
 
@@ -346,14 +356,20 @@ def _spelling(rng, group, exotic):
     return rng.choice([v for v in group if (v in _PLAIN) == plain] or group)
 
 
+def _number(rng, groups, exotic):
+    if groups is _SPELLINGS and rng.random() < exotic:
+        groups = _RARE_SPELLINGS
+    return _spelling(rng, rng.choice(groups), exotic)
+
+
 def _respelled(rng, literal):
-    group = next(g for g in _SPELLINGS if literal in g)
+    group = next(g for g in _SPELLINGS + _RARE_SPELLINGS if literal in g)
     return rng.choice(group)
 
 
 def _random_obstacle(rng, exotic):
     def number(groups=_SPELLINGS):
-        return _spelling(rng, rng.choice(groups), exotic)
+        return _number(rng, groups, exotic)
     ob = {"id": rng.choice(_IDS), "x": number(), "y": number(),
           "speed": number(_SPELLINGS[:1]),
           "half_len": number(_SPELLINGS[1:3]),
@@ -387,7 +403,7 @@ def _mutated(rng, obstacles, exotic):
         key = rng.choice(numeric)
         groups = (_SPELLINGS[1:3] if key.startswith("half_") else
                   _SPELLINGS[:1] if key == "speed" else _SPELLINGS)
-        ob[key] = _spelling(rng, rng.choice(groups), exotic)
+        ob[key] = _number(rng, groups, exotic)
     elif op == "id":
         ob["id"] = rng.choice(_IDS)
     elif op == "heading":
@@ -438,6 +454,8 @@ def _record_text(rng):
         if i:
             obstacles = _mutated(rng, obstacles, exotic)
         ego_x = _spelling(rng, ("0", "1.5", "-0.0", "15e-1"), exotic)
+        if rng.random() < 0.02:
+            ego_x = rng.choice(_OVERFLOWS)
         lines.append(f'{{"t":{i / 10},"ego":{{"x":{ego_x},"y":0,"heading":0,'
                      f'"speed":1}},"obstacles":['
                      + ",".join(map(_obstacle_text, obstacles)) + "]}\n")
@@ -453,9 +471,17 @@ def _types(value):
     return type(value)
 
 
+def _frames_or_error(load, *args):
+    try:
+        return load(*args), None
+    except RecordError as exc:
+        return [], str(exc)
+
+
 def _assert_loads_like_each_line_alone(path, work):
-    got = load_record(path)
-    want = load_frames_independently(path, work)
+    got, error = _frames_or_error(load_record, path)
+    want, want_error = _frames_or_error(load_frames_independently, path, work)
+    assert error == want_error
     assert [frame_to_line(f) for f in got] == [frame_to_line(f) for f in want]
     assert [repr(f.scene) for f in got] == [repr(f.scene) for f in want]
     assert [_types(f) for f in got] == [_types(f) for f in want]
@@ -472,15 +498,18 @@ class TestObstacleReuse:
     object; the frames must equal those built from each line alone."""
 
     def test_seeded_records_load_like_each_line_alone(self, tmp_path):
-        reused = 0
+        reused = refused = 0
         for seed in range(320):
             path = tmp_path / f"rec{seed}.jsonl"
             path.write_text(_record_text(random.Random(seed)),
                             encoding="utf-8")
             work = tmp_path / f"lines{seed}"
             work.mkdir()
-            reused += _reused(_assert_loads_like_each_line_alone(path, work))
+            frames = _assert_loads_like_each_line_alone(path, work)
+            reused += _reused(frames)
+            refused += not frames
         assert reused > 300
+        assert refused > 5
 
     @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted"])
     def test_every_pair_of_zero_spellings(self, tmp_path, field):
@@ -627,9 +656,9 @@ def _odd_frames(rng, n):
 
 
 class TestRecordWriter:
-    """Records are written through a template and share each obstacle's
-    text with the next frame; every line must equal the reference
-    `json.dumps` of the frame as nested dicts."""
+    """Records are written through a template, and each obstacle keeps its
+    own text for every frame that holds it; every line must equal the
+    reference `json.dumps` of the frame as nested dicts."""
 
     def test_seeded_frames_match_reference(self, tmp_path):
         for seed in range(40):
@@ -703,8 +732,11 @@ class TestRecordWriter:
         monkeypatch.setattr(trace_model, "_obstacle_text",
                             lambda ob: encoded.append(ob.id) or real(ob))
         assert list(record_lines(frames)) == list(map(frame_line_ref, frames))
-        # b comes back after a gap: only the previous frame's text is kept
-        assert encoded == ["a", "b", "c", "b"]
+        # one encode per obstacle object: b is not encoded again after its
+        # gap, and writing the frames again encodes nothing
+        assert encoded == ["a", "b", "c"]
+        assert list(record_lines(frames)) == list(map(frame_line_ref, frames))
+        assert encoded == ["a", "b", "c"]
         encoded.clear()
         # S5's stalled car is one object from frame 1 on
         s5, _ = run_scenario(scenario_by_id("S5"))
