@@ -28,7 +28,7 @@ from .simulator import (
 )
 from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
-from .trace_model import build_trace, load_record, record_lines
+from .trace_model import build_trace, frame_to_line, load_record
 
 REPORT_VERSION = 2
 
@@ -103,7 +103,7 @@ def _json_bytes(doc) -> bytes:
 
 def _record_bytes(frames) -> bytes:
     # each line is encoded as it comes: the record is never held as text
-    return b"".join([line.encode() for line in record_lines(frames)])
+    return b"".join([frame_to_line(f).encode() for f in frames])
 
 
 def _prompt_files(bundle: PromptBundle) -> dict:
@@ -153,7 +153,8 @@ def _prepare(cfg: PipelineConfig):
 
 def cmd_repair(cfg: PipelineConfig) -> dict:
     """Full pipeline; writes the run directory, report.json included, and
-    returns the report with `run_dir` added."""
+    returns the report with `run_dir` added. Candidates with one program
+    share its `replay` and `metrics_delta` objects: treat them as read-only."""
     (spec_entry, phi, nc_phi, frames, record_id, script,
      baseline_outcome) = _prepare(cfg)
     files = {"record.jsonl": _record_bytes(frames)}

@@ -265,13 +265,8 @@ def _float_range_int(text):
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
 # A number literal beyond the float range (1e400, or 309 digits or more)
 # would load as inf or fail later in float(). Such a literal has a digit
-# followed by a positive exponent (a negative one can only underflow) or a
-# run of 309 digits, as any mantissa that large has. Lines with neither
-# keep the C decoder; the rest get checking Python hooks. Equal JSON
-# objects build equal Obstacles except that 0.0 == -0.0, so a line that may
-# hold a negative zero ("-0.", "-0e", "-0E", a three-digit negative
-# exponent as in -1e-400, or any line for the checking decoder) shares no
-# obstacle with its neighbours.
+# followed by an exponent, or a run of 309 digits. Lines that have neither
+# keep the C decoder; the rest are decoded with checking Python hooks.
 _STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite,
                                    parse_float=_finite_float,
                                    parse_int=_float_range_int)
@@ -279,14 +274,9 @@ _DIGITS_AS_ZERO = bytes.maketrans(b"123456789E", b"000000000e")
 _LONG_DIGIT_RUN = b"0" * 309
 
 
-def _line_decoder(line: str):     # -> (decoder, whether the line shares)
+def _may_overflow(line: str) -> bool:
     masked = line.encode().translate(_DIGITS_AS_ZERO)
-    exponent = b"0e" in masked      # most lines have none: three scans
-    if _LONG_DIGIT_RUN in masked or exponent and (b"0e0" in masked
-                                                  or b"0e+" in masked):
-        return _STRICT_DECODER, False
-    return _RECORD_DECODER, not ("-0." in line or exponent and (
-        "-0e" in line or "-0E" in line or b"e-000" in masked))
+    return b"0e" in masked or _LONG_DIGIT_RUN in masked
 
 
 def load_record(path) -> list[RawRecordFrame]:
@@ -294,14 +284,20 @@ def load_record(path) -> list[RawRecordFrame]:
     increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
     linenos = array.array("L")     # each frame's line, for the messages
-    # most obstacles equal their previous frame's (see `_line_decoder`)
+    # Most obstacles equal their previous frame's, and an equal JSON object
+    # builds an equal Obstacle, except that 0.0 == -0.0: a line that may
+    # hold a negative zero (one from the checking decoder, where -1e-400 is
+    # -0.0, or one with "-0.") neither reuses obstacles nor offers its own.
     previous = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            decoder, shares = _line_decoder(line)
+            if _may_overflow(line):
+                decoder, shares = _STRICT_DECODER, False
+            else:
+                decoder, shares = _RECORD_DECODER, "-0." not in line
             try:
                 doc = decoder.decode(line)
             except json.JSONDecodeError as exc:
@@ -404,15 +400,10 @@ def frame_to_line(frame: RawRecordFrame) -> str:
             f'"is_changing_lane":{_bool(m.is_changing_lane)}}}}}\n')
 
 
-def record_lines(frames):
-    """Yield each frame's `frame_to_line`, one frame at a time."""
-    yield from map(frame_to_line, frames)
-
-
 def save_record(frames, path) -> None:
     """Write frames as canonical JSONL, one line at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(record_lines(frames))
+        fh.writelines(map(frame_to_line, frames))
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def _renamed(frames):
 
 # The congestion band reaches dist_to_junction + 45 m, and dist_to_junction
 # may be FAR: an obstacle closer than that is still read
-_BEYOND_M = 10_100.0       # FAR + 45 m, plus more than both boxes' reach
+_BEYOND_M = FAR + 100.0    # 45 m of band, plus more than both boxes' reach
 _FAR_AWAY = Obstacle(id="far_away", kind="vehicle", x=-_BEYOND_M, y=0.0,
                      heading=0.0, speed=0.0, half_len=2.3, half_wid=1.0)
 
