@@ -183,10 +183,10 @@ def _obstacle_from_dict(ob, id_):
     )
 
 
-def _frame_from_dict(doc, previous, current):
-    """Build one frame. An obstacle object equal to the one with its id in
-    `previous` takes that one's Obstacle; `current` collects this frame's
-    (object, Obstacle) pairs by id for the next frame."""
+def _frame_from_dict(doc):
+    """Build one frame, ego first. An element of `doc["obstacles"]` that is
+    already an Obstacle (the previous line's, for repeated text) is taken
+    as it is; every other element is built."""
     ego_doc = doc["ego"]
     ego = EgoPose(
         x=ego_doc["x"] * 1.0, y=ego_doc["y"] * 1.0,
@@ -197,16 +197,9 @@ def _frame_from_dict(doc, previous, current):
         gear=require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"),
     )
 
-    obstacles = []
-    for ob in doc.get("obstacles", []):
-        # by str(id), as the Obstacle holds it: 1 == 1.0 == True, but their
-        # ids "1", "1.0" and "True" differ
-        id_ = str(ob["id"])
-        seen = previous.get(id_)
-        if seen is None or seen[0] != ob:
-            seen = ob, _obstacle_from_dict(ob, id_)
-        current[id_] = seen
-        obstacles.append(seen[1])
+    obstacles = tuple([
+        ob if type(ob) is Obstacle else _obstacle_from_dict(ob, str(ob["id"]))
+        for ob in doc.get("obstacles", [])])
 
     light = None
     if doc.get("traffic_light") is not None:
@@ -236,7 +229,7 @@ def _frame_from_dict(doc, previous, current):
                                       "map_ctx.is_changing_lane"),
     )
 
-    return RawRecordFrame(t=doc["t"] * 1.0, ego=ego, obstacles=tuple(obstacles),
+    return RawRecordFrame(t=doc["t"] * 1.0, ego=ego, obstacles=obstacles,
                           traffic_light=light, weather=weather, map_ctx=map_ctx)
 
 
@@ -279,38 +272,91 @@ def _may_overflow(line: str) -> bool:
     return b"0e" in masked or _LONG_DIGIT_RUN in masked
 
 
+_OBSTACLES_OPEN = '"obstacles":['
+
+
+def _decode_reusing(line, decoder, previous):
+    """Decode a line whose one "obstacles" key opens a compact array, taking
+    the previous line's Obstacle for each element that repeats its text.
+
+    `previous` holds the previous line's (text, Obstacle) pairs by index.
+    Returns the document, whose "obstacles" holds those Obstacles and the
+    other elements as decoded, with each element's text; or None if the
+    line is irregular (no such array, whitespace in it, a scan error, an
+    escape that could spell a letter of a key), which the caller decodes
+    whole.
+    """
+    head = line.find(_OBSTACLES_OPEN)
+    # an escaped key letter (as in "obst\u0061cles") could spell a second
+    # "obstacles" that the count does not see
+    if (head < 0 or line.count('"obstacles"') != 1
+            or "\\u006" in line or "\\u007" in line):
+        return None
+    items, texts = [], []
+    start = pos = close = head + len(_OBSTACLES_OPEN)
+    try:
+        if line[pos] != "]":
+            while True:
+                i = len(items)
+                if i < len(previous) and line.startswith(previous[i][0], pos):
+                    text, item = previous[i]
+                    close = pos + len(text)
+                else:
+                    item, close = decoder.scan_once(line, pos)
+                    text = line[pos:close]
+                items.append(item)
+                texts.append(text)
+                if line[close] != ",":
+                    break
+                pos = close + 1
+            if line[close] != "]":
+                return None
+        doc = decoder.decode(line[:start] + line[close:])
+    except (IndexError, StopIteration, ValueError):
+        return None
+    # the array spliced out must be the document's own "obstacles"
+    if type(doc) is not dict or doc.get("obstacles") != []:
+        return None
+    doc["obstacles"] = items
+    return doc, texts
+
+
 def load_record(path) -> list[RawRecordFrame]:
     """Parse a JSONL record. Frames come back sorted by t, strictly
     increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
     linenos = array.array("L")     # each frame's line, for the messages
-    # Most obstacles equal their previous frame's, and an equal JSON object
-    # builds an equal Obstacle, except that 0.0 == -0.0: a line that may
-    # hold a negative zero (one from the checking decoder, where -1e-400 is
-    # -0.0, or one with "-0.") neither reuses obstacles nor offers its own.
-    previous = {}
+    # Most obstacles repeat the text of the previous line's element at their
+    # index. An object's text fixes where it ends, and equal text decodes
+    # to bitwise-equal values, -0.0 included, so such an element is that
+    # line's Obstacle and is not decoded again (_decode_reusing). A line
+    # offers the (text, Obstacle) pairs of its elements, all objects once
+    # its frame is built; a line decoded whole offers none.
+    previous = ()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if _may_overflow(line):
-                decoder, shares = _STRICT_DECODER, False
+            decoder = (_STRICT_DECODER if _may_overflow(line)
+                       else _RECORD_DECODER)
+            reused = _decode_reusing(line, decoder, previous)
+            if reused is None:
+                texts = ()
+                try:
+                    doc = decoder.decode(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+                except RecordError as exc:
+                    raise RecordError(f"line {lineno}: {exc}") from None
             else:
-                decoder, shares = _RECORD_DECODER, "-0." not in line
+                doc, texts = reused
             try:
-                doc = decoder.decode(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
-            except RecordError as exc:
-                raise RecordError(f"line {lineno}: {exc}") from None
-            current = {}
-            try:
-                frames.append(_frame_from_dict(
-                    doc, previous if shares else {}, current))
+                frame = _frame_from_dict(doc)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
-            previous = current if shares else {}
+            frames.append(frame)
+            previous = tuple(zip(texts, frame.obstacles))
             linenos.append(lineno)
             extra = doc.keys() - {"t", "ego", "obstacles", "traffic_light",
                                   "weather", "map_ctx"}

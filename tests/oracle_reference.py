@@ -11,15 +11,18 @@ each box's projections as a list for builtin `min` and `max`.
 `frame_line_ref` is the former record writer: the frame as nested dicts,
 passed whole to `json.dumps`, with no text shared between obstacles.
 `load_frames_independently` loads each line of a record as a one-line
-record of its own: with no previous frame, no obstacle is reused, so every
-frame is built afresh through the same decoder choice and value checks. The
-first line that fails raises its error, named by its line in the record.
+record of its own, decoded whole (`_decode_reusing` off): with no previous
+frame, no obstacle is reused, and no element is read apart from its line,
+so every frame is built afresh through the same decoder choice and value
+checks. The first line that fails raises its error, named by its line in
+the record.
 """
 from __future__ import annotations
 
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 from driverepair.spec_lang import (
     Always,
@@ -33,6 +36,7 @@ from driverepair.spec_lang import (
     Prop,
     Until,
 )
+from driverepair import trace_model
 from driverepair.geometry import obb_corners
 from driverepair.trace_model import (
     EGO_HALF_LEN,
@@ -226,7 +230,9 @@ def load_frames_independently(path, work_dir):
     """The frames of the record at `path` in file order, each loaded from a
     one-line copy of its line written to `work_dir`."""
     frames = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, \
+            mock.patch.object(trace_model, "_decode_reusing",
+                              return_value=None):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

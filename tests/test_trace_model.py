@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import warnings
 
 import pytest
 
@@ -460,6 +461,59 @@ def _record_text(rng):
     return "".join(lines)
 
 
+# Rewrites of a `_record_text` line (`{"t":...,"obstacles":[...]}`) that the
+# loader must read as it reads the whole line: ones that leave no single
+# compact top-level "obstacles" array, and ones that are not valid JSON
+_OTHER = '{"id":"d","x":1,"y":0,"speed":0,"half_len":2,"half_wid":1}'
+_QUOTED_ID = ('{"id":"x\\"obstacles\\":[","x":1,"y":0,"speed":0,'
+              '"half_len":2,"half_wid":1}')
+
+
+def _first_in_array(line, element):
+    comma = "" if '"obstacles":[]' in line else ","
+    return line.replace('"obstacles":[', f'"obstacles":[{element}{comma}', 1)
+
+
+def _in_weather(line):
+    """The line with its obstacle array moved into `weather`, open: the
+    closing `}` and newline are the caller's."""
+    return line.replace(',"obstacles":[', ',"weather":{"obstacles":[', 1)[:-2]
+
+
+_WHITESPACE = (('"obstacles":[', '"obstacles": ['), ('"obstacles":[',
+               '"obstacles":[ '), ("},{", "}, {"), ("}]", "} ]"),
+               ('"obstacles":[', '"obstacles" :['))
+_MISPLACED_COMMAS = (("}]", "},]"), ("},{", "},,{"), ('"obstacles":[{',
+                                                     '"obstacles":[,{'))
+
+_DEFEATS = {
+    "second key first": lambda rng, line: line.replace(
+        '{"t":', f'{{"obstacles":[{_OTHER}],"t":', 1),
+    "second key last": lambda rng, line: line[:-2] + ',"obstacles":[]}\n',
+    "nested beside": lambda rng, line: (
+        line[:-2] + f',"weather":{{"obstacles":[{_OTHER}]}}}}\n'),
+    "nested only": lambda rng, line: _in_weather(line) + "}}\n",
+    # "obst\u0061cles" decodes to a second "obstacles" key, which wins
+    "escaped key last": lambda rng, line: (
+        line[:-2] + ',"obst\\u0061cles":[]}\n'),
+    "escaped key beside nested": lambda rng, line: (
+        _in_weather(line) + '},"obst\\u0061cles":[]}\n'),
+    "whitespace": lambda rng, line: line.replace(*rng.choice(_WHITESPACE),
+                                                 1),
+    "key prefix": lambda rng, line: line.replace(
+        '"obstacles":[', f'"obstacles_old":[{_OTHER}],"obstacles":[', 1),
+    "quoted id": lambda rng, line: _first_in_array(line, _QUOTED_ID),
+    "prefix texts": lambda rng, line: re.sub(
+        r'"obstacles":\[.*\]', lambda m: '"obstacles":[%s]'
+        % rng.choice(("1", "12", '"a"', '"ab"', "1,12", '"a","ab"')), line),
+    "misplaced comma": lambda rng, line: line.replace(
+        *rng.choice(_MISPLACED_COMMAS), 1),
+    "unterminated": lambda rng, line: (
+        line[:rng.randrange(line.index('"obstacles":[') + 13, len(line) - 2)]
+        + rng.choice(("\n", "}\n"))),
+}
+
+
 def _types(value):
     if dataclasses.is_dataclass(value):
         return tuple(_types(getattr(value, f.name))
@@ -492,8 +546,9 @@ def _reused(frames):
 
 
 class TestObstacleReuse:
-    """A frame takes the previous frame's Obstacle for an equal obstacle
-    object; the frames must equal those built from each line alone."""
+    """A frame takes the previous line's Obstacle for an obstacle whose text
+    repeats that line's element at its index; the frames must equal those
+    built from each line alone."""
 
     def test_seeded_records_load_like_each_line_alone(self, tmp_path):
         reused = refused = 0
@@ -509,10 +564,36 @@ class TestObstacleReuse:
         assert reused > 300
         assert refused > 5
 
+    def test_seeded_lines_that_defeat_the_fast_path(self, tmp_path):
+        # a record's lines are rewritten, each with odds 1/2, by one of
+        # _DEFEATS; the loader must give each line alone's frames or error
+        rewritten = dict.fromkeys(_DEFEATS, 0)
+        reused = refused = 0
+        for seed in range(320, 320 + 8 * len(_DEFEATS)):
+            rng = random.Random(seed)
+            kind = list(_DEFEATS)[seed % len(_DEFEATS)]
+            lines = _record_text(rng).splitlines(keepends=True)
+            for i, line in enumerate(lines):
+                if rng.random() < 0.5:
+                    lines[i] = _DEFEATS[kind](rng, line)
+                    rewritten[kind] += lines[i] != line
+            path = tmp_path / f"rec{seed}.jsonl"
+            path.write_text("".join(lines), encoding="utf-8")
+            work = tmp_path / f"lines{seed}"
+            work.mkdir()
+            with warnings.catch_warnings():     # "obstacles_old" is unknown
+                warnings.simplefilter("ignore", UserWarning)
+                frames = _assert_loads_like_each_line_alone(path, work)
+            reused += _reused(frames)
+            refused += not frames
+        assert min(rewritten.values()) >= 5, rewritten
+        assert reused > 100
+        assert refused > 10
+
     @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted"])
     def test_every_pair_of_zero_spellings(self, tmp_path, field):
-        # 0.0 == -0.0: an obstacle must neither take nor give its Obstacle
-        # across a line that may hold a negative zero
+        # 0.0 == -0.0, but their texts differ: an obstacle takes the
+        # previous line's Obstacle only for the same spelling
         zeros = _SPELLINGS[0]
         for i, first in enumerate(zeros):
             for j, second in enumerate(zeros):
@@ -531,10 +612,14 @@ class TestObstacleReuse:
                 work.mkdir()
                 _assert_loads_like_each_line_alone(path, work)
 
-    @pytest.mark.parametrize("scenario", ["S2", "S5", "S7"])
+    @pytest.mark.parametrize("scenario, reused, after_first", [
+        ("S2", 253, 342), ("S5", 700, 700), ("S7", 660, 1155)],
+        ids=["S2", "S5", "S7"])
     def test_scenario_records_reload_byte_identically(self, tmp_path,
-                                                      scenario):
-        # S2 and S7 hold lines with "-0.", which share nothing
+                                                      scenario, reused,
+                                                      after_first):
+        # S2 and S7 hold lines with "-0.": an obstacle whose text repeats
+        # is shared there too
         frames, _ = run_scenario(scenario_by_id(scenario))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_record(frames, p1)
@@ -542,8 +627,30 @@ class TestObstacleReuse:
         save_record(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert [f.scene for f in loaded] == [f.scene for f in frames]
+        assert sum(len(f.obstacles) for f in loaded[1:]) == after_first
+        assert _reused(loaded) == reused
         if scenario != "S5":
             assert "-0." in p1.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("ob_id, accel", [
+        ("car-0.5", 0.0), ("car", 2.5e-05)],
+        ids=["id car-0.5", "accel 2.5e-05"])
+    def test_negative_zero_id_and_exponent_lines_share(self, tmp_path, ob_id,
+                                                       accel):
+        # neither an id holding "-0." nor an exponent elsewhere on the line
+        # (which sends it to the checking decoder) stops an obstacle whose
+        # text repeats from being shared
+        ob = Obstacle(id=ob_id, kind="vehicle", x=9.0, y=0.0, heading=0.0,
+                      speed=0.0, half_len=2.0, half_wid=1.0)
+        frames = [RawRecordFrame(t=f.t, ego=dataclasses.replace(f.ego,
+                                                                accel=accel),
+                                 obstacles=(ob,)) for f in ramp_frames(5)]
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        assert ("2.5e-05" in path.read_text(encoding="utf-8")) == bool(accel)
+        loaded = load_record(path)
+        assert loaded == frames
+        assert _reused(loaded) == 4
 
     def test_held_npc_is_one_object_across_frames(self, tmp_path):
         # S5's stalled car stands still: 700 of its 701 obstacles equal the
@@ -571,13 +678,41 @@ class TestObstacleReuse:
         docs = [{"t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0,
                                       "speed": 1},
                  "obstacles": [dict(ob)]} for t in range(5)]
-        docs[3]["obstacles"][0][key] = value
+        # compact lines, which share their repeated obstacle text
+        lines = [json.dumps(d, separators=(",", ":")) + "\n" for d in docs]
         path = tmp_path / "rec.jsonl"
-        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
-                        encoding="utf-8")
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        assert _reused(load_record(path)) == 2
+        docs[3]["obstacles"][0][key] = value
+        lines[3] = json.dumps(docs[3], separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(RecordError) as info:
             load_record(path)
         assert str(info.value) == f"line 4: bad frame ({message})"
+
+    @pytest.mark.parametrize("ego_speed, end, message", [
+        # the ego is built before the obstacles
+        (-1, "}", "bad frame (ego.speed must be non-negative, got -1)"),
+        # the whole line decodes before any obstacle is built
+        (1, ',"t":}', "not valid JSON (Expecting value)"),
+    ], ids=["ego first", "decode first"])
+    def test_error_precedence_after_a_shared_line(self, tmp_path, ego_speed,
+                                                  end, message):
+        # line 2 holds a bad obstacle (kind "tank") after a line that offers
+        # its obstacle
+        lines = []
+        for t, kind, speed in ((0.0, "vehicle", 1), (0.1, "tank", ego_speed)):
+            ob = {"id": "o", "kind": kind, "x": 9.0, "y": 0.0, "speed": 1.0,
+                  "half_len": 2.0, "half_wid": 1.0}
+            doc = {"t": t, "ego": {"x": 0, "y": 0, "heading": 0,
+                                   "speed": speed}, "obstacles": [ob]}
+            lines.append(json.dumps(doc, separators=(",", ":")))
+        lines[1] = lines[1][:-1] + end
+        path = tmp_path / "rec.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == f"line 2: {message}"
 
 # Leaves whose text json.dumps writes in a way of its own
 _ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
