@@ -272,47 +272,76 @@ def _may_overflow(line: str) -> bool:
     return b"0e" in masked or _LONG_DIGIT_RUN in masked
 
 
-_OBSTACLES_OPEN = '"obstacles":['
+_OBSTACLES_KEY = '"obstacles"'
+_SPACE = " \t\n\r"                           # JSON's whitespace
+_skip_space = json.decoder.WHITESPACE.match
 
 
-def _decode_reusing(line, decoder, previous):
-    """Decode a line whose one "obstacles" key opens a compact array, taking
+def _decode_reusing(line, decoder, texts_before, obstacles_before):
+    """Decode a line whose top-level "obstacles" key opens an array, taking
     the previous line's Obstacle for each element that repeats its text.
 
-    `previous` holds the previous line's (text, Obstacle) pairs by index.
-    Returns the document, whose "obstacles" holds those Obstacles and the
-    other elements as decoded, with each element's text; or None if the
-    line is irregular (no such array, whitespace in it, a scan error, an
-    escape that could spell a letter of a key), which the caller decodes
-    whole.
+    `texts_before` and `obstacles_before` are the previous line's element
+    texts and Obstacles, by index. JSON whitespace around the array and its
+    elements is skipped. Returns the document, whose "obstacles" holds
+    those Obstacles and the other elements as decoded, with each element's
+    text; or None if the line is irregular, which the caller decodes whole.
     """
-    head = line.find(_OBSTACLES_OPEN)
-    # an escaped key letter (as in "obst\u0061cles") could spell a second
-    # "obstacles" that the count does not see
-    if (head < 0 or line.count('"obstacles"') != 1
-            or "\\u006" in line or "\\u007" in line):
+    key = line.find(_OBSTACLES_KEY)
+    if key < 0:
         return None
+    scan = decoder.scan_once
     items, texts = [], []
-    start = pos = close = head + len(_OBSTACLES_OPEN)
+    n = len(texts_before)
     try:
+        pos = key + len(_OBSTACLES_KEY)
+        if line[pos] in _SPACE:
+            pos = _skip_space(line, pos).end()
+        if line[pos] != ":":
+            return None
+        pos += 1
+        if line[pos] in _SPACE:
+            pos = _skip_space(line, pos).end()
+        if line[pos] != "[":
+            return None
+        start = pos = pos + 1
+        if line[pos] in _SPACE:
+            pos = _skip_space(line, pos).end()
         if line[pos] != "]":
+            i = 0
             while True:
-                i = len(items)
-                if i < len(previous) and line.startswith(previous[i][0], pos):
-                    text, item = previous[i]
-                    close = pos + len(text)
+                if i < n and line.startswith(texts_before[i], pos):
+                    text = texts_before[i]
+                    items.append(obstacles_before[i])
+                    pos += len(text)
                 else:
-                    item, close = decoder.scan_once(line, pos)
-                    text = line[pos:close]
-                items.append(item)
+                    item, end = scan(line, pos)
+                    items.append(item)
+                    text = line[pos:end]
+                    pos = end
                 texts.append(text)
-                if line[close] != ",":
+                i += 1
+                if line[pos] in _SPACE:
+                    pos = _skip_space(line, pos).end()
+                if line[pos] != ",":
                     break
-                pos = close + 1
-            if line[close] != "]":
+                pos += 1
+                if line[pos] in _SPACE:
+                    pos = _skip_space(line, pos).end()
+            if line[pos] != "]":
                 return None
-        doc = decoder.decode(line[:start] + line[close:])
+        # The elements are values of their own. Outside them, a backslash
+        # could put the key found inside a longer string ("a\"obstacles")
+        # or spell a key letter ("obst\u0061cles"), and a second
+        # "obstacles" key after the array would win over this one.
+        if (line.find("\\", 0, start) >= 0 or line.find("\\", pos) >= 0
+                or line.find(_OBSTACLES_KEY, pos) >= 0):
+            return None
+        rest = line[:start] + line[pos:]
+        doc, end = scan(rest, 0)    # stripped, the line is one document
     except (IndexError, StopIteration, ValueError):
+        return None
+    if end != len(rest):
         return None
     # the array spliced out must be the document's own "obstacles"
     if type(doc) is not dict or doc.get("obstacles") != []:
@@ -330,9 +359,9 @@ def load_record(path) -> list[RawRecordFrame]:
     # index. An object's text fixes where it ends, and equal text decodes
     # to bitwise-equal values, -0.0 included, so such an element is that
     # line's Obstacle and is not decoded again (_decode_reusing). A line
-    # offers the (text, Obstacle) pairs of its elements, all objects once
-    # its frame is built; a line decoded whole offers none.
-    previous = ()
+    # offers its elements' texts and, once its frame is built, their
+    # Obstacles, by index; a line decoded whole offers none.
+    texts, obstacles = (), ()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -340,7 +369,7 @@ def load_record(path) -> list[RawRecordFrame]:
                 continue
             decoder = (_STRICT_DECODER if _may_overflow(line)
                        else _RECORD_DECODER)
-            reused = _decode_reusing(line, decoder, previous)
+            reused = _decode_reusing(line, decoder, texts, obstacles)
             if reused is None:
                 texts = ()
                 try:
@@ -356,7 +385,7 @@ def load_record(path) -> list[RawRecordFrame]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
             frames.append(frame)
-            previous = tuple(zip(texts, frame.obstacles))
+            obstacles = frame.obstacles
             linenos.append(lineno)
             extra = doc.keys() - {"t", "ego", "obstacles", "traffic_light",
                                   "weather", "map_ctx"}

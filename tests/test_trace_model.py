@@ -463,7 +463,8 @@ def _record_text(rng):
 
 # Rewrites of a `_record_text` line (`{"t":...,"obstacles":[...]}`) that the
 # loader must read as it reads the whole line: ones that leave no single
-# compact top-level "obstacles" array, and ones that are not valid JSON
+# top-level "obstacles" array it can walk, ones that are not valid JSON, and
+# whitespace, which the walk skips
 _OTHER = '{"id":"d","x":1,"y":0,"speed":0,"half_len":2,"half_wid":1}'
 _QUOTED_ID = ('{"id":"x\\"obstacles\\":[","x":1,"y":0,"speed":0,'
               '"half_len":2,"half_wid":1}')
@@ -482,7 +483,8 @@ def _in_weather(line):
 
 _WHITESPACE = (('"obstacles":[', '"obstacles": ['), ('"obstacles":[',
                '"obstacles":[ '), ("},{", "}, {"), ("}]", "} ]"),
-               ('"obstacles":[', '"obstacles" :['))
+               ('"obstacles":[', '"obstacles" :['), ("},{", "}\t,\t{"),
+               ('"obstacles":[', '"obstacles"\t: [\t'))
 _MISPLACED_COMMAS = (("}]", "},]"), ("},{", "},,{"), ('"obstacles":[{',
                                                      '"obstacles":[,{'))
 
@@ -498,6 +500,12 @@ _DEFEATS = {
         line[:-2] + ',"obst\\u0061cles":[]}\n'),
     "escaped key beside nested": lambda rng, line: (
         _in_weather(line) + '},"obst\\u0061cles":[]}\n'),
+    # the key found is inside the string "a\"obstacles"; the escaped one
+    # before it is the document's "obstacles"
+    "quoted key": lambda rng, line: line.replace(
+        '"obstacles":[', '"obst\\u0061cles":[],"a\\"obstacles":[', 1),
+    "spaced second key": lambda rng, line: (
+        line[:-2] + ', "obstacles" : [ ]}\n'),
     "whitespace": lambda rng, line: line.replace(*rng.choice(_WHITESPACE),
                                                  1),
     "key prefix": lambda rng, line: line.replace(
@@ -631,6 +639,26 @@ class TestObstacleReuse:
         assert _reused(loaded) == reused
         if scenario != "S5":
             assert "-0." in p1.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("separators", [
+        (", ", ": "), (" , ", " : "), ("\t,", ":\t")],
+        ids=["json.dumps", "spaces", "tabs"])
+    def test_spaced_record_shares_like_a_compact_one(self, tmp_path,
+                                                     separators):
+        # whitespace around the array and between its elements is skipped:
+        # S2 written with spaces shares the 253 obstacles it shares compact
+        frames, _ = run_scenario(scenario_by_id("S2"))
+        compact = tmp_path / "compact.jsonl"
+        save_record(frames, compact)
+        path = tmp_path / "spaced.jsonl"
+        with open(compact, encoding="utf-8") as fh:
+            path.write_text("".join(
+                json.dumps(json.loads(line), separators=separators) + "\n"
+                for line in fh), encoding="utf-8")
+        work = tmp_path / "lines"
+        work.mkdir()
+        loaded = _assert_loads_like_each_line_alone(path, work)
+        assert _reused(loaded) == 253
 
     @pytest.mark.parametrize("ob_id, accel", [
         ("car-0.5", 0.0), ("car", 2.5e-05)],
