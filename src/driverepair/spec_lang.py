@@ -30,8 +30,6 @@ from .trace_model import (
     Trace,
     catalog_kind,
     enum_code,
-    var_margin,
-    var_numeric,
 )
 
 INF = math.inf
@@ -336,23 +334,21 @@ def parse_spec(text: str) -> Formula:
 # Quantitative semantics
 # ---------------------------------------------------------------------------
 
-def _var_array(trace: Trace, read, var: SignalVar) -> np.ndarray:
-    """`read(scene, var)` at every scene, cached on the trace per reader."""
-    key = (read, var)
-    arr = trace._signal_cache.get(key)
+def _var_array(trace: Trace, var: SignalVar) -> np.ndarray:
+    """The variable's reading at every scene, cached on the trace."""
+    arr = trace._signal_cache.get(var)
     if arr is None:
-        arr = np.array([read(sc, var) for sc in trace.scenes], dtype=float)
-        trace._signal_cache[key] = arr
+        arr = np.array(var.readings(trace.scenes), dtype=float)
+        trace._signal_cache[var] = arr
     return arr
 
 
 def _prop_array(trace: Trace, node: Prop) -> np.ndarray:
-    key = ("prop", node)
-    arr = trace._signal_cache.get(key)
+    arr = trace._signal_cache.get(node)
     if arr is None:
         f = np.full(len(trace), node.expr.const, dtype=float)
         for coef, var in node.expr.terms:
-            f = f + coef * _var_array(trace, var_numeric, var)
+            f = f + coef * _var_array(trace, var)
         if node.cmp in (">", ">="):
             arr = f
         elif node.cmp in ("<", "<="):
@@ -361,7 +357,7 @@ def _prop_array(trace: Trace, node: Prop) -> np.ndarray:
             arr = np.abs(f)
         else:  # ==
             arr = -np.abs(f)
-        trace._signal_cache[key] = arr
+        trace._signal_cache[node] = arr
     return arr
 
 
@@ -432,7 +428,7 @@ def _eval(node, trace: Trace, start: int, end: int) -> np.ndarray:
     if isinstance(node, Prop):
         out = _prop_array(trace, node)[start: end + 1]
     elif isinstance(node, PredAtom):
-        out = _var_array(trace, var_margin, node.var)[start: end + 1]
+        out = _var_array(trace, node.var)[start: end + 1]
     elif isinstance(node, BoolLit):
         out = np.full(n, INF if node.value else -INF)
     elif isinstance(node, Not):

@@ -17,6 +17,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .geometry import obb_corners, obb_distance
 
@@ -362,6 +363,8 @@ def load_record(path) -> list[RawRecordFrame]:
     # offers its elements' texts and, once its frame is built, their
     # Obstacles, by index; a line decoded whole offers none.
     texts, obstacles = (), ()
+    # the frame fields, and each unknown field once it has been warned about
+    seen = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -387,11 +390,10 @@ def load_record(path) -> list[RawRecordFrame]:
             frames.append(frame)
             obstacles = frame.obstacles
             linenos.append(lineno)
-            extra = doc.keys() - {"t", "ego", "obstacles", "traffic_light",
-                                  "weather", "map_ctx"}
-            if extra:
-                warnings.warn(f"ignoring unknown record fields {sorted(extra)}"
-                              f" (line {lineno})")
+            for name in sorted(doc.keys() - seen):
+                warnings.warn(f"ignoring unknown record field {name!r}"
+                              f" (first on line {lineno})")
+                seen.add(name)
 
     def line_of(frame):
         return linenos[next(i for i, f in enumerate(frames) if f is frame)]
@@ -600,78 +602,68 @@ class SignalVar:
         if kind != "pred" and self.arg is not None:
             raise CatalogError(f"{self.name} does not take a parameter")
 
+    def read(self, scene: Scene) -> float:
+        """The variable's reading at the scene (see `_CATALOG`)."""
+        return _CATALOG[self.name].read(scene, self.arg)
 
-def _bool_margin(flag: bool) -> float:
-    return 1.0 if flag else -1.0
+    def readings(self, scenes) -> list[float]:
+        """`read` at each scene, with the catalog entry looked up once."""
+        read, arg = _CATALOG[self.name].read, self.arg
+        return [read(scene, arg) for scene in scenes]
 
 
-# name -> (kind, Scene attribute, enum codes). kind: real | enum | bool |
-# pred. Predicates take a distance threshold; their margin is positive
-# exactly when the predicate holds.
+@dataclass(frozen=True)
+class _Entry:
+    kind: str               # real | enum | bool | pred
+    read: Callable          # (scene, arg) -> float
+    codes: dict | None = None
+
+
+# Each entry is the only definition of its variable. A real reads as its
+# value, an enum as the code of its value. A bool or pred reads as its
+# margin, positive exactly when it holds: +/-1 for a scene flag,
+# STOPPED_KMH - speed for `stopped`, and for a predicate its arg, a
+# distance threshold, minus the distance.
 _CATALOG = {
-    "speed": ("real", "speed", None),
-    "accel": ("real", "accel", None),
-    "rainIntensity": ("real", "rain", None),
-    "fogIntensity": ("real", "fog", None),
-    "snowIntensity": ("real", "snow", None),
-    "visibility": ("real", "visibility", None),
-    "trafficLightColor": ("enum", "light_color", LIGHT_CODE),
-    "laneKind": ("enum", "lane_kind", LANE_CODE),
-    "gear": ("enum", "gear", GEAR_CODE),
-    "isOverTaking": ("bool", "overtaking", None),
-    "isChangingLane": ("bool", "changing_lane", None),
-    "inJunction": ("bool", "in_junction", None),
-    "junctionCongested": ("bool", "congested", None),
-    "stopped": ("bool", "speed", None),
-    "NPCAhead": ("pred", "npc_ahead_dist", None),
-    "junctionAhead": ("pred", "dist_to_junction", None),
-    "stoplineAhead": ("pred", "dist_to_stopline", None),
-    "signAhead": ("pred", "dist_to_stop_sign", None),
-    "NearestNPC": ("pred", "nearest_npc_sep", None),
-    "dest": ("pred", "dist_to_dest", None),
+    "speed": _Entry("real", lambda s, _: s.speed),
+    "accel": _Entry("real", lambda s, _: s.accel),
+    "rainIntensity": _Entry("real", lambda s, _: s.rain),
+    "fogIntensity": _Entry("real", lambda s, _: s.fog),
+    "snowIntensity": _Entry("real", lambda s, _: s.snow),
+    "visibility": _Entry("real", lambda s, _: s.visibility),
+    "trafficLightColor": _Entry("enum", lambda s, _: LIGHT_CODE[s.light_color],
+                                LIGHT_CODE),
+    "laneKind": _Entry("enum", lambda s, _: LANE_CODE[s.lane_kind], LANE_CODE),
+    "gear": _Entry("enum", lambda s, _: GEAR_CODE[s.gear], GEAR_CODE),
+    "isOverTaking": _Entry("bool", lambda s, _: 1.0 if s.overtaking else -1.0),
+    "isChangingLane": _Entry("bool",
+                             lambda s, _: 1.0 if s.changing_lane else -1.0),
+    "inJunction": _Entry("bool", lambda s, _: 1.0 if s.in_junction else -1.0),
+    "junctionCongested": _Entry("bool",
+                                lambda s, _: 1.0 if s.congested else -1.0),
+    "stopped": _Entry("bool", lambda s, _: STOPPED_KMH - s.speed),
+    "NPCAhead": _Entry("pred", lambda s, d: d - s.npc_ahead_dist),
+    "junctionAhead": _Entry("pred", lambda s, d: d - s.dist_to_junction),
+    "stoplineAhead": _Entry("pred", lambda s, d: d - s.dist_to_stopline),
+    "signAhead": _Entry("pred", lambda s, d: d - s.dist_to_stop_sign),
+    "NearestNPC": _Entry("pred", lambda s, d: d - s.nearest_npc_sep),
+    "dest": _Entry("pred", lambda s, d: d - s.dist_to_dest),
 }
 
 
 def catalog_kind(name: str) -> str:
     if name in _CATALOG:
-        return _CATALOG[name][0]
-    for var, (kind, _, codes) in _CATALOG.items():
-        if kind == "enum" and name in codes:
+        return _CATALOG[name].kind
+    for var, entry in _CATALOG.items():
+        if entry.kind == "enum" and name in entry.codes:
             raise CatalogError(f"{name!r} is a value of {var}, not a variable;"
                                f" write it after its variable, as in"
                                f" {var} == {name}")
     raise CatalogError(f"unknown signal variable {name!r}")
 
 
-def var_margin(scene: Scene, var: SignalVar) -> float:
-    """Signed satisfaction margin used by the quantitative semantics.
-
-    Positive iff the variable holds (booleans map to +/-1, `stopped` to its
-    speed margin, parametric predicates to threshold minus distance).
-    """
-    kind, attr, _ = _CATALOG[var.name]
-    if kind == "pred":
-        return var.arg - getattr(scene, attr)
-    if var.name == "stopped":
-        return STOPPED_KMH - scene.speed
-    if kind == "bool":
-        return _bool_margin(bool(getattr(scene, attr)))
-    raise CatalogError(f"{var.name} has no boolean reading; compare it instead")
-
-
-def var_numeric(scene: Scene, var: SignalVar) -> float:
-    """Numeric value for use inside linear expressions (reals and enums)."""
-    kind, attr, codes = _CATALOG[var.name]
-    raw = getattr(scene, attr)
-    if kind == "real":
-        return float(raw)
-    if kind == "enum":
-        return codes[raw]
-    raise CatalogError(f"{var.name} is not numeric; use it as a bare proposition")
-
-
 def enum_code(name: str, literal: str) -> float:
-    codes = _CATALOG[name][2]
+    codes = _CATALOG[name].codes
     if codes is None or literal not in codes:
         valid = sorted(codes) if codes else []
         raise CatalogError(f"{literal!r} is not a value of {name} (expected one of {valid})")

@@ -20,13 +20,12 @@ from driverepair.spec_lang import (
     Prop,
     Until,
 )
-from driverepair.trace_model import var_margin, var_numeric
 
 
 def _prop_holds(node: Prop, scene) -> bool:
     f = node.expr.const
     for coef, var in node.expr.terms:
-        f += coef * var_numeric(scene, var)
+        f += coef * var.read(scene)
     if node.cmp in (">", ">="):
         return f > 0
     if node.cmp in ("<", "<="):
@@ -44,7 +43,7 @@ def holds(phi, trace, t: int = 0, end: int | None = None) -> bool:
     if isinstance(phi, Prop):
         return _prop_holds(phi, scene)
     if isinstance(phi, PredAtom):
-        return var_margin(scene, phi.var) > 0
+        return phi.var.read(scene) > 0
     if isinstance(phi, BoolLit):
         return phi.value
     if isinstance(phi, Not):

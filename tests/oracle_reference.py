@@ -45,8 +45,6 @@ from driverepair.trace_model import (
     Obstacle,
     RecordError,
     load_record,
-    var_margin,
-    var_numeric,
 )
 
 INF = math.inf
@@ -55,7 +53,7 @@ INF = math.inf
 def _prop_margin(node: Prop, scene) -> float:
     f = node.expr.const
     for coef, var in node.expr.terms:
-        f += coef * var_numeric(scene, var)
+        f += coef * var.read(scene)
     if node.cmp in (">", ">="):
         return f
     if node.cmp in ("<", "<="):
@@ -72,7 +70,7 @@ def rho_ref(phi, trace, t: int = 0, end: int | None = None) -> float:
     if isinstance(phi, Prop):
         return _prop_margin(phi, trace.scenes[t])
     if isinstance(phi, PredAtom):
-        return var_margin(trace.scenes[t], phi.var)
+        return phi.var.read(trace.scenes[t])
     if isinstance(phi, BoolLit):
         return INF if phi.value else -INF
     if isinstance(phi, Not):

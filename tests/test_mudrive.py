@@ -281,6 +281,15 @@ class TestValidate:
         assert doc["rules"][0]["name"] == ""
         assert [str(p) for p in validate(from_json(doc))] == problems
 
+    def test_program_without_rules(self):
+        assert [str(p) for p in validate(MuDriveProgram(rules=()))] == [
+            "[<program>] rule: program has no rules"]
+
+    def test_rule_without_actions(self):
+        program = MuDriveProgram(rules=(Rule("idle", Call("always")),))
+        assert [str(p) for p in validate(program)] == [
+            "[idle] action: rule has no actions"]
+
     @pytest.mark.parametrize("name", [3, None, ["x"]])
     def test_rule_name_that_is_not_a_string_fails_conversion(self, name):
         doc = to_json(parse_program(JUNCTION_SLOWDOWN))

@@ -28,10 +28,11 @@ from driverepair.simulator import (
     scenario_by_id,
     script_to_dict,
 )
-from driverepair.spec_lang import parse_spec, resolve_spec
+from driverepair.spec_lang import BUILTIN_SPEC_ENTRIES, parse_spec, resolve_spec
 from driverepair.trace_model import build_trace, save_record
 
 GOLDEN_RUN_DIRS = Path(__file__).parent / "golden" / "run_dirs.txt"
+GOLDEN_SCHEMA = Path(__file__).parent / "golden" / "program.schema.json"
 
 
 def _tree(run_dir: Path) -> dict:
@@ -529,6 +530,33 @@ class TestCli:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["$schema"].endswith("2020-12/schema")
+
+    def test_mudrive_schema_out_writes_the_golden_schema(self, tmp_path):
+        out = tmp_path / "program.schema.json"
+        result = CliRunner().invoke(main, ["mudrive", "schema", "--out",
+                                           str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote {out}\n"
+        assert out.read_bytes() == GOLDEN_SCHEMA.read_bytes()
+
+    def test_sim_list(self):
+        result = CliRunner().invoke(main, ["sim", "list"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            [sid, f"[{PAIRED_SPECS[sid]}]"] for sid in sorted(PAIRED_SPECS)
+        ] + [["empty", "[-]"]]
+
+    def test_specs_command(self):
+        result = CliRunner().invoke(main, ["specs"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "".join(f"{e.name:16s} {e.stl}\n"
+                                        for e in BUILTIN_SPEC_ENTRIES)
+
+    def test_report_without_report_json(self, tmp_path):
+        result = CliRunner().invoke(main, ["report", "--run", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {tmp_path / 'report.json'} not found\n"
 
     def test_report_command(self, s6_report):
         report, _ = s6_report

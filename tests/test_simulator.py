@@ -9,7 +9,7 @@ import pytest
 from conftest import ramp_frames
 from oracle_reference import frame_line_ref
 
-from driverepair.mudrive import parse_program
+from driverepair.mudrive import DEFAULT_PARAMS, parse_program
 from driverepair.simulator import (
     PAIRED_SPECS,
     benchmark_suite,
@@ -20,10 +20,21 @@ from driverepair.simulator import (
     script_from_dict,
     script_to_dict,
 )
-from driverepair.simulator.scenarios import LightSpec, NpcSpec, ScenarioError
+from driverepair.simulator.engine import (
+    BLOCKED_BEFORE_BORROW_S,
+    CRUISE_MARGIN_KMH,
+    _World,
+)
+from driverepair.simulator.scenarios import (
+    LightSpec,
+    NpcSpec,
+    ScenarioError,
+    ScenarioScript,
+)
 from driverepair.spec_lang import robustness
 from driverepair.trace_model import (
     EgoPose,
+    Obstacle,
     RawRecordFrame,
     WeatherState,
     build_trace,
@@ -234,6 +245,48 @@ _NUMBER_FIELDS = [
 
 _NUMBER_IDS = [field + "." * bool(part) + part
                for field, part, _ in _NUMBER_FIELDS]
+
+
+def _world_at(s, stop_signs=()):
+    """A planner at rest at route position s on an empty straight road."""
+    world = _World(ScenarioScript(id="t", route_len_m=300.0,
+                                  stop_signs=stop_signs))
+    world.s = s
+    return world
+
+
+def _frame_at(world, *obstacles):
+    ego = EgoPose(x=world.s, y=world.offset, heading=0.0, speed=0.0,
+                  accel=0.0, steering=0.0)
+    return RawRecordFrame(t=world.t, ego=ego, obstacles=obstacles)
+
+
+class TestPlanner:
+    """Planner branches that no built-in scenario reaches."""
+
+    @pytest.mark.parametrize("oncoming, phase", [(True, "none"),
+                                                 (False, "out")])
+    def test_oncoming_traffic_holds_back_a_lane_borrow(self, oncoming, phase):
+        # blocked long enough behind a parked car, the ego borrows the
+        # neighbour lane only while no moving car comes within reach there
+        world = _world_at(50.0)
+        world.blocked_time = BLOCKED_BEFORE_BORROW_S
+        parked = Obstacle(id="parked", kind="vehicle", x=60.0, y=0.0,
+                          heading=0.0, speed=0.0, half_len=2.3, half_wid=1.0)
+        car = Obstacle(id="oncoming", kind="vehicle", x=90.0, y=3.0,
+                       heading=math.pi, speed=30.0, half_len=2.3,
+                       half_wid=1.0)
+        frame = _frame_at(world, parked, *([car] if oncoming else []))
+        params = dataclasses.replace(DEFAULT_PARAMS, lane_borrow_enabled=True)
+        world.plan(frame, params)
+        assert world.borrow_phase == phase
+
+    def test_stop_sign_behind_counts_as_served(self):
+        world = _world_at(45.0, stop_signs=(40.0,))
+        target, _ = world.plan(_frame_at(world), DEFAULT_PARAMS)
+        assert world.signs[0].served
+        cruise = (DEFAULT_PARAMS.cruise_speed_kmh - CRUISE_MARGIN_KMH) / 3.6
+        assert target == cruise
 
 
 class TestScenarioNumbers:

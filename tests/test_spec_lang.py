@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from formula_gen import random_formula
 from oracle_boolean import holds
 from oracle_reference import rho_ref
 
+from driverepair.localizer import locate
 from driverepair.spec_lang import (
     Always,
     And,
@@ -30,6 +33,26 @@ from driverepair.spec_lang import (
     robustness,
 )
 from driverepair.trace_model import SignalVar, Trace
+
+GOLDEN_ROBUSTNESS = Path(__file__).parent / "golden" / "robustness.txt"
+
+
+def robustness_bits(traces, specs):
+    """One line per trace and built-in: the robustness at step 0 and the
+    sha256 of the located `prefix_rho`, every float as `float.hex`.
+
+    `golden/robustness.txt` holds these lines for the S1..S8 baseline
+    traces. Rewrite it from this function only in a change that means to
+    move the evaluator's bits.
+    """
+    lines = []
+    for sid, trace in sorted(traces.items()):
+        for name, phi in sorted(specs.items()):
+            rho = robustness(phi, trace).hex()
+            prefix = " ".join(r.hex() for r in locate(phi, trace).prefix_rho)
+            digest = hashlib.sha256(prefix.encode()).hexdigest()
+            lines.append(f"{sid} {name} {rho} {digest}")
+    return lines
 
 
 class TestParser:
@@ -224,6 +247,11 @@ class TestBuiltins:
         foggy_slow = Trace([make_scene(speed=25.0, fog=0.8, visibility=40.0)])
         assert robustness(specs["law46"], foggy_fast) <= 0
         assert robustness(specs["law46"], foggy_slow) > 0
+
+    def test_bits_on_baselines_match_golden(self, baseline_runs, specs):
+        traces = {sid: run["trace"] for sid, run in baseline_runs.items()}
+        golden = GOLDEN_ROBUSTNESS.read_text(encoding="utf-8").splitlines()
+        assert robustness_bits(traces, specs) == golden
 
     def test_unknown_lookup_absent(self, specs):
         assert "unknown" not in specs

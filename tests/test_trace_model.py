@@ -31,8 +31,6 @@ from driverepair.trace_model import (
     load_record,
     save_record,
     scene_from_frame,
-    var_margin,
-    var_numeric,
 )
 
 
@@ -116,6 +114,24 @@ class TestLoadRecord:
         with pytest.warns(UserWarning, match="mystery"):
             frames = load_record(path)
         assert len(frames) == 1
+
+    def test_unknown_field_warns_once_per_record(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        lines = []
+        for i in range(6):
+            doc = {"t": i / 10, "ego": {"x": i, "y": 0, "heading": 0,
+                                        "speed": 1}, "header": {"seq": i}}
+            if i >= 2:
+                doc["mystery"] = 1
+            lines.append(json.dumps(doc) + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_record(path)
+            load_record(path)
+        assert [str(w.message) for w in caught] == 2 * [
+            "ignoring unknown record field 'header' (first on line 1)",
+            "ignoring unknown record field 'mystery' (first on line 3)"]
 
     def test_negative_speed_rejected(self, tmp_path):
         path = tmp_path / "rec.jsonl"
@@ -323,7 +339,7 @@ class TestLoadRecord:
         save_record(load_record(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         trace = build_trace(load_record(p1))
-        assert var_numeric(trace.scenes[0], SignalVar("fogIntensity")) == 0.8
+        assert SignalVar("fogIntensity").read(trace.scenes[0]) == 0.8
 
 
 # Spellings of equal values, plain ones first. A zero may decode to 0, 0.0
@@ -620,6 +636,34 @@ class TestObstacleReuse:
                 work.mkdir()
                 _assert_loads_like_each_line_alone(path, work)
 
+    @pytest.mark.parametrize("rewrite, error", [
+        (lambda line: '{"note":"obstacles",' + line[1:], None),
+        (lambda line: '{"weather":{"obstacles":null},' + line[1:], None),
+        (lambda line: line.replace("}]", "} 7]", 1),
+         "line 2: not valid JSON (Expecting ',' delimiter)"),
+        (lambda line: line + " 7", "line 2: not valid JSON (Extra data)"),
+    ], ids=["string before the key", "nested key first", "junk after an element",
+            "data after the document"])
+    def test_irregular_line_is_decoded_whole(self, tmp_path, rewrite, error):
+        ob = {"id": "o", "kind": "vehicle", "x": 9.0, "y": 0.0, "speed": 1.0,
+              "half_len": 2.0, "half_wid": 1.0}
+        lines = [json.dumps({"t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0,
+                                                  "speed": 1},
+                             "obstacles": [ob]}, separators=(",", ":"))
+                 for t in range(3)]
+        lines[1] = rewrite(lines[1])
+        assert trace_model._decode_reusing(
+            lines[1], trace_model._RECORD_DECODER, (), ()) is None
+        path = tmp_path / "rec.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        work = tmp_path / "lines"
+        work.mkdir()
+        with warnings.catch_warnings():     # "note" is unknown
+            warnings.simplefilter("ignore", UserWarning)
+            frames = _assert_loads_like_each_line_alone(path, work)
+            assert _frames_or_error(load_record, path)[1] == error
+        assert len(frames) == (3 if error is None else 0)
+
     @pytest.mark.parametrize("scenario, reused, after_first", [
         ("S2", 253, 342), ("S5", 700, 700), ("S7", 660, 1155)],
         ids=["S2", "S5", "S7"])
@@ -910,15 +954,15 @@ class TestBuildTrace:
     def test_single_frame(self):
         trace = build_trace([frame_with(speed=50.0)])
         assert len(trace) == 1
-        assert var_numeric(trace.scenes[0], SignalVar("speed")) == 50.0
+        assert SignalVar("speed").read(trace.scenes[0]) == 50.0
 
     def test_ahead_geometry(self):
         ob = Obstacle(id="a", kind="vehicle", x=8.0, y=0.0, heading=0.0,
                       speed=20.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[ob])])
         scene = trace.scenes[0]
-        assert var_margin(scene, SignalVar("NPCAhead", 10)) > 0
-        assert var_margin(scene, SignalVar("NPCAhead", 5)) < 0
+        assert SignalVar("NPCAhead", 10).read(scene) > 0
+        assert SignalVar("NPCAhead", 5).read(scene) < 0
         # clearance: 8 m centre gap minus the two facing half-lengths
         sep = scene.nearest_npc_sep
         assert sep == pytest.approx(8.0 - 2.4 - 2.3, abs=1e-6)
@@ -929,13 +973,13 @@ class TestBuildTrace:
         wide = Obstacle(id="w", kind="vehicle", x=8.0, y=3.0, heading=0.0,
                         speed=0.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[behind, wide])])
-        assert var_margin(trace.scenes[0], SignalVar("NPCAhead", 50)) < 0
+        assert SignalVar("NPCAhead", 50).read(trace.scenes[0]) < 0
 
     def test_ramp_speed_signal_matches_input(self):
         trace = build_trace(ramp_frames(91))
         assert len(trace) == 91
         for k in (0, 1, 55, 60, 90):
-            assert var_numeric(trace.scenes[k], SignalVar("speed")) == float(k)
+            assert SignalVar("speed").read(trace.scenes[k]) == float(k)
 
     def test_resample_at_native_dt_is_identity(self):
         frames = ramp_frames(40)
@@ -951,11 +995,9 @@ class TestBuildTrace:
 
     def test_stopped_threshold(self):
         trace = build_trace([frame_with(speed=0.4)])
-        assert var_margin(trace.scenes[0], SignalVar("stopped")) > 0
+        assert SignalVar("stopped").read(trace.scenes[0]) > 0
         trace = build_trace([frame_with(speed=0.6)])
-        assert var_margin(trace.scenes[0], SignalVar("stopped")) < 0
-        with pytest.raises(CatalogError):
-            var_numeric(trace.scenes[0], SignalVar("stopped"))
+        assert SignalVar("stopped").read(trace.scenes[0]) < 0
 
 
 class TestSceneValue:
@@ -965,23 +1007,18 @@ class TestSceneValue:
             trace.scenes[1]
 
     def test_unknown_variable(self):
-        trace = build_trace([frame_with()])
-        for read in (var_margin, var_numeric):
-            with pytest.raises(CatalogError):
-                read(trace.scenes[0], SignalVar("warpDrive"))
+        with pytest.raises(CatalogError):
+            SignalVar("warpDrive")
 
     def test_pred_requires_arg(self):
-        trace = build_trace([frame_with()])
-        for read in (var_margin, var_numeric):
-            with pytest.raises(CatalogError):
-                read(trace.scenes[0], SignalVar("NPCAhead"))
+        with pytest.raises(CatalogError):
+            SignalVar("NPCAhead")
 
     def test_enum_values_are_strings(self):
         trace = build_trace([frame_with()])
         scene = trace.scenes[0]
         assert (scene.light_color, scene.gear) == ("off", "drive")
-        assert var_numeric(scene, SignalVar("trafficLightColor")) == \
-            LIGHT_CODE["off"]
+        assert SignalVar("trafficLightColor").read(scene) == LIGHT_CODE["off"]
 
 
 class TestNearestSep:
