@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -57,16 +58,23 @@ def _input_errors_exit_1():
         raise click.ClickException(str(exc)) from exc
 
 
+def _warning_line(message, *args, **kwargs):
+    """Show a warning as one `Warning:` line on stderr."""
+    click.echo(f"Warning: {message}", err=True)
+
+
 class _Group(click.Group):
     """Top-level group: bad input to its own options or to any command goes
-    through `_input_errors_exit_1`."""
+    through `_input_errors_exit_1`, and any command's warning prints as
+    `_warning_line`."""
 
     def make_context(self, *args, **kwargs):
         with _input_errors_exit_1():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _input_errors_exit_1():
+        with _input_errors_exit_1(), warnings.catch_warnings():
+            warnings.showwarning = _warning_line
             return super().invoke(ctx)
 
 

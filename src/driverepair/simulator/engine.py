@@ -7,13 +7,13 @@ follow, yield hold) and tracks it with bounded acceleration. Rule programs
 rewrite planner parameters live through the same scene the emitted frame
 describes, so replaying the record reproduces every decision input.
 
-The NPCs follow their scripts whatever the ego does, so a tick's obstacles
-depend only on the script and the tick's time. They are built once per
-script and time, kept in `ScenarioScript.npc_timeline`, and every replay of
-that script shares them. An NPC that is parked, waiting or finished holds
-still: while a tick's prediction window lies inside one such hold
-(`NpcSpec.hold_at`), every tick takes the one obstacle built for that hold,
-kept in `ScenarioScript.npc_holds`.
+The clock is the tick count: tick k is at k / TICK_HZ s, the double nearest
+the decimal a script writes, so a light phase or waypoint that a script puts
+on a tenth of a second falls on its tick. The NPCs follow their scripts
+whatever the ego does, so each tick's obstacles are built once per script,
+in tick order, into `ScenarioScript.npc_timeline`, and every replay shares
+them. An NPC whose prediction window lies in the same hold
+(`NpcSpec.hold_at`) as at the previous tick keeps that tick's obstacle.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ from ..trace_model import (
 )
 from .scenarios import ScenarioScript
 
-DT = 0.1
+TICK_HZ = 10
+DT = 1 / TICK_HZ
 STOPLINE_STANDOFF = 4.0     # stop this far before a stop line or sign
 CRUISE_MARGIN_KMH = 0.5     # planner keeps this much under the cruise setting
 BASE_ACCEL = 3.0            # m/s^2 at obstacle_decrease_ratio 1
@@ -80,27 +81,28 @@ def _npc_obstacle(npc, t: float) -> Obstacle:
     )
 
 
-def _npc_obstacles(script: ScenarioScript, t: float) -> tuple:
-    """Every NPC of the script at tick time t; an NPC within a hold gets the
-    hold's obstacle, built at the first tick that reaches it."""
-    holds = script.npc_holds
+def _tick_obstacles(script: ScenarioScript, tick: int) -> tuple:
+    """The NPC obstacles of a tick. A replay counts its ticks from 0, so a
+    tick past the end of the timeline is the next one to fill."""
+    timeline = script.npc_timeline
+    if tick < len(timeline):
+        return timeline[tick]
+    t, prev_t = tick / TICK_HZ, (tick - 1) / TICK_HZ
     obstacles = []
     for k, npc in enumerate(script.npcs):
         hold = npc.hold_at(t)
-        if hold is None:
+        if tick and hold is not None and npc.hold_at(prev_t) == hold:
+            obstacles.append(timeline[tick - 1][k])
+        else:
             obstacles.append(_npc_obstacle(npc, t))
-            continue
-        ob = holds.get((k, hold))
-        if ob is None:
-            ob = holds[k, hold] = _npc_obstacle(npc, t)
-        obstacles.append(ob)
-    return tuple(obstacles)
+    obstacles = tuple(obstacles)
+    timeline.append(obstacles)
+    return obstacles
 
 
 class _World:
     def __init__(self, script: ScenarioScript):
         self.script = script
-        self.t = 0.0
         self.s = 0.0
         self.v = script.start_speed_kmh / 3.6   # m/s
         self.prev_v = self.v
@@ -119,18 +121,16 @@ class _World:
                 return light
         return None
 
-    def emit_frame(self) -> RawRecordFrame:
+    def emit_frame(self, tick: int) -> RawRecordFrame:
         script = self.script
-        timeline = script.npc_timeline
-        obstacles = timeline.get(self.t)
-        if obstacles is None:
-            obstacles = timeline[self.t] = _npc_obstacles(script, self.t)
+        t = tick / TICK_HZ
+        obstacles = _tick_obstacles(script, tick)
 
         light = self.current_light()
         light_state = None
         if light is not None:
             light_state = TrafficLightState(
-                color=light.color_at(self.t),
+                color=light.color_at(t),
                 dist_to_stopline=_round4(light.stopline_s - self.s))
 
         signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
@@ -143,7 +143,7 @@ class _World:
         accel = (self.v - self.prev_v) / DT
 
         return RawRecordFrame(
-            t=_round4(self.t),
+            t=t,
             ego=EgoPose(x=_round4(self.s), y=_round4(self.offset), heading=0.0,
                         speed=_round4(self.v * 3.6), accel=_round4(accel),
                         steering=_round4(steering), gear="drive"),
@@ -162,16 +162,18 @@ class _World:
 
     # -- planner ------------------------------------------------------------
 
-    def _corridor_ahead(self, frame):
-        """Obstacles in the ego lane corridor ahead: (gap, speed_ms, obstacle)."""
-        found = []
+    def _nearest_ahead(self, frame):
+        """The nearest obstacle in the ego lane corridor ahead, as (gap,
+        obstacle), or None; on a tie, the first in frame order."""
+        nearest = None
         for ob in frame.obstacles:
             lon = ob.x - self.s
             lat = ob.y - self.offset
             if lon > 0.5 and abs(lat) < CORRIDOR_HALF_WIDTH:
                 gap = lon - ob.half_len - EGO_HALF_LEN
-                found.append((gap, ob.speed / 3.6, ob))
-        return sorted(found, key=lambda item: item[0])
+                if nearest is None or gap < nearest[0]:
+                    nearest = gap, ob
+        return nearest
 
     def _yield_conflict(self, frame, yield_dist: float) -> bool:
         """Crossing traffic whose predicted path cuts the corridor close ahead."""
@@ -231,15 +233,14 @@ class _World:
 
         # obstacles ahead in the corridor: stop behind static ones, follow
         # moving ones
-        corridor = self._corridor_ahead(frame)
-        blocked = False
+        nearest = self._nearest_ahead(frame)
         blocker = None
-        if corridor:
-            gap, lead_v, ob = corridor[0]
+        if nearest is not None:
+            gap, ob = nearest
+            lead_v = ob.speed / 3.6
             if lead_v * 3.6 < MOVING_NPC_KMH:
                 targets.append(_stop_profile(a_max, gap - params.obstacle_stop_dist_m))
                 if gap <= params.obstacle_stop_dist_m + 4.0:
-                    blocked = True
                     blocker = ob
             elif gap <= 1.5 * params.follow_dist_m:
                 targets.append(max(0.0, lead_v + 0.5 * (gap - params.follow_dist_m)))
@@ -249,7 +250,7 @@ class _World:
 
         # lane borrow state machine
         if self.borrow_phase == "none":
-            if blocked and self.v < STANDSTILL:
+            if blocker is not None and self.v < STANDSTILL:
                 self.blocked_time += DT
             else:
                 self.blocked_time = 0.0
@@ -283,7 +284,6 @@ class _World:
             step = BORROW_SLEW * DT
             delta = self.offset_goal - self.offset
             self.offset += math.copysign(min(step, abs(delta)), delta)
-        self.t += DT
 
 
 def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
@@ -300,8 +300,8 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
     outcome = OUTCOME_TIMEOUT
 
     max_ticks = int(round(script.duration_s / DT))
-    for _ in range(max_ticks + 1):
-        frame = world.emit_frame()
+    for tick in range(max_ticks + 1):
+        frame = world.emit_frame(tick)
         frames.append(frame)
 
         scene = frame.scene

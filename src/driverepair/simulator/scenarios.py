@@ -201,20 +201,10 @@ class ScenarioScript:
         require_positive(w.visibility, "weather.visibility")
 
     @functools.cached_property
-    def npc_timeline(self) -> dict:
-        """Tick time -> that tick's NPC obstacles, filled by the simulator on
-        first use. Every replay of this script shares it: each one steps its
-        clock from 0.0 by the same increment, and an NPC's state depends on
-        nothing but the time. On a miss, an NPC whose prediction window lies
-        in one hold (`NpcSpec.hold_at`) takes its obstacle from `npc_holds`,
-        so the ticks of a hold share one obstacle."""
-        return {}
-
-    @functools.cached_property
-    def npc_holds(self) -> dict:
-        """(NPC index, hold) -> the obstacle of that NPC over that hold,
-        filled by the simulator at the first tick that reaches the hold."""
-        return {}
+    def npc_timeline(self) -> list:
+        """Tick -> that tick's NPC obstacles, filled in tick order by the
+        simulator on first use and shared by every replay of this script."""
+        return []
 
     def lane_kind_at(self, s: float) -> str:
         for s0, s1, kind in self.lane_segments:

@@ -1,6 +1,6 @@
 """The scripted NPC timeline: each tick's obstacles are built once per
 script and shared by every replay of that script, and an NPC that holds
-still is built once per hold.
+still keeps the previous tick's obstacle, so it is built once per hold.
 
 The reference rebuilds every NPC at every tick, as the simulator once did;
 the shared timeline must agree with it bit for bit on every frame of the
@@ -27,7 +27,7 @@ from driverepair.simulator import (
     run_scenario,
     scenario_by_id,
 )
-from driverepair.simulator.engine import DT, _World
+from driverepair.simulator.engine import _World
 from driverepair.simulator.scenarios import PREDICTION_TIMES, ScenarioError
 from driverepair.trace_model import frame_to_line
 
@@ -50,13 +50,8 @@ def _bits(value):
 
 
 def _tick_times(n):
-    """The unrounded time of each of n ticks, accumulated as the simulator
-    steps its clock."""
-    times, t = [], 0.0
-    for _ in range(n):
-        times.append(t)
-        t += DT
-    return times
+    """The time of each of n ticks: tick k happens at k / 10 s."""
+    return [k / 10 for k in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -144,14 +139,10 @@ def test_baseline_record_matches_golden_digest(sid):
 
 
 def _emitted(script, n_ticks):
-    """The frames a simulation of the script emits over n ticks, the clock
-    stepped as the simulator steps it, whatever the ego does."""
+    """The frames a simulation of the script emits over n ticks, whatever
+    the ego does."""
     world = _World(script)
-    frames = []
-    for _ in range(n_ticks):
-        frames.append(world.emit_frame())
-        world.t += DT
-    return frames
+    return [world.emit_frame(tick) for tick in range(n_ticks)]
 
 
 N_TICKS = 150
@@ -193,6 +184,7 @@ def test_emitted_obstacles_match_reference(paths):
                  for k, waypoints in enumerate(paths))
     script = ScenarioScript(id="gen", route_len_m=100.0, npcs=npcs)
     shared = {}
+    previous = (None,) * len(npcs)
     for frame, t in zip(_emitted(script, N_TICKS), _TICKS):
         ref = npc_obstacles_ref(script, t)
         assert _bits(frame.obstacles) == _bits(ref), t
@@ -202,6 +194,9 @@ def test_emitted_obstacles_match_reference(paths):
             hold = npc.hold_at(t)
             if hold is not None:
                 assert shared.setdefault((k, hold), ob) is ob
+            else:
+                assert ob is not previous[k]
+        previous = frame.obstacles
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,11 +216,13 @@ def test_one_obstacle_serves_a_long_parked_hold():
                                              (100.0, 40.0, 7.0, 0.0)))
     script = ScenarioScript(id="parked", route_len_m=100.0, npcs=(parked,))
     frames = _emitted(script, 900)
-    # tick 0 sits on the first waypoint, before the parked segment's span
-    assert parked.hold_at(0.0) is None
+    # tick 0 sits on the first waypoint, before the parked segment's span;
+    # every later tick's window lies in the parked segment
+    assert [k for k, t in enumerate(_tick_times(900))
+            if parked.hold_at(t) is not None] == list(range(1, 900))
     held = frames[1].obstacles[0]
+    assert frames[0].obstacles[0] is not held
     assert all(frame.obstacles[0] is held for frame in frames[1:])
-    assert len(script.npc_holds) == 1
 
 
 def test_npc_without_waypoints_is_a_scenario_error():
@@ -249,7 +246,7 @@ def test_scripts_do_not_share_a_timeline():
     assert a == b and a.npc_timeline is not b.npc_timeline
     frames, _ = run_scenario(a)
     assert len(a.npc_timeline) == len(frames)
-    assert b.npc_timeline == {}
+    assert b.npc_timeline == []
     again, _ = run_scenario(b)
     assert all(x.obstacles is not y.obstacles and x.obstacles == y.obstacles
                for x, y in zip(frames, again))

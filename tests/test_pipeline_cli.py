@@ -379,6 +379,19 @@ class TestCli:
         assert doc["near_miss_step"] == 55
         assert doc["rho_at_each"][0] == 60.0
 
+    def test_unknown_record_field_prints_one_warning_line(self, tmp_path):
+        record = tmp_path / "ramp.jsonl"
+        save_record(ramp_frames(91), record)
+        lines = record.read_text(encoding="utf-8").splitlines()
+        record.write_text("".join(
+            json.dumps(dict(json.loads(line), header={"seq": i})) + "\n"
+            for i, line in enumerate(lines)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["localize", "--record", str(record),
+                                           "--spec", "law46"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("Warning: ignoring unknown record field"
+                                 " 'header' (first on line 1)\n")
+
     def test_record_that_keeps_the_spec(self, tmp_path):
         # the ramp never reaches 100 km/h
         record = tmp_path / "ramp.jsonl"

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ramp_frames
 from oracle_reference import frame_line_ref
@@ -206,6 +208,45 @@ class TestRunScenario:
             LightSpec(148.0, 176.0, ())
 
 
+def _onsets(frames, color):
+    """The times of the frames at which the light ahead turns to `color`."""
+    colors = [f.traffic_light and f.traffic_light.color for f in frames]
+    return [frames[k].t for k in range(1, len(frames))
+            if colors[k] == color != colors[k - 1]]
+
+
+class TestClock:
+    """Tick k happens at k / 10 s, so whatever a script puts on a tenth of
+    a second happens at its tick."""
+
+    @pytest.mark.parametrize("sid, yellow, red", [("S3", 8.0, 11.0),
+                                                   ("S4", 4.0, 6.0)])
+    def test_scripted_light_phases_start_on_their_tick(
+            self, baseline_runs, sid, yellow, red):
+        frames = baseline_runs[sid]["frames"]
+        assert [f.t for f in frames] == [k / 10 for k in range(len(frames))]
+        assert _onsets(frames, "yellow") == [yellow]
+        assert _onsets(frames, "red") == [red]
+
+    def test_s7_jams_move_after_their_waypoint(self, baseline_runs):
+        # the jams sit at their waypoint until 25.0 s, inclusive
+        frames = baseline_runs["S7"]["frames"]
+        moving = [f.t for f in frames if any(ob.speed for ob in f.obstacles)]
+        assert moving[0] == 25.1
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 400),
+           colors=st.permutations(["green", "yellow", "red"]))
+    @example(k=80, colors=["green", "yellow", "red"])
+    def test_light_switches_at_the_tick_of_its_boundary(self, k, colors):
+        first, then, _ = colors
+        light = LightSpec(5000.0, 5000.0, ((first, k / 10), (then, 600.0)))
+        script = ScenarioScript(id="lit", route_len_m=5000.0,
+                                duration_s=(k + 1) / 10, lights=(light,))
+        frames, _ = run_scenario(script)
+        assert [f.traffic_light.color for f in frames] == [first] * k + [then] * 2
+
+
 def _waypoint_with(i, v):
     point = [0.0, 200.0, 7.0, 0.0]
     point[i] = v
@@ -258,7 +299,7 @@ def _world_at(s, stop_signs=()):
 def _frame_at(world, *obstacles):
     ego = EgoPose(x=world.s, y=world.offset, heading=0.0, speed=0.0,
                   accel=0.0, steering=0.0)
-    return RawRecordFrame(t=world.t, ego=ego, obstacles=obstacles)
+    return RawRecordFrame(t=0.0, ego=ego, obstacles=obstacles)
 
 
 class TestPlanner:
