@@ -9,11 +9,13 @@ describes, so replaying the record reproduces every decision input.
 
 The clock is the tick count: tick k is at k / TICK_HZ s, the double nearest
 the decimal a script writes, so a light phase or waypoint that a script puts
-on a tenth of a second falls on its tick. The NPCs follow their scripts
-whatever the ego does, so each tick's obstacles are built once per script,
-in tick order, into `ScenarioScript.npc_timeline`, and every replay shares
-them. An NPC whose prediction window lies in the same hold
-(`NpcSpec.hold_at`) as at the previous tick keeps that tick's obstacle.
+on a tenth of a second falls on its tick. A run, a light phase and a
+stop-sign wait last whole ticks (`scenarios.duration_ticks`), so no float
+sum decides when one ends. The NPCs follow their scripts whatever the ego
+does, so each tick's obstacles are built once per script, in tick order,
+into `ScenarioScript.npc_timeline`, and every replay shares them. An NPC
+whose prediction window lies in the same hold (`NpcSpec.hold_at`) as at the
+previous tick keeps that tick's obstacle.
 """
 from __future__ import annotations
 
@@ -35,9 +37,8 @@ from ..trace_model import (
     RawRecordFrame,
     TrafficLightState,
 )
-from .scenarios import ScenarioScript
+from .scenarios import TICK_HZ, ScenarioScript, duration_ticks
 
-TICK_HZ = 10
 DT = 1 / TICK_HZ
 STOPLINE_STANDOFF = 4.0     # stop this far before a stop line or sign
 CRUISE_MARGIN_KMH = 0.5     # planner keeps this much under the cruise setting
@@ -56,7 +57,7 @@ OUTCOME_TIMEOUT = "timed_out"
 
 @dataclass
 class _SignState:
-    waited: float = 0.0
+    waited: int = 0             # ticks stood at the sign
     served: bool = False
 
 
@@ -130,7 +131,7 @@ class _World:
         light_state = None
         if light is not None:
             light_state = TrafficLightState(
-                color=light.color_at(t),
+                color=light.color_at(tick),
                 dist_to_stopline=_round4(light.stopline_s - self.s))
 
         signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
@@ -227,8 +228,8 @@ class _World:
                 continue
             targets.append(_stop_profile(a_max, ds - STOPLINE_STANDOFF))
             if self.v < STANDSTILL and ds - STOPLINE_STANDOFF <= 1.0:
-                state.waited += DT
-                if state.waited >= params.stop_sign_wait_s:
+                state.waited += 1
+                if state.waited >= duration_ticks(params.stop_sign_wait_s):
                     state.served = True
 
         # obstacles ahead in the corridor: stop behind static ones, follow
@@ -299,8 +300,7 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
     frames = []
     outcome = OUTCOME_TIMEOUT
 
-    max_ticks = int(round(script.duration_s / DT))
-    for tick in range(max_ticks + 1):
+    for tick in range(int(duration_ticks(script.duration_s)) + 1):
         frame = world.emit_frame(tick)
         frames.append(frame)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,14 @@ from ..trace_model import require_object, require_one_of, require_positive
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
 PREDICTION_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+TICK_HZ = 10                # simulator ticks per second
+
+
+def duration_ticks(seconds: float) -> float:
+    """The ticks a duration lasts: seconds * TICK_HZ rounded to a whole
+    number, a half to the even one, so tenths of a second are exact. A
+    float, so that a duration too long for an int of ticks is inf."""
+    return round(seconds * TICK_HZ, 0)
 
 
 class ScenarioError(ValueError):
@@ -153,17 +162,20 @@ class LightSpec:
             raise ValueError("lights.schedule must not be empty")
         for color, dur in self.schedule:
             require_one_of(color, LIGHT_CODE, "lights.schedule")
-            require_positive(require_finite(dur, "lights.schedule"),
-                             "lights.schedule duration_s")
+            if duration_ticks(require_finite(dur, "lights.schedule")) < 1:
+                raise ValueError("lights.schedule duration_s must round to at"
+                                 f" least one tick, got {dur!r}")
 
-    def color_at(self, t: float) -> str:
-        total = sum(d for _, d in self.schedule)
-        t = t % total
-        for color, dur in self.schedule:
-            if t < dur:
-                return color
-            t -= dur
-        return self.schedule[-1][0]
+    @functools.cached_property
+    def _phase_ends(self) -> tuple:
+        """The tick of the cycle at which each phase ends."""
+        return tuple(itertools.accumulate(
+            duration_ticks(dur) for _, dur in self.schedule))
+
+    def color_at(self, tick: int) -> str:
+        """The colour at a tick; the schedule starts at tick 0 and cycles."""
+        ends = self._phase_ends
+        return self.schedule[bisect.bisect_right(ends, tick % ends[-1])][0]
 
 
 @dataclass(frozen=True)

@@ -166,40 +166,50 @@ def require_object(value, name):
     return value
 
 
-# `v * 1.0` is float(v) for a JSON number and a TypeError for a JSON string,
-# which float() would read ("nan" as NaN, "inf" as infinity)
+# Every number a frame keeps passes `require_finite`, which also refuses a
+# JSON string (float() would read "nan" as NaN) and a literal beyond the
+# float range (1e400 decodes as inf; a longer int overflows in isfinite).
+# A sign rule goes first, so a string there keeps its comparison error.
 
-def _obstacle_from_dict(ob, id_):
+def _real(value, name, rule=None):
+    return require_finite(rule(value, name) if rule else value, name) * 1.0
+
+
+def _obstacle_from_dict(ob):
+    id_ = ob["id"]
+    if isinstance(id_, (int, float)):   # kept as its text: "inf" would pass
+        require_finite(id_, "obstacles.id")
+    point = "obstacles.predicted"
     return Obstacle(
-        id=id_,
+        id=str(id_),
         kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
                             "obstacles.kind"),
-        x=ob["x"] * 1.0, y=ob["y"] * 1.0,
-        heading=ob.get("heading", 0.0) * 1.0,
-        speed=require_non_negative(ob["speed"], "obstacles.speed") * 1.0,
-        half_len=require_positive(ob["half_len"], "obstacles.half_len") * 1.0,
-        half_wid=require_positive(ob["half_wid"], "obstacles.half_wid") * 1.0,
-        predicted=tuple([(t * 1.0, x * 1.0, y * 1.0)
+        x=_real(ob["x"], "obstacles.x"), y=_real(ob["y"], "obstacles.y"),
+        heading=_real(ob.get("heading", 0.0), "obstacles.heading"),
+        speed=_real(ob["speed"], "obstacles.speed", require_non_negative),
+        half_len=_real(ob["half_len"], "obstacles.half_len", require_positive),
+        half_wid=_real(ob["half_wid"], "obstacles.half_wid", require_positive),
+        predicted=tuple([(_real(t, point), _real(x, point), _real(y, point))
                          for t, x, y in ob.get("predicted", [])]),
     )
 
 
 def _frame_from_dict(doc):
     """Build one frame, ego first. An element of `doc["obstacles"]` that is
-    already an Obstacle (the previous line's, for repeated text) is taken
-    as it is; every other element is built."""
+    already an Obstacle (the previous line's, for repeated text) was checked
+    when it was built and is taken as it is; every other element is built."""
     ego_doc = doc["ego"]
     ego = EgoPose(
-        x=ego_doc["x"] * 1.0, y=ego_doc["y"] * 1.0,
-        heading=ego_doc["heading"] * 1.0,
-        speed=require_non_negative(ego_doc["speed"], "ego.speed") * 1.0,
-        accel=ego_doc.get("accel", 0.0) * 1.0,
-        steering=ego_doc.get("steering", 0.0) * 1.0,
+        x=_real(ego_doc["x"], "ego.x"), y=_real(ego_doc["y"], "ego.y"),
+        heading=_real(ego_doc["heading"], "ego.heading"),
+        speed=_real(ego_doc["speed"], "ego.speed", require_non_negative),
+        accel=_real(ego_doc.get("accel", 0.0), "ego.accel"),
+        steering=_real(ego_doc.get("steering", 0.0), "ego.steering"),
         gear=require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"),
     )
 
     obstacles = tuple([
-        ob if type(ob) is Obstacle else _obstacle_from_dict(ob, str(ob["id"]))
+        ob if type(ob) is Obstacle else _obstacle_from_dict(ob)
         for ob in doc.get("obstacles", [])])
 
     light = None
@@ -207,30 +217,34 @@ def _frame_from_dict(doc):
         tl = doc["traffic_light"]
         light = TrafficLightState(
             color=require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
-            dist_to_stopline=tl["dist_to_stopline"] * 1.0)
+            dist_to_stopline=_real(tl["dist_to_stopline"],
+                                   "traffic_light.dist_to_stopline"))
 
     w = require_object(doc.get("weather", {}), "weather")
     weather = WeatherState(
-        rain=w.get("rain", 0.0) * 1.0, fog=w.get("fog", 0.0) * 1.0,
-        snow=w.get("snow", 0.0) * 1.0,
-        visibility=require_positive(w.get("visibility", 500.0),
-                                    "weather.visibility") * 1.0,
+        rain=_real(w.get("rain", 0.0), "weather.rain"),
+        fog=_real(w.get("fog", 0.0), "weather.fog"),
+        snow=_real(w.get("snow", 0.0), "weather.snow"),
+        visibility=_real(w.get("visibility", 500.0), "weather.visibility",
+                         require_positive),
     )
 
     m = require_object(doc.get("map_ctx", {}), "map_ctx")
     map_ctx = MapContext(
         in_junction=require_bool(m.get("in_junction", False),
                                  "map_ctx.in_junction"),
-        dist_to_junction=m.get("dist_to_junction", FAR) * 1.0,
+        dist_to_junction=_real(m.get("dist_to_junction", FAR),
+                               "map_ctx.dist_to_junction"),
         lane_kind=require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
                                  "map_ctx.lane_kind"),
-        dist_to_dest=m.get("dist_to_dest", FAR) * 1.0,
-        dist_to_stop_sign=m.get("dist_to_stop_sign", FAR) * 1.0,
+        dist_to_dest=_real(m.get("dist_to_dest", FAR), "map_ctx.dist_to_dest"),
+        dist_to_stop_sign=_real(m.get("dist_to_stop_sign", FAR),
+                                "map_ctx.dist_to_stop_sign"),
         is_changing_lane=require_bool(m.get("is_changing_lane", False),
                                       "map_ctx.is_changing_lane"),
     )
 
-    return RawRecordFrame(t=doc["t"] * 1.0, ego=ego, obstacles=obstacles,
+    return RawRecordFrame(t=_real(doc["t"], "t"), ego=ego, obstacles=obstacles,
                           traffic_light=light, weather=weather, map_ctx=map_ctx)
 
 
@@ -238,39 +252,11 @@ def _reject_non_finite(token):
     raise RecordError(f"non-finite number {token}")
 
 
-def _finite_float(text):
-    value = float(text)
-    if math.isinf(value):
-        _reject_non_finite(text)
-    return value
-
-
-def _float_range_int(text):
-    try:
-        value = int(text)   # ValueError past the int digit limit
-        float(value)
-    except (ValueError, OverflowError):
-        _reject_non_finite(text)
-    return value
-
-
 # NaN and +/-Infinity are JSON extensions. A NaN coordinate defeats the
 # separating-axis test, so an obstacle at x = NaN would read as a collision.
+# They are refused as they are decoded: a NaN let through would load as the
+# id "nan". Every other number is checked as the frame is built.
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
-# A number literal beyond the float range (1e400, or 309 digits or more)
-# would load as inf or fail later in float(). Such a literal has a digit
-# followed by an exponent, or a run of 309 digits. Lines that have neither
-# keep the C decoder; the rest are decoded with checking Python hooks.
-_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite,
-                                   parse_float=_finite_float,
-                                   parse_int=_float_range_int)
-_DIGITS_AS_ZERO = bytes.maketrans(b"123456789E", b"000000000e")
-_LONG_DIGIT_RUN = b"0" * 309
-
-
-def _may_overflow(line: str) -> bool:
-    masked = line.encode().translate(_DIGITS_AS_ZERO)
-    return b"0e" in masked or _LONG_DIGIT_RUN in masked
 
 
 _OBSTACLES_KEY = '"obstacles"'
@@ -278,7 +264,7 @@ _SPACE = " \t\n\r"                           # JSON's whitespace
 _skip_space = json.decoder.WHITESPACE.match
 
 
-def _decode_reusing(line, decoder, texts_before, obstacles_before):
+def _decode_reusing(line, texts_before, obstacles_before):
     """Decode a line whose top-level "obstacles" key opens an array, taking
     the previous line's Obstacle for each element that repeats its text.
 
@@ -291,7 +277,7 @@ def _decode_reusing(line, decoder, texts_before, obstacles_before):
     key = line.find(_OBSTACLES_KEY)
     if key < 0:
         return None
-    scan = decoder.scan_once
+    scan = _RECORD_DECODER.scan_once
     items, texts = [], []
     n = len(texts_before)
     try:
@@ -370,17 +356,17 @@ def load_record(path) -> list[RawRecordFrame]:
             line = line.strip()
             if not line:
                 continue
-            decoder = (_STRICT_DECODER if _may_overflow(line)
-                       else _RECORD_DECODER)
-            reused = _decode_reusing(line, decoder, texts, obstacles)
+            reused = _decode_reusing(line, texts, obstacles)
             if reused is None:
                 texts = ()
                 try:
-                    doc = decoder.decode(line)
+                    doc = _RECORD_DECODER.decode(line)
                 except json.JSONDecodeError as exc:
                     raise RecordError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
                 except RecordError as exc:
                     raise RecordError(f"line {lineno}: {exc}") from None
+                except ValueError as exc:   # an int past Python's digit limit
+                    raise RecordError(f"line {lineno}: not valid JSON ({exc})") from exc
             else:
                 doc, texts = reused
             try:

@@ -13,7 +13,7 @@ passed whole to `json.dumps`, with no text shared between obstacles.
 `load_frames_independently` loads each line of a record as a one-line
 record of its own, decoded whole (`_decode_reusing` off): with no previous
 frame, no obstacle is reused, and no element is read apart from its line,
-so every frame is built afresh through the same decoder choice and value
+so every frame is built afresh through the same decoder and value
 checks. The first line that fails raises its error, named by its line in
 the record.
 """

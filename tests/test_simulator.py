@@ -35,6 +35,7 @@ from driverepair.simulator.scenarios import (
 )
 from driverepair.spec_lang import robustness
 from driverepair.trace_model import (
+    STOPPED_KMH,
     EgoPose,
     Obstacle,
     RawRecordFrame,
@@ -59,6 +60,17 @@ condition
     is_traffic_light(red)
 then
     traffic_light_stop_dist(5)
+end
+"""
+
+STOP_SIGN_WAIT = """
+rule "wait at stop signs"
+trigger
+    always
+condition
+    speed_leq(100)
+then
+    stop_sign_wait(%s)
 end
 """
 
@@ -235,16 +247,60 @@ class TestClock:
         assert moving[0] == 25.1
 
     @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(1, 400),
-           colors=st.permutations(["green", "yellow", "red"]))
-    @example(k=80, colors=["green", "yellow", "red"])
-    def test_light_switches_at_the_tick_of_its_boundary(self, k, colors):
-        first, then, _ = colors
-        light = LightSpec(5000.0, 5000.0, ((first, k / 10), (then, 600.0)))
+    @given(ks=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+           colors=st.lists(st.sampled_from(["green", "yellow", "red"]),
+                           min_size=6, max_size=6))
+    @example(ks=[80], colors=["green", "yellow"] * 3)
+    # 0.1 s - 0.1 s is not 0.2 s in floats: red starts at 0.3 s
+    @example(ks=[1, 2], colors=["green", "yellow", "red"] * 2)
+    def test_light_switches_at_the_tick_of_its_boundary(self, ks, colors):
+        # phase i lasts ks[i] / 10 s, so it ends at tick ks[0] + ... + ks[i];
+        # the phase after them outlasts the run
+        phases = tuple((color, k / 10) for color, k in zip(colors, ks))
+        last = colors[len(ks)]
+        light = LightSpec(5000.0, 5000.0, phases + ((last, 600.0),))
         script = ScenarioScript(id="lit", route_len_m=5000.0,
-                                duration_s=(k + 1) / 10, lights=(light,))
+                                duration_s=(sum(ks) + 1) / 10, lights=(light,))
         frames, _ = run_scenario(script)
-        assert [f.traffic_light.color for f in frames] == [first] * k + [then] * 2
+        want = [color for color, k in zip(colors, ks) for _ in range(k)]
+        assert [f.traffic_light.color for f in frames] == want + [last] * 2
+
+    def test_light_phase_lasts_its_rounded_ticks(self):
+        # a duration lasts seconds * 10 ticks, rounded: 0.26 s is 3 ticks,
+        # 0.14 s is 1, and the 14-tick cycle starts again at tick 14
+        light = LightSpec(148.0, 176.0, (("green", 0.26), ("red", 0.14),
+                                         ("yellow", 1.0)))
+        assert [light.color_at(k) for k in range(16)] == (
+            ["green"] * 3 + ["red"] + ["yellow"] * 10 + ["green"] * 2)
+
+    @pytest.mark.parametrize("seconds", [0.04, 0.05, 0.0, -1.0])
+    def test_light_phase_shorter_than_a_tick_is_refused(self, seconds):
+        # 0.05 s is half a tick, which rounds to the even count, 0
+        with pytest.raises(ScenarioError, match=(
+                r"^lights\.schedule duration_s must round to at least one"
+                rf" tick, got {seconds!r}$")):
+            LightSpec(148.0, 176.0, (("red", 9.0), ("green", seconds)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.integers(1, 60))
+    @example(w=10)
+    def test_stop_sign_wait_holds_the_ego_for_its_ticks(self, w):
+        # the ego stands at the sign from its first stopped frame up to the
+        # frame of the tick whose plan sets it off, w ticks later
+        script = ScenarioScript(id="sign", route_len_m=120.0, duration_s=40.0,
+                                start_speed_kmh=20.0, stop_signs=(60.0,))
+        frames, _ = run_scenario(script, parse_program(STOP_SIGN_WAIT % (w / 10)))
+        stopped = [k for k, f in enumerate(frames) if f.ego.speed < STOPPED_KMH]
+        assert stopped == list(range(stopped[0], stopped[0] + w + 1))
+
+    def test_stop_sign_wait_past_any_tick_count_holds_to_the_end(self):
+        # 1e308 s is a valid wait, though 1e308 * 10 overflows to inf
+        script = ScenarioScript(id="sign", route_len_m=120.0, duration_s=20.0,
+                                start_speed_kmh=20.0, stop_signs=(60.0,))
+        program = parse_program(STOP_SIGN_WAIT % ("1" + "0" * 308))
+        frames, outcome = run_scenario(script, program)
+        assert outcome == "timed_out"
+        assert frames[-1].ego.speed < STOPPED_KMH
 
 
 def _waypoint_with(i, v):

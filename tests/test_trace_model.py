@@ -40,6 +40,10 @@ def frame_with(obstacles=(), speed=50.0, **ego_kwargs):
     return RawRecordFrame(t=0.0, ego=ego, obstacles=tuple(obstacles))
 
 
+# How a refused obstacles.x on line 2 is reported, by the value's repr
+_NOT_FINITE = "line 2: bad frame (obstacles.x must be a finite number, got %s)"
+
+
 class TestLoadRecord:
     def test_three_line_file(self, tmp_path):
         path = tmp_path / "rec.jsonl"
@@ -195,16 +199,37 @@ class TestLoadRecord:
         with pytest.raises(RecordError, match="line 2: non-finite number"):
             load_record(path)
 
-    @pytest.mark.parametrize("literal", [
-        "1e400", "-2.5E+310", "1" + "0" * 400, "1" + "0" * 400 + ".0",
-        "9" * 5000],
-        ids=["1e400", "-2.5E+310", "401-digit-int", "401-digit-float",
-             "5000-digit-int"])
-    def test_overflowing_number_rejected(self, tmp_path, literal):
-        # such a literal would load as inf (or fail later in float())
+    @pytest.mark.parametrize("literal, message", [
+        pytest.param("1e400", _NOT_FINITE % "inf", id="1e400"),
+        pytest.param("-2.5E+310", _NOT_FINITE % "-inf", id="-2.5E+310"),
+        pytest.param("1" + "0" * 400, _NOT_FINITE % ("1" + "0" * 400),
+                     id="401-digit-int"),
+        pytest.param("1" + "0" * 400 + ".0", _NOT_FINITE % "inf",
+                     id="401-digit-float"),
+        # past Python's digit limit for int(), which the decoder raises
+        pytest.param("9" * 5000, None, id="5000-digit-int"),
+    ])
+    def test_overflowing_number_rejected(self, tmp_path, literal, message):
+        # such a literal decodes as inf, or as an int that float() refuses
         path = self._record_with_obstacle_x(tmp_path, literal)
-        with pytest.raises(RecordError, match="line 2: non-finite number"):
+        with pytest.raises(RecordError) as info:
             load_record(path)
+        if message is None:
+            assert str(info.value).startswith("line 2: ")
+        else:
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400],
+                             ids=["1e400", "401-digit-int"])
+    def test_numeric_id_beyond_the_float_range_is_refused(self, tmp_path,
+                                                          literal):
+        # an id is kept as its text, and 1e400 would load as the id "inf"
+        path = self._record_with_obstacle_x(tmp_path, "12345.5")
+        path.write_text(path.read_text().replace('"id":"o"', f'"id":{literal}'))
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == ("line 2: bad frame (obstacles.id must be a"
+                                   f" finite number, got {json.loads(literal)!r})")
 
     @pytest.mark.parametrize("literal, value", [
         ("5e-05", 5e-05), ("1.5E3", 1500.0), ("1e308", 1e308),
@@ -263,7 +288,12 @@ class TestLoadRecord:
         path = tmp_path / "rec.jsonl"
         path.write_text("".join(json.dumps(d) + "\n" for d in docs),
                         encoding="utf-8")
-        with pytest.raises(RecordError, match=r"^line 2: bad frame \("):
+        # named by its path in the frame document, list indices left out
+        field = ".".join(step for step in path_in_frame
+                         if isinstance(step, str))
+        with pytest.raises(RecordError, match=(
+                rf"^line 2: bad frame \({re.escape(field)} must be a finite"
+                rf" number, got {re.escape(repr(value))}\)$")):
             load_record(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -307,7 +337,6 @@ class TestLoadRecord:
         assert frame.scene.in_junction is value
 
     def test_exponents_and_ints_load_like_plain_numbers(self, tmp_path):
-        # a digit before an exponent sends the line to the checking decoder
         plain = tmp_path / "plain.jsonl"
         plain.write_text('{"t":0.0,"ego":{"x":150.0,"y":10.0,"heading":0.0,'
                          '"speed":3.0},"map_ctx":{"dist_to_dest":120.0}}\n',
@@ -344,8 +373,7 @@ class TestLoadRecord:
 
 # Spellings of equal values, plain ones first. A zero may decode to 0, 0.0
 # or -0.0, which are all == but do not all write back alike; `-0e0`,
-# `-0E-5` and `-1e-400` decode to -0.0 without a "-0." in their line. A
-# line with an exponent goes to the checking decoder.
+# `-0E-5` and `-1e-400` decode to -0.0 without a "-0." in their line.
 _SPELLINGS = (
     ("0", "0.0", "-0", "-0.0", "-0.00", "0e0", "-0e0", "-0E-5", "-1e-400"),
     ("1", "1.0", "true", "1e0", "10E-1"),
@@ -652,8 +680,7 @@ class TestObstacleReuse:
                              "obstacles": [ob]}, separators=(",", ":"))
                  for t in range(3)]
         lines[1] = rewrite(lines[1])
-        assert trace_model._decode_reusing(
-            lines[1], trace_model._RECORD_DECODER, (), ()) is None
+        assert trace_model._decode_reusing(lines[1], (), ()) is None
         path = tmp_path / "rec.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         work = tmp_path / "lines"
@@ -710,8 +737,7 @@ class TestObstacleReuse:
     def test_negative_zero_id_and_exponent_lines_share(self, tmp_path, ob_id,
                                                        accel):
         # neither an id holding "-0." nor an exponent elsewhere on the line
-        # (which sends it to the checking decoder) stops an obstacle whose
-        # text repeats from being shared
+        # stops an obstacle whose text repeats from being shared
         ob = Obstacle(id=ob_id, kind="vehicle", x=9.0, y=0.0, heading=0.0,
                       speed=0.0, half_len=2.0, half_wid=1.0)
         frames = [RawRecordFrame(t=f.t, ego=dataclasses.replace(f.ego,
