@@ -9,9 +9,15 @@ stops as soon as the violation is found.
 The scan is incremental for G[lo,inf)(psi) where psi has a finite horizon h
 (all built-in specifications have this shape). psi's value at t on the
 prefix ending at k is its whole-trace value whenever t + h <= k, so psi is
-evaluated once over the whole trace and only the last h steps of each
-prefix are evaluated again: O(n*h) for n steps. Any other formula is
-evaluated afresh on each prefix, O(n) each.
+evaluated once over the whole trace, and only the last h steps of each
+prefix need psi clipped at k. Those tails are evaluated a block of prefixes
+at a time: one `spec_lang._eval` call takes each prefix of the block as a
+row of min(h, n) steps, so the formula tree is walked once per block, not
+once per prefix, and numpy does the O(n*h) element work for n steps. A
+block holds at most `_BLOCK_ELEMENTS` values whatever h is, and blocks
+start at a few rows and double, so an early violation stops the scan after
+little work. Any other formula is evaluated afresh on each prefix, O(n)
+each, so O(n^2) when it is never violated.
 
 Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported
@@ -29,10 +35,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spec_lang import Always, Formula, evaluate, horizon, robustness_bounded
+from .spec_lang import (
+    Always,
+    Formula,
+    _eval,
+    evaluate,
+    horizon,
+    robustness_bounded,
+)
 from .trace_model import STEP_S, Trace, step_frames
 
 DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
+
+# A block of the prefix scan evaluates at most this many (prefix, step)
+# pairs at once, whatever the horizon; blocks start small and double, so an
+# early violation stops the scan after little work.
+_BLOCK_ELEMENTS = 1 << 16
+_FIRST_BLOCK_ROWS = 4
 
 
 class MomentsNotFoundError(LookupError):
@@ -59,19 +78,34 @@ def _prefix_rhos(phi: Formula, trace: Trace):
         for k in range(len(trace)):
             yield robustness_bounded(phi, trace, k)
         return
+    n = len(trace)
     lo = int(phi.lo)
-    if lo < len(trace):
-        # settled[i] = min of psi over [lo, lo+i] on the whole trace
-        settled = np.minimum.accumulate(
-            evaluate(phi.child, trace, lo, len(trace) - 1))
-    for k in range(len(trace)):
-        rho = math.inf
-        if k - h >= lo:
-            rho = settled[k - h - lo]
-        tail = max(lo, k - h + 1)
-        if tail <= k:
-            rho = min(rho, evaluate(phi.child, trace, tail, k).min())
-        yield float(rho) + 0.0
+    # settled[k] = min of psi over [lo, k-h] on the whole trace
+    settled = np.full(n, math.inf)
+    if lo + h < n:
+        settled[lo + h:] = np.minimum.accumulate(
+            evaluate(phi.child, trace, lo, n - 1)[: n - h - lo])
+    # Row r of a block is the prefix ending at k + r; its columns are the
+    # steps k + r - w + 1 .. k + r, psi clipped at k + r. Columns before
+    # lo (and so before step 0) are not part of the prefix's minimum.
+    w = min(h, n)
+    cols = np.arange(w)
+    max_rows = max(1, _BLOCK_ELEMENTS // max(w, 1))
+    rows = _FIRST_BLOCK_ROWS
+    k = 0
+    while k < n:
+        rows = min(rows, n - k, max_rows)
+        rho = settled[k: k + rows]
+        if w:
+            first = k - w + 1
+            tail = _eval(phi.child, trace, first, rows, w)
+            if first < lo:
+                tail = np.where(cols >= lo - first - np.arange(rows)[:, None],
+                                tail, math.inf)
+            rho = np.minimum(rho, tail.min(axis=1))
+        yield from (rho + 0.0).tolist()
+        k += rows
+        rows *= 2
 
 
 def first_at_or_below(prefix_rho, delta: float) -> int | None:

@@ -207,6 +207,7 @@ class ScenarioScript:
                 require_finite(value, name)
         require_positive(self.route_len_m, "route_len_m")
         require_positive(self.duration_s, "duration_s")
+        require_finite(duration_ticks(self.duration_s), "duration_s in ticks")
         require_non_negative(self.start_speed_kmh, "start_speed_kmh")
         for _, _, kind in self.lane_segments:
             require_one_of(kind, LANE_CODE, "lane_segments")

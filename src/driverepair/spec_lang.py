@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trace_model import (
     CatalogError,
@@ -361,27 +362,43 @@ def _prop_array(trace: Trace, node: Prop) -> np.ndarray:
     return arr
 
 
-def _window_agg(child: np.ndarray, lo, hi, end: int, is_min: bool) -> np.ndarray:
-    """out[t] = agg(child[t+lo : min(t+hi, end)+1]), empty windows vacuous."""
+def _windows(arr: np.ndarray, first: int, rows: int, width: int) -> np.ndarray:
+    """arr[first + r + j] at [r, j]: a read-only view of overlapping rows
+    (sliding_window_view's layout, built without its per-call cost). Steps
+    before 0 read 0.0."""
+    if first < 0:
+        arr = np.concatenate((np.zeros(-first), arr[: first + rows + width - 1]))
+        first = 0
+    seg = arr[first: first + rows + width - 1]
+    out = np.ndarray((rows, width), seg.dtype, seg, 0, seg.strides * 2)
+    out.flags.writeable = False
+    return out
+
+
+def _window_agg(child: np.ndarray, lo, hi, is_min: bool) -> np.ndarray:
+    """out[..., t] = agg(child[..., t+lo : min(t+hi, end)+1]) along the last
+    axis, `end` its last index; empty windows are vacuous."""
     ident = INF if is_min else -INF
     lo_i = int(lo)
-    n = end + 1
-    if math.isinf(hi) or int(hi) >= end:     # every window reaches `end`
+    n = child.shape[-1]
+    if math.isinf(hi) or int(hi) >= n - 1:   # every window reaches the end
         acc = np.minimum.accumulate if is_min else np.maximum.accumulate
-        suffix = acc(child[::-1])[::-1]
-        out = np.full(n, ident)
-        if lo_i <= end:
-            out[: n - lo_i] = suffix[lo_i:]
+        suffix = acc(child[..., ::-1], axis=-1)[..., ::-1]
+        if lo_i == 0:
+            return suffix
+        out = np.full(child.shape, ident)
+        if lo_i < n:
+            out[..., : n - lo_i] = suffix[..., lo_i:]
         return out
     hi_i = int(hi)
     if hi_i < lo_i:                           # every window is empty
-        return np.full(n, ident)
+        return np.full(child.shape, ident)
     w = hi_i - lo_i + 1
-    padded = np.full(n + lo_i + w, ident)
-    padded[:n] = child
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w)
-    vals = windows.min(axis=1) if is_min else windows.max(axis=1)
-    return vals[lo_i: lo_i + n]
+    padded = np.full(child.shape[:-1] + (n + lo_i + w,), ident)
+    padded[..., :n] = child
+    windows = sliding_window_view(padded, w, axis=-1)
+    vals = windows.min(axis=-1) if is_min else windows.max(axis=-1)
+    return vals[..., lo_i: lo_i + n]
 
 
 def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
@@ -409,49 +426,53 @@ def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:
     if lo_i < n:
         out[: n - lo_i] = unbounded[lo_i:]
     if lo_i > 0:
-        out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, n - 1, is_min=True))
+        out = np.minimum(out, _window_agg(c1, 0, lo_i - 1, is_min=True))
     # a window reaching the end holds every t1 the recurrence ranges over,
     # so its max bounds `out` from above
     if not (math.isinf(hi) or int(hi) >= n - 1):
-        out = np.minimum(out, _window_agg(c2, lo, hi, n - 1, is_min=False))
+        out = np.minimum(out, _window_agg(c2, lo, hi, is_min=False))
     return out
 
 
-def _eval(node, trace: Trace, start: int, end: int) -> np.ndarray:
-    """Robustness of `node` at every t in [start, end], trace clipped at `end`.
+def _eval(node, trace: Trace, first: int, rows: int, width: int) -> np.ndarray:
+    """Robustness of `node` on `rows` windows of `width` steps: [r, j] is its
+    value at step first + r + j with the trace clipped at the row's last
+    step, first + r + width - 1.
 
-    Every operator looks only forward in time, so this equals evaluating the
-    slice of scenes [start, end] on its own.
+    Every operator looks only forward in time, so row r equals evaluating
+    the slice of scenes [first + r, first + r + width - 1] on its own, and
+    a column's value depends on no column before it. Columns before step 0
+    hold no robustness value; callers that ask for them discard them.
     """
-    n = end - start + 1
-
     if isinstance(node, Prop):
-        out = _prop_array(trace, node)[start: end + 1]
+        out = _windows(_prop_array(trace, node), first, rows, width)
     elif isinstance(node, PredAtom):
-        out = _var_array(trace, node.var)[start: end + 1]
+        out = _windows(_var_array(trace, node.var), first, rows, width)
     elif isinstance(node, BoolLit):
-        out = np.full(n, INF if node.value else -INF)
+        out = np.full((rows, width), INF if node.value else -INF)
     elif isinstance(node, Not):
-        out = -_eval(node.child, trace, start, end)
+        out = -_eval(node.child, trace, first, rows, width)
     elif isinstance(node, And):
-        out = np.minimum(_eval(node.left, trace, start, end),
-                         _eval(node.right, trace, start, end))
+        out = np.minimum(_eval(node.left, trace, first, rows, width),
+                         _eval(node.right, trace, first, rows, width))
     elif isinstance(node, Or):
-        out = np.maximum(_eval(node.left, trace, start, end),
-                         _eval(node.right, trace, start, end))
+        out = np.maximum(_eval(node.left, trace, first, rows, width),
+                         _eval(node.right, trace, first, rows, width))
     elif isinstance(node, Next):
-        child = _eval(node.child, trace, start, end)
-        out = np.append(child[1:], INF)
+        out = np.full((rows, width), INF)
+        out[:, :-1] = _eval(node.child, trace, first, rows, width)[:, 1:]
     elif isinstance(node, Always):
-        out = _window_agg(_eval(node.child, trace, start, end),
-                          node.lo, node.hi, n - 1, is_min=True)
+        out = _window_agg(_eval(node.child, trace, first, rows, width),
+                          node.lo, node.hi, is_min=True)
     elif isinstance(node, Eventually):
-        out = _window_agg(_eval(node.child, trace, start, end),
-                          node.lo, node.hi, n - 1, is_min=False)
+        out = _window_agg(_eval(node.child, trace, first, rows, width),
+                          node.lo, node.hi, is_min=False)
     elif isinstance(node, Until):
-        out = _until(_eval(node.left, trace, start, end),
-                     _eval(node.right, trace, start, end),
-                     node.lo, node.hi, n)
+        left = _eval(node.left, trace, first, rows, width)
+        right = _eval(node.right, trace, first, rows, width)
+        out = np.empty((rows, width))
+        for r in range(rows):
+            out[r] = _until(left[r], right[r], node.lo, node.hi, width)
     else:
         raise TypeError(f"not a formula node: {node!r}")
     return out
@@ -462,7 +483,7 @@ def evaluate(phi: Formula, trace: Trace, start: int, end: int) -> np.ndarray:
     if not 0 <= start <= end < len(trace):
         raise IndexError(f"steps [{start}, {end}] outside trace of length"
                          f" {len(trace)}")
-    return _eval(phi, trace, start, end)
+    return _eval(phi, trace, start, 1, end - start + 1)[0]
 
 
 def horizon(node) -> float:
@@ -494,14 +515,14 @@ def robustness(phi: Formula, trace: Trace, t: int = 0) -> float:
     """Robustness degree of phi over the trace, evaluated at step t."""
     if not 0 <= t < len(trace):
         raise IndexError(f"step {t} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, 0, len(trace) - 1)[t]) + 0.0
+    return float(_eval(phi, trace, 0, 1, len(trace))[0, t]) + 0.0
 
 
 def robustness_bounded(phi: Formula, trace: Trace, end: int) -> float:
     """Robustness at step 0 with evaluation clipped to scenes [0, end]."""
     if not 0 <= end < len(trace):
         raise IndexError(f"step {end} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, 0, end)[0]) + 0.0
+    return float(_eval(phi, trace, 0, 1, end + 1)[0, 0]) + 0.0
 
 
 # ---------------------------------------------------------------------------

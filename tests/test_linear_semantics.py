@@ -1,5 +1,5 @@
-"""The linear-time `Until` and the incremental prefix scan of `locate`
-against their definitions.
+"""The linear-time `Until` and the block prefix scan of `locate` against
+their definitions.
 
 Values are compared by `float.hex` after adding 0.0: min and max may pick
 either zero of a tie between 0.0 and -0.0 (as numpy's window aggregates
@@ -12,15 +12,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_trace, speed_trace
+from conftest import random_scene, random_trace, speed_trace
 from formula_gen import random_formula
 from oracle_reference import rho_ref, until_double_loop
 
-from driverepair.localizer import _prefix_rhos, locate
+from driverepair import localizer
+from driverepair.localizer import _BLOCK_ELEMENTS, _prefix_rhos, locate
 from driverepair.spec_lang import (
     Always,
+    And,
     Eventually,
     Next,
+    Or,
     Until,
     _until,
     evaluate,
@@ -29,6 +32,7 @@ from driverepair.spec_lang import (
     robustness,
     robustness_bounded,
 )
+from driverepair.trace_model import Trace
 
 
 def _hex(values):
@@ -178,3 +182,91 @@ def test_clipped_eventually_dips_then_recovers():
     assert moments.violation_step == 1
     assert moments.near_miss_step == 1
     assert moments.prefix_rho == (10.0, -40.0)
+
+
+def _blocks(phi, trace, monkeypatch):
+    """(first, rows, width) of every block the G scan evaluates."""
+    blocks = []
+    real = localizer._eval
+
+    def spy(node, trace, first, rows, width):
+        blocks.append((first, rows, width))
+        return real(node, trace, first, rows, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localizer, "_eval", spy)
+        list(_prefix_rhos(phi, trace))
+    return blocks
+
+
+def _long_formula(seed):
+    """G[lo,inf) psi on 300-700 steps, lo and psi's horizon both wider
+    than the first block of the scan."""
+    rng = random.Random(seed)
+    wide = rng.choice((Always, Eventually))(
+        float(rng.randint(0, 20)), float(rng.randint(20, 60)),
+        random_formula(rng, depth=2, unbounded_p=0.0))
+    psi = rng.choice((And, Or))(
+        wide, random_formula(rng, depth=2, unbounded_p=0.0))
+    phi = Always(float(rng.randint(5, 60)), math.inf, psi)
+    return phi, Trace([random_scene(rng)
+                       for _ in range(rng.randint(300, 700))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_long_trace_prefixes_match_per_prefix(seed):
+    phi, trace = _long_formula(seed)
+    assert _hex(_prefix_rhos(phi, trace)) == _hex(
+        _naive_prefix_rhos(phi, trace, len(trace)))
+
+
+def test_zero_horizon_prefixes_match_per_prefix():
+    rng = random.Random(8)
+    trace = Trace([random_scene(rng) for _ in range(500)])
+    for text in ("G (!NearestNPC(0.1))", "G[37,inf] (!NearestNPC(0.1))",
+                 "G[600,inf] (speed > 10)"):
+        phi = parse_spec(text)
+        assert horizon(phi.child) == 0
+        assert _hex(_prefix_rhos(phi, trace)) == _hex(
+            _naive_prefix_rhos(phi, trace, len(trace)))
+
+
+def test_violation_on_the_first_and_last_row_of_a_block(monkeypatch):
+    phi = parse_spec("G (F[0,200] (speed > 40))")
+    n = 900
+    blocks = _blocks(phi, speed_trace([60] * n), monkeypatch)
+    # the budget caps a block before the trace ends
+    assert any(rows == _BLOCK_ELEMENTS // width for _, rows, width in blocks)
+    # row r of a block is the prefix ending at first + width - 1 + r
+    edges = sorted({first + width - 1 + r for first, rows, width in blocks
+                    for r in (0, rows - 1)})
+    assert len(edges) > 12
+    for k in edges:
+        speeds = [60] * n
+        speeds[k] = 10      # the prefix ending at k sees only the slow step
+        trace = speed_trace(speeds)
+        moments = locate(phi, trace)
+        assert moments.violation_step == k
+        assert _hex(moments.prefix_rho) == _hex(
+            _naive_prefix_rhos(phi, trace, k + 1))
+
+
+def test_horizon_past_the_trace_keeps_blocks_in_budget(monkeypatch):
+    # F[0,7000] on 6,000 steps: every row spans the whole trace
+    rng = random.Random(5)
+    trace = speed_trace([rng.choice((10, 30, 50, 70, 70, 70))
+                         for _ in range(6000)])
+    for text in ("G (F[0,7000] (speed > 40))", "G (F[0,5000] (speed > 40))"):
+        phi = parse_spec(text)
+        blocks = _blocks(phi, trace, monkeypatch)
+        assert all(rows * width <= _BLOCK_ELEMENTS
+                   for _, rows, width in blocks)
+        assert max(rows for _, rows, _ in blocks) == _BLOCK_ELEMENTS // min(
+            horizon(phi.child), len(trace))
+        got = _hex(_prefix_rhos(phi, trace))
+        # past k = 5000 the per-prefix F[0,5000] slides a 5001-step
+        # window, so those prefixes are sampled
+        ks = [k for k in range(len(trace)) if k <= 5000 or k % 97 == 0]
+        assert [got[k] for k in ks] == _hex(
+            robustness_bounded(phi, trace, k) for k in ks)

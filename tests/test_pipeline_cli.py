@@ -471,6 +471,19 @@ class TestCli:
         assert sims[0].exit_code == sims[1].exit_code == 0
         assert sims[0].output == sims[1].output
 
+    def test_scenario_too_long_to_count_in_ticks_is_refused(self, tmp_path):
+        doc = script_to_dict(scenario_by_id("S6"))
+        doc["duration_s"] = 1e308     # finite, but 1e309 ticks is inf
+        script_file = tmp_path / "s6.json"
+        script_file.write_text(json.dumps(doc), encoding="utf-8")
+        result = CliRunner().invoke(main, ["sim", "run", "--scenario",
+                                           str(script_file)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.splitlines() == [
+            "Error: bad scenario document: duration_s in ticks must be a"
+            " finite number, got inf"]
+
     def test_repair_reports_the_run_dir_of_a_non_violating_record(
             self, tmp_path):
         frames, _ = run_scenario(scenario_by_id("empty"))
