@@ -6,18 +6,21 @@ drops to or below zero; the near-miss moment is the earliest prefix at or
 below a user threshold delta. Both are found by a scan from k = 0 that
 stops as soon as the violation is found.
 
-The scan is incremental for G[lo,inf)(psi) where psi has a finite horizon h
-(all built-in specifications have this shape). psi's value at t on the
-prefix ending at k is its whole-trace value whenever t + h <= k, so psi is
-evaluated once over the whole trace, and only the last h steps of each
-prefix need psi clipped at k. Those tails are evaluated a block of prefixes
-at a time: one `spec_lang._eval` call takes each prefix of the block as a
-row of min(h, n) steps, so the formula tree is walked once per block, not
-once per prefix, and numpy does the O(n*h) element work for n steps. A
-block holds at most `_BLOCK_ELEMENTS` values whatever h is, and blocks
-start at a few rows and double, so an early violation stops the scan after
-little work. Any other formula is evaluated afresh on each prefix, O(n)
-each, so O(n^2) when it is never violated.
+The scan reads the formula as G[lo,hi] psi, and any other formula phi as
+G[0,0] phi. psi's value at t on the prefix ending at k depends only on the
+steps t .. min(t + h, k), h = horizon(psi), so it is its whole-trace value
+whenever t + h <= k. The prefixes are evaluated a block at a time: one
+`spec_lang._eval` call takes each prefix of the block as a row of
+w = min(h + 1, k + rows, n) steps ending at it, so the formula tree is
+walked once per block, not once per prefix. A row either starts at or
+before step 0, and so holds every step of its prefix, or is h + 1 wide,
+and then its first column is psi's whole-trace value; a running minimum of
+those first columns stands for every step left of the row. Steps outside
+[lo, hi] do not count. A block holds at most `_BLOCK_ELEMENTS` values
+whatever h is, and blocks start at a few rows and double, so an early
+violation stops the scan after little work. A never-violated formula
+costs O(n*h) element work for n steps, and O(n^2) when psi has an
+unbounded window, because each row then spans its whole prefix.
 
 Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported
@@ -35,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spec_lang import (
-    Always,
-    Formula,
-    _eval,
-    evaluate,
-    horizon,
-    robustness_bounded,
-)
+from .spec_lang import Always, Formula, _eval, horizon
 from .trace_model import STEP_S, Trace, step_frames
 
 DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
@@ -72,37 +68,29 @@ class CriticalMoments:
 
 def _prefix_rhos(phi: Formula, trace: Trace):
     """Yield robustness_bounded(phi, trace, k) for k = 0, 1, ..."""
-    h = (horizon(phi.child) if isinstance(phi, Always) and math.isinf(phi.hi)
-         else math.inf)
-    if math.isinf(h):
-        for k in range(len(trace)):
-            yield robustness_bounded(phi, trace, k)
-        return
+    lo, hi, psi = ((phi.lo, phi.hi, phi.child) if isinstance(phi, Always)
+                   else (0, 0, phi))
+    h = horizon(psi)
     n = len(trace)
-    lo = int(phi.lo)
-    # settled[k] = min of psi over [lo, k-h] on the whole trace
-    settled = np.full(n, math.inf)
-    if lo + h < n:
-        settled[lo + h:] = np.minimum.accumulate(
-            evaluate(phi.child, trace, lo, n - 1)[: n - h - lo])
-    # Row r of a block is the prefix ending at k + r; its columns are the
-    # steps k + r - w + 1 .. k + r, psi clipped at k + r. Columns before
-    # lo (and so before step 0) are not part of the prefix's minimum.
-    w = min(h, n)
-    cols = np.arange(w)
-    max_rows = max(1, _BLOCK_ELEMENTS // max(w, 1))
+    carry = math.inf        # min of psi over [lo, hi] left of the next row
     rows = _FIRST_BLOCK_ROWS
     k = 0
     while k < n:
-        rows = min(rows, n - k, max_rows)
-        rho = settled[k: k + rows]
-        if w:
-            first = k - w + 1
-            tail = _eval(phi.child, trace, first, rows, w)
-            if first < lo:
-                tail = np.where(cols >= lo - first - np.arange(rows)[:, None],
-                                tail, math.inf)
-            rho = np.minimum(rho, tail.min(axis=1))
+        rows = min(rows, n - k)
+        rows = max(1, min(rows, _BLOCK_ELEMENTS // min(h + 1, k + rows, n)))
+        w = min(h + 1, k + rows, n)
+        # Row r is the prefix ending at k + r; column j is step
+        # first + r + j, psi clipped at k + r.
+        first = k - w + 1
+        vals = _eval(psi, trace, first, rows, w)
+        if first < lo or k + rows - 1 > hi:
+            steps = first + np.arange(rows)[:, None] + np.arange(w)
+            vals = np.where((steps >= lo) & (steps <= hi), vals, math.inf)
+        rho = vals.min(axis=1)
+        if w > h:
+            carry = np.minimum(np.minimum.accumulate(vals[:, 0]), carry)
+            rho = np.minimum(rho, carry)
+            carry = carry[-1]
         yield from (rho + 0.0).tolist()
         k += rows
         rows *= 2

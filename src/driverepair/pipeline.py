@@ -126,8 +126,8 @@ def _replay(script, program, phi, nc_phi, record=None):
     destination."""
     frames, outcome = run_scenario(script, program)
     trace = build_trace(frames)
-    rho_spec = robustness(phi, trace, 0)
-    rho_no_collision = robustness(nc_phi, trace, 0)
+    rho_spec = robustness(phi, trace)
+    rho_no_collision = robustness(nc_phi, trace)
     return {"outcome": outcome,
             "rho_spec": rho_spec,
             "rho_no_collision": rho_no_collision,
@@ -160,8 +160,8 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     files = {"record.jsonl": _record_bytes(frames)}
 
     trace = build_trace(frames)
-    rho_before = robustness(phi, trace, 0)
-    rho_nc_before = robustness(nc_phi, trace, 0)
+    rho_before = robustness(phi, trace)
+    rho_nc_before = robustness(nc_phi, trace)
     baseline_metrics = evaluate_trace(frames)
 
     report = {

@@ -511,11 +511,9 @@ def _hi(node):
     return INF if math.isinf(node.hi) else int(node.hi)
 
 
-def robustness(phi: Formula, trace: Trace, t: int = 0) -> float:
-    """Robustness degree of phi over the trace, evaluated at step t."""
-    if not 0 <= t < len(trace):
-        raise IndexError(f"step {t} outside trace of length {len(trace)}")
-    return float(_eval(phi, trace, 0, 1, len(trace))[0, t]) + 0.0
+def robustness(phi: Formula, trace: Trace) -> float:
+    """Robustness degree of phi over the whole trace, at step 0."""
+    return float(_eval(phi, trace, 0, 1, len(trace))[0, 0]) + 0.0
 
 
 def robustness_bounded(phi: Formula, trace: Trace, end: int) -> float:

@@ -52,10 +52,10 @@ def test_criterion_1_robustness_exactness():
     phi = parse_spec("G (speed < 60)")
 
     capped = speed_trace([0, 0.3, 10, 25, 40, 50])
-    assert robustness(phi, capped, 0) == 10.0
+    assert robustness(phi, capped) == 10.0
 
     ramp = speed_trace(range(91))
-    assert robustness(phi, ramp, 0) == -30.0
+    assert robustness(phi, ramp) == -30.0
     for k in range(56):
         assert robustness_bounded(phi, ramp, k) == 60.0 - k
     assert robustness_bounded(phi, ramp, 55) == 5.0
@@ -78,7 +78,7 @@ def test_criterion_2_oracle_equivalence():
     for i in range(1000):
         phi = random_formula(rng, depth=3)
         trace = random_trace(rng, max_len=12)
-        got = robustness(phi, trace, 0)
+        got = robustness(phi, trace)
         ref = rho_ref(phi, trace, 0)
         assert got == pytest.approx(ref, abs=1e-9), f"case {i}"
         assert (got > 0) == holds(phi, trace, 0), f"case {i}: sign mismatch"

@@ -9,6 +9,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,19 @@ from conftest import random_scene, random_trace, speed_trace
 from formula_gen import random_formula
 from oracle_reference import rho_ref, until_double_loop
 
-from driverepair import localizer
-from driverepair.localizer import _BLOCK_ELEMENTS, _prefix_rhos, locate
+from driverepair import localizer, spec_lang
+from driverepair.localizer import (
+    _BLOCK_ELEMENTS,
+    _FIRST_BLOCK_ROWS,
+    _prefix_rhos,
+    locate,
+)
 from driverepair.spec_lang import (
     Always,
     And,
     Eventually,
     Next,
+    Not,
     Or,
     Until,
     _until,
@@ -146,7 +153,7 @@ def test_locate_prefix_rho_matches_per_prefix(seed, shape, delta):
         (k for k, r in enumerate(rhos) if r <= delta), None)
     assert viol is not None or len(rhos) == len(trace)
     # a violated trace always has both moments
-    assert moments.located or robustness(phi, trace, 0) > 0
+    assert moments.located or robustness(phi, trace) > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,8 +191,9 @@ def test_clipped_eventually_dips_then_recovers():
     assert moments.prefix_rho == (10.0, -40.0)
 
 
-def _blocks(phi, trace, monkeypatch):
-    """(first, rows, width) of every block the G scan evaluates."""
+def _scan(phi, trace):
+    """Every prefix value of the scan, and (first, rows, width) of each
+    block it evaluates."""
     blocks = []
     real = localizer._eval
 
@@ -193,10 +201,24 @@ def _blocks(phi, trace, monkeypatch):
         blocks.append((first, rows, width))
         return real(node, trace, first, rows, width)
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(localizer, "_eval", spy)
-        list(_prefix_rhos(phi, trace))
-    return blocks
+        values = list(_prefix_rhos(phi, trace))
+    return values, blocks
+
+
+def _check_block_widths(phi, trace, blocks):
+    """Blocks tile every prefix, each block is min(h + 1, k + rows, n)
+    wide for its first prefix k, and none exceeds the budget."""
+    psi = phi.child if isinstance(phi, Always) else phi
+    h, n = horizon(psi), len(trace)
+    k = 0
+    for first, rows, width in blocks:
+        assert first + width - 1 == k
+        assert width == min(h + 1, k + rows, n)
+        assert rows * width <= _BLOCK_ELEMENTS
+        k += rows
+    assert k == n
 
 
 def _long_formula(seed):
@@ -232,41 +254,131 @@ def test_zero_horizon_prefixes_match_per_prefix():
             _naive_prefix_rhos(phi, trace, len(trace)))
 
 
-def test_violation_on_the_first_and_last_row_of_a_block(monkeypatch):
-    phi = parse_spec("G (F[0,200] (speed > 40))")
+def test_violation_on_the_first_and_last_row_of_a_block():
     n = 900
-    blocks = _blocks(phi, speed_trace([60] * n), monkeypatch)
-    # the budget caps a block before the trace ends
-    assert any(rows == _BLOCK_ELEMENTS // width for _, rows, width in blocks)
-    # row r of a block is the prefix ending at first + width - 1 + r
-    edges = sorted({first + width - 1 + r for first, rows, width in blocks
-                    for r in (0, rows - 1)})
-    assert len(edges) > 12
-    for k in edges:
-        speeds = [60] * n
-        speeds[k] = 10      # the prefix ending at k sees only the slow step
-        trace = speed_trace(speeds)
-        moments = locate(phi, trace)
-        assert moments.violation_step == k
-        assert _hex(moments.prefix_rho) == _hex(
-            _naive_prefix_rhos(phi, trace, k + 1))
+    for text, lo, hi in (("G (F[0,200] (speed > 40))", 0, math.inf),
+                         ("G[30,700] (F[0,200] (speed > 40))", 30, 700)):
+        phi = parse_spec(text)
+        blocks = _scan(phi, speed_trace([60] * n))[1]
+        # the budget caps a block before the trace ends
+        assert any(rows == _BLOCK_ELEMENTS // width
+                   for _, rows, width in blocks)
+        # row r of a block is the prefix ending at first + width - 1 + r
+        edges = sorted({first + width - 1 + r for first, rows, width in blocks
+                        for r in (0, rows - 1)})
+        assert len(edges) > 12
+        for k in edges:
+            speeds = [60] * n
+            speeds[k] = 10      # the prefix ending at k sees only the slow step
+            trace = speed_trace(speeds)
+            moments = locate(phi, trace)
+            # a slow step outside [lo, hi] is never seen on its own
+            assert moments.violation_step == (k if lo <= k <= hi else None)
+            assert _hex(moments.prefix_rho) == _hex(
+                _naive_prefix_rhos(phi, trace, len(moments.prefix_rho)))
 
 
-def test_horizon_past_the_trace_keeps_blocks_in_budget(monkeypatch):
+def test_horizon_past_the_trace_keeps_blocks_in_budget():
     # F[0,7000] on 6,000 steps: every row spans the whole trace
     rng = random.Random(5)
     trace = speed_trace([rng.choice((10, 30, 50, 70, 70, 70))
                          for _ in range(6000)])
     for text in ("G (F[0,7000] (speed > 40))", "G (F[0,5000] (speed > 40))"):
         phi = parse_spec(text)
-        blocks = _blocks(phi, trace, monkeypatch)
-        assert all(rows * width <= _BLOCK_ELEMENTS
-                   for _, rows, width in blocks)
-        assert max(rows for _, rows, _ in blocks) == _BLOCK_ELEMENTS // min(
-            horizon(phi.child), len(trace))
-        got = _hex(_prefix_rhos(phi, trace))
+        values, blocks = _scan(phi, trace)
+        _check_block_widths(phi, trace, blocks)
+        # once rows are h + 1 wide, every block but the one that the
+        # trace end cuts fills the budget; F[0,7000] never gets that wide
+        wide = horizon(phi.child) + 1
+        capped = [rows for _, rows, width in blocks[:-1] if width == wide]
+        assert bool(capped) == (wide < len(trace))
+        assert all(rows == _BLOCK_ELEMENTS // wide for rows in capped)
+        got = _hex(values)
         # past k = 5000 the per-prefix F[0,5000] slides a 5001-step
         # window, so those prefixes are sampled
         ks = [k for k in range(len(trace)) if k <= 5000 or k % 97 == 0]
         assert [got[k] for k in ks] == _hex(
             robustness_bounded(phi, trace, k) for k in ks)
+
+
+def _any_shape(seed, shape):
+    """A formula of the given shape on 1,000-1,200 random steps: `G[lo,hi]`
+    with hi finite, a finite-horizon formula that is not `G`, or a formula
+    with an unbounded window. The wide windows reach past a first block."""
+    rng = random.Random(seed)
+
+    def sub():
+        return random_formula(rng, depth=2, unbounded_p=0.0)
+
+    wide = rng.choice((Always, Eventually))(
+        float(rng.randint(0, 20)), float(rng.randint(20, 80)), sub())
+    if shape == "G_bounded":
+        lo = rng.randint(0, 60)
+        phi = Always(float(lo), float(lo + rng.randint(0, 1500)),
+                     rng.choice((And, Or))(wide, sub()))
+    elif shape == "other":
+        phi = rng.choice((
+            lambda: Or(wide, sub()),
+            lambda: Not(wide),
+            lambda: Eventually(float(rng.randint(0, 9)),
+                               float(rng.randint(10, 90)),
+                               And(wide, sub())),
+            lambda: Until(float(rng.randint(0, 5)),
+                          float(rng.randint(5, 60)), sub(), wide),
+        ))()
+    else:
+        phi = rng.choice((
+            lambda: Until(float(rng.randint(0, 5)), math.inf, sub(), sub()),
+            lambda: Eventually(float(rng.randint(0, 5)), math.inf, wide),
+            lambda: Always(float(rng.randint(0, 30)), math.inf,
+                           Or(Eventually(0.0, math.inf, sub()), sub())),
+        ))()
+    return phi, Trace([random_scene(rng)
+                       for _ in range(rng.randint(1000, 1200))])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["G_bounded", "other", "unbounded"]))
+def test_one_scan_serves_every_shape(seed, shape):
+    phi, trace = _any_shape(seed, shape)
+    assert shape == "unbounded" or not math.isinf(
+        horizon(phi.child if shape == "G_bounded" else phi))
+    values, blocks = _scan(phi, trace)
+    _check_block_widths(phi, trace, blocks)
+    assert _hex(values) == _hex(_naive_prefix_rhos(phi, trace, len(trace)))
+    located = locate(phi, trace).prefix_rho
+    assert _hex(located) == _hex(values[: len(located)])
+
+
+def test_locate_makes_no_whole_trace_pass(monkeypatch):
+    # each formula is violated within its first steps, so a scan that
+    # reads nothing past them must not evaluate anything to the trace end
+    n = 3000
+    trace = speed_trace([10] * n)
+    evals = []
+    real = spec_lang._eval
+
+    def spy(node, trace, first, rows, width):
+        evals.append(first + rows + width - 2)   # last step read
+        return real(node, trace, first, rows, width)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("locate must not evaluate per prefix or whole")
+
+    monkeypatch.setattr(spec_lang, "_eval", spy)
+    monkeypatch.setattr(localizer, "_eval", spy)
+    for name in ("evaluate", "robustness_bounded", "robustness"):
+        monkeypatch.setattr(spec_lang, name, refuse)
+        monkeypatch.setattr(localizer, name, refuse, raising=False)
+    for text in ("G (F[0,200] (speed > 40))",
+                 "G[3,500] (F[0,200] (speed > 40))",
+                 "G (!NearestNPC(0.1) & speed > 40)",
+                 "F[0,50] (speed > 40)",
+                 "(speed > 5) U (speed > 40)",
+                 "F G (speed > 40)"):
+        evals.clear()
+        moments = locate(parse_spec(text), trace)
+        assert moments.violation_step is not None
+        assert moments.violation_step < _FIRST_BLOCK_ROWS
+        assert evals and max(evals) < _FIRST_BLOCK_ROWS, text

@@ -53,7 +53,7 @@ class TestPrefixRobustness:
     def test_full_prefix_equals_whole_trace(self, ramp, cap60):
         from driverepair.spec_lang import robustness
         assert (robustness_bounded(cap60, ramp, len(ramp) - 1)
-                == robustness(cap60, ramp, 0))
+                == robustness(cap60, ramp))
 
     def test_out_of_range(self, ramp, cap60):
         with pytest.raises(IndexError):

@@ -26,8 +26,8 @@ def _oracle_replay(sid, program, phi, nc_phi, record_path):
     frames, outcome = run_scenario(scenario_by_id(sid), program)
     save_record(frames, record_path)
     trace = build_trace(frames)
-    rho_spec = robustness(phi, trace, 0)
-    rho_nc = robustness(nc_phi, trace, 0)
+    rho_spec = robustness(phi, trace)
+    rho_nc = robustness(nc_phi, trace)
     return {
         "outcome": outcome,
         "rho_spec": rho_spec,

@@ -197,32 +197,27 @@ class TestRobustnessExamples:
         # max speed 50 against a 60 km/h cap leaves a margin of 10
         trace = speed_trace([0, 0.3, 10, 25, 40, 50])
         phi = parse_spec("G (speed < 60)")
-        assert robustness(phi, trace, 0) == pytest.approx(10.0)
+        assert robustness(phi, trace) == pytest.approx(10.0)
         assert robustness(phi, trace) > 0
 
     def test_ramp_violates_by_30(self):
         trace = speed_trace(range(91))
         phi = parse_spec("G (speed < 60)")
-        assert robustness(phi, trace, 0) == pytest.approx(-30.0)
+        assert robustness(phi, trace) == pytest.approx(-30.0)
         assert robustness(phi, trace) <= 0
 
     def test_empty_window_eventually_is_false(self):
         trace = speed_trace([10, 10, 10])
         phi = parse_spec("F[5,9] (speed > 0)")
-        assert robustness(phi, trace, 0) == -math.inf
+        assert robustness(phi, trace) == -math.inf
         assert robustness(phi, trace) <= 0
 
     def test_next_vacuous_at_last_step(self):
         trace = speed_trace([10, 20])
         from driverepair.spec_lang import Next
         phi = Next(parse_spec("speed > 15"))
-        assert robustness(phi, trace, 0) == pytest.approx(5.0)
-        assert robustness(phi, trace, 1) == math.inf
-
-    def test_t_out_of_range(self):
-        trace = speed_trace([10])
-        with pytest.raises(IndexError):
-            robustness(parse_spec("speed > 0"), trace, 1)
+        assert robustness(phi, trace) == pytest.approx(5.0)
+        assert evaluate(phi, trace, 0, len(trace) - 1)[1] == math.inf
 
     @pytest.mark.parametrize("start, end", [(-1, 1), (2, 1), (0, 3)])
     def test_evaluate_steps_outside_the_trace(self, start, end):
@@ -302,7 +297,7 @@ class TestEvaluatorEquivalence:
         for _ in range(400):
             phi = random_formula(rng, depth=3)
             trace = random_trace(rng, max_len=12)
-            got = robustness(phi, trace, 0)
+            got = robustness(phi, trace)
             ref = rho_ref(phi, trace, 0)
             assert got == pytest.approx(ref, abs=1e-9), (phi, trace.scenes)
             verdict = holds(phi, trace, 0)
@@ -313,7 +308,7 @@ class TestEvaluatorEquivalence:
         for _ in range(200):
             phi = random_formula(rng, depth=2)
             trace = random_trace(rng, max_len=10)
-            assert robustness(Not(phi), trace, 0) == -robustness(phi, trace, 0)
+            assert robustness(Not(phi), trace) == -robustness(phi, trace)
 
 
 @st.composite
@@ -329,8 +324,8 @@ class TestAlgebraicProperties:
     def test_de_morgan_exact(self, pair_a, pair_b):
         phi_a, trace = pair_a
         phi_b, _ = pair_b
-        lhs = robustness(Not(And(phi_a, phi_b)), trace, 0)
-        rhs = robustness(Or(Not(phi_a), Not(phi_b)), trace, 0)
+        lhs = robustness(Not(And(phi_a, phi_b)), trace)
+        rhs = robustness(Or(Not(phi_a), Not(phi_b)), trace)
         assert lhs == rhs
 
     @settings(max_examples=60, deadline=None)
@@ -340,8 +335,8 @@ class TestAlgebraicProperties:
     def test_eventually_is_true_until(self, pair, lo, width):
         phi, trace = pair
         hi = float(lo + width)
-        ev = robustness(Eventually(float(lo), hi, phi), trace, 0)
-        un = robustness(Until(float(lo), hi, BoolLit(True), phi), trace, 0)
+        ev = robustness(Eventually(float(lo), hi, phi), trace)
+        un = robustness(Until(float(lo), hi, BoolLit(True), phi), trace)
         assert ev == un
 
     @settings(max_examples=60, deadline=None)
@@ -351,8 +346,8 @@ class TestAlgebraicProperties:
     def test_always_is_not_eventually_not(self, pair, lo, width):
         phi, trace = pair
         hi = float(lo + width)
-        al = robustness(Always(float(lo), hi, phi), trace, 0)
-        dual = robustness(Not(Eventually(float(lo), hi, Not(phi))), trace, 0)
+        al = robustness(Always(float(lo), hi, phi), trace)
+        dual = robustness(Not(Eventually(float(lo), hi, Not(phi))), trace)
         assert al == dual
 
     @settings(max_examples=60, deadline=None)
@@ -364,10 +359,10 @@ class TestAlgebraicProperties:
         phi, trace = pair
         hi = float(lo + width)
         wider = hi + extra
-        assert (robustness(Eventually(float(lo), wider, phi), trace, 0)
-                >= robustness(Eventually(float(lo), hi, phi), trace, 0))
-        assert (robustness(Always(float(lo), wider, phi), trace, 0)
-                <= robustness(Always(float(lo), hi, phi), trace, 0))
+        assert (robustness(Eventually(float(lo), wider, phi), trace)
+                >= robustness(Eventually(float(lo), hi, phi), trace))
+        assert (robustness(Always(float(lo), wider, phi), trace)
+                <= robustness(Always(float(lo), hi, phi), trace))
 
     def test_exhaustive_boolean_traces(self):
         # every valuation of two boolean flags over traces up to length 6
@@ -390,5 +385,5 @@ class TestAlgebraicProperties:
                     m >>= 2
                 trace = Trace(scenes)
                 for phi in shapes:
-                    rho = robustness(phi, trace, 0)
+                    rho = robustness(phi, trace)
                     assert (rho > 0) == bool_holds(phi, trace, 0)
