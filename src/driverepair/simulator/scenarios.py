@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
 from ..trace_model import WeatherState, require_finite, require_non_negative
@@ -434,11 +434,27 @@ def _number(value):
         return value
 
 
+def _fields_only(doc, cls, name):
+    """`doc`, an object each of whose keys names a field of `cls`."""
+    require_object(doc, name)
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {name}")
+    return doc
+
+
 def script_from_dict(doc: dict) -> ScenarioScript:
-    """A script from its JSON document; the scenario types check the values."""
+    """A script from its JSON document; the scenario types check the values.
+    A key that names no field is refused, so a misspelt one cannot leave
+    its field at the default."""
     try:
-        require_object(doc, "scenario")
-        weather = require_object(doc.get("weather", {}), "weather")
+        _fields_only(doc, ScenarioScript, "scenario")
+        weather = _fields_only(doc.get("weather", {}), WeatherState, "weather")
+        lights = [_fields_only(li, LightSpec, f"lights[{i}]")
+                  for i, li in enumerate(doc.get("lights", []))]
+        npcs = [_fields_only(n, NpcSpec, f"npcs[{i}]")
+                for i, n in enumerate(doc.get("npcs", []))]
         return ScenarioScript(
             id=str(doc["id"]),
             description=doc.get("description", ""),
@@ -453,14 +469,14 @@ def script_from_dict(doc: dict) -> ScenarioScript:
                                    _number(li["release_s"]),
                                    tuple((c, _number(d))
                                          for c, d in li["schedule"]))
-                         for li in doc.get("lights", [])),
+                         for li in lights),
             stop_signs=tuple(map(_number, doc.get("stop_signs", []))),
             npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
                                half_len=_number(n.get("half_len", 2.3)),
                                half_wid=_number(n.get("half_wid", 1.0)),
                                waypoints=tuple(tuple(map(_number, w))
                                                for w in n["waypoints"]))
-                       for n in doc.get("npcs", [])),
+                       for n in npcs),
             weather=WeatherState(
                 rain=_number(weather.get("rain", 0.0)),
                 fog=_number(weather.get("fog", 0.0)),

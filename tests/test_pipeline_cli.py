@@ -673,6 +673,8 @@ class TestCli:
          " got [1, 2]"),
         ("sim", '{"id":"w","route_len_m":100,"weather":[]}',
          "Error: bad scenario document: weather must be an object, got []"),
+        ("sim", '{"id":"w","route_len_m":100,"duraton_s":5}',
+         "Error: bad scenario document: unknown key 'duraton_s' in scenario"),
         ("mudrive", 'rule ""\ntrigger\n always\nthen\n cruise_speed(10)\nend\n',
          "Error: program is invalid:\n[] rule: a rule name must not be"
          " empty\n"),
@@ -682,7 +684,8 @@ class TestCli:
          " (line 6, column 17)\n"),
     ], ids=["record-weather-list", "record-map-ctx-number",
             "record-nan-string", "record-inf-string-time",
-            "scenario-list", "scenario-weather-list", "empty-rule-name",
+            "scenario-list", "scenario-weather-list",
+            "scenario-misspelt-key", "empty-rule-name",
             "syntax-error-after-comment"])
     def test_bad_document_prints_error_and_exits_1(self, tmp_path, command,
                                                    text, message):

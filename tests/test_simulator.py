@@ -169,6 +169,24 @@ class TestRunScenario:
                 rf"^bad scenario document: {re.escape(message)}$")):
             script_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(duraton_s=5),
+         "unknown key 'duraton_s' in scenario"),
+        (lambda doc: doc["weather"].update(foggy=0.5),
+         "unknown key 'foggy' in weather"),
+        (lambda doc: doc["lights"][0].update(releas_s=9.0),
+         "unknown key 'releas_s' in lights[0]"),
+        (lambda doc: doc["npcs"][0].update(half_lenn=4.0),
+         "unknown key 'half_lenn' in npcs[0]"),
+    ], ids=["scenario", "weather", "light", "npc"])
+    def test_misspelt_key_is_refused(self, edit, message):
+        # read as its default, "duraton_s": 5 would run for 200 s
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S4"))))
+        edit(doc)
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {re.escape(message)}$")):
+            script_from_dict(doc)
+
     @pytest.mark.parametrize("field, value", [
         ("npcs.kind", "truck"),
         ("lights.schedule", "blue"),
