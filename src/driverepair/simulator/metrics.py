@@ -1,7 +1,7 @@
 """Trajectory metrics over a recorded run."""
 from __future__ import annotations
 
-from ..trace_model import STEP_S, STOPPED_KMH
+from ..trace_model import STEP_S, STOPPED_KMH, step_frames
 
 VEHICLE_MASS_KG = 1500.0
 
@@ -11,15 +11,14 @@ def evaluate_trace(frames) -> dict:
 
     Speeds are reported in m/s. Energy is the telescoping sum of kinetic
     deltas, 0.5 * m * (v[t+1]^2 - v[t]^2) over consecutive steps; the
-    positive-delta variant keeps only accelerating steps.
+    positive-delta variant keeps only accelerating steps. Stop time counts
+    the trace steps (`step_frames`) whose frame is stopped, STEP_S each.
     """
     if not frames:
         raise ValueError("no frames to evaluate")
 
     speeds = [f.ego.speed / 3.6 for f in frames]
     accels = [abs(f.ego.accel) for f in frames]
-    dt = ((frames[-1].t - frames[0].t) / (len(frames) - 1)
-          if len(frames) > 1 else STEP_S)
 
     seps = []
     for frame in frames:
@@ -34,7 +33,7 @@ def evaluate_trace(frames) -> dict:
         if delta > 0:
             energy_positive += delta
 
-    stop_time = sum(dt for f in frames if f.ego.speed < STOPPED_KMH)
+    stopped = sum(frames[j].ego.speed < STOPPED_KMH for j in step_frames(frames))
 
     return {
         "avg_speed_ms": sum(speeds) / len(speeds),
@@ -43,7 +42,7 @@ def evaluate_trace(frames) -> dict:
         "max_accel_ms2": max(accels),
         "avg_obstacle_dist_m": (sum(seps) / len(seps)) if seps else None,
         "min_obstacle_dist_m": min(seps) if seps else None,
-        "stop_time_s": stop_time,
+        "stop_time_s": stopped / round(1 / STEP_S),
         "energy_j": energy,
         "energy_positive_j": energy_positive,
     }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ramp_frames
+from conftest import at_20hz, ramp_frames
 from oracle_reference import frame_line_ref
 
 from driverepair.mudrive import DEFAULT_PARAMS, parse_program
@@ -541,6 +541,15 @@ class TestEvaluateTrace:
         moving = evaluate_trace(frames_from_speeds_ms([5.0]))
         assert stopped["stop_time_s"] == pytest.approx(0.1)
         assert moving["stop_time_s"] == 0.0
+
+    def test_stop_time_counts_stopped_steps(self, baseline_runs):
+        # tenths of a second, as the tick clock counts them, at any frame
+        # rate: S5 stands still for 596 steps
+        frames = baseline_runs["S5"]["frames"]
+        stopped = sum(f.ego.speed < STOPPED_KMH for f in frames)
+        assert stopped == 596
+        assert evaluate_trace(frames)["stop_time_s"] == 59.6
+        assert evaluate_trace(at_20hz(frames))["stop_time_s"] == 59.6
 
     def test_speed_and_obstacle_stats(self, baseline_runs):
         metrics = evaluate_trace(baseline_runs["S5"]["frames"])
