@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spec_lang import Always, Formula, _eval, horizon
+from .spec_lang import Always, Formula, _eval, _hi, horizon
 from .trace_model import STEP_S, Trace, step_frames
 
 DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
@@ -68,8 +68,8 @@ class CriticalMoments:
 
 def _prefix_rhos(phi: Formula, trace: Trace):
     """Yield robustness_bounded(phi, trace, k) for k = 0, 1, ..."""
-    lo, hi, psi = ((phi.lo, phi.hi, phi.child) if isinstance(phi, Always)
-                   else (0, 0, phi))
+    lo, hi, psi = ((int(phi.lo), _hi(phi), phi.child)
+                   if isinstance(phi, Always) else (0, 0, phi))
     h = horizon(psi)
     n = len(trace)
     carry = math.inf        # min of psi over [lo, hi] left of the next row
@@ -87,7 +87,7 @@ def _prefix_rhos(phi: Formula, trace: Trace):
             steps = first + np.arange(rows)[:, None] + np.arange(w)
             vals = np.where((steps >= lo) & (steps <= hi), vals, math.inf)
         rho = vals.min(axis=1)
-        if w > h:
+        if w > h:       # column 0 is psi's whole-trace value at k + r - h
             carry = np.minimum(np.minimum.accumulate(vals[:, 0]), carry)
             rho = np.minimum(rho, carry)
             carry = carry[-1]
