@@ -33,7 +33,8 @@ def evaluate_trace(frames) -> dict:
         if delta > 0:
             energy_positive += delta
 
-    stopped = sum(frames[j].ego.speed < STOPPED_KMH for j in step_frames(frames))
+    stopped = sum(frames[j].ego.speed < STOPPED_KMH
+                  for j in step_frames(frames))
 
     return {
         "avg_speed_ms": sum(speeds) / len(speeds),
