@@ -131,35 +131,30 @@ class _World:
         light_state = None
         if light is not None:
             light_state = TrafficLightState(
-                color=light.color_at(tick),
-                dist_to_stopline=_round4(light.stopline_s - self.s))
+                light.color_at(tick), _round4(light.stopline_s - self.s))
 
         signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
         dist_sign = min(signs_ahead) - self.s if signs_ahead else FAR
 
+        changing = abs(self.offset_goal - self.offset) > 1e-9
         steering = 0.0
-        if abs(self.offset_goal - self.offset) > 1e-9:
+        if changing:
             steering = 6.0 if self.offset_goal > self.offset else -6.0
 
         accel = (self.v - self.prev_v) / DT
 
-        return RawRecordFrame(
-            t=t,
-            ego=EgoPose(x=_round4(self.s), y=_round4(self.offset), heading=0.0,
-                        speed=_round4(self.v * 3.6), accel=_round4(accel),
-                        steering=_round4(steering), gear="drive"),
-            obstacles=obstacles,
-            traffic_light=light_state,
-            weather=script.weather,
-            map_ctx=MapContext(
-                in_junction=script.junction_at(self.s) is not None,
-                dist_to_junction=_round4(script.dist_to_junction(self.s)),
-                lane_kind=script.lane_kind_at(self.s),
-                dist_to_dest=_round4(max(0.0, script.route_len_m - self.s)),
-                dist_to_stop_sign=_round4(max(0.0, dist_sign)),
-                is_changing_lane=abs(self.offset_goal - self.offset) > 1e-9,
-            ),
-        )
+        ego = EgoPose(_round4(self.s), _round4(self.offset), 0.0,
+                      _round4(self.v * 3.6), _round4(accel),
+                      _round4(steering), "drive")
+        map_ctx = MapContext(
+            script.junction_at(self.s) is not None,
+            _round4(script.dist_to_junction(self.s)),
+            script.lane_kind_at(self.s),
+            _round4(max(0.0, script.route_len_m - self.s)),     # to dest
+            _round4(max(0.0, dist_sign)),                       # to stop sign
+            changing)
+        return RawRecordFrame(t, ego, obstacles, light_state, script.weather,
+                              map_ctx)
 
     # -- planner ------------------------------------------------------------
 

@@ -339,7 +339,7 @@ def _var_array(trace: Trace, var: SignalVar) -> np.ndarray:
     """The variable's reading at every scene, cached on the trace."""
     arr = trace._signal_cache.get(var)
     if arr is None:
-        arr = np.array(var.readings(trace.scenes), dtype=float)
+        arr = var.readings(trace.scenes)
         trace._signal_cache[var] = arr
     return arr
 

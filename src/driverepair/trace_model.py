@@ -6,6 +6,14 @@ map context; a frame keeps its scene and an obstacle its record text once
 computed. A trace resamples a record every STEP_S seconds and evaluates
 every signal variable the property language can mention, one scene per step.
 The value rules that records share with scenario documents live here too.
+
+The per-frame values (EgoPose, TrafficLightState, MapContext) and Scene are
+tuples (`typing.NamedTuple`), immutable like the frozen dataclasses around
+them, and cheap to build: their positional order is their field order, and
+the hot paths build them by position. A variable reads the column of its
+Scene field by position (`SignalVar.readings`). A frame and an obstacle
+stay frozen dataclasses, because each keeps a cached value, and so does
+WeatherState, which a scenario document writes as an object (`asdict`).
 """
 from __future__ import annotations
 
@@ -17,7 +25,9 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .geometry import obb_corners, obb_distance
 
@@ -55,8 +65,7 @@ class CatalogError(KeyError):
 # Raw record frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EgoPose:
+class EgoPose(NamedTuple):
     x: float
     y: float
     heading: float          # radians
@@ -84,8 +93,7 @@ class Obstacle:
         return _obstacle_text(self)
 
 
-@dataclass(frozen=True)
-class TrafficLightState:
+class TrafficLightState(NamedTuple):
     color: str
     dist_to_stopline: float  # metres; negative once the stopline is behind
 
@@ -98,8 +106,7 @@ class WeatherState:
     visibility: float = 500.0
 
 
-@dataclass(frozen=True)
-class MapContext:
+class MapContext(NamedTuple):
     in_junction: bool = False
     dist_to_junction: float = FAR
     lane_kind: str = "normal"
@@ -115,7 +122,7 @@ class RawRecordFrame:
     obstacles: tuple = ()
     traffic_light: TrafficLightState | None = None
     weather: WeatherState = field(default_factory=WeatherState)
-    map_ctx: MapContext = field(default_factory=MapContext)
+    map_ctx: MapContext = MapContext()
 
     @functools.cached_property
     def scene(self) -> Scene:
@@ -200,13 +207,12 @@ def _frame_from_dict(doc):
     when it was built and is taken as it is; every other element is built."""
     ego_doc = doc["ego"]
     ego = EgoPose(
-        x=_real(ego_doc["x"], "ego.x"), y=_real(ego_doc["y"], "ego.y"),
-        heading=_real(ego_doc["heading"], "ego.heading"),
-        speed=_real(ego_doc["speed"], "ego.speed", require_non_negative),
-        accel=_real(ego_doc.get("accel", 0.0), "ego.accel"),
-        steering=_real(ego_doc.get("steering", 0.0), "ego.steering"),
-        gear=require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"),
-    )
+        _real(ego_doc["x"], "ego.x"), _real(ego_doc["y"], "ego.y"),
+        _real(ego_doc["heading"], "ego.heading"),
+        _real(ego_doc["speed"], "ego.speed", require_non_negative),
+        _real(ego_doc.get("accel", 0.0), "ego.accel"),
+        _real(ego_doc.get("steering", 0.0), "ego.steering"),
+        require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"))
 
     obstacles = tuple([
         ob if type(ob) is Obstacle else _obstacle_from_dict(ob)
@@ -216,9 +222,8 @@ def _frame_from_dict(doc):
     if doc.get("traffic_light") is not None:
         tl = doc["traffic_light"]
         light = TrafficLightState(
-            color=require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
-            dist_to_stopline=_real(tl["dist_to_stopline"],
-                                   "traffic_light.dist_to_stopline"))
+            require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
+            _real(tl["dist_to_stopline"], "traffic_light.dist_to_stopline"))
 
     w = require_object(doc.get("weather", {}), "weather")
     weather = WeatherState(
@@ -231,21 +236,17 @@ def _frame_from_dict(doc):
 
     m = require_object(doc.get("map_ctx", {}), "map_ctx")
     map_ctx = MapContext(
-        in_junction=require_bool(m.get("in_junction", False),
-                                 "map_ctx.in_junction"),
-        dist_to_junction=_real(m.get("dist_to_junction", FAR),
-                               "map_ctx.dist_to_junction"),
-        lane_kind=require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
-                                 "map_ctx.lane_kind"),
-        dist_to_dest=_real(m.get("dist_to_dest", FAR), "map_ctx.dist_to_dest"),
-        dist_to_stop_sign=_real(m.get("dist_to_stop_sign", FAR),
-                                "map_ctx.dist_to_stop_sign"),
-        is_changing_lane=require_bool(m.get("is_changing_lane", False),
-                                      "map_ctx.is_changing_lane"),
-    )
+        require_bool(m.get("in_junction", False), "map_ctx.in_junction"),
+        _real(m.get("dist_to_junction", FAR), "map_ctx.dist_to_junction"),
+        require_one_of(m.get("lane_kind", "normal"), LANE_CODE,
+                       "map_ctx.lane_kind"),
+        _real(m.get("dist_to_dest", FAR), "map_ctx.dist_to_dest"),
+        _real(m.get("dist_to_stop_sign", FAR), "map_ctx.dist_to_stop_sign"),
+        require_bool(m.get("is_changing_lane", False),
+                     "map_ctx.is_changing_lane"))
 
-    return RawRecordFrame(t=_real(doc["t"], "t"), ego=ego, obstacles=obstacles,
-                          traffic_light=light, weather=weather, map_ctx=map_ctx)
+    t = _real(doc["t"], "t")    # checked last, as the fields above
+    return RawRecordFrame(t, ego, obstacles, light, weather, map_ctx)
 
 
 def _reject_non_finite(token):
@@ -473,8 +474,7 @@ def save_record(frames, path) -> None:
 # Scenes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """Per-step valuation of the base signals behind every catalog variable."""
     speed: float
     accel: float
@@ -500,9 +500,9 @@ class Scene:
 
 
 def scene_from_frame(frame: RawRecordFrame) -> Scene:
-    ego = frame.ego
+    ego, m, w = frame.ego, frame.map_ctx, frame.weather
     c, s = math.cos(ego.heading), math.sin(ego.heading)
-    dj = frame.map_ctx.dist_to_junction
+    dj = m.dist_to_junction
 
     ahead = FAR
     nearest = FAR
@@ -545,30 +545,15 @@ def scene_from_frame(frame: RawRecordFrame) -> Scene:
         color, raw = frame.traffic_light.color, frame.traffic_light.dist_to_stopline
     stopline = raw if (frame.traffic_light is not None and raw >= 0) else FAR
 
-    changing = frame.map_ctx.is_changing_lane
+    changing = m.is_changing_lane
     return Scene(
-        speed=ego.speed,
-        accel=ego.accel,
-        npc_ahead_dist=ahead,
-        nearest_npc_dist=nearest,
-        nearest_npc_sep=sep,
-        dist_to_junction=0.0 if frame.map_ctx.in_junction else dj,
-        dist_to_stopline=stopline,
-        dist_to_stop_sign=frame.map_ctx.dist_to_stop_sign,
-        dist_to_dest=frame.map_ctx.dist_to_dest,
-        light_color=color,
-        light_dist_raw=raw,
-        rain=frame.weather.rain,
-        fog=frame.weather.fog,
-        snow=frame.weather.snow,
-        visibility=frame.weather.visibility,
-        in_junction=frame.map_ctx.in_junction,
-        lane_kind=frame.map_ctx.lane_kind,
-        gear=ego.gear,
-        overtaking=changing and nearest <= 20.0,
-        changing_lane=changing,
-        congested=slow_near_junction >= JAM_MIN_COUNT,
-    )
+        ego.speed, ego.accel, ahead, nearest, sep,
+        0.0 if m.in_junction else dj,               # dist_to_junction
+        stopline, m.dist_to_stop_sign, m.dist_to_dest, color, raw,
+        w.rain, w.fog, w.snow, w.visibility,
+        m.in_junction, m.lane_kind, ego.gear,
+        changing and nearest <= 20.0,               # overtaking
+        changing, slow_near_junction >= JAM_MIN_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -589,51 +574,68 @@ class SignalVar:
             raise CatalogError(f"{self.name} does not take a parameter")
 
     def read(self, scene: Scene) -> float:
-        """The variable's reading at the scene (see `_CATALOG`)."""
-        return _CATALOG[self.name].read(scene, self.arg)
+        """The variable's reading at one scene: `readings` of that scene."""
+        return float(self.readings((scene,))[0])
 
-    def readings(self, scenes) -> list[float]:
-        """`read` at each scene, with the catalog entry looked up once."""
-        read, arg = _CATALOG[self.name].read, self.arg
-        return [read(scene, arg) for scene in scenes]
+    def readings(self, scenes) -> np.ndarray:
+        """The variable's reading at each scene (see `_CATALOG`), computed
+        on the column of the Scene field it reads."""
+        entry = _CATALOG[self.name]
+        values = map(_COLUMN[entry.field], scenes)
+        if entry.codes is not None:
+            values = map(entry.codes.__getitem__, values)
+        column = np.fromiter(values, float, len(scenes))
+        return column if entry.reading is None else entry.reading(column,
+                                                                  self.arg)
+
+
+# A scene is a tuple: each field is read by its position
+_COLUMN = {name: operator.itemgetter(i) for i, name in enumerate(Scene._fields)}
 
 
 @dataclass(frozen=True)
 class _Entry:
     kind: str               # real | enum | bool | pred
-    read: Callable          # (scene, arg) -> float
-    codes: dict | None = None
+    field: str              # the Scene field it reads
+    reading: Callable | None = None     # (column, arg) -> readings
+    codes: dict | None = None           # an enum's code of each value
 
 
-# Each entry is the only definition of its variable. A real reads as its
-# value, an enum as the code of its value. A bool or pred reads as its
-# margin, positive exactly when it holds: +/-1 for a scene flag,
-# STOPPED_KMH - speed for `stopped`, and for a predicate its arg, a
-# distance threshold, minus the distance.
+def _flag(field):
+    return _Entry("bool", field, lambda on, _: np.where(on, 1.0, -1.0))
+
+
+def _within(field):
+    return _Entry("pred", field, lambda dist, d: d - dist)
+
+
+# Each entry is the only definition of its variable, as a reading of the
+# column of one Scene field, as floats: a bool field reads 1.0 or 0.0, an
+# enum field the code of its value. A real reads as its value, an enum as
+# its code. A bool or pred reads as its margin, positive exactly when it
+# holds: +/-1 for a scene flag, STOPPED_KMH - speed for `stopped`, and for
+# a predicate its arg, a distance threshold, minus the distance.
 _CATALOG = {
-    "speed": _Entry("real", lambda s, _: s.speed),
-    "accel": _Entry("real", lambda s, _: s.accel),
-    "rainIntensity": _Entry("real", lambda s, _: s.rain),
-    "fogIntensity": _Entry("real", lambda s, _: s.fog),
-    "snowIntensity": _Entry("real", lambda s, _: s.snow),
-    "visibility": _Entry("real", lambda s, _: s.visibility),
-    "trafficLightColor": _Entry("enum", lambda s, _: LIGHT_CODE[s.light_color],
-                                LIGHT_CODE),
-    "laneKind": _Entry("enum", lambda s, _: LANE_CODE[s.lane_kind], LANE_CODE),
-    "gear": _Entry("enum", lambda s, _: GEAR_CODE[s.gear], GEAR_CODE),
-    "isOverTaking": _Entry("bool", lambda s, _: 1.0 if s.overtaking else -1.0),
-    "isChangingLane": _Entry("bool",
-                             lambda s, _: 1.0 if s.changing_lane else -1.0),
-    "inJunction": _Entry("bool", lambda s, _: 1.0 if s.in_junction else -1.0),
-    "junctionCongested": _Entry("bool",
-                                lambda s, _: 1.0 if s.congested else -1.0),
-    "stopped": _Entry("bool", lambda s, _: STOPPED_KMH - s.speed),
-    "NPCAhead": _Entry("pred", lambda s, d: d - s.npc_ahead_dist),
-    "junctionAhead": _Entry("pred", lambda s, d: d - s.dist_to_junction),
-    "stoplineAhead": _Entry("pred", lambda s, d: d - s.dist_to_stopline),
-    "signAhead": _Entry("pred", lambda s, d: d - s.dist_to_stop_sign),
-    "NearestNPC": _Entry("pred", lambda s, d: d - s.nearest_npc_sep),
-    "dest": _Entry("pred", lambda s, d: d - s.dist_to_dest),
+    "speed": _Entry("real", "speed"),
+    "accel": _Entry("real", "accel"),
+    "rainIntensity": _Entry("real", "rain"),
+    "fogIntensity": _Entry("real", "fog"),
+    "snowIntensity": _Entry("real", "snow"),
+    "visibility": _Entry("real", "visibility"),
+    "trafficLightColor": _Entry("enum", "light_color", codes=LIGHT_CODE),
+    "laneKind": _Entry("enum", "lane_kind", codes=LANE_CODE),
+    "gear": _Entry("enum", "gear", codes=GEAR_CODE),
+    "isOverTaking": _flag("overtaking"),
+    "isChangingLane": _flag("changing_lane"),
+    "inJunction": _flag("in_junction"),
+    "junctionCongested": _flag("congested"),
+    "stopped": _Entry("bool", "speed", lambda speed, _: STOPPED_KMH - speed),
+    "NPCAhead": _within("npc_ahead_dist"),
+    "junctionAhead": _within("dist_to_junction"),
+    "stoplineAhead": _within("dist_to_stopline"),
+    "signAhead": _within("dist_to_stop_sign"),
+    "NearestNPC": _within("nearest_npc_sep"),
+    "dest": _within("dist_to_dest"),
 }
 
 

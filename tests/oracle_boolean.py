@@ -8,6 +8,8 @@ measure-zero boundary cases, which the random generators avoid.
 """
 from __future__ import annotations
 
+from oracle_reference import read_ref
+
 from driverepair.spec_lang import (
     Always,
     And,
@@ -25,7 +27,7 @@ from driverepair.spec_lang import (
 def _prop_holds(node: Prop, scene) -> bool:
     f = node.expr.const
     for coef, var in node.expr.terms:
-        f += coef * var.read(scene)
+        f += coef * read_ref(var, scene)
     if node.cmp in (">", ">="):
         return f > 0
     if node.cmp in ("<", "<="):
@@ -43,7 +45,7 @@ def holds(phi, trace, t: int = 0, end: int | None = None) -> bool:
     if isinstance(phi, Prop):
         return _prop_holds(phi, scene)
     if isinstance(phi, PredAtom):
-        return phi.var.read(scene) > 0
+        return read_ref(phi.var, scene) > 0
     if isinstance(phi, BoolLit):
         return phi.value
     if isinstance(phi, Not):

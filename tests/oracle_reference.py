@@ -2,7 +2,9 @@
 can check the other.
 
 `rho_ref` is the direct recursive robustness evaluator, transcribed from
-the definition: scalar recursion with explicit loops and no numpy.
+the definition: scalar recursion with explicit loops and no numpy. It
+reads each variable at one scene by `read_ref`, the former per-scene
+catalog: one attribute read of the scene per variable.
 `obb_distance_ref` and `nearest_npc_sep_ref` are the former box clearance:
 every corner against every edge, and every obstacle of a frame tested, none
 skipped. `obb_overlap_ref` is the former separating-axis test, which builds
@@ -42,6 +44,10 @@ from driverepair.trace_model import (
     EGO_HALF_LEN,
     EGO_HALF_WID,
     FAR,
+    GEAR_CODE,
+    LANE_CODE,
+    LIGHT_CODE,
+    STOPPED_KMH,
     Obstacle,
     RecordError,
     load_record,
@@ -50,10 +56,44 @@ from driverepair.trace_model import (
 INF = math.inf
 
 
+def _flag(on):
+    return 1.0 if on else -1.0
+
+
+# Each variable's reading at one scene, with its arg (a predicate's
+# distance threshold, None otherwise).
+READ_REF = {
+    "speed": lambda s, _: s.speed,
+    "accel": lambda s, _: s.accel,
+    "rainIntensity": lambda s, _: s.rain,
+    "fogIntensity": lambda s, _: s.fog,
+    "snowIntensity": lambda s, _: s.snow,
+    "visibility": lambda s, _: s.visibility,
+    "trafficLightColor": lambda s, _: LIGHT_CODE[s.light_color],
+    "laneKind": lambda s, _: LANE_CODE[s.lane_kind],
+    "gear": lambda s, _: GEAR_CODE[s.gear],
+    "isOverTaking": lambda s, _: _flag(s.overtaking),
+    "isChangingLane": lambda s, _: _flag(s.changing_lane),
+    "inJunction": lambda s, _: _flag(s.in_junction),
+    "junctionCongested": lambda s, _: _flag(s.congested),
+    "stopped": lambda s, _: STOPPED_KMH - s.speed,
+    "NPCAhead": lambda s, d: d - s.npc_ahead_dist,
+    "junctionAhead": lambda s, d: d - s.dist_to_junction,
+    "stoplineAhead": lambda s, d: d - s.dist_to_stopline,
+    "signAhead": lambda s, d: d - s.dist_to_stop_sign,
+    "NearestNPC": lambda s, d: d - s.nearest_npc_sep,
+    "dest": lambda s, d: d - s.dist_to_dest,
+}
+
+
+def read_ref(var, scene) -> float:
+    return READ_REF[var.name](scene, var.arg)
+
+
 def _prop_margin(node: Prop, scene) -> float:
     f = node.expr.const
     for coef, var in node.expr.terms:
-        f += coef * var.read(scene)
+        f += coef * read_ref(var, scene)
     if node.cmp in (">", ">="):
         return f
     if node.cmp in ("<", "<="):
@@ -70,7 +110,7 @@ def rho_ref(phi, trace, t: int = 0, end: int | None = None) -> float:
     if isinstance(phi, Prop):
         return _prop_margin(phi, trace.scenes[t])
     if isinstance(phi, PredAtom):
-        return phi.var.read(trace.scenes[t])
+        return read_ref(phi.var, trace.scenes[t])
     if isinstance(phi, BoolLit):
         return INF if phi.value else -INF
     if isinstance(phi, Not):

@@ -40,6 +40,9 @@ def _bits(value):
     """A value with every float spelled out by `float.hex`."""
     if isinstance(value, float):
         return value.hex()
+    if hasattr(value, "_fields"):       # a NamedTuple record
+        return (type(value).__name__,) + tuple(
+            (name, _bits(v)) for name, v in zip(value._fields, value))
     if isinstance(value, tuple):
         return tuple(_bits(v) for v in value)
     if dataclasses.is_dataclass(value):

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from conftest import make_scene, ramp_frames
-from oracle_reference import frame_line_ref, load_frames_independently
+from oracle_reference import frame_line_ref, load_frames_independently, read_ref
 
 from driverepair import trace_model
 from driverepair.simulator import run_scenario, scenario_by_id
@@ -17,6 +17,7 @@ from driverepair.trace_model import (
     MAX_FRAME_GAP_S,
     OBSTACLE_KINDS,
     CatalogError,
+    Scene,
     EgoPose,
     MapContext,
     Obstacle,
@@ -27,6 +28,7 @@ from driverepair.trace_model import (
     TrafficLightState,
     WeatherState,
     build_trace,
+    catalog_kind,
     frame_to_line,
     load_record,
     save_record,
@@ -567,9 +569,12 @@ _DEFEATS = {
 
 
 def _types(value):
+    """The type of every leaf of a value; a record keeps its type name."""
     if dataclasses.is_dataclass(value):
-        return tuple(_types(getattr(value, f.name))
-                     for f in dataclasses.fields(value))
+        return (type(value).__name__,) + tuple(
+            _types(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if hasattr(value, "_fields"):       # a NamedTuple record
+        return (type(value).__name__,) + tuple(_types(v) for v in value)
     if isinstance(value, tuple):
         return tuple(_types(v) for v in value)
     return type(value)
@@ -740,8 +745,7 @@ class TestObstacleReuse:
         # stops an obstacle whose text repeats from being shared
         ob = Obstacle(id=ob_id, kind="vehicle", x=9.0, y=0.0, heading=0.0,
                       speed=0.0, half_len=2.0, half_wid=1.0)
-        frames = [RawRecordFrame(t=f.t, ego=dataclasses.replace(f.ego,
-                                                                accel=accel),
+        frames = [RawRecordFrame(t=f.t, ego=f.ego._replace(accel=accel),
                                  obstacles=(ob,)) for f in ramp_frames(5)]
         path = tmp_path / "rec.jsonl"
         save_record(frames, path)
@@ -1024,6 +1028,105 @@ class TestBuildTrace:
         assert SignalVar("stopped").read(trace.scenes[0]) > 0
         trace = build_trace([frame_with(speed=0.6)])
         assert SignalVar("stopped").read(trace.scenes[0]) < 0
+
+
+def _any_real(rng):
+    return rng.choice((0.0, -0.0, 0.5, 1e-300, 9999.0, 1.7e9 + 0.1,
+                       rng.uniform(-100.0, 100.0), rng.uniform(0.0, 0.6)))
+
+
+def _any_scene(rng):
+    """A scene with every field drawn, each enum over all its values."""
+    values = {}
+    for name in Scene._fields:
+        default = make_scene()._asdict()[name]
+        if isinstance(default, bool):
+            values[name] = rng.random() < 0.5
+        elif name == "light_color":
+            values[name] = rng.choice(sorted(LIGHT_CODE))
+        elif name == "lane_kind":
+            values[name] = rng.choice(("normal", "fast", "slow"))
+        elif name == "gear":
+            values[name] = rng.choice(("park", "drive", "reverse"))
+        else:
+            values[name] = _any_real(rng)
+    return Scene(**values)
+
+
+class TestRecordTuples:
+    RECORDS = {
+        "EgoPose": EgoPose(1.0, 2.0, 0.5, 30.0, -1.0, 6.0, "reverse"),
+        "TrafficLightState": TrafficLightState("red", 12.5),
+        "MapContext": MapContext(True, 3.0, "fast", 40.0, 9999.0, False),
+        "Scene": make_scene(speed=3.0, light_color="green"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_no_field_can_be_assigned(self, name):
+        record = self.RECORDS[name]
+        assert type(record).__name__ == name
+        for field_name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field_name, getattr(record, field_name))
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+    def test_scene_fields_by_name(self):
+        # scene_from_frame builds the scene by position: each field holds
+        # the value its name says
+        ego = EgoPose(0.0, 0.0, 0.0, 31.0, -2.5, 0.0, "reverse")
+        frame = RawRecordFrame(
+            0.0, ego, (), TrafficLightState("yellow", -4.0),
+            WeatherState(0.1, 0.2, 0.3, 44.0),
+            MapContext(False, 17.0, "slow", 250.0, 33.0, True))
+        assert scene_from_frame(frame)._asdict() == dict(
+            speed=31.0, accel=-2.5, npc_ahead_dist=9999.0,
+            nearest_npc_dist=9999.0, nearest_npc_sep=9999.0,
+            dist_to_junction=17.0, dist_to_stopline=9999.0,
+            dist_to_stop_sign=33.0, dist_to_dest=250.0, light_color="yellow",
+            light_dist_raw=-4.0, rain=0.1, fog=0.2, snow=0.3, visibility=44.0,
+            in_junction=False, lane_kind="slow", gear="reverse",
+            overtaking=False, changing_lane=True, congested=False)
+
+    def test_loaded_frame_fields_by_name(self, tmp_path):
+        # _frame_from_dict builds the frame by position too
+        doc = {"t": 0.5, "ego": {"x": 1.0, "y": 2.0, "heading": 0.25,
+                                 "speed": 3.0, "accel": 4.0, "steering": 5.0,
+                                 "gear": "park"},
+               "obstacles": [],
+               "traffic_light": {"color": "green", "dist_to_stopline": 6.0},
+               "weather": {"rain": 0.1, "fog": 0.2, "snow": 0.3,
+                           "visibility": 70.0},
+               "map_ctx": {"in_junction": True, "dist_to_junction": 8.0,
+                           "lane_kind": "fast", "dist_to_dest": 9.0,
+                           "dist_to_stop_sign": 10.0,
+                           "is_changing_lane": False}}
+        path = tmp_path / "rec.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        frame, = load_record(path)
+        assert frame.t == 0.5
+        assert frame.ego._asdict() == doc["ego"]
+        assert frame.traffic_light._asdict() == doc["traffic_light"]
+        assert dataclasses.asdict(frame.weather) == doc["weather"]
+        assert frame.map_ctx._asdict() == doc["map_ctx"]
+
+
+class TestColumnReadings:
+    @pytest.mark.parametrize("name", sorted(trace_model._CATALOG))
+    def test_equal_to_per_scene_reads(self, name):
+        # the column reading of every variable is bitwise the reading of
+        # each scene alone, and the former per-scene catalog's
+        rng = random.Random(name)
+        for _ in range(25):
+            scenes = tuple(_any_scene(rng) for _ in range(rng.randint(1, 40)))
+            arg = _any_real(rng) if catalog_kind(name) == "pred" else None
+            var = SignalVar(name, arg)
+            column = var.readings(scenes)
+            assert column.dtype == float and column.shape == (len(scenes),)
+            got = [v.hex() for v in column.tolist()]
+            assert got == [var.read(scene).hex() for scene in scenes]
+            assert got == [float(read_ref(var, scene)).hex()
+                           for scene in scenes]
 
 
 class TestSceneValue:
