@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .trace_model import (
     CatalogError,
@@ -379,10 +378,10 @@ def _window_agg(child: np.ndarray, lo, hi, is_min: bool) -> np.ndarray:
     """out[..., t] = agg(child[..., t+lo : min(t+hi, end)+1]) along the last
     axis, `end` its last index; empty windows are vacuous."""
     ident = INF if is_min else -INF
+    acc = np.minimum.accumulate if is_min else np.maximum.accumulate
     lo_i = int(lo)
     n = child.shape[-1]
     if math.isinf(hi) or int(hi) >= n - 1:   # every window reaches the end
-        acc = np.minimum.accumulate if is_min else np.maximum.accumulate
         suffix = acc(child[..., ::-1], axis=-1)[..., ::-1]
         if lo_i == 0:
             return suffix
@@ -393,12 +392,19 @@ def _window_agg(child: np.ndarray, lo, hi, is_min: bool) -> np.ndarray:
     hi_i = int(hi)
     if hi_i < lo_i:                           # every window is empty
         return np.full(child.shape, ident)
+    # van Herk/Gil-Werman: x[j] = child[lo + j], cut into blocks of w steps.
+    # The window at t, x[t .. t + w - 1], is the tail of t's block and the
+    # head of the next, so its aggregate is that of a suffix and a prefix.
     w = hi_i - lo_i + 1
-    padded = np.full(child.shape[:-1] + (n + lo_i + w,), ident)
-    padded[..., :n] = child
-    windows = sliding_window_view(padded, w, axis=-1)
-    vals = windows.min(axis=-1) if is_min else windows.max(axis=-1)
-    return vals[..., lo_i: lo_i + n]
+    blocks = (n + 2 * w - 2) // w             # x must reach n + w - 2
+    x = np.full(child.shape[:-1] + (blocks, w), ident)
+    flat = x.reshape(child.shape[:-1] + (blocks * w,))
+    if lo_i < n:
+        flat[..., : n - lo_i] = child[..., lo_i:]
+    head = acc(x, axis=-1).reshape(flat.shape)
+    tail = acc(x[..., ::-1], axis=-1)[..., ::-1].reshape(flat.shape)
+    agg = np.minimum if is_min else np.maximum
+    return agg(tail[..., :n], head[..., w - 1: w - 1 + n])
 
 
 def _until(c1: np.ndarray, c2: np.ndarray, lo, hi, n: int) -> np.ndarray:

@@ -10,6 +10,10 @@ every corner against every edge, and every obstacle of a frame tested, none
 skipped. `obb_overlap_ref` is the former separating-axis test, which builds
 each box's projections as a list for builtin `min` and `max`.
 `npc_obstacles_ref` is the former per-tick NPC loop of the simulator.
+`window_agg_ref` is the former `spec_lang._window_agg`, which aggregates
+every window of a bounded interval that stops short of the end on a
+`sliding_window_view`. `step_frames_ref` is the former
+`trace_model.step_frames`, a walk over the frames for each trace step.
 `frame_line_ref` is the former record writer: the frame as nested dicts,
 passed whole to `json.dumps`, with no text shared between obstacles.
 `load_frames_independently` loads each line of a record as a one-line
@@ -25,6 +29,9 @@ import json
 import math
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from driverepair.spec_lang import (
     Always,
@@ -47,6 +54,7 @@ from driverepair.trace_model import (
     GEAR_CODE,
     LANE_CODE,
     LIGHT_CODE,
+    STEP_S,
     STOPPED_KMH,
     Obstacle,
     RecordError,
@@ -160,6 +168,49 @@ def until_double_loop(c1, c2, lo, hi, end: int) -> list:
                 best = max(best, min(c2[t1], run))
         out[t] = best
     return out
+
+
+def window_agg_ref(child, lo, hi, is_min: bool):
+    """out[..., t] = agg(child[..., t+lo : min(t+hi, end)+1]) along the last
+    axis, `end` its last index; empty windows are vacuous."""
+    ident = INF if is_min else -INF
+    lo_i = int(lo)
+    n = child.shape[-1]
+    if math.isinf(hi) or int(hi) >= n - 1:   # every window reaches the end
+        acc = np.minimum.accumulate if is_min else np.maximum.accumulate
+        suffix = acc(child[..., ::-1], axis=-1)[..., ::-1]
+        out = np.full(child.shape, ident)
+        if lo_i < n:
+            out[..., : n - lo_i] = suffix[..., lo_i:]
+        return out
+    hi_i = int(hi)
+    if hi_i < lo_i:                           # every window is empty
+        return np.full(child.shape, ident)
+    w = hi_i - lo_i + 1
+    padded = np.full(child.shape[:-1] + (n + lo_i + w,), ident)
+    padded[..., :n] = child
+    windows = sliding_window_view(padded, w, axis=-1)
+    vals = windows.min(axis=-1) if is_min else windows.max(axis=-1)
+    return vals[..., lo_i: lo_i + n]
+
+
+def step_frames_ref(frames) -> list:
+    """Index of the frame behind each trace step: the frame nearest in
+    time, the later one on a tie, times compared in whole microseconds
+    after the first frame."""
+    if not frames:
+        raise ValueError("cannot build a trace from an empty record")
+    t0 = frames[0].t
+    times = [round((f.t - t0) * 1e6) for f in frames]
+    step = round(STEP_S * 1e6)
+    indices = []
+    j = 0
+    for i in range(round(times[-1] / step) + 1):
+        target = i * step
+        while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
+            j += 1
+        indices.append(j)
+    return indices
 
 
 def _point_segment_dist(px, py, x1, y1, x2, y2):

@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_scene, random_trace, speed_trace
 from formula_gen import random_formula
 from oracle_boolean import holds
-from oracle_reference import rho_ref
+from oracle_reference import rho_ref, window_agg_ref
 
 from driverepair.localizer import locate
 from driverepair.spec_lang import (
@@ -26,6 +27,7 @@ from driverepair.spec_lang import (
     SpecEntry,
     SpecSyntaxError,
     Until,
+    _window_agg,
     evaluate,
     load_spec_file,
     parse_spec,
@@ -309,6 +311,38 @@ class TestEvaluatorEquivalence:
             phi = random_formula(rng, depth=2)
             trace = random_trace(rng, max_len=10)
             assert robustness(Not(phi), trace) == -robustness(phi, trace)
+
+
+@st.composite
+def window_case(draw):
+    """Rows of robustness values and an interval [lo, hi] over them."""
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 50))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+        st.floats(allow_nan=False))
+    child = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                   min_size=rows, max_size=rows)))
+    lo = draw(st.integers(0, n + 2))
+    hi = draw(st.one_of(st.just(math.inf),
+                        st.integers(lo, lo + n + 2).map(float)))
+    return child, float(lo), hi
+
+
+class TestWindowAggregate:
+    @settings(max_examples=400, deadline=None)
+    @given(window_case(), st.booleans())
+    def test_equals_sliding_window_aggregate(self, case, is_min):
+        # Both pick one value of each window. Where a window's min or max
+        # is a zero held with both signs, numpy's reductions may pick either
+        # sign, so zeros are compared as +0.0, as every robustness result
+        # reads them; every other value is compared bit for bit.
+        child, lo, hi = case
+        got = _window_agg(child, lo, hi, is_min)
+        want = window_agg_ref(child, lo, hi, is_min)
+        assert got.shape == want.shape == child.shape
+        assert ([(v + 0.0).hex() for v in got.ravel().tolist()]
+                == [(v + 0.0).hex() for v in want.ravel().tolist()])
 
 
 @st.composite
