@@ -16,7 +16,8 @@ walked once per block, not once per prefix. A row either starts at or
 before step 0, and so holds every step of its prefix, or is h + 1 wide,
 and then its first column is psi's whole-trace value; a running minimum of
 those first columns stands for every step left of the row. Steps outside
-[lo, hi] do not count. A block holds at most `_BLOCK_ELEMENTS` values
+[lo, hi] do not count, so from prefix hi + h on every prefix reads that
+running minimum, and no block reaches past hi + h. A block holds at most `_BLOCK_ELEMENTS` values
 whatever h is, and blocks start at a few rows and double, so an early
 violation stops the scan after little work. A never-violated formula
 costs O(n*h) element work for n steps, and O(n^2) when psi has an
@@ -33,6 +34,7 @@ record's frame rate or gaps.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,7 +78,11 @@ def _prefix_rhos(phi: Formula, trace: Trace):
     rows = _FIRST_BLOCK_ROWS
     k = 0
     while k < n:
-        rows = min(rows, n - k)
+        if k - h > hi:  # every row lies past hi: each prefix reads carry
+            yield from itertools.repeat(float(carry) + 0.0, n - k)
+            return
+        # the block ends at prefix n - 1 or hi + h, whichever comes first
+        rows = min(rows, n - k, hi + h + 1 - k)
         rows = max(1, min(rows, _BLOCK_ELEMENTS // min(h + 1, k + rows, n)))
         w = min(h + 1, k + rows, n)
         # Row r is the prefix ending at k + r; column j is step

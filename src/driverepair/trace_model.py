@@ -677,26 +677,29 @@ class Trace:
 
 
 def step_frames(frames) -> list[int]:
-    """Index of the frame behind each trace step.
+    """Index of the frame behind each trace step, frames in time order.
 
     Step i stands for time frames[0].t + i * STEP_S; its frame is the one
-    nearest in time, the later one on a tie. Times are compared in whole
-    microseconds after the first frame, so a tie is a tie whatever the
-    record's clock offset.
+    nearest in time, the later one on a tie, and the last of frames at
+    equal times. Times are compared in whole microseconds after the first
+    frame, so a tie is a tie whatever the record's clock offset.
     """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
-    t0 = frames[0].t
-    times = [round((f.t - t0) * 1e6) for f in frames]
+    t = np.fromiter([f.t for f in frames], float, len(frames))
+    times = np.rint((t - t[0]) * 1e6).astype(np.int64)   # round half even
     step = round(STEP_S * 1e6)
-    indices = []
-    j = 0
-    for i in range(round(times[-1] / step) + 1):
-        target = i * step
-        while j + 1 < len(times) and abs(times[j + 1] - target) <= abs(times[j] - target):
-            j += 1
-        indices.append(j)
-    return indices
+    steps = round(int(times[-1]) / step) + 1
+    targets = np.arange(steps, dtype=np.int64) * step
+    # the nearest time at or after each target, and the one before it
+    after = np.searchsorted(times, targets)
+    last = len(times) - 1
+    above = times[np.minimum(after, last)]
+    below = times[np.maximum(after - 1, 0)]
+    take_above = (after <= last) & ((after == 0)
+                                    | (above - targets <= targets - below))
+    nearest = np.where(take_above, above, below)
+    return (np.searchsorted(times, nearest, side="right") - 1).tolist()
 
 
 def build_trace(frames) -> Trace:

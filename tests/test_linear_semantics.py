@@ -208,9 +208,10 @@ def _scan(phi, trace):
 
 
 def _check_block_widths(phi, trace, blocks):
-    """Blocks tile every prefix, each block is min(h + 1, k + rows, n)
-    wide for its first prefix k, and none exceeds the budget."""
-    psi = phi.child if isinstance(phi, Always) else phi
+    """Blocks tile every prefix up to hi + h, or to the last one, reading
+    phi as G[lo,hi] psi; each block is min(h + 1, k + rows, n) wide for its
+    first prefix k, and none exceeds the budget."""
+    hi, psi = (phi.hi, phi.child) if isinstance(phi, Always) else (0, phi)
     h, n = horizon(psi), len(trace)
     k = 0
     for first, rows, width in blocks:
@@ -218,7 +219,7 @@ def _check_block_widths(phi, trace, blocks):
         assert width == min(h + 1, k + rows, n)
         assert rows * width <= _BLOCK_ELEMENTS
         k += rows
-    assert k == n
+    assert k == min(n, hi + h + 1)
 
 
 def _long_formula(seed):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     at_20hz,
@@ -12,8 +15,9 @@ from conftest import (
     speed_trace,
 )
 from formula_gen import random_formula
-from oracle_reference import rho_ref
+from oracle_reference import rho_ref, step_frames_ref
 
+from driverepair import localizer
 from driverepair.localizer import (
     MomentsNotFoundError,
     locate,
@@ -115,6 +119,36 @@ class TestLocate:
         for delta in (1, 5, 10, 15, 20, 25, 30):
             steps.append(locate(cap60, ramp, delta).near_miss_step)
         assert steps == sorted(steps, reverse=True)
+
+
+class TestPrefixScanStop:
+    """From prefix hi + h on, where h is the horizon of the formula read as
+    G[lo,hi] psi, every prefix has the same value, and the scan evaluates
+    no block that reaches past it."""
+
+    @pytest.mark.parametrize("text, last", [
+        ("F[0,50] (speed > 200) | (speed < 200)", 50),     # G[0,0], h = 50
+        ("G[10,40] F[0,20] (speed > 30)", 60),
+        ("G[0,300] (speed < 95)", 300),
+        ("G[5,100] (speed < 60 U[0,7] speed > 20)", 107),
+        ("X X (speed < 60)", 2),
+    ])
+    def test_no_block_reaches_past_hi_plus_h(self, monkeypatch, text, last):
+        rng = random.Random(text)
+        trace = speed_trace([rng.uniform(0.0, 90.0) for _ in range(400)])
+        phi = parse_spec(text)
+        reached = []
+        real = localizer._eval
+
+        def spy(node, trace, first, rows, width):
+            reached.append(first + rows + width - 2)    # last step read
+            return real(node, trace, first, rows, width)
+
+        monkeypatch.setattr(localizer, "_eval", spy)
+        rhos = list(localizer._prefix_rhos(phi, trace))
+        assert reached and max(reached) <= last
+        assert [r.hex() for r in rhos] == [
+            robustness_bounded(phi, trace, k).hex() for k in range(400)]
 
 
 class TestMomentFrames:
@@ -246,6 +280,35 @@ class TestClockOffset:
         for shift in (0.0,) + self.SHIFTS:
             assert step_frames(_shifted(frames, shift)) == [
                 (i + 1) // 2 for i in range(21)], shift
+
+
+@st.composite
+def clocked_times(draw):
+    """Frame times of a 5, 10, 15 or 20 Hz record with frames dropped,
+    some frames repeated at the same time or within the same microsecond,
+    and the clock shifted by up to 1.7e9 s."""
+    rate = draw(st.sampled_from([5, 10, 15, 20]))
+    n = draw(st.integers(1, 60))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.sampled_from([None, 0.0, 1e-7, 4e-7, 5e-7]),
+                            min_size=n, max_size=n))
+    shift = draw(st.one_of(st.sampled_from([0.0, 1.0, 86_400.0, 1.7e9]),
+                           st.floats(0.0, 1.7e9)))
+    times = []
+    for k in range(n):
+        if kept[k] or k == 0:
+            times.append(k / rate + shift)
+            if repeats[k] is not None:
+                times.append(k / rate + repeats[k] + shift)
+    return sorted(times)
+
+
+class TestStepFrames:
+    @settings(max_examples=300, deadline=None)
+    @given(clocked_times())
+    def test_equals_the_walk_over_frames(self, times):
+        frames = [SimpleNamespace(t=t) for t in times]
+        assert step_frames(frames) == step_frames_ref(frames)
 
 
 def _permuted(frames):
