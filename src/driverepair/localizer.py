@@ -17,11 +17,12 @@ before step 0, and so holds every step of its prefix, or is h + 1 wide,
 and then its first column is psi's whole-trace value; a running minimum of
 those first columns stands for every step left of the row. Steps outside
 [lo, hi] do not count, so from prefix hi + h on every prefix reads that
-running minimum, and no block reaches past hi + h. A block holds at most `_BLOCK_ELEMENTS` values
-whatever h is, and blocks start at a few rows and double, so an early
-violation stops the scan after little work. A never-violated formula
-costs O(n*h) element work for n steps, and O(n^2) when psi has an
-unbounded window, because each row then spans its whole prefix.
+running minimum, and no block reaches past hi + h. A block holds at most
+`_BLOCK_ELEMENTS` values whatever h is, and blocks start at a few rows
+and double, so an early violation stops the scan after little work. A
+never-violated formula costs O(m*h) element work, m = min(n, hi + h) for
+n steps, and O(n^2) when psi has an unbounded window, because each row
+then spans its whole prefix.
 
 Prefix robustness need not be monotone (eventually-style obligations can
 dip on a clipped prefix and recover later); the first crossing is reported

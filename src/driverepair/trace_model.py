@@ -245,7 +245,7 @@ def _frame_from_dict(doc):
         require_bool(m.get("is_changing_lane", False),
                      "map_ctx.is_changing_lane"))
 
-    t = _real(doc["t"], "t")    # checked last, as the fields above
+    t = _real(doc["t"], "t")    # last: another bad field is reported first
     return RawRecordFrame(t, ego, obstacles, light, weather, map_ctx)
 
 
@@ -585,8 +585,9 @@ class SignalVar:
         if entry.codes is not None:
             values = map(entry.codes.__getitem__, values)
         column = np.fromiter(values, float, len(scenes))
-        return column if entry.reading is None else entry.reading(column,
-                                                                  self.arg)
+        if entry.reading is None:       # a real or an enum
+            return column
+        return entry.reading(column, self.arg)
 
 
 # A scene is a tuple: each field is read by its position
@@ -609,12 +610,12 @@ def _within(field):
     return _Entry("pred", field, lambda dist, d: d - dist)
 
 
-# Each entry is the only definition of its variable, as a reading of the
-# column of one Scene field, as floats: a bool field reads 1.0 or 0.0, an
-# enum field the code of its value. A real reads as its value, an enum as
-# its code. A bool or pred reads as its margin, positive exactly when it
-# holds: +/-1 for a scene flag, STOPPED_KMH - speed for `stopped`, and for
-# a predicate its arg, a distance threshold, minus the distance.
+# Each entry is the only definition of its variable: a reading of the
+# column of one Scene field as floats, where a flag reads 1.0 or 0.0 and an
+# enum the code of its value. A real reads as its value, an enum as its
+# code. A bool or pred reads as its margin, positive exactly when it holds:
+# +/-1 for a scene flag, STOPPED_KMH - speed for `stopped`, and for a
+# predicate its arg, a distance threshold, minus the distance.
 _CATALOG = {
     "speed": _Entry("real", "speed"),
     "accel": _Entry("real", "accel"),
@@ -686,7 +687,7 @@ def step_frames(frames) -> list[int]:
     """
     if not frames:
         raise ValueError("cannot build a trace from an empty record")
-    t = np.fromiter([f.t for f in frames], float, len(frames))
+    t = np.array([f.t for f in frames], dtype=float)
     times = np.rint((t - t[0]) * 1e6).astype(np.int64)   # round half even
     step = round(STEP_S * 1e6)
     steps = round(int(times[-1]) / step) + 1
@@ -696,8 +697,7 @@ def step_frames(frames) -> list[int]:
     last = len(times) - 1
     above = times[np.minimum(after, last)]
     below = times[np.maximum(after - 1, 0)]
-    take_above = (after <= last) & ((after == 0)
-                                    | (above - targets <= targets - below))
+    take_above = (after <= last) & (above - targets <= targets - below)
     nearest = np.where(take_above, above, below)
     return (np.searchsorted(times, nearest, side="right") - 1).tolist()
 
