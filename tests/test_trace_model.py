@@ -17,12 +17,12 @@ from driverepair.trace_model import (
     MAX_FRAME_GAP_S,
     OBSTACLE_KINDS,
     CatalogError,
-    Scene,
     EgoPose,
     MapContext,
     Obstacle,
     RawRecordFrame,
     RecordError,
+    Scene,
     SignalVar,
     Trace,
     TrafficLightState,
@@ -1038,8 +1038,7 @@ def _any_real(rng):
 def _any_scene(rng):
     """A scene with every field drawn, each enum over all its values."""
     values = {}
-    for name in Scene._fields:
-        default = make_scene()._asdict()[name]
+    for name, default in make_scene()._asdict().items():
         if isinstance(default, bool):
             values[name] = rng.random() < 0.5
         elif name == "light_color":
