@@ -9,14 +9,16 @@ negated) conditions hold. An event-triggered rule activates on the rising
 edge of its event, provided the conditions hold at that moment; with an
 `until` trigger it stays active until that event fires, otherwise it stays
 active while the conditions keep holding. Active rules overwrite fields of
-`DEFAULT_PARAMS` in program order, so later rules win conflicts.
+`DEFAULT_PARAMS` in program order, so later rules win conflicts. A tick
+whose active rules are the previous tick's keeps that tick's params, which
+`RuleStates` carries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 from ..trace_model import Scene
-from .catalog import ALWAYS, DEFAULT_PARAMS, default_catalog
+from .catalog import ALWAYS, DEFAULT_PARAMS, PlannerParams, default_catalog
 from .grammar import MuDriveProgram
 
 
@@ -25,6 +27,7 @@ class RuleStates:
     """Per-episode activation state. Fresh state means nothing has fired yet."""
     active: tuple = ()
     prev: Scene | None = None       # the previous tick's scene
+    params: PlannerParams = DEFAULT_PARAMS  # what `active` sets
 
 
 def _fired(cat, call, scene: Scene, prev: Scene | None) -> bool:
@@ -44,7 +47,6 @@ def step_rules(program: MuDriveProgram, scene: Scene, prev: RuleStates):
         raise ValueError("rule state does not match this program")
 
     active = []
-    updates = {}
     for rule, before in zip(program.rules, was_active):
         if rule.trigger.name == ALWAYS.name:
             is_active = _conditions_hold(cat, rule, scene)
@@ -56,9 +58,16 @@ def step_rules(program: MuDriveProgram, scene: Scene, prev: RuleStates):
             is_active = (_fired(cat, rule.trigger, scene, prev.prev)
                          and _conditions_hold(cat, rule, scene))
         active.append(is_active)
-        if is_active:
-            for call in rule.actions:
-                updates[cat.action(call.name).sets] = call.args[0]
+    active = tuple(active)
 
-    params = replace(DEFAULT_PARAMS, **updates) if updates else DEFAULT_PARAMS
-    return params, RuleStates(tuple(active), scene)
+    if active == prev.active:       # the same rules set the same fields
+        params = prev.params
+    else:
+        updates = {}
+        for rule, is_active in zip(program.rules, active):
+            if is_active:
+                for call in rule.actions:
+                    updates[cat.action(call.name).sets] = call.args[0]
+        params = (replace(DEFAULT_PARAMS, **updates) if updates
+                  else DEFAULT_PARAMS)
+    return params, RuleStates(active, scene, params)

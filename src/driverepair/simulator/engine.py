@@ -15,7 +15,22 @@ sum decides when one ends. The NPCs follow their scripts whatever the ego
 does, so each tick's obstacles are built once per script, in tick order,
 into `ScenarioScript.npc_timeline`, and every replay shares them. An NPC
 whose prediction window lies in the same hold (`NpcSpec.hold_at`) as at the
-previous tick keeps that tick's obstacle.
+previous tick keeps that tick's obstacle, and a tick whose NPCs are all
+held keeps that tick's obstacles tuple.
+
+A frame's obstacle geometry (`trace_model.obstacle_geometry`) depends only
+on the ego's x, y, heading and dist_to_junction and on the tick's obstacles,
+and a replay meets the same inputs again wherever the ego stands still or
+passes a pose that the baseline or another replay had at that tick. So the
+geometry is kept in a memo beside the timeline,
+`ScenarioScript.geometry_memo`, keyed by those four floats and the
+obstacles tuple by identity (`trace_model.scene_from_frame`). Every replay
+of the script reads it, and it goes with the script: a `cmd_repair` or CLI
+call resolves its script anew, so it computes every geometry again. Keys
+equal by `==` hold equal bits, because no key float is -0.0, the one float
+`==` to a float of other bits: `_round4` adds 0.0, which turns -0.0 into
+0.0, and it rounds s >= 0, a lateral offset between 0 and BORROW_OFFSET and
+a distance to the junction >= 0; the heading is the literal 0.0.
 """
 from __future__ import annotations
 
@@ -90,13 +105,16 @@ def _tick_obstacles(script: ScenarioScript, tick: int) -> tuple:
         return timeline[tick]
     t, prev_t = tick / TICK_HZ, (tick - 1) / TICK_HZ
     obstacles = []
+    held = tick > 0
     for k, npc in enumerate(script.npcs):
         hold = npc.hold_at(t)
         if tick and hold is not None and npc.hold_at(prev_t) == hold:
             obstacles.append(timeline[tick - 1][k])
         else:
             obstacles.append(_npc_obstacle(npc, t))
-    obstacles = tuple(obstacles)
+            held = False
+    # when every NPC is held, the tick shares the previous tick's tuple
+    obstacles = timeline[tick - 1] if held else tuple(obstacles)
     timeline.append(obstacles)
     return obstacles
 
@@ -299,7 +317,7 @@ def run_scenario(script: ScenarioScript, program: MuDriveProgram | None = None):
         frame = world.emit_frame(tick)
         frames.append(frame)
 
-        scene = frame.scene
+        scene = frame.scene_with(script.geometry_memo)
         if scene.nearest_npc_sep == 0.0:    # boxes touch or overlap
             outcome = OUTCOME_COLLIDED
             break

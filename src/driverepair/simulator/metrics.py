@@ -9,21 +9,20 @@ VEHICLE_MASS_KG = 1500.0
 def evaluate_trace(frames) -> dict:
     """Speed, acceleration, obstacle distance, stop time, and energy metrics.
 
-    Speeds are reported in m/s. Energy is the telescoping sum of kinetic
-    deltas, 0.5 * m * (v[t+1]^2 - v[t]^2) over consecutive steps; the
+    Every metric is taken over the trace steps (`step_frames`), so a record
+    weighs each STEP_S of its time alike, whatever its frame rate. Speeds
+    are reported in m/s. Energy is the telescoping sum of kinetic deltas,
+    0.5 * m * (v[t+1]^2 - v[t]^2) over consecutive steps; the
     positive-delta variant keeps only accelerating steps. Stop time counts
-    the trace steps (`step_frames`) whose frame is stopped, STEP_S each.
+    the steps whose frame is stopped, STEP_S each.
     """
     if not frames:
         raise ValueError("no frames to evaluate")
 
-    speeds = [f.ego.speed / 3.6 for f in frames]
-    accels = [abs(f.ego.accel) for f in frames]
-
-    seps = []
-    for frame in frames:
-        if frame.obstacles:
-            seps.append(frame.scene.nearest_npc_sep)
+    steps = [frames[j] for j in step_frames(frames)]
+    speeds = [f.ego.speed / 3.6 for f in steps]
+    accels = [abs(f.ego.accel) for f in steps]
+    seps = [f.scene.nearest_npc_sep for f in steps if f.obstacles]
 
     energy = 0.0
     energy_positive = 0.0
@@ -33,8 +32,7 @@ def evaluate_trace(frames) -> dict:
         if delta > 0:
             energy_positive += delta
 
-    stopped = sum(frames[j].ego.speed < STOPPED_KMH
-                  for j in step_frames(frames))
+    stopped = sum(f.ego.speed < STOPPED_KMH for f in steps)
 
     return {
         "avg_speed_ms": sum(speeds) / len(speeds),

@@ -219,6 +219,13 @@ class ScenarioScript:
         simulator on first use and shared by every replay of this script."""
         return []
 
+    @functools.cached_property
+    def geometry_memo(self) -> dict:
+        """The obstacle geometry of each (ego pose, tick obstacles) that a
+        replay of this script has met (`trace_model.scene_from_frame`),
+        kept beside `npc_timeline` and shared by every replay likewise."""
+        return {}
+
     def lane_kind_at(self, s: float) -> str:
         for s0, s1, kind in self.lane_segments:
             if s0 <= s <= s1:

@@ -129,6 +129,14 @@ class RawRecordFrame:
         """The frame's scene, computed on first use and kept with the frame."""
         return scene_from_frame(self)
 
+    def scene_with(self, memo: dict) -> Scene:
+        """`scene`, computed with a geometry memo (see `scene_from_frame`)
+        unless the frame keeps it already."""
+        scene = self.__dict__.get("scene")
+        if scene is None:   # where `scene` keeps what it computes
+            scene = self.__dict__["scene"] = scene_from_frame(self, memo)
+        return scene
+
 
 # Value rules that records and scenario documents share. Each names the field
 # by its document path and returns the value it accepts.
@@ -499,17 +507,19 @@ class Scene(NamedTuple):
     congested: bool
 
 
-def scene_from_frame(frame: RawRecordFrame) -> Scene:
-    ego, m, w = frame.ego, frame.map_ctx, frame.weather
-    c, s = math.cos(ego.heading), math.sin(ego.heading)
-    dj = m.dist_to_junction
+def obstacle_geometry(x, y, heading, dist_to_junction, obstacles) -> tuple:
+    """What a scene reads of its obstacles, for an ego box at (x, y) along
+    `heading`: (npc_ahead_dist, nearest_npc_dist, nearest_npc_sep, the
+    count of obstacles slower than JAM_SPEED_KMH near the junction)."""
+    c, s = math.cos(heading), math.sin(heading)
+    dj = dist_to_junction
 
     ahead = FAR
     nearest = FAR
     slow_near_junction = 0
     by_dist = []
-    for ob in frame.obstacles:
-        dx, dy = ob.x - ego.x, ob.y - ego.y
+    for ob in obstacles:
+        dx, dy = ob.x - x, ob.y - y
         lon = c * dx + s * dy
         lat = -s * dx + c * dy
         dist = math.hypot(dx, dy)
@@ -529,8 +539,8 @@ def scene_from_frame(frame: RawRecordFrame) -> Scene:
     # coordinates: without it a pair a few ulps below the best could be
     # skipped and change `sep`.
     by_dist.sort(key=operator.itemgetter(0))
-    ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
-    scale = abs(ego.x) + abs(ego.y) + _EGO_RADIUS
+    ego_box = obb_corners(x, y, heading, EGO_HALF_LEN, EGO_HALF_WID)
+    scale = abs(x) + abs(y) + _EGO_RADIUS
     sep = FAR
     for dist, ob in by_dist:
         r = math.hypot(ob.half_len, ob.half_wid)
@@ -538,6 +548,32 @@ def scene_from_frame(frame: RawRecordFrame) -> Scene:
             continue
         box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
         sep = min(sep, obb_distance(ego_box, box))
+    return ahead, nearest, sep, slow_near_junction
+
+
+def scene_from_frame(frame: RawRecordFrame, memo: dict | None = None) -> Scene:
+    """The frame's scene: its `obstacle_geometry` and copies of its fields.
+
+    With a memo (a dict), the geometry is looked up there first and kept
+    there, keyed by the ego's x, y, heading and dist_to_junction and by the
+    identity of the obstacles tuple, which the entry keeps alive. Floats
+    that are `==` make one key: the caller keeps -0.0 out of its keys (see
+    `simulator.engine`), and a NaN matches only itself, the same object, so
+    a hit has the bits that its entry was computed from.
+    """
+    ego, m, w = frame.ego, frame.map_ctx, frame.weather
+    dj = m.dist_to_junction
+    obstacles = frame.obstacles
+    if memo is None:
+        ahead, nearest, sep, slow_near_junction = obstacle_geometry(
+            ego.x, ego.y, ego.heading, dj, obstacles)
+    else:
+        key = (ego.x, ego.y, ego.heading, dj, id(obstacles))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (obstacles, *obstacle_geometry(
+                ego.x, ego.y, ego.heading, dj, obstacles))
+        _, ahead, nearest, sep, slow_near_junction = entry
 
     if frame.traffic_light is None:
         color, raw = "off", FAR

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scene
+from conftest import make_scene, random_scene
 
 from driverepair.mudrive import (
     DEFAULT_PARAMS,
@@ -707,6 +707,32 @@ class TestStepRules:
         p2, s2 = step_rules(program, scene, states)
         assert p1 == p2 and s1 == s2
         assert DEFAULT_PARAMS == PlannerParams()  # defaults untouched
+
+    def test_params_equal_a_fresh_replace_at_every_tick(self):
+        # a tick that keeps the previous tick's active rules keeps its
+        # params; they must read as the params those rules set anew
+        cat = default_catalog()
+        kept = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            program = from_json(_random_program_doc(rng, cat))
+            scenes = [random_scene(rng)]
+            for _ in range(30):
+                scenes.append(scenes[-1] if rng.random() < 0.5
+                              else random_scene(rng))
+            states = RuleStates()
+            for scene in scenes:
+                before = states
+                params, states = step_rules(program, scene, states)
+                updates = {}
+                for rule, on in zip(program.rules, states.active):
+                    if on:
+                        for call in rule.actions:
+                            updates[cat.action(call.name).sets] = call.args[0]
+                assert repr(params) == repr(replace(DEFAULT_PARAMS, **updates))
+                assert states.params is params
+                kept += states.active == before.active and bool(updates)
+        assert kept > 0
 
     def test_deactivation_leaves_no_residue(self):
         program = parse_program(JUNCTION_SLOWDOWN)

@@ -122,9 +122,9 @@ def _count_scenes(monkeypatch):
     calls = Counter()
     original = trace_model.scene_from_frame
 
-    def counting(frame):
+    def counting(frame, memo=None):
         calls[id(frame)] += 1
-        return original(frame)
+        return original(frame, memo)
 
     monkeypatch.setattr(trace_model, "scene_from_frame", counting)
     return calls

@@ -551,6 +551,20 @@ class TestEvaluateTrace:
         assert evaluate_trace(frames)["stop_time_s"] == 59.6
         assert evaluate_trace(at_20hz(frames))["stop_time_s"] == 59.6
 
+    def test_every_metric_weighs_trace_steps(self):
+        # 100 standing frames at 10 Hz, then 10 frames at 1 Hz at 36 km/h:
+        # 91 of the 191 trace steps move at 10 m/s, though 10 of the 110
+        # frames do
+        frames = frames_from_speeds_ms([0.0] * 100)
+        frames += [RawRecordFrame(t=10.0 + k,
+                                  ego=EgoPose(0.0, 0.0, 0.0, 36.0, 0.0, 0.0))
+                   for k in range(10)]
+        metrics = evaluate_trace(frames)
+        assert round(metrics["avg_speed_ms"], 4) == 4.7644
+        assert metrics["max_speed_ms"] == 10.0
+        assert metrics["stop_time_s"] == 10.0
+        assert metrics["energy_j"] == metrics["energy_positive_j"] == 75000.0
+
     def test_speed_and_obstacle_stats(self, baseline_runs):
         metrics = evaluate_trace(baseline_runs["S5"]["frames"])
         assert metrics["max_speed_ms"] > metrics["avg_speed_ms"] > 0
