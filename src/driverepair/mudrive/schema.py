@@ -40,7 +40,7 @@ def _param_schema(spec):
 
 
 def _call_schema(entry, extra_properties=None):
-    props = {"name": {"const": entry.name, "description": entry.description}}
+    props = {"name": {"const": entry.name}}
     required = ["name"]
     if entry.params:
         props["args"] = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .localizer import CriticalMoments, MomentsNotFoundError, moment_frames
 from .mudrive.catalog import ACTIONS, DEFAULT_PARAMS
-from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, RawRecordFrame
+from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, FAR, RawRecordFrame
 
 VIEW_M = 80.0               # metres shown edge to edge, ego centered
 SCALE = 4.0                 # px per metre
@@ -41,7 +41,7 @@ BACKGROUND_TEXT = (
 class PromptBundle:
     segments: dict          # six named text segments, fixed order
     images: tuple           # (near_miss_svg, violation_svg)
-    meta: dict              # gap_seconds, spec_name, record_id, scene features
+    meta: dict              # record_id, spec_name, gap_seconds, steps; sent to no backend
 
     @property
     def text(self) -> str:
@@ -126,6 +126,7 @@ def render_moment(frame: RawRecordFrame) -> str:
     parts.append(f'<rect x="{dash_x}" y="0" width="{DASH_PX}" height="{HEIGHT}"'
                  f' fill="#1c1c1c"/>')
     light = frame.traffic_light.color if frame.traffic_light else "off"
+    sep = frame.scene.nearest_npc_sep
     parts.append(f'<circle class="light" cx="{dash_x + 24}" cy="28" r="10"'
                  f' fill="{LIGHT_FILL[light]}"/>')
     rows = [
@@ -135,6 +136,8 @@ def render_moment(frame: RawRecordFrame) -> str:
         f"gear: {ego.gear}",
         f"cruise set: {_f(DEFAULT_PARAMS.cruise_speed_kmh)} km/h",
         f"t = {_f(frame.t)} s",
+        f"clearance: {'none' if sep == FAR else _f(sep) + ' m'}",
+        f"in junction: {'yes' if frame.map_ctx.in_junction else 'no'}",
     ]
     for i, row in enumerate(rows):
         parts.append(f'<text x="{dash_x + 44 if i == 0 else dash_x + 10}"'
@@ -174,27 +177,6 @@ def _default_segment() -> str:
     return "In the original ADS, the initial settings are: " + ", ".join(bits) + "."
 
 
-def _scene_features(near_frame, violation_frame) -> dict:
-    near = near_frame.scene
-    viol = violation_frame.scene
-    sep = near.nearest_npc_sep
-    if sep < 6.0:
-        band = "near"
-    elif sep <= 18.0:
-        band = "mid"
-    else:
-        band = "far"
-    return {
-        "light_color": viol.light_color,
-        "obstacle_band": band,
-        "nearest_sep_m": round(sep, 1),
-        "in_junction": near.in_junction,
-        "weather": {"rain": viol.rain > 0, "fog": viol.fog > 0,
-                    "snow": viol.snow > 0, "low_visibility": viol.visibility <= 50},
-        "congested": viol.congested,
-    }
-
-
 def build_prompt(moments: CriticalMoments, frames, spec_name: str,
                  spec_text: str, record_id: str = "record") -> PromptBundle:
     """Assemble the six segments and both moment renderings."""
@@ -220,7 +202,6 @@ def build_prompt(moments: CriticalMoments, frames, spec_name: str,
         "near_miss_step": moments.near_miss_step,
         "violation_step": moments.violation_step,
         "delta": moments.delta,
-        "features": _scene_features(near_frame, violation_frame),
     }
     return PromptBundle(segments=segments, images=images, meta=meta)
 

@@ -7,9 +7,11 @@ the (input, output) token counts. Whatever comes back is parsed, converted,
 and statically validated; invalid answers trigger a feedback retry. Only
 validated programs leave this module.
 
-The mock backend is fully offline and deterministic: it keys a small
-template inventory on the spec name and the scene features of the near-miss
-moment, and a seed picks among variants. Token counts for the mock use a
+The mock backend is fully offline and deterministic and reads only what a
+live model is sent, the prompt text and the two images: it keys a small
+template inventory on the spec named by the rule prose, the weather
+segment and the near-miss dashboard's `clearance` and `in junction` rows,
+and a seed picks among variants. Token counts for the mock use a
 documented surrogate: ceil(characters / 4) over exactly what was sent and
 received.
 """
@@ -18,11 +20,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 from .mudrive import MuDriveProgram, from_json, validate
 from .mudrive.schema import emit_schema
-from .promptgen import PromptBundle
+from .promptgen import SEGMENT_ORDER, PromptBundle
+from .spec_lang import BUILTIN_SPEC_ENTRIES
 
 TOOL_NAME = "submit_driving_strategy_repair"
 MAX_ATTEMPTS = 3            # backend queries per candidate, retries included
@@ -179,11 +183,10 @@ def _borrow_repair(variant):
     ]}
 
 
-def _weather_repair(features, variant):
+def _weather_repair(weather_text, variant):
     cruise = (30, 25, 28)[variant]
-    weather = features.get("weather", {})
     for kind in ("fog", "rain", "snow"):
-        if weather.get(kind):
+        if f"{kind} of intensity" in weather_text:
             cond = _cond("is_weather", kind=kind)
             break
     else:
@@ -203,14 +206,24 @@ def _congestion_repair(variant):
     ]}
 
 
-def _select_template(spec_name: str, features: dict, variant: int) -> dict:
+_SPEC_BY_PROSE = {entry.prose: entry.name for entry in BUILTIN_SPEC_ENTRIES}
+_DASH_ROW = re.compile(r">(clearance|in junction): ([^<]*)<")
+
+
+def _select_template(text: str, near_miss_svg: str, variant: int) -> dict:
+    segments = dict(zip(SEGMENT_ORDER, text.split("\n\n")))
+    # "You are supposed to follow the following rule: <prose>"
+    spec_name = _SPEC_BY_PROSE.get(segments["rule"].partition(": ")[2])
     if spec_name == "no_collision":
-        band = features.get("obstacle_band", "mid")
-        if band == "near":
+        dash = dict(_DASH_ROW.findall(near_miss_svg))
+        clearance = dash.get("clearance", "none")
+        sep = math.inf if clearance == "none" else float(
+            clearance.removesuffix(" m"))
+        if sep < 6.0:
             return _emergency_brake_repair(variant)
-        if band == "far":
+        if sep > 18.0:
             return _generic_caution_repair(variant)
-        if features.get("in_junction"):
+        if dash.get("in junction") == "yes":
             return _stop_sign_repair(variant)
         return _yield_repair(variant)
     if spec_name == "law38_red":
@@ -218,7 +231,7 @@ def _select_template(spec_name: str, features: dict, variant: int) -> dict:
     if spec_name == "law38_yellow":
         return _light_caution_repair(("yellow", "red"), variant)
     if spec_name == "law46":
-        return _weather_repair(features, variant)
+        return _weather_repair(segments["weather"], variant)
     if spec_name == "law53":
         return _congestion_repair(variant)
     if spec_name in ("law44", "finish_journey"):
@@ -227,19 +240,21 @@ def _select_template(spec_name: str, features: dict, variant: int) -> dict:
 
 
 class MockBackend:
-    """Offline deterministic backend: same bundle and seed, same bytes."""
+    """Offline deterministic backend: same bundle and seed, same bytes.
+
+    It reads `bundle.text` and `bundle.images`, as `LiveBackend` sends
+    them, and never `bundle.meta`."""
 
     name = "mock"
     VARIANTS = 3
 
     def complete(self, bundle: PromptBundle, schema: dict, seed: int,
                  feedback=()):
-        features = bundle.meta.get("features", {})
-        spec_name = bundle.meta.get("spec_name", "")
-        doc = _select_template(spec_name, features, seed % self.VARIANTS)
+        text = bundle.text
+        doc = _select_template(text, bundle.images[0], seed % self.VARIANTS)
         raw = json.dumps(doc, separators=(", ", ": "), sort_keys=False)
         # surrogate accounting: 4 characters per token over everything sent
-        sent = (bundle.text + "".join(bundle.images) + "".join(feedback)
+        sent = (text + "".join(bundle.images) + "".join(feedback)
                 + json.dumps(schema))
         usage = (_surrogate_tokens(sent), _surrogate_tokens(raw))
         return raw, usage

@@ -367,6 +367,18 @@ class TestSchema:
         for group in ("event_trigger", "condition", "action"):
             for variant in schema["$defs"][group]["oneOf"]:
                 assert variant.get("description")
+        # each description is written once: on the branch, not its const
+        nodes, pending = [], [schema]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, dict):
+                nodes.append(node)
+                pending.extend(node.values())
+            elif isinstance(node, list):
+                pending.extend(node)
+        assert sum("const" in node for node in nodes) > 20
+        assert not [node for node in nodes
+                    if "const" in node and "description" in node]
 
     def test_fuzzed_docs_roundtrip(self):
         rng = random.Random(505)

@@ -16,6 +16,7 @@ from driverepair.simulator import PAIRED_SPECS
 from driverepair.spec_lang import parse_spec
 from driverepair.trace_model import (
     EgoPose,
+    MapContext,
     Obstacle,
     RawRecordFrame,
     TrafficLightState,
@@ -73,6 +74,14 @@ class TestRenderMoment:
         svg = render_moment(frame)
         assert svg.count('class="obstacle"') == 0
         assert svg.count('class="ego"') == 1
+
+    def test_dashboard_states_clearance_and_junction(self):
+        svg = render_moment(golden_frame())
+        assert ">clearance: 3.0 m<" in svg and ">in junction: no<" in svg
+        inside = RawRecordFrame(t=0.0, ego=golden_frame().ego,
+                                map_ctx=MapContext(in_junction=True))
+        svg = render_moment(inside)
+        assert ">clearance: none<" in svg and ">in junction: yes<" in svg
 
     def test_red_light_glyph(self):
         svg = render_moment(golden_frame())

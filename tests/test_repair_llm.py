@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 import requests
 
-from driverepair.mudrive import validate
+from driverepair.mudrive import emit_schema, validate
 from driverepair.mudrive.grammar import parse_program, pretty_print
 from driverepair.repair_llm import (
     API_KEY_ENV,
@@ -48,6 +49,17 @@ class TestMockBackend:
         b, usage_b = backend.complete(bundle, schema, seed=0)
         assert a == b and usage_a == usage_b
 
+    @pytest.mark.parametrize("seed", range(MockBackend.VARIANTS))
+    def test_answer_rests_on_text_and_images_alone(self, repair_results,
+                                                   seed):
+        # what a live model is sent decides the answer; meta is never read
+        schema = emit_schema()
+        for sid, result in repair_results.items():
+            bundle = result["bundle"]
+            assert (MockBackend().complete(bundle, schema, seed)
+                    == MockBackend().complete(replace(bundle, meta={}),
+                                              schema, seed)), sid
+
     def test_s1_bundle_yields_two_rule_shape(self, repair_results):
         cand = repair_results["S1"]["batch"].candidates[0]
         rules = cand.program.rules
@@ -61,6 +73,12 @@ class TestMockBackend:
         assert any(c.name == "is_traffic_light" and c.args == ("red",)
                    for _, c in red_stop.conditions)
         assert any(a.name == "traffic_light_stop_dist" for a in red_stop.actions)
+
+    def test_in_junction_bundle_holds_at_the_stop_sign(self, repair_results):
+        # S2's near miss happens inside the junction
+        assert ">in junction: yes<" in repair_results["S2"]["bundle"].images[0]
+        (rule,) = repair_results["S2"]["batch"].candidates[0].program.rules
+        assert rule.trigger.name == "approaching_stop_sign"
 
     def test_fog_bundle_caps_cruise_at_30(self, repair_results):
         cand = repair_results["S6"]["batch"].candidates[0]

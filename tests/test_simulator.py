@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at_20hz, ramp_frames
+from conftest import at_20hz
 from oracle_reference import frame_line_ref
 
 from driverepair.mudrive import DEFAULT_PARAMS, parse_program
