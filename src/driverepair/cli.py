@@ -138,7 +138,7 @@ def prompt_cmd(record, spec, delta, out_dir):
 @click.option("--spec", default=None, help="Defaults to the scenario's"
                                            " paired spec.")
 @click.option("--delta", type=float, default=DEFAULT_DELTA, show_default=True)
-@click.option("--n", type=int, default=20, show_default=True)
+@click.option("--n", type=int, default=PipelineConfig.n, show_default=True)
 @click.option("--backend", type=click.Choice(["mock", "live"]), default="mock",
               show_default=True)
 @click.option("--model", default="gpt-4-turbo", show_default=True,
@@ -146,9 +146,10 @@ def prompt_cmd(record, spec, delta, out_dir):
 @click.option("--endpoint", show_default=True,
               default="https://api.openai.com/v1/chat/completions",
               help="Live backend only.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), default="runs",
+@click.option("--seed", type=int, default=PipelineConfig.base_seed,
               show_default=True)
+@click.option("--out", "out_dir", type=click.Path(),
+              default=PipelineConfig.out_dir, show_default=True)
 def repair(record, scenario, spec, delta, n, backend, model, endpoint, seed,
            out_dir):
     """Run the whole pipeline and report per-candidate replay verdicts."""
@@ -173,7 +174,8 @@ def repair(record, scenario, spec, delta, n, backend, model, endpoint, seed,
 @click.option("--spec", default=None, help="Defaults to the scenario's"
                                            " paired spec.")
 @click.option("--deltas", default="1,5,10,15,20,25,30", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=PipelineConfig.base_seed,
+              show_default=True)
 def sweep_delta(record, scenario, spec, deltas, seed):
     """Near-miss step and mock fix verdict across thresholds."""
     values = [float(d) for d in deltas.split(",") if d.strip()]

@@ -61,20 +61,24 @@ def _call_schema(entry, extra_properties=None):
     }
 
 
+_built = (None, None)       # (catalog, its schema), the last one built
+
+
 def emit_schema() -> dict:
-    """JSON Schema (draft 2020-12) for one whole repair program."""
+    """JSON Schema (draft 2020-12) for one whole repair program.
+
+    The schema is built once per catalog object (`default_catalog()`) and
+    every call returns that one shared document: treat it as read-only."""
+    global _built
     cat = default_catalog()
+    if _built[0] is not cat:
+        _built = (cat, _schema_of(cat))
+    return _built[1]
+
+
+def _schema_of(cat) -> dict:
     negated = {"negated": {"type": "boolean", "default": False,
                            "description": "Invert the condition."}}
-
-    trigger_variants = [_call_schema(e) for e in cat.events]
-    trigger_variants.append({
-        "type": "object",
-        "description": ALWAYS.description,
-        "properties": {"name": {"const": ALWAYS.name}},
-        "required": ["name"],
-        "additionalProperties": False,
-    })
 
     return {
         "$schema": SCHEMA_DIALECT,
@@ -122,7 +126,7 @@ def emit_schema() -> dict:
             },
             "event_trigger": {
                 "description": "An event, or 'always' for every step.",
-                "oneOf": trigger_variants,
+                "oneOf": [_call_schema(e) for e in (*cat.events, ALWAYS)],
             },
             "condition": {
                 "description": "A context test, optionally negated.",

@@ -41,7 +41,8 @@ BACKGROUND_TEXT = (
 class PromptBundle:
     segments: dict          # six named text segments, fixed order
     images: tuple           # (near_miss_svg, violation_svg)
-    meta: dict              # record_id, spec_name, gap_seconds, steps; sent to no backend
+    meta: dict              # record_id, spec_name, gap_seconds, steps,
+                            # delta; sent to no backend
 
     @property
     def text(self) -> str:

@@ -67,8 +67,8 @@ class RepairCandidate:
     seed: int = 0
 
 
-def _surrogate_tokens(text: str) -> int:
-    return math.ceil(len(text) / 4)
+def _surrogate_tokens(chars: int) -> int:
+    return math.ceil(chars / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +243,24 @@ class MockBackend:
     """Offline deterministic backend: same bundle and seed, same bytes.
 
     It reads `bundle.text` and `bundle.images`, as `LiveBackend` sends
-    them, and never `bundle.meta`."""
+    them, and never `bundle.meta`. It encodes each schema object it is
+    sent once, so a schema must not change once sent."""
 
     name = "mock"
     VARIANTS = 3
+    _schema = _schema_chars = None      # the last schema sent, its length
 
     def complete(self, bundle: PromptBundle, schema: dict, seed: int,
                  feedback=()):
         text = bundle.text
         doc = _select_template(text, bundle.images[0], seed % self.VARIANTS)
         raw = json.dumps(doc, separators=(", ", ": "), sort_keys=False)
+        if schema is not self._schema:
+            self._schema, self._schema_chars = schema, len(json.dumps(schema))
         # surrogate accounting: 4 characters per token over everything sent
-        sent = (text + "".join(bundle.images) + "".join(feedback)
-                + json.dumps(schema))
-        usage = (_surrogate_tokens(sent), _surrogate_tokens(raw))
+        sent = (len(text) + sum(map(len, bundle.images))
+                + sum(map(len, feedback)) + self._schema_chars)
+        usage = (_surrogate_tokens(sent), _surrogate_tokens(len(raw)))
         return raw, usage
 
 

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
 from ..trace_model import WeatherState, require_finite, require_non_negative
@@ -199,7 +199,7 @@ class ScenarioScript:
                 "route_len_m": [self.route_len_m], "duration_s": [self.duration_s],
                 "start_speed_kmh": [self.start_speed_kmh],
                 "lane_segments": [v for seg in self.lane_segments for v in seg[:2]],
-                "junctions": [v for pair in self.junctions for v in pair],
+                "junctions": [v for s0, s1 in self.junctions for v in (s0, s1)],
                 "stop_signs": self.stop_signs, "weather.rain": [w.rain],
                 "weather.fog": [w.fog], "weather.snow": [w.snow],
                 "weather.visibility": [w.visibility]}.items():
@@ -433,64 +433,55 @@ def script_to_dict(script: ScenarioScript) -> dict:
     return asdict(script)
 
 
-def _number(value):
-    """A JSON number as a float; anything else is left for the types to refuse."""
+def _plain(value):
+    """A JSON value as the scenario types hold it: a list (or tuple) as a
+    tuple, a number as a float; anything else is left for the types to
+    refuse."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_plain, value))
     try:
         return value * 1.0
     except (TypeError, OverflowError):
         return value
 
 
-def _fields_only(doc, cls, name):
-    """`doc`, an object each of whose keys names a field of `cls`."""
+def _build(cls, doc, name, **convert):
+    """A `cls` from its JSON object `doc`, each value passed through its
+    field's converter in `convert` or `_plain`. A key that names no field
+    is refused, so a misspelt one cannot leave its field at the default,
+    and so is a missing field that has no default; any other omitted
+    field takes the type's own default. Unknown keys are reported first,
+    then faults in the objects it holds, then missing keys, then the
+    type's own checks."""
     require_object(doc, name)
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     for key in doc:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {name}")
-    return doc
+    values = {key: convert.get(key, _plain)(value) for key, value in doc.items()}
+    for key, f in known.items():
+        if (key not in doc and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ValueError(f"missing key {key!r} in {name}")
+    return cls(**values)
+
+
+def _each(cls, name, **convert):
+    """A converter of a JSON list of `cls` objects, the i-th named name[i]."""
+    return lambda docs: tuple(_build(cls, doc, f"{name}[{i}]", **convert)
+                              for i, doc in enumerate(docs))
 
 
 def script_from_dict(doc: dict) -> ScenarioScript:
-    """A script from its JSON document; the scenario types check the values.
-    A key that names no field is refused, so a misspelt one cannot leave
-    its field at the default."""
+    """A script from its JSON document (see `_build`): the scenario types
+    check the values, and a key the document omits takes its type's
+    default."""
     try:
-        _fields_only(doc, ScenarioScript, "scenario")
-        weather = _fields_only(doc.get("weather", {}), WeatherState, "weather")
-        lights = [_fields_only(li, LightSpec, f"lights[{i}]")
-                  for i, li in enumerate(doc.get("lights", []))]
-        npcs = [_fields_only(n, NpcSpec, f"npcs[{i}]")
-                for i, n in enumerate(doc.get("npcs", []))]
-        return ScenarioScript(
-            id=str(doc["id"]),
-            description=doc.get("description", ""),
-            route_len_m=_number(doc["route_len_m"]),
-            duration_s=_number(doc.get("duration_s", 200.0)),
-            start_speed_kmh=_number(doc.get("start_speed_kmh", 0.0)),
-            lane_segments=tuple((_number(a), _number(b), k)
-                                for a, b, k in doc.get("lane_segments", [])),
-            junctions=tuple((_number(a), _number(b))
-                            for a, b in doc.get("junctions", [])),
-            lights=tuple(LightSpec(_number(li["stopline_s"]),
-                                   _number(li["release_s"]),
-                                   tuple((c, _number(d))
-                                         for c, d in li["schedule"]))
-                         for li in lights),
-            stop_signs=tuple(map(_number, doc.get("stop_signs", []))),
-            npcs=tuple(NpcSpec(id=str(n["id"]), kind=n.get("kind", "vehicle"),
-                               half_len=_number(n.get("half_len", 2.3)),
-                               half_wid=_number(n.get("half_wid", 1.0)),
-                               waypoints=tuple(tuple(map(_number, w))
-                                               for w in n["waypoints"]))
-                       for n in npcs),
-            weather=WeatherState(
-                rain=_number(weather.get("rain", 0.0)),
-                fog=_number(weather.get("fog", 0.0)),
-                snow=_number(weather.get("snow", 0.0)),
-                visibility=_number(weather.get("visibility", 500.0))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return _build(ScenarioScript, doc, "scenario", id=str,
+                      lights=_each(LightSpec, "lights"),
+                      npcs=_each(NpcSpec, "npcs", id=str),
+                      weather=lambda w: _build(WeatherState, w, "weather"))
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
 
 

@@ -609,10 +609,6 @@ class SignalVar:
         if kind != "pred" and self.arg is not None:
             raise CatalogError(f"{self.name} does not take a parameter")
 
-    def read(self, scene: Scene) -> float:
-        """The variable's reading at one scene: `readings` of that scene."""
-        return float(self.readings((scene,))[0])
-
     def readings(self, scenes) -> np.ndarray:
         """The variable's reading at each scene (see `_CATALOG`), computed
         on the column of the Scene field it reads."""

@@ -1,10 +1,12 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
 import requests
 
-from driverepair.mudrive import emit_schema, validate
+from driverepair.mudrive import catalog, emit_schema, validate
+from driverepair.mudrive import schema as program_schema
 from driverepair.mudrive.grammar import parse_program, pretty_print
 from driverepair.repair_llm import (
     API_KEY_ENV,
@@ -59,6 +61,17 @@ class TestMockBackend:
             assert (MockBackend().complete(bundle, schema, seed)
                     == MockBackend().complete(replace(bundle, meta={}),
                                               schema, seed)), sid
+
+    def test_each_schema_is_priced_by_its_own_length(self, repair_results):
+        # the surrogate is ceil(characters / 4) over everything sent, the
+        # schema's JSON included, whichever schema came before
+        bundle = repair_results["S6"]["bundle"]
+        backend = MockBackend()
+        small, large = {}, {"description": "x" * 401}
+        for sent in (small, large, small):
+            _, (tokens_in, _) = backend.complete(bundle, sent, 0)
+            text = bundle.text + "".join(bundle.images) + json.dumps(sent)
+            assert tokens_in == math.ceil(len(text) / 4)
 
     def test_s1_bundle_yields_two_rule_shape(self, repair_results):
         cand = repair_results["S1"]["batch"].candidates[0]
@@ -170,6 +183,26 @@ class TestBatchGenerate:
         batch = batch_generate(bundle, 20, MockBackend(), base_seed=0)
         assert len(batch.candidates) == 20
         assert batch.distinct_programs <= 3
+
+    def test_batch_builds_the_schema_once(self, repair_results,
+                                          monkeypatch):
+        # a new catalog object, so the batch's first candidate builds it
+        monkeypatch.setattr("driverepair.mudrive.catalog._DEFAULT",
+                            catalog.VocabularyCatalog())
+        build, builds, sent = program_schema._schema_of, [], []
+        monkeypatch.setattr(program_schema, "_schema_of",
+                            lambda cat: builds.append(cat) or build(cat))
+
+        class Recording(MockBackend):
+            def complete(self, bundle, schema, seed, feedback=()):
+                sent.append(schema)
+                return super().complete(bundle, schema, seed, feedback)
+
+        batch = batch_generate(repair_results["S6"]["bundle"], 20,
+                               Recording())
+        assert len(batch.candidates) == len(sent) == 20
+        assert builds == [catalog.default_catalog()]
+        assert all(s is sent[0] for s in sent)
 
     def test_live_usage_that_is_not_a_number_fails_only_its_slot(
             self, repair_results, monkeypatch):

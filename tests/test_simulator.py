@@ -217,8 +217,11 @@ class TestRunScenario:
          lambda doc: doc["npcs"][0]["waypoints"][0].pop()),
         ("npcs.waypoints must be a non-empty list",
          lambda doc: doc["npcs"][0].update(waypoints=[])),
+        (r"too many values to unpack \(expected 2\)",
+         lambda doc: doc.update(junctions=[[1.0, 2.0, 3.0]])),
     ], ids=["zero-half-len", "negative-waypoint-speed", "zero-visibility",
-            "negative-start-speed", "three-number-waypoint", "no-waypoints"])
+            "negative-start-speed", "three-number-waypoint", "no-waypoints",
+            "three-number-junction"])
     def test_value_a_record_refuses_is_rejected_on_load(self, field, edit):
         doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S6"))))
         edit(doc)
@@ -480,6 +483,44 @@ class TestScenarioFiles:
             doc = script_to_dict(script)
             again = script_from_dict(json.loads(json.dumps(doc)))
             assert again == script
+
+    def test_omitted_keys_take_the_types_defaults(self):
+        # only the keys without a default: every other field, the weather
+        # included, is the type's own default
+        doc = {"id": "min", "route_len_m": 100,
+               "lights": [{"stopline_s": 50, "release_s": 60,
+                           "schedule": [["red", 5]]}],
+               "npcs": [{"id": "n1", "waypoints": [[0, 70, 0, 0]]}]}
+        want = ScenarioScript(
+            id="min", route_len_m=100.0,
+            lights=(LightSpec(50.0, 60.0, (("red", 5.0),)),),
+            npcs=(NpcSpec(id="n1", waypoints=((0.0, 70.0, 0.0, 0.0),)),))
+        got = script_from_dict(doc)
+        assert got == want
+        assert repr(script_to_dict(got)) == repr(script_to_dict(want))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("id"), "missing key 'id' in scenario"),
+        (lambda doc: doc.pop("route_len_m"),
+         "missing key 'route_len_m' in scenario"),
+        (lambda doc: doc["npcs"][0].pop("waypoints"),
+         "missing key 'waypoints' in npcs[0]"),
+        (lambda doc: doc["lights"][0].pop("schedule"),
+         "missing key 'schedule' in lights[0]"),
+        # an object's unknown key is reported before its missing one, and
+        # before the missing keys of the objects that hold it
+        (lambda doc: doc.update(duraton_s=5) or doc.pop("route_len_m"),
+         "unknown key 'duraton_s' in scenario"),
+        (lambda doc: doc["weather"].update(foggy=0.5) or doc.pop("id"),
+         "unknown key 'foggy' in weather"),
+    ], ids=["id", "route_len_m", "npc-waypoints", "light-schedule",
+            "unknown-then-missing", "nested-unknown-then-missing"])
+    def test_missing_key_is_refused(self, edit, message):
+        doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S4"))))
+        edit(doc)
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {re.escape(message)}$")):
+            script_from_dict(doc)
 
     def test_load_script(self, tmp_path):
         path = tmp_path / "s7.json"

@@ -370,7 +370,7 @@ class TestLoadRecord:
         save_record(load_record(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         trace = build_trace(load_record(p1))
-        assert SignalVar("fogIntensity").read(trace.scenes[0]) == 0.8
+        assert SignalVar("fogIntensity").readings((trace.scenes[0],))[0] == 0.8
 
 
 # Spellings of equal values, plain ones first. A zero may decode to 0, 0.0
@@ -984,15 +984,15 @@ class TestBuildTrace:
     def test_single_frame(self):
         trace = build_trace([frame_with(speed=50.0)])
         assert len(trace) == 1
-        assert SignalVar("speed").read(trace.scenes[0]) == 50.0
+        assert SignalVar("speed").readings((trace.scenes[0],))[0] == 50.0
 
     def test_ahead_geometry(self):
         ob = Obstacle(id="a", kind="vehicle", x=8.0, y=0.0, heading=0.0,
                       speed=20.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[ob])])
         scene = trace.scenes[0]
-        assert SignalVar("NPCAhead", 10).read(scene) > 0
-        assert SignalVar("NPCAhead", 5).read(scene) < 0
+        assert SignalVar("NPCAhead", 10).readings((scene,))[0] > 0
+        assert SignalVar("NPCAhead", 5).readings((scene,))[0] < 0
         # clearance: 8 m centre gap minus the two facing half-lengths
         sep = scene.nearest_npc_sep
         assert sep == pytest.approx(8.0 - 2.4 - 2.3, abs=1e-6)
@@ -1003,13 +1003,13 @@ class TestBuildTrace:
         wide = Obstacle(id="w", kind="vehicle", x=8.0, y=3.0, heading=0.0,
                         speed=0.0, half_len=2.3, half_wid=1.0)
         trace = build_trace([frame_with(obstacles=[behind, wide])])
-        assert SignalVar("NPCAhead", 50).read(trace.scenes[0]) < 0
+        assert SignalVar("NPCAhead", 50).readings((trace.scenes[0],))[0] < 0
 
     def test_ramp_speed_signal_matches_input(self):
         trace = build_trace(ramp_frames(91))
         assert len(trace) == 91
         for k in (0, 1, 55, 60, 90):
-            assert SignalVar("speed").read(trace.scenes[k]) == float(k)
+            assert SignalVar("speed").readings((trace.scenes[k],))[0] == float(k)
 
     def test_resample_at_native_dt_is_identity(self):
         frames = ramp_frames(40)
@@ -1025,9 +1025,9 @@ class TestBuildTrace:
 
     def test_stopped_threshold(self):
         trace = build_trace([frame_with(speed=0.4)])
-        assert SignalVar("stopped").read(trace.scenes[0]) > 0
+        assert SignalVar("stopped").readings((trace.scenes[0],))[0] > 0
         trace = build_trace([frame_with(speed=0.6)])
-        assert SignalVar("stopped").read(trace.scenes[0]) < 0
+        assert SignalVar("stopped").readings((trace.scenes[0],))[0] < 0
 
 
 def _any_real(rng):
@@ -1123,7 +1123,7 @@ class TestColumnReadings:
             column = var.readings(scenes)
             assert column.dtype == float and column.shape == (len(scenes),)
             got = [v.hex() for v in column.tolist()]
-            assert got == [var.read(scene).hex() for scene in scenes]
+            assert got == [var.readings((scene,))[0].hex() for scene in scenes]
             assert got == [float(read_ref(var, scene)).hex()
                            for scene in scenes]
 
@@ -1146,7 +1146,8 @@ class TestSceneValue:
         trace = build_trace([frame_with()])
         scene = trace.scenes[0]
         assert (scene.light_color, scene.gear) == ("off", "drive")
-        assert SignalVar("trafficLightColor").read(scene) == LIGHT_CODE["off"]
+        color = SignalVar("trafficLightColor").readings((scene,))[0]
+        assert color == LIGHT_CODE["off"]
 
 
 class TestNearestSep:
