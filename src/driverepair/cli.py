@@ -126,10 +126,8 @@ def prompt_cmd(record, spec, delta, out_dir):
     if not moments.located:
         raise click.ClickException("record does not violate the spec;"
                                    " nothing to prompt")
-    bundle = build_prompt(moments, frames, entry.name, entry.prose,
-                          record_id=Path(record).stem)
-    write_prompt(out_dir, bundle)
-    click.echo(f"wrote {Path(out_dir) / 'bundle.json'}")
+    write_prompt(out_dir, build_prompt(moments, frames, entry.prose))
+    click.echo(f"wrote {Path(out_dir) / 'prompt.txt'}")
 
 
 @main.command()

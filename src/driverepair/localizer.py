@@ -35,6 +35,7 @@ record's frame rate or gaps.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,14 +60,38 @@ class MomentsNotFoundError(LookupError):
 
 @dataclass(frozen=True)
 class CriticalMoments:
-    violation_step: int | None
-    near_miss_step: int | None
+    """A scan's prefix robustness and the near-miss threshold; the moments
+    and their gap follow from the two."""
     delta: float
     prefix_rho: tuple  # rho over prefixes k = 0 .. last step scanned
 
+    def __post_init__(self):
+        if not self.delta >= 0:     # also rejects NaN
+            raise ValueError(f"delta must be non-negative, got {self.delta!r}")
+
+    def _first_at_or_below(self, bound: float) -> int | None:
+        return next((k for k, rho in enumerate(self.prefix_rho)
+                     if rho <= bound), None)
+
+    @functools.cached_property
+    def violation_step(self) -> int | None:
+        return self._first_at_or_below(0.0)
+
+    @functools.cached_property
+    def near_miss_step(self) -> int | None:     # <= violation_step
+        return self._first_at_or_below(self.delta)
+
+    @functools.cached_property
+    def gap_seconds(self) -> float | None:
+        """The moments' step difference times STEP_S, to 0.1 s."""
+        if not self.located:
+            return None
+        steps = self.violation_step - self.near_miss_step
+        return round(steps * STEP_S * 10) / 10
+
     @property
     def located(self) -> bool:
-        return self.violation_step is not None and self.near_miss_step is not None
+        return self.violation_step is not None
 
 
 def _prefix_rhos(phi: Formula, trace: Trace):
@@ -103,13 +128,6 @@ def _prefix_rhos(phi: Formula, trace: Trace):
         rows *= 2
 
 
-def first_at_or_below(prefix_rho, delta: float) -> int | None:
-    """The first k with prefix_rho[k] <= delta, or None."""
-    if not delta >= 0:      # also rejects NaN
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
-    return next((k for k, rho in enumerate(prefix_rho) if rho <= delta), None)
-
-
 def locate(phi: Formula, trace: Trace,
            delta: float = DEFAULT_DELTA) -> CriticalMoments:
     """Search from k = 0 for the first near-miss and violation; the scan
@@ -119,17 +137,14 @@ def locate(phi: Formula, trace: Trace,
         rhos.append(rho)
         if rho <= 0:
             break
-    return CriticalMoments(violation_step=first_at_or_below(rhos, 0.0),
-                           near_miss_step=first_at_or_below(rhos, delta),
-                           delta=delta, prefix_rho=tuple(rhos))
+    return CriticalMoments(delta=delta, prefix_rho=tuple(rhos))
 
 
 def moment_frames(moments: CriticalMoments, frames) -> tuple:
-    """Raw frames behind both located moments plus the gap in seconds.
+    """Raw frames behind both located moments, near miss first.
 
     `frames` are the ones the located trace was built from; each moment's
-    frame is the one `build_trace` took for that step. The gap is the step
-    difference times STEP_S, rounded to 0.1 s.
+    frame is the one `build_trace` took for that step.
     """
     if not moments.located:
         raise MomentsNotFoundError("both moments must be located first")
@@ -138,8 +153,5 @@ def moment_frames(moments: CriticalMoments, frames) -> tuple:
     index = step_frames(frames)
     if moments.violation_step >= len(index):   # near miss <= violation
         raise MomentsNotFoundError("the moments lie past the last frame")
-    near = frames[index[moments.near_miss_step]]
-    viol = frames[index[moments.violation_step]]
-    steps = moments.violation_step - moments.near_miss_step
-    gap = round(steps * STEP_S * 10) / 10
-    return near, viol, gap
+    return (frames[index[moments.near_miss_step]],
+            frames[index[moments.violation_step]])

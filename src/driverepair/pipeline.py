@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .localizer import DEFAULT_DELTA, first_at_or_below, locate
+from .localizer import DEFAULT_DELTA, locate
 from .mudrive import pretty_print
-from .promptgen import PromptBundle, build_prompt, bundle_to_json
+from .promptgen import PromptBundle, build_prompt
 from .repair_llm import MockBackend, batch_generate
 from .simulator import (
     PAIRED_SPECS,
@@ -28,7 +28,7 @@ from .simulator import (
 )
 from .simulator.engine import OUTCOME_REACHED
 from .spec_lang import parse_spec, resolve_spec, robustness
-from .trace_model import build_trace, frame_to_line, load_record
+from .trace_model import build_trace, load_record, record_bytes
 
 REPORT_VERSION = 2
 
@@ -83,7 +83,7 @@ def _write_run(out_dir, record_id: str, files: dict, report: dict) -> dict:
     """Add report.json to `files` (relative path -> bytes), write them all
     into the run directory named by their digest (see the module docstring)
     and return the report with `run_dir` set."""
-    files["report.json"] = _json_bytes(report)
+    files["report.json"] = json.dumps(report, indent=2).encode()
     paths = sorted(files)
     digest = hashlib.sha256()
     for path in paths:
@@ -97,24 +97,15 @@ def _write_run(out_dir, record_id: str, files: dict, report: dict) -> dict:
     return report
 
 
-def _json_bytes(doc) -> bytes:
-    return json.dumps(doc, indent=2).encode()
-
-
-def _record_bytes(frames) -> bytes:
-    # each line is encoded as it comes: the record is never held as text
-    return b"".join([frame_to_line(f).encode() for f in frames])
-
-
 def _prompt_files(bundle: PromptBundle) -> dict:
-    """The two moment images and the bundle JSON, by file name."""
+    """The two moment images and the prompt text, as sent, by file name."""
     return {"near_miss.svg": bundle.images[0].encode(),
             "violation.svg": bundle.images[1].encode(),
-            "bundle.json": bundle_to_json(bundle).encode()}
+            "prompt.txt": bundle.text.encode()}
 
 
 def write_prompt(out_dir, bundle: PromptBundle):
-    """Write the two moment images and the bundle JSON into `out_dir`."""
+    """Write the two moment images and the prompt text into `out_dir`."""
     for name, data in _prompt_files(bundle).items():
         _write(Path(out_dir) / name, data)
 
@@ -157,7 +148,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
     share its `replay` and `metrics_delta` objects: treat them as read-only."""
     (spec_entry, phi, nc_phi, frames, record_id, script,
      baseline_outcome) = _prepare(cfg)
-    files = {"record.jsonl": _record_bytes(frames)}
+    files = {"record.jsonl": record_bytes(frames)}
 
     trace = build_trace(frames)
     rho_before = robustness(phi, trace)
@@ -196,18 +187,17 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
             "prefix robustness is non-monotone for this spec; the reported"
             " moments are the first crossings")
 
-    bundle = build_prompt(moments, frames, spec_entry.name, spec_entry.prose,
-                          record_id=record_id)
+    bundle = build_prompt(moments, frames, spec_entry.prose)
     files.update((f"prompt/{name}", data)
                  for name, data in _prompt_files(bundle).items())
     report["moments"] = {
         "violation_step": moments.violation_step,
         "near_miss_step": moments.near_miss_step,
-        "gap_seconds": bundle.meta["gap_seconds"],
+        "gap_seconds": moments.gap_seconds,
         "prefix_rho": list(rhos),
     }
     report["prompt"] = {
-        "bundle": "prompt/bundle.json",
+        "text": "prompt/prompt.txt",
         "images": ["prompt/near_miss.svg", "prompt/violation.svg"],
     }
 
@@ -227,7 +217,7 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
             continue
         record = f"replays/{stem}.jsonl"
         replay, replay_frames = _replay(script, program, phi, nc_phi, record)
-        files[record] = _record_bytes(replay_frames)
+        files[record] = record_bytes(replay_frames)
         doc["replay"] = replay
         doc["metrics_delta"] = {
             key: (replay["metrics"][key] - baseline_metrics[key])
@@ -241,9 +231,6 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
                    "cost_usd": cand.cost_usd,
                    **shared[cand.program]}
                   for i, cand in enumerate(batch.candidates)]
-    costs = [{key: c[key] for key in ("index", "seed", "input_tokens",
-                                      "output_tokens", "cost_usd")}
-             for c in candidates]
     fixed_count = sum(c["replay"]["fixed"] for c in candidates if c["replay"])
 
     report["candidates"] = candidates
@@ -251,7 +238,6 @@ def cmd_repair(cfg: PipelineConfig) -> dict:
         {"seed": seed, "error": msg} for seed, msg in batch.failures]
     report["distinct_programs"] = batch.distinct_programs
     report["total_cost_usd"] = batch.total_cost_usd
-    files["costs.json"] = _json_bytes(costs)
 
     if script is not None:
         report["fix_rate"] = fixed_count / len(candidates) if candidates else 0.0
@@ -275,15 +261,13 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
     fixed = {}      # program -> verdict, so each is replayed once
     rows = []
     for delta in deltas:
-        moments = replace(base, delta=delta, near_miss_step=first_at_or_below(
-            base.prefix_rho, delta))
+        moments = replace(base, delta=delta)
         row = {"delta": delta,
                "near_miss_step": moments.near_miss_step,
                "violation_step": moments.violation_step,
                "fixed": None}
         if moments.located and script is not None:
-            bundle = build_prompt(moments, frames, spec_entry.name,
-                                  spec_entry.prose, record_id=record_id)
+            bundle = build_prompt(moments, frames, spec_entry.prose)
             batch = batch_generate(bundle, 1, cfg.backend, cfg.base_seed)
             if batch.candidates:
                 program = batch.candidates[0].program

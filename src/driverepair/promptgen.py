@@ -7,11 +7,10 @@ material and as the surrogate token source for cost accounting.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .localizer import CriticalMoments, MomentsNotFoundError, moment_frames
+from .localizer import CriticalMoments, moment_frames
 from .mudrive.catalog import ACTIONS, DEFAULT_PARAMS
 from .trace_model import EGO_HALF_LEN, EGO_HALF_WID, FAR, RawRecordFrame
 
@@ -41,8 +40,6 @@ BACKGROUND_TEXT = (
 class PromptBundle:
     segments: dict          # six named text segments, fixed order
     images: tuple           # (near_miss_svg, violation_svg)
-    meta: dict              # record_id, spec_name, gap_seconds, steps,
-                            # delta; sent to no backend
 
     @property
     def text(self) -> str:
@@ -178,37 +175,23 @@ def _default_segment() -> str:
     return "In the original ADS, the initial settings are: " + ", ".join(bits) + "."
 
 
-def build_prompt(moments: CriticalMoments, frames, spec_name: str,
-                 spec_text: str, record_id: str = "record") -> PromptBundle:
-    """Assemble the six segments and both moment renderings."""
-    if not moments.located:
-        raise MomentsNotFoundError("cannot build a prompt without both moments")
-    near_frame, violation_frame, gap = moment_frames(moments, frames)
+def build_prompt(moments: CriticalMoments, frames,
+                 spec_text: str) -> PromptBundle:
+    """Assemble the six segments and both moment renderings; moments that
+    were not located raise `MomentsNotFoundError`."""
+    near_frame, violation_frame = moment_frames(moments, frames)
 
     segments = {
         "identity": "Suppose you are a driver.",
         "weather": _weather_segment(violation_frame),
         "background": BACKGROUND_TEXT,
         "rule": "You are supposed to follow the following rule: " + spec_text,
-        "sequence": f"The second picture was taken {_gap_text(gap)} seconds"
-                    " later than the first picture, capturing the moment when"
-                    " the rule violation occurred.",
+        "sequence": "The second picture was taken"
+                    f" {_gap_text(moments.gap_seconds)} seconds later than"
+                    " the first picture, capturing the moment when the rule"
+                    " violation occurred.",
         "default": _default_segment(),
     }
     images = (render_moment(near_frame), render_moment(violation_frame))
-    meta = {
-        "record_id": record_id,
-        "spec_name": spec_name,
-        "gap_seconds": gap,
-        "near_miss_step": moments.near_miss_step,
-        "violation_step": moments.violation_step,
-        "delta": moments.delta,
-    }
-    return PromptBundle(segments=segments, images=images, meta=meta)
-
-
-def bundle_to_json(bundle: PromptBundle) -> str:
-    doc = {"segments": {k: bundle.segments[k] for k in SEGMENT_ORDER},
-           "images": list(bundle.images), "meta": bundle.meta}
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return PromptBundle(segments=segments, images=images)
 

@@ -243,8 +243,8 @@ class MockBackend:
     """Offline deterministic backend: same bundle and seed, same bytes.
 
     It reads `bundle.text` and `bundle.images`, as `LiveBackend` sends
-    them, and never `bundle.meta`. It encodes each schema object it is
-    sent once, so a schema must not change once sent."""
+    them. It encodes each schema object it is sent once, so a schema must
+    not change once sent."""
 
     name = "mock"
     VARIANTS = 3

@@ -194,6 +194,13 @@ class ScenarioScript:
 
     @_raises_scenario_error
     def __post_init__(self):
+        for name in ("lane_segments", "junctions", "stop_signs"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple (a list in a"
+                                 f" document), got {getattr(self, name)!r}")
+        if not isinstance(self.description, str):
+            raise ValueError("description must be a string,"
+                             f" got {self.description!r}")
         w = self.weather     # checked here: records build one per frame
         for name, values in {
                 "route_len_m": [self.route_len_m], "duration_s": [self.duration_s],

@@ -472,10 +472,21 @@ def frame_to_line(frame: RawRecordFrame) -> str:
             f'"is_changing_lane":{_bool(m.is_changing_lane)}}}}}\n')
 
 
+def _encoded_lines(frames):
+    # each line is encoded as it comes: a record is never held as text
+    return (frame_to_line(f).encode() for f in frames)
+
+
+def record_bytes(frames) -> bytes:
+    """The record of `frames` as canonical JSONL bytes."""
+    return b"".join(_encoded_lines(frames))
+
+
 def save_record(frames, path) -> None:
-    """Write frames as canonical JSONL, one line at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(frame_to_line, frames))
+    """Write `record_bytes(frames)` to `path` a line at a time (a long
+    record is never held whole), in binary mode: no line end changes."""
+    with open(path, "wb") as fh:
+        fh.writelines(_encoded_lines(frames))
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def repair_results(baseline_runs, specs):
         spec_name = PAIRED_SPECS[sid]
         phi = specs[spec_name]
         moments = locate(phi, run["trace"], delta=15.0)
-        bundle = build_prompt(moments, run["frames"], spec_name,
-                              resolve_spec(spec_name).prose, record_id=sid)
+        bundle = build_prompt(moments, run["frames"],
+                              resolve_spec(spec_name).prose)
         batch = batch_generate(bundle, 3, MockBackend(), base_seed=0)
         replays = []
         for cand in batch.candidates:

@@ -147,9 +147,7 @@ def test_criterion_4_pipeline_efficacy():
 
         moments = locate(phi, trace, delta=15.0)
         assert moments.located, script.id
-        bundle = build_prompt(moments, frames, spec_name,
-                              resolve_spec(spec_name).prose,
-                              record_id=script.id)
+        bundle = build_prompt(moments, frames, resolve_spec(spec_name).prose)
         batch = batch_generate(bundle, 3, MockBackend(), base_seed=0)
         assert batch.candidates, script.id
 
@@ -181,8 +179,7 @@ def test_criterion_5_cost_accounting():
     frames, _ = run_scenario(script)
     trace = build_trace(frames)
     moments = locate(specs["law46"], trace, delta=15.0)
-    bundle = build_prompt(moments, frames, "law46",
-                          resolve_spec("law46").prose, record_id="S6")
+    bundle = build_prompt(moments, frames, resolve_spec("law46").prose)
     batch = batch_generate(bundle, 5, MockBackend())
     for cand in batch.candidates:
         assert cand.cost_usd < 0.08

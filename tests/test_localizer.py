@@ -19,6 +19,7 @@ from oracle_reference import rho_ref, step_frames_ref
 
 from driverepair import localizer
 from driverepair.localizer import (
+    CriticalMoments,
     MomentsNotFoundError,
     locate,
     moment_frames,
@@ -151,22 +152,49 @@ class TestPrefixScanStop:
             robustness_bounded(phi, trace, k).hex() for k in range(400)]
 
 
+class TestCriticalMoments:
+    def test_moments_follow_from_delta_and_prefix_rho(self):
+        assert [f.name for f in dataclasses.fields(CriticalMoments)] == [
+            "delta", "prefix_rho"]
+        moments = CriticalMoments(5.0, (20.0, 4.0, 3.0, -1.0))
+        assert (moments.near_miss_step, moments.violation_step) == (1, 3)
+        assert moments.located and moments.gap_seconds == 0.2
+        unlocated = CriticalMoments(5.0, (20.0, 4.0))
+        assert (unlocated.near_miss_step, unlocated.violation_step) == (1, None)
+        assert not unlocated.located and unlocated.gap_seconds is None
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_bad_delta_is_refused(self, delta):
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            CriticalMoments(delta, (1.0,))
+
+    # the scan stops at the violation, whatever delta is, so another
+    # threshold is the same scan with another delta
+    @pytest.mark.parametrize("sid", sorted(PAIRED_SPECS))
+    def test_another_delta_is_the_same_scan(self, baseline_runs, specs, sid):
+        phi, trace = specs[PAIRED_SPECS[sid]], baseline_runs[sid]["trace"]
+        base = locate(phi, trace, 15.0)
+        for delta in (0.0, 1.0, 5.0, 15.0, 30.0):
+            assert dataclasses.replace(base, delta=delta) == locate(
+                phi, trace, delta), delta
+
+
 class TestMomentFrames:
     def test_gap_for_ramp(self, cap60):
         frames = ramp_frames(91)
         trace = build_trace(frames)
         moments = locate(cap60, trace, delta=5.0)
-        near, viol, gap = moment_frames(moments, frames)
+        near, viol = moment_frames(moments, frames)
         assert near.ego.speed == 55.0
         assert viol.ego.speed == 60.0
-        assert gap == pytest.approx(0.5)
+        assert moments.gap_seconds == pytest.approx(0.5)
 
     def test_zero_gap(self, cap60):
         frames = ramp_frames(91)
         trace = build_trace(frames)
         moments = locate(cap60, trace, delta=0.0)
-        _, _, gap = moment_frames(moments, frames)
-        assert gap == 0.0
+        assert moment_frames(moments, frames)[0].ego.speed == 60.0
+        assert moments.gap_seconds == 0.0
 
     def test_missing_moments_raise(self, cap60):
         frames = ramp_frames(10)
@@ -196,8 +224,8 @@ class TestMomentFrames:
     def test_benchmark_gap_is_short_and_positive(self, baseline_runs, specs):
         run = baseline_runs["S1"]
         moments = locate(specs[PAIRED_SPECS["S1"]], run["trace"], delta=15.0)
-        _, _, gap = moment_frames(moments, run["frames"])
-        assert 0 < gap <= 10.0
+        moment_frames(moments, run["frames"])
+        assert 0 < moments.gap_seconds <= 10.0
 
     # S4 at 10 Hz locates law38_red at steps 99 (near miss) and 106. The
     # rendered frames are the ones the trace evaluated, at step * STEP_S, and
@@ -214,11 +242,11 @@ class TestMomentFrames:
         trace = build_trace(frames)
         moments = locate(specs[PAIRED_SPECS["S4"]], trace, delta=15.0)
         assert (moments.near_miss_step, moments.violation_step) == steps
-        near, viol, got_gap = moment_frames(moments, frames)
+        near, viol = moment_frames(moments, frames)
         assert (near.t, viol.t) == times
         assert near.scene is trace.scenes[moments.near_miss_step]
         assert viol.scene is trace.scenes[moments.violation_step]
-        assert got_gap == gap
+        assert moments.gap_seconds == gap
 
 
 def _at_5hz(frames):

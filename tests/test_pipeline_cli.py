@@ -89,12 +89,46 @@ class TestCmdRepair:
         run_dir = Path(report["run_dir"])
         assert (run_dir / "report.json").exists()
         assert (run_dir / "record.jsonl").exists()
-        assert (run_dir / "prompt" / "near_miss.svg").exists()
-        assert (run_dir / "prompt" / "violation.svg").exists()
-        assert (run_dir / "costs.json").exists()
-        for cand in report["candidates"]:
+        assert report["prompt"] == {
+            "text": "prompt/prompt.txt",
+            "images": ["prompt/near_miss.svg", "prompt/violation.svg"]}
+        for path in (report["prompt"]["text"], *report["prompt"]["images"]):
+            assert (run_dir / path).exists()
+        # each candidate's cost lives in its report entry, and nowhere else
+        assert not (run_dir / "costs.json").exists()
+        for i, cand in enumerate(report["candidates"]):
+            assert cand["index"] == i and cand["seed"] == i
+            assert cand["cost_usd"] == cost_usd(cand["input_tokens"],
+                                                cand["output_tokens"])
             assert (run_dir / cand["program_file"]).exists()
             assert (run_dir / cand["replay"]["record"]).exists()
+
+    def test_run_dir_holds_each_fact_once(self, s6_report):
+        # the record, the report, the prompt as sent, and one program and
+        # one replay per distinct program
+        report, _ = s6_report
+        programs = {c["program_file"] for c in report["candidates"]}
+        replays = {c["replay"]["record"] for c in report["candidates"]}
+        assert len(programs) == len(replays) == report["distinct_programs"]
+        assert sorted(_tree(Path(report["run_dir"]))) == sorted({
+            "record.jsonl", "report.json", "prompt/near_miss.svg",
+            "prompt/violation.svg", "prompt/prompt.txt", *programs, *replays})
+
+    def test_prompt_text_is_what_the_backend_received(self, tmp_path):
+        sent = []
+
+        class Recording(MockBackend):
+            def complete(self, bundle, schema, seed, feedback=()):
+                sent.append((bundle.text, bundle.images))
+                return super().complete(bundle, schema, seed, feedback)
+
+        report = cmd_repair(PipelineConfig(
+            scenario="S6", n=2, out_dir=str(tmp_path), backend=Recording()))
+        files = _tree(Path(report["run_dir"]))
+        assert len(sent) == 2
+        assert set(sent) == {(files["prompt/prompt.txt"].decode(),
+                              (files["prompt/near_miss.svg"].decode(),
+                               files["prompt/violation.svg"].decode()))}
 
     def test_report_paths_are_relative(self, s6_report):
         report, _ = s6_report
@@ -423,11 +457,12 @@ class TestCli:
         result = runner.invoke(main, ["prompt", "--record", str(record),
                                       "--spec", "law46", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert (out / "near_miss.svg").exists()
-        assert (out / "violation.svg").exists()
-        doc = json.loads((out / "bundle.json").read_text())
-        assert list(doc["segments"]) == ["identity", "weather", "background",
-                                         "rule", "sequence", "default"]
+        assert result.output == f"wrote {out / 'prompt.txt'}\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "near_miss.svg", "prompt.txt", "violation.svg"]
+        text = (out / "prompt.txt").read_text(encoding="utf-8")
+        assert text.startswith("Suppose you are a driver.\n\n")
+        assert text.count("\n\n") == 5       # six segments
 
     def test_repair_exit_code_ok(self, tmp_path):
         runner = CliRunner()
@@ -436,8 +471,9 @@ class TestCli:
         assert result.exit_code == 0, result.output
 
     def test_prompt_matches_the_pipeline_prompt_dir(self, s6_report, tmp_path):
+        # no prompt file names the record, so its file name does not matter
         frames, _ = run_scenario(scenario_by_id("S6"))
-        record = tmp_path / "S6.jsonl"
+        record = tmp_path / "s6.jsonl"
         save_record(frames, record)
         out = tmp_path / "prompt"
         result = CliRunner().invoke(main, ["prompt", "--record", str(record),

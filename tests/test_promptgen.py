@@ -1,4 +1,4 @@
-import json
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -9,7 +9,6 @@ from driverepair.localizer import MomentsNotFoundError, locate
 from driverepair.promptgen import (
     SEGMENT_ORDER,
     build_prompt,
-    bundle_to_json,
     render_moment,
 )
 from driverepair.simulator import PAIRED_SPECS
@@ -101,8 +100,7 @@ def located_bundle(weather=None, delta=5.0):
                                  map_ctx=f.map_ctx) for f in frames]
     trace = build_trace(frames)
     moments = locate(parse_spec("G (speed < 60)"), trace, delta=delta)
-    return build_prompt(moments, frames, "speed_cap", "Keep under the limit.",
-                        record_id="ramp")
+    return build_prompt(moments, frames, "Keep under the limit.")
 
 
 class TestBuildPrompt:
@@ -125,8 +123,7 @@ class TestBuildPrompt:
         frames = ramp_frames(91)
         trace = build_trace(frames)
         moments = locate(parse_spec("G (speed < 60)"), trace, delta=40.0)
-        bundle = build_prompt(moments, frames, "speed_cap", "slow",
-                              record_id="ramp")
+        bundle = build_prompt(moments, frames, "slow")
         assert moments.violation_step - moments.near_miss_step == 40
         assert "4 seconds later" in bundle.segments["sequence"]
 
@@ -138,9 +135,8 @@ class TestBuildPrompt:
         frames = resample(baseline_runs["S4"]["frames"])
         moments = locate(specs[PAIRED_SPECS["S4"]], build_trace(frames),
                          delta=15.0)
-        bundle = build_prompt(moments, frames, "law38_red", "stop at red",
-                              record_id="S4")
-        assert bundle.meta["gap_seconds"] == gap
+        bundle = build_prompt(moments, frames, "stop at red")
+        assert moments.gap_seconds == gap
         assert f"{gap:g} seconds later" in bundle.segments["sequence"]
         assert "t = 9.9 s" in bundle.images[0]
         assert "t = 10.6 s" in bundle.images[1]
@@ -178,13 +174,13 @@ class TestBuildPrompt:
         trace = build_trace(frames)
         moments = locate(parse_spec("G (speed < 60)"), trace, delta=5.0)
         with pytest.raises(MomentsNotFoundError):
-            build_prompt(moments, frames, "cap", "slow")
+            build_prompt(moments, frames, "slow")
 
-    def test_json_envelope_roundtrip(self):
+    def test_bundle_holds_only_what_a_backend_is_sent(self):
+        # the segments, joined as `text`, and the two images; the moments
+        # and the gap are read from `CriticalMoments`
         bundle = located_bundle()
-        doc = json.loads(bundle_to_json(bundle))
-        assert list(doc) == ["segments", "images", "meta"]
-        assert list(doc["segments"]) == list(SEGMENT_ORDER)
-        assert doc["segments"] == bundle.segments
-        assert tuple(doc["images"]) == bundle.images
-        assert doc["meta"] == bundle.meta
+        assert [f.name for f in dataclasses.fields(bundle)] == [
+            "segments", "images"]
+        assert bundle.text == "\n\n".join(bundle.segments[k]
+                                           for k in SEGMENT_ORDER)

@@ -1,11 +1,10 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 import requests
 
-from driverepair.mudrive import catalog, emit_schema, validate
+from driverepair.mudrive import catalog, validate
 from driverepair.mudrive import schema as program_schema
 from driverepair.mudrive.grammar import parse_program, pretty_print
 from driverepair.repair_llm import (
@@ -50,17 +49,6 @@ class TestMockBackend:
         a, usage_a = backend.complete(bundle, schema, seed=0)
         b, usage_b = backend.complete(bundle, schema, seed=0)
         assert a == b and usage_a == usage_b
-
-    @pytest.mark.parametrize("seed", range(MockBackend.VARIANTS))
-    def test_answer_rests_on_text_and_images_alone(self, repair_results,
-                                                   seed):
-        # what a live model is sent decides the answer; meta is never read
-        schema = emit_schema()
-        for sid, result in repair_results.items():
-            bundle = result["bundle"]
-            assert (MockBackend().complete(bundle, schema, seed)
-                    == MockBackend().complete(replace(bundle, meta={}),
-                                              schema, seed)), sid
 
     def test_each_schema_is_priced_by_its_own_length(self, repair_results):
         # the surrogate is ceil(characters / 4) over everything sent, the

@@ -522,6 +522,29 @@ class TestScenarioFiles:
                 rf"^bad scenario document: {re.escape(message)}$")):
             script_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("junctions", {}, "junctions must be a tuple (a list in a document),"
+                          " got {}"),
+        ("stop_signs", "", "stop_signs must be a tuple (a list in a"
+                           " document), got ''"),
+        ("lane_segments", 7, "lane_segments must be a tuple (a list in a"
+                             " document), got 7.0"),
+        ("description", 5, "description must be a string, got 5.0"),
+    ])
+    def test_value_of_the_wrong_shape_is_refused(self, key, value, message):
+        # each would be kept as read, and the script could not be hashed
+        doc = {"id": "x", "route_len_m": 100, key: value}
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {re.escape(message)}$")):
+            script_from_dict(doc)
+
+    def test_script_built_with_a_list_is_refused(self):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "junctions must be a tuple (a list in a document),"
+                " got [(120.0, 146.0)]")):
+            ScenarioScript(id="x", route_len_m=200.0,
+                           junctions=[(120.0, 146.0)])
+
     def test_load_script(self, tmp_path):
         path = tmp_path / "s7.json"
         path.write_text(json.dumps(script_to_dict(scenario_by_id("S7"))),

@@ -905,6 +905,25 @@ class TestRecordWriter:
             save_record(frames, path)
             assert path.read_bytes() == "".join(want).encode()
 
+    def test_save_record_writes_record_bytes_in_binary_mode(self, tmp_path,
+                                                            monkeypatch):
+        # a text-mode file would turn each "\n" into "\r\n" on some
+        # platforms, and the saved record would differ from a run
+        # directory's record.jsonl
+        modes = []
+
+        def spy_open(path, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(trace_model, "open", spy_open, raising=False)
+        frames = list(_odd_frames(random.Random(7), 50))
+        save_record(frames, tmp_path / "rec.jsonl")
+        assert modes == ["wb"]
+        assert ((tmp_path / "rec.jsonl").read_bytes()
+                == trace_model.record_bytes(frames)
+                == "".join(map(frame_line_ref, frames)).encode())
+
     def test_frames_made_while_writing_match_reference(self, tmp_path):
         # frames dropped once written free their obstacles, whose ids the
         # obstacles of later frames may take
