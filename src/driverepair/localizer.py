@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spec_lang import Always, Formula, _eval, _hi, horizon
-from .trace_model import STEP_S, Trace, step_frames
+from .trace_model import STEP_S, Trace, require_non_negative, step_frames
 
 DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
 
@@ -52,6 +52,12 @@ DEFAULT_DELTA = 15.0        # near-miss threshold on prefix robustness
 # early violation stops the scan after little work.
 _BLOCK_ELEMENTS = 1 << 16
 _FIRST_BLOCK_ROWS = 4
+
+
+def require_delta(delta):
+    """`delta`, the near-miss threshold; a ValueError unless delta >= 0
+    (NaN is not)."""
+    return require_non_negative(delta, "delta")
 
 
 class MomentsNotFoundError(LookupError):
@@ -66,8 +72,7 @@ class CriticalMoments:
     prefix_rho: tuple  # rho over prefixes k = 0 .. last step scanned
 
     def __post_init__(self):
-        if not self.delta >= 0:     # also rejects NaN
-            raise ValueError(f"delta must be non-negative, got {self.delta!r}")
+        require_delta(self.delta)
 
     def _first_at_or_below(self, bound: float) -> int | None:
         return next((k for k, rho in enumerate(self.prefix_rho)

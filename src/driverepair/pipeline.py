@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .localizer import DEFAULT_DELTA, locate
+from .localizer import DEFAULT_DELTA, locate, require_delta
 from .mudrive import pretty_print
 from .promptgen import PromptBundle, build_prompt
 from .repair_llm import MockBackend, batch_generate
@@ -50,8 +50,7 @@ class PipelineConfig:
     backend: object = field(default_factory=MockBackend)
 
     def __post_init__(self):
-        if not self.delta >= 0:     # also rejects NaN
-            raise ValueError(f"delta must be non-negative, got {self.delta!r}")
+        require_delta(self.delta)
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
         if not (self.record or self.scenario):
@@ -67,7 +66,8 @@ class PipelineConfig:
 
 def locate_record(record, spec: str, delta: float):
     """Load a record and locate its moments; returns (spec entry, frames,
-    moments)."""
+    moments). A bad delta is refused before any of that work."""
+    require_delta(delta)
     entry = resolve_spec(spec)
     frames = load_record(record)
     moments = locate(parse_spec(entry.stl), build_trace(frames), delta)

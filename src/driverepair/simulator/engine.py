@@ -31,6 +31,18 @@ equal by `==` hold equal bits, because no key float is -0.0, the one float
 `==` to a float of other bits: `_round4` adds 0.0, which turns -0.0 into
 0.0, and it rounds s >= 0, a lateral offset between 0 and BORROW_OFFSET and
 a distance to the junction >= 0; the heading is the literal 0.0.
+
+A frame's ego pose, map context and light state are built again only when
+what they are built from changes, and a standing ego repeats all three
+tick after tick. The pose is kept while the unrounded s, offset, v, prev_v
+and steering are equal, the map context while s and the lane-change flag
+are, and the light state while the light, its colour at the tick and s
+are. Consecutive frames then hold the same objects, and the record writer
+writes such a part once (`trace_model.record_bytes`). The keys are never
+rounded values: `_round4` rounds an accel of -1e-05 to -0.0, which is `==`
+0.0, so a pose kept on rounded equality would write 0.0 in its place.
+Unrounded floats that are `==` but differ in bits are 0.0 and -0.0, which
+`_round4` writes alike.
 """
 from __future__ import annotations
 
@@ -131,6 +143,9 @@ class _World:
         self.borrow_past_s = 0.0
         self.blocked_time = 0.0
         self.signs = [_SignState() for _ in script.stop_signs]
+        # the last ego pose, map context and light state built, each as
+        # (the unrounded inputs it was built from, the value)
+        self._ego = self._map_ctx = self._light = (None, None)
 
     # -- frame emission -----------------------------------------------------
 
@@ -148,31 +163,38 @@ class _World:
         light = self.current_light()
         light_state = None
         if light is not None:
-            light_state = TrafficLightState(
-                light.color_at(tick), _round4(light.stopline_s - self.s))
-
-        signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
-        dist_sign = min(signs_ahead) - self.s if signs_ahead else FAR
+            key = (light, light.color_at(tick), self.s)
+            if key != self._light[0]:
+                self._light = key, TrafficLightState(
+                    key[1], _round4(light.stopline_s - self.s))
+            light_state = self._light[1]
 
         changing = abs(self.offset_goal - self.offset) > 1e-9
         steering = 0.0
         if changing:
             steering = 6.0 if self.offset_goal > self.offset else -6.0
 
-        accel = (self.v - self.prev_v) / DT
+        key = (self.s, self.offset, self.v, self.prev_v, steering)
+        if key != self._ego[0]:
+            accel = (self.v - self.prev_v) / DT
+            self._ego = key, EgoPose(
+                _round4(self.s), _round4(self.offset), 0.0,
+                _round4(self.v * 3.6), _round4(accel), _round4(steering),
+                "drive")
 
-        ego = EgoPose(_round4(self.s), _round4(self.offset), 0.0,
-                      _round4(self.v * 3.6), _round4(accel),
-                      _round4(steering), "drive")
-        map_ctx = MapContext(
-            script.junction_at(self.s) is not None,
-            _round4(script.dist_to_junction(self.s)),
-            script.lane_kind_at(self.s),
-            _round4(max(0.0, script.route_len_m - self.s)),     # to dest
-            _round4(max(0.0, dist_sign)),                       # to stop sign
-            changing)
-        return RawRecordFrame(t, ego, obstacles, light_state, script.weather,
-                              map_ctx)
+        key = (self.s, changing)
+        if key != self._map_ctx[0]:
+            signs_ahead = [s for s in script.stop_signs if s >= self.s - 1.0]
+            dist_sign = min(signs_ahead) - self.s if signs_ahead else FAR
+            self._map_ctx = key, MapContext(
+                script.junction_at(self.s) is not None,
+                _round4(script.dist_to_junction(self.s)),
+                script.lane_kind_at(self.s),
+                _round4(max(0.0, script.route_len_m - self.s)),  # to dest
+                _round4(max(0.0, dist_sign)),                    # to stop sign
+                changing)
+        return RawRecordFrame(t, self._ego[1], obstacles, light_state,
+                              script.weather, self._map_ctx[1])
 
     # -- planner ------------------------------------------------------------
 

@@ -410,7 +410,13 @@ def load_record(path) -> list[RawRecordFrame]:
 # json.dumps(..., separators=(",", ":")) writes for the frame as nested
 # dicts: finite floats by float.__repr__, str by the ASCII-escaping string
 # encoder, True and False by identity (1 in a bool field stays 1), and any
-# other leaf (NaN, +-inf, an int, a non-str id, None) by json itself.
+# other leaf (NaN, +-inf, an int, a non-str id, None) by json itself. The
+# template fills in the text of each part of the frame (ego, obstacles,
+# light, weather, map context), which a part writer below writes. A line
+# writer (`_line_writer`) keeps each part's last object and text: while
+# consecutive frames hold the same object (`is`), as a simulated standing
+# ego's frames do and every frame of a script holds its one weather, the
+# text is written once. Each obstacle keeps its own text (`record_text`).
 _json_leaf = json.JSONEncoder(separators=(",", ":")).encode
 _float_text = float.__repr__
 _str_text = json.encoder.encode_basestring_ascii
@@ -449,32 +455,78 @@ def _obstacle_text(ob: Obstacle) -> str:
             f'"half_wid":{_num(ob.half_wid)},"predicted":[{points}]}}')
 
 
-def frame_to_line(frame: RawRecordFrame) -> str:
-    """One canonical JSONL line (compact separators, field order fixed);
-    each obstacle's part is its own `record_text`."""
-    e, tl, w, m = frame.ego, frame.traffic_light, frame.weather, frame.map_ctx
-    obstacles = ",".join([ob.record_text for ob in frame.obstacles])
-    light = "null" if tl is None else (
-        f'{{"color":{_str(tl.color)},'
-        f'"dist_to_stopline":{_num(tl.dist_to_stopline)}}}')
-    return (f'{{"t":{_num(frame.t)},"ego":{{"x":{_num(e.x)},"y":{_num(e.y)},'
-            f'"heading":{_num(e.heading)},"speed":{_num(e.speed)},'
-            f'"accel":{_num(e.accel)},"steering":{_num(e.steering)},'
-            f'"gear":{_str(e.gear)}}},"obstacles":[{obstacles}],'
-            f'"traffic_light":{light},"weather":{{"rain":{_num(w.rain)},'
-            f'"fog":{_num(w.fog)},"snow":{_num(w.snow)},'
-            f'"visibility":{_num(w.visibility)}}},"map_ctx":{{'
-            f'"in_junction":{_bool(m.in_junction)},'
+def _ego_text(e: EgoPose) -> str:
+    return (f'{{"x":{_num(e.x)},"y":{_num(e.y)},"heading":{_num(e.heading)},'
+            f'"speed":{_num(e.speed)},"accel":{_num(e.accel)},'
+            f'"steering":{_num(e.steering)},"gear":{_str(e.gear)}}}')
+
+
+def _obstacles_text(obstacles: tuple) -> str:
+    return ",".join([ob.record_text for ob in obstacles])
+
+
+def _light_text(tl: TrafficLightState | None) -> str:
+    if tl is None:
+        return "null"
+    return (f'{{"color":{_str(tl.color)},'
+            f'"dist_to_stopline":{_num(tl.dist_to_stopline)}}}')
+
+
+def _weather_text(w: WeatherState) -> str:
+    return (f'{{"rain":{_num(w.rain)},"fog":{_num(w.fog)},'
+            f'"snow":{_num(w.snow)},"visibility":{_num(w.visibility)}}}')
+
+
+def _map_text(m: MapContext) -> str:
+    return (f'{{"in_junction":{_bool(m.in_junction)},'
             f'"dist_to_junction":{_num(m.dist_to_junction)},'
             f'"lane_kind":{_str(m.lane_kind)},'
             f'"dist_to_dest":{_num(m.dist_to_dest)},'
             f'"dist_to_stop_sign":{_num(m.dist_to_stop_sign)},'
-            f'"is_changing_lane":{_bool(m.is_changing_lane)}}}}}\n')
+            f'"is_changing_lane":{_bool(m.is_changing_lane)}}}')
+
+
+def _kept(write):
+    """`write`, returning its last text again while it is called on the
+    same object as last time. Holding that object keeps its id from
+    passing to another."""
+    last, text = object(), ""
+
+    def text_of(part):
+        nonlocal last, text
+        if part is not last:
+            last, text = part, write(part)
+        return text
+    return text_of
+
+
+def _line_writer():
+    """A writer of frame lines that writes each part's text once while
+    consecutive frames hold that same part."""
+    ego, obstacles, light, weather, map_ctx = map(_kept, (
+        _ego_text, _obstacles_text, _light_text, _weather_text, _map_text))
+
+    def line(frame: RawRecordFrame) -> str:
+        # tuple() is the tuple itself, and a new one for a list, whose
+        # items may change while it stays the same object
+        return (f'{{"t":{_num(frame.t)},"ego":{ego(frame.ego)},'
+                f'"obstacles":[{obstacles(tuple(frame.obstacles))}],'
+                f'"traffic_light":{light(frame.traffic_light)},'
+                f'"weather":{weather(frame.weather)},'
+                f'"map_ctx":{map_ctx(frame.map_ctx)}}}\n')
+    return line
+
+
+def frame_to_line(frame: RawRecordFrame) -> str:
+    """One canonical JSONL line (compact separators, field order fixed);
+    each obstacle's part is its own `record_text`."""
+    return _line_writer()(frame)
 
 
 def _encoded_lines(frames):
     # each line is encoded as it comes: a record is never held as text
-    return (frame_to_line(f).encode() for f in frames)
+    line = _line_writer()
+    return (line(f).encode() for f in frames)
 
 
 def record_bytes(frames) -> bytes:

@@ -691,6 +691,24 @@ class TestCli:
                 assert message in result.output, result.output
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, delta, shown", [
+        ("localize", "nan", "nan"), ("localize", "-1", "-1.0"),
+        ("prompt", "nan", "nan"), ("prompt", "-1", "-1.0"),
+    ])
+    def test_bad_delta_is_refused_before_the_record_is_read(
+            self, tmp_path, command, delta, shown):
+        record = tmp_path / "garbage.jsonl"
+        record.write_text("not json\n", encoding="utf-8")
+        args = [command, "--record", str(record), "--spec", "law46",
+                "--delta", delta]
+        if command == "prompt":
+            args += ["--out", str(tmp_path / "prompt")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == (f"Error: delta must be non-negative,"
+                                 f" got {shown}\n")
+        assert not (tmp_path / "prompt").exists()
+
     @pytest.mark.parametrize("command, text, message", [
         ("localize", '{"t":0,"ego":{"x":0,"y":0,"heading":0,"speed":1},'
                      '"weather":[]}',

@@ -41,6 +41,7 @@ from driverepair.trace_model import (
     RawRecordFrame,
     WeatherState,
     build_trace,
+    record_bytes,
 )
 
 RED_LIGHT_FIX = """
@@ -239,6 +240,52 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match=r"^lights\.schedule must not"
                                                 r" be empty$"):
             LightSpec(148.0, 176.0, ())
+
+
+class TestFrameParts:
+    """A frame's ego pose, map context and light state are built once while
+    the unrounded state they are built from repeats (`_World.emit_frame`)."""
+
+    def test_standing_ego_shares_its_frame_parts(self):
+        frames, _ = run_scenario(scenario_by_id("S4"),
+                                 parse_program(RED_LIGHT_FIX))
+        standing = [(a, b) for a, b in zip(frames, frames[1:])
+                    if a.ego.speed == b.ego.speed == 0.0
+                    and a.ego.accel == b.ego.accel == 0.0
+                    and a.traffic_light.color == b.traffic_light.color == "red"]
+        assert len(standing) > 100
+        for a, b in standing:
+            assert b.ego is a.ego
+            assert b.map_ctx is a.map_ctx
+            assert b.traffic_light is a.traffic_light
+
+    def test_moving_ego_builds_its_frame_parts_anew(self):
+        frames, _ = run_scenario(scenario_by_id("S4"),
+                                 parse_program(RED_LIGHT_FIX))
+        moving = [(a, b) for a, b in zip(frames, frames[1:])
+                  if a.ego.speed > 0.0 and b.ego.speed > 0.0
+                  and b.traffic_light is not None]
+        assert len(moving) > 100
+        for a, b in moving:
+            assert b.ego is not a.ego
+            assert b.map_ctx is not a.map_ctx
+            assert b.traffic_light is not a.traffic_light
+
+    def test_accel_that_rounds_to_negative_zero_keeps_its_sign(self):
+        # -1e-05 rounds to -0.0, which == the 0.0 of the tick before, and
+        # the speed rounds alike: a pose kept on rounded values would be
+        # that tick's, and the record would read "accel":0.0
+        world = _World(scenario_by_id("S6"))
+        world.v = world.prev_v = 5.0
+        first = world.emit_frame(0)
+        world.prev_v, world.v = 5.0, 5.0 - 1e-6
+        second = world.emit_frame(1)
+        assert first.ego.speed == second.ego.speed
+        assert math.copysign(1.0, first.ego.accel) == 1.0
+        assert math.copysign(1.0, second.ego.accel) == -1.0
+        lines = record_bytes([first, second]).decode().splitlines()
+        assert '"accel":0.0,' in lines[0]
+        assert '"accel":-0.0,' in lines[1]
 
 
 def _onsets(frames, color):

@@ -890,6 +890,24 @@ def _odd_frames(rng, n):
                 is_changing_lane=_odd_flag(rng)))
 
 
+def _frames_sharing_parts(rng, n, back):
+    """n odd frames, each part of which is, at random, its own, the
+    previous frame's object (runs), or the object `back` frames back
+    (with back 2, an A, B, A pattern)."""
+    frames = []
+    for i, frame in enumerate(_odd_frames(rng, n)):
+        shared = {}
+        for name in ("ego", "obstacles", "traffic_light", "weather",
+                     "map_ctx"):
+            r = rng.random()
+            if r < 0.4 and i >= 1:
+                shared[name] = getattr(frames[i - 1], name)
+            elif r < 0.6 and i >= back:
+                shared[name] = getattr(frames[i - back], name)
+        frames.append(dataclasses.replace(frame, **shared))
+    return frames
+
+
 class TestRecordWriter:
     """Records are written through a template, and each obstacle keeps its
     own text for every frame that holds it; every line must equal the
@@ -904,6 +922,39 @@ class TestRecordWriter:
             path = tmp_path / f"rec{seed}.jsonl"
             save_record(frames, path)
             assert path.read_bytes() == "".join(want).encode()
+
+    @pytest.mark.parametrize("back", [1, 2, 3])
+    def test_record_bytes_of_frames_sharing_parts_match_reference(self,
+                                                                 back):
+        # the writer keeps a part's text while consecutive frames hold the
+        # same object; fresh parts, runs and A, B, A must all read as the
+        # reference writes them
+        written = ""
+        for seed in range(30):
+            frames = _frames_sharing_parts(random.Random(seed), 60, back)
+            want = "".join(map(frame_line_ref, frames))
+            assert "".join(map(frame_to_line, frames)) == want
+            assert trace_model.record_bytes(frames) == want.encode()
+            written += want
+        for leaf in (":-0.0,", ":NaN,", ":Infinity,", '"id":7,', '"gear":3}'):
+            assert leaf in written, leaf
+
+    def test_shared_parts_are_written_once(self, monkeypatch):
+        # a script's one weather is written once per record, and so is a
+        # standing ego's pose while its frames hold the same object
+        written = []
+        for name in ("_ego_text", "_weather_text"):
+            real = getattr(trace_model, name)
+            monkeypatch.setattr(trace_model, name,
+                                lambda part, real=real, name=name:
+                                written.append(name) or real(part))
+        frames, _ = run_scenario(scenario_by_id("S5"))
+        data = trace_model.record_bytes(frames)
+        assert data == "".join(map(frame_line_ref, frames)).encode()
+        assert written.count("_weather_text") == 1
+        egos = [f.ego for f in frames]
+        runs = 1 + sum(b is not a for a, b in zip(egos, egos[1:]))
+        assert written.count("_ego_text") == runs < len(frames)
 
     def test_save_record_writes_record_bytes_in_binary_mode(self, tmp_path,
                                                             monkeypatch):
@@ -972,7 +1023,10 @@ class TestRecordWriter:
         got = list(map(frame_to_line, frames()))
         assert [(line.count(f'"id":"a{i}"'), line.count(f'"id":"b{i}"'))
                 for i, line in enumerate(got)] == [(1, 1)] * 300
-        assert got == list(map(frame_line_ref, frames()))
+        want = list(map(frame_line_ref, frames()))
+        assert got == want
+        # one list object on every frame, its items new each time
+        assert trace_model.record_bytes(frames()) == "".join(want).encode()
 
     def test_obstacle_of_the_previous_frame_is_encoded_once(self,
                                                             monkeypatch):
