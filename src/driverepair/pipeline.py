@@ -255,6 +255,7 @@ def cmd_sweep_delta(cfg: PipelineConfig, deltas) -> dict:
     """Near-miss step and one-candidate fix verdict per threshold."""
     if not deltas:
         raise ValueError("need at least one delta")
+    deltas = [require_delta(delta) for delta in deltas]
     spec_entry, phi, nc_phi, frames, record_id, script, _ = _prepare(cfg)
     base = locate(phi, build_trace(frames), cfg.delta)
 

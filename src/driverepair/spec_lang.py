@@ -4,9 +4,10 @@ Binary operators, loosest first: `->` (right-associative), `|`, `&` and
 `U[l,u]` (until); then the prefixes `!`, `X` (next), `G[l,u]` (always) and
 `F[l,u]` (eventually). An interval counts trace steps; `[l,inf]` or no
 interval means unbounded. An atom is a comparison of linear expressions
-(`speed - 2 * accel < 80`), a lone enum variable compared with one of its
-values (`trafficLightColor == red`), a bare boolean or predicate variable
-(`stopped`, `dest(5)`), or `true` / `false`.
+over real variables (`speed - 2 * accel < 80`), an enum test `var == value`
+or `var != value` (`trafficLightColor == red`), a bare boolean or predicate
+variable (`stopped`, `dest(5)`), or `true` / `false`. An enum appears in no
+other way: not in an ordering, in arithmetic or beside a number.
 
 Evaluation yields a robustness degree: positive means satisfied, <= 0 means
 violated. For a comparison the linear expression f = lhs - rhs gives +f for
@@ -241,27 +242,45 @@ class _Parser:
         lit = self.take("true", "false")
         return self.atom() if lit is None else BoolLit(lit[1] == "true")
 
-    # atom := linexpr (cmp linexpr)? ; a lone term must be a boolean variable
+    # atom := enum ('==' | '!=') value | linexpr cmp linexpr | flag | predicate
     def atom(self):
         start = self.peek()[2]
         lhs = self.linexpr()
         cmp = self.take(*COMPARATORS)
-        if cmp is not None:
-            rhs = self.linexpr(enum_partner=lhs)
-            for _, var in lhs.terms + rhs.terms:
-                if catalog_kind(var.name) in ("bool", "pred"):
-                    raise SpecSyntaxError(f"{var.name} is a proposition and"
-                                          " cannot appear in arithmetic", start)
-            return Prop(lhs.minus(rhs), cmp[1])
         if len(lhs.terms) == 1 and lhs.const == 0.0 and lhs.terms[0][0] == 1.0:
             var = lhs.terms[0][1]
-            if catalog_kind(var.name) in ("bool", "pred"):
+            kind = catalog_kind(var.name)
+            if kind == "enum" and cmp is not None and cmp[1] in ("==", "!="):
+                _, val, pos = self.next()
+                try:
+                    code = enum_code(var.name, val)
+                except CatalogError as exc:
+                    raise SpecSyntaxError(exc.args[0], pos) from None
+                return Prop(LinExpr(((1.0, var),), 0.0 - code), cmp[1])
+            if kind == "enum":
+                raise SpecSyntaxError(f"{var.name} is an enum; test it with =="
+                                      " or != and one of its values", start)
+            if cmp is None and kind in ("bool", "pred"):
                 return PredAtom(var)
-            raise SpecSyntaxError(
-                f"{var.name} is numeric; compare it (e.g. {var.name} < 60)", start)
-        raise SpecSyntaxError("expected a comparison", start)
+            if cmp is None:
+                raise SpecSyntaxError(
+                    f"{var.name} is numeric; compare it (e.g. {var.name} < 60)", start)
+        elif cmp is None:
+            raise SpecSyntaxError("expected a comparison", start)
+        lhs = self.real(lhs, start)     # checked before the right side is read
+        return Prop(lhs.minus(self.real(self.linexpr(), start)), cmp[1])
 
-    def linexpr(self, enum_partner=None):
+    def real(self, expr, start):
+        """`expr`, if each of its terms is a real variable."""
+        for _, var in expr.terms:
+            kind = catalog_kind(var.name)
+            if kind != "real":
+                what = "an enum" if kind == "enum" else "a proposition"
+                raise SpecSyntaxError(f"{var.name} is {what} and cannot appear"
+                                      " in arithmetic", start)
+        return expr
+
+    def linexpr(self):
         terms = []
         const = 0.0
         while True:
@@ -278,34 +297,11 @@ class _Parser:
                 else:
                     const += coef
             elif kind == "name" and val not in _KEYWORDS:
-                enum_value = self._try_enum_literal(val, enum_partner, pos)
-                if enum_value is not None:
-                    self.next()
-                    const += sign * enum_value
-                else:
-                    terms.append((sign, self.variable()))
+                terms.append((sign, self.variable()))
             else:
                 raise SpecSyntaxError(f"expected a variable or number, found {val!r}", pos)
             if self.peek()[1] not in ("+", "-"):
                 return LinExpr(tuple(terms), const)
-
-    def _try_enum_literal(self, name, partner, pos):
-        """Resolve bare names like `red` against an enum variable on the lhs;
-        None for a variable. Any other name is not a value of the enum."""
-        if partner is None or len(partner.terms) != 1:
-            return None
-        pvar = partner.terms[0][1]
-        if catalog_kind(pvar.name) != "enum":
-            return None
-        try:
-            return enum_code(pvar.name, name)
-        except CatalogError as exc:
-            not_a_value = SpecSyntaxError(exc.args[0], pos)
-        try:
-            catalog_kind(name)      # a variable compared with the enum
-        except CatalogError:
-            raise not_a_value from None
-        return None
 
     def variable(self):
         kind, val, pos = self.next()

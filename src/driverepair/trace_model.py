@@ -748,9 +748,9 @@ def catalog_kind(name: str) -> str:
 
 def enum_code(name: str, literal: str) -> float:
     codes = _CATALOG[name].codes
-    if codes is None or literal not in codes:
-        valid = sorted(codes) if codes else []
-        raise CatalogError(f"{literal!r} is not a value of {name} (expected one of {valid})")
+    if literal not in codes:
+        raise CatalogError(f"{literal!r} is not a value of {name}"
+                           f" (expected one of {sorted(codes)})")
     return codes[literal]
 
 

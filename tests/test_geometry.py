@@ -193,3 +193,15 @@ class TestSegmentAabb:
     def test_degenerate_point(self):
         assert segment_hits_aabb(0.5, 0.5, 0.5, 0.5, 0, 1, 0, 1)
         assert not segment_hits_aabb(2, 2, 2, 2, 0, 1, 0, 1)
+
+    # A path that only touches the yield box is a conflict
+    @pytest.mark.parametrize("segment, box", [
+        ((0, -0.5, 0, 0.5), (0, 1, -1, 1)),
+        ((-1, 0, 0, 0), (0, 1, -1, 1)),
+        ((1, 0, 2, 0), (0, 1, -1, 1)),
+        ((-1, 1, 1, -1), (0, 1, 0, 1)),
+        ((-1, 0, 0, 1), (0, 1, 1, 2)),
+    ], ids=["along-the-left-edge", "ending-on-an-edge",
+            "leaving-from-an-edge", "through-a-corner", "ending-on-a-corner"])
+    def test_touching_counts_as_a_hit(self, segment, box):
+        assert segment_hits_aabb(*segment, *box)

@@ -709,6 +709,20 @@ class TestCli:
                                  f" got {shown}\n")
         assert not (tmp_path / "prompt").exists()
 
+    @pytest.mark.parametrize("deltas, shown", [("1,-1", "-1.0"),
+                                               ("nan", "nan")])
+    def test_sweep_delta_checks_every_delta_before_any_work(
+            self, monkeypatch, deltas, shown):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the scenario must not be simulated")
+
+        monkeypatch.setattr(pipeline, "run_scenario", no_work)
+        result = CliRunner().invoke(main, ["sweep-delta", "--scenario", "S6",
+                                           "--deltas", deltas])
+        assert result.exit_code == 1, result.output
+        assert result.output == (f"Error: delta must be non-negative,"
+                                 f" got {shown}\n")
+
     @pytest.mark.parametrize("command, text, message", [
         ("localize", '{"t":0,"ego":{"x":0,"y":0,"heading":0,"speed":1},'
                      '"weather":[]}',
@@ -770,7 +784,11 @@ class TestCli:
          " ['green', 'off', 'red', 'yellow']) (at position 24)"),
         ("name: a\nstl: G (speed < 40)\nname: b\nstl: G (speed < 50)\n",
          "line 3: spec 'a' has a second name: line"),
-    ], ids=["unknown-variable", "unknown-enum-value", "two-specs"])
+        ("name: x\nstl: G (trafficLightColor < red)\n",
+         "trafficLightColor is an enum; test it with == or != and one of its"
+         " values (at position 3)"),
+    ], ids=["unknown-variable", "unknown-enum-value", "two-specs",
+            "enum-ordering"])
     def test_bad_spec_file_prints_error_and_exits_1(self, tmp_path, text,
                                                     message):
         record = tmp_path / "ramp.jsonl"

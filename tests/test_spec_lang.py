@@ -34,9 +34,19 @@ from driverepair.spec_lang import (
     resolve_spec,
     robustness,
 )
-from driverepair.trace_model import SignalVar, Trace
+from driverepair.trace_model import (
+    GEAR_CODE,
+    LANE_CODE,
+    LIGHT_CODE,
+    SignalVar,
+    Trace,
+)
 
 GOLDEN_ROBUSTNESS = Path(__file__).parent / "golden" / "robustness.txt"
+ENUM_TEST = ("trafficLightColor is an enum; test it with == or != and one of"
+             " its values")
+ENUM_SUM = "trafficLightColor is an enum and cannot appear in arithmetic"
+LIGHTS = "(expected one of ['green', 'off', 'red', 'yellow'])"
 
 
 def robustness_bits(traces, specs):
@@ -110,9 +120,21 @@ class TestParser:
             parse_spec(bad)
 
     def test_enum_compared_with_a_variable(self):
-        phi = parse_spec("trafficLightColor == gear")
-        assert phi == Prop(LinExpr(((1.0, SignalVar("trafficLightColor")),
-                                    (-1.0, SignalVar("gear")))), "==")
+        for text, pos in (("laneKind == speed", 12),
+                          ("G (gear != laneKind)", 11)):
+            with pytest.raises(SpecSyntaxError,
+                               match="is not a value of") as info:
+                parse_spec(text)
+            assert info.value.pos == pos
+
+    @pytest.mark.parametrize("var, codes", [
+        ("trafficLightColor", LIGHT_CODE), ("laneKind", LANE_CODE),
+        ("gear", GEAR_CODE)])
+    def test_enum_test_is_the_comparison_of_its_code(self, var, codes):
+        for value, code in codes.items():
+            for cmp in ("==", "!="):
+                assert parse_spec(f"{var} {cmp} {value}") == Prop(
+                    LinExpr(((1.0, SignalVar(var)),), 0.0 - code), cmp)
 
     @pytest.mark.parametrize("text, terms, const, cmp", [
         ("speed + accel - 3 < 60", ((1.0, "speed"), (1.0, "accel")), -63.0,
@@ -170,12 +192,33 @@ class TestParser:
         ("G (gear != reverse | park == gear)", "'park' is a value of gear,"
          " not a variable; write it after its variable, as in gear == park"
          " (at position 21)"),
+        # an enum appears only as `var == value` or `var != value`
+        ("trafficLightColor < red", f"{ENUM_TEST} (at position 0)"),
+        ("G (trafficLightColor >= yellow)", f"{ENUM_TEST} (at position 3)"),
+        ("G trafficLightColor", f"{ENUM_TEST} (at position 2)"),
+        ("trafficLightColor + speed > 3", f"{ENUM_SUM} (at position 0)"),
+        ("2 * trafficLightColor == red", f"{ENUM_SUM} (at position 0)"),
+        ("-trafficLightColor == red", f"{ENUM_SUM} (at position 0)"),
+        ("G (speed == trafficLightColor)", f"{ENUM_SUM} (at position 3)"),
+        ("trafficLightColor - laneKind == 0", f"{ENUM_SUM} (at position 0)"),
+        ("trafficLightColor == 1", "'1' is not a value of trafficLightColor"
+         f" {LIGHTS} (at position 21)"),
+        ("trafficLightColor == gear", "'gear' is not a value of"
+         f" trafficLightColor {LIGHTS} (at position 21)"),
+        ("trafficLightColor == red + 1",
+         "unexpected trailing input '+' (at position 25)"),
+        ("G (trafficLightColor == red + 1)",
+         "expected ')', found '+' (at position 28)"),
     ], ids=["sum-without-comparison", "number-without-comparison",
             "proposition-on-left", "proposition-on-right",
             "coefficient-times-number", "coefficient-times-keyword",
             "name-as-bound", "negated-name-as-bound", "unexpected-character",
             "parameter-on-a-plain-variable", "enum-value-on-the-left",
-            "enum-value-on-the-left-nested"])
+            "enum-value-on-the-left-nested", "enum-less-than",
+            "enum-at-least-nested", "bare-enum", "enum-plus-real",
+            "enum-times-number", "negated-enum", "enum-on-the-right",
+            "enum-minus-enum", "enum-equals-number", "enum-equals-variable",
+            "enum-value-plus-number", "enum-value-plus-number-nested"])
     def test_error_messages(self, text, message):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)
