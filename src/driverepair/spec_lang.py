@@ -139,6 +139,11 @@ _KEYWORDS = {op for op in _PREFIX if op.isalpha()} | {"U", "until", "true",
                                                        "false", "inf"}
 
 
+def _shown(val):
+    """A token's text in an error message; the end of input has none."""
+    return repr(val or "end of input")
+
+
 def _tokenize(text):
     pos = 0
     out = []
@@ -173,7 +178,7 @@ class _Parser:
     def expect(self, value):
         kind, val, pos = self.next()
         if val != value:
-            raise SpecSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+            raise SpecSyntaxError(f"expected {value!r}, found {_shown(val)}", pos)
 
     # formula := or_expr ('->' formula)?   (implication is sugar for !a | b)
     def formula(self):
@@ -231,7 +236,7 @@ class _Parser:
         sign = -1.0 if self.take("-") else 1.0
         kind, val, pos = self.next()
         if kind != "num":
-            raise SpecSyntaxError(f"expected a number, found {val!r}", pos)
+            raise SpecSyntaxError(f"expected a number, found {_shown(val)}", pos)
         return sign * float(val)
 
     def primary(self):
@@ -251,7 +256,10 @@ class _Parser:
             var = lhs.terms[0][1]
             kind = catalog_kind(var.name)
             if kind == "enum" and cmp is not None and cmp[1] in ("==", "!="):
-                _, val, pos = self.next()
+                tok_kind, val, pos = self.next()
+                if tok_kind == "eof":
+                    raise SpecSyntaxError(f"expected a value of {var.name},"
+                                          f" found {_shown(val)}", pos)
                 try:
                     code = enum_code(var.name, val)
                 except CatalogError as exc:
@@ -299,14 +307,15 @@ class _Parser:
             elif kind == "name" and val not in _KEYWORDS:
                 terms.append((sign, self.variable()))
             else:
-                raise SpecSyntaxError(f"expected a variable or number, found {val!r}", pos)
+                raise SpecSyntaxError("expected a variable or number, found"
+                                      f" {_shown(val)}", pos)
             if self.peek()[1] not in ("+", "-"):
                 return LinExpr(tuple(terms), const)
 
     def variable(self):
         kind, val, pos = self.next()
         if kind != "name" or val in _KEYWORDS:
-            raise SpecSyntaxError(f"expected a variable name, found {val!r}", pos)
+            raise SpecSyntaxError(f"expected a variable name, found {_shown(val)}", pos)
         arg = None
         if self.take("("):
             arg = self.number()

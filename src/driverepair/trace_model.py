@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import obb_corners, obb_distance
+from .geometry import _SKIP_MARGIN, obb_corners, obb_distance
 
 STEP_S = 0.1               # trace step in seconds: spec windows count steps
 MAX_FRAME_GAP_S = 1.0      # a record's consecutive frames lie at most this
@@ -41,7 +41,6 @@ FAR = 9999.0               # distance sentinel: no such feature on the route
 EGO_HALF_LEN = 2.4
 EGO_HALF_WID = 1.05
 _EGO_RADIUS = math.hypot(EGO_HALF_LEN, EGO_HALF_WID)   # half-diagonal
-_SKIP_MARGIN = 1e-9        # relative rounding margin of the clearance skip
 
 OBSTACLE_KINDS = ("vehicle", "pedestrian", "cyclist", "unknown")
 # The values of each enum a record holds, with the codes specs compare.
@@ -575,23 +574,27 @@ def obstacle_geometry(x, y, heading, dist_to_junction, obstacles) -> tuple:
     `heading`: (npc_ahead_dist, nearest_npc_dist, nearest_npc_sep, the
     count of obstacles slower than JAM_SPEED_KMH near the junction)."""
     c, s = math.cos(heading), math.sin(heading)
-    dj = dist_to_junction
+    band_lo = max(0.0, dist_to_junction - 5.0)
+    band_hi = dist_to_junction + 45.0
 
+    # `if v < best: best = v` keeps the earlier of equal values and passes
+    # over a NaN, as `min(best, v)` does.
     ahead = FAR
     nearest = FAR
     slow_near_junction = 0
     by_dist = []
     for ob in obstacles:
         dx, dy = ob.x - x, ob.y - y
-        lon = c * dx + s * dy
-        lat = -s * dx + c * dy
         dist = math.hypot(dx, dy)
-        nearest = min(nearest, dist)
+        if dist < nearest:
+            nearest = dist
         by_dist.append((dist, ob))
-        if lon > 0 and abs(lat) < AHEAD_LATERAL_M:
-            ahead = min(ahead, lon)
-        if (ob.speed < JAM_SPEED_KMH
-                and max(0.0, dj - 5.0) <= dist <= dj + 45.0):
+        lon = c * dx + s * dy
+        if lon > 0:
+            lat = -s * dx + c * dy
+            if abs(lat) < AHEAD_LATERAL_M and lon < ahead:
+                ahead = lon
+        if ob.speed < JAM_SPEED_KMH and band_lo <= dist <= band_hi:
             slow_near_junction += 1
 
     # No point of a box lies farther from its centre than its half-diagonal
@@ -600,17 +603,22 @@ def obstacle_geometry(x, y, heading, dist_to_junction, obstacles) -> tuple:
     # centres go first so the best drops early. The margin covers the
     # rounding of the corners and of the bound, about 1e-16 of the
     # coordinates: without it a pair a few ulps below the best could be
-    # skipped and change `sep`.
+    # skipped and change `sep`. Each obstacle has its own r, so a skipped
+    # one does not end the loop: a farther, larger box may still be nearer.
     by_dist.sort(key=operator.itemgetter(0))
-    ego_box = obb_corners(x, y, heading, EGO_HALF_LEN, EGO_HALF_WID)
     scale = abs(x) + abs(y) + _EGO_RADIUS
     sep = FAR
+    ego_box = None
     for dist, ob in by_dist:
         r = math.hypot(ob.half_len, ob.half_wid)
         if dist - _EGO_RADIUS - r - _SKIP_MARGIN * (scale + dist + r) > sep:
             continue
-        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
-        sep = min(sep, obb_distance(ego_box, box))
+        if ego_box is None:
+            ego_box = obb_corners(x, y, heading, EGO_HALF_LEN, EGO_HALF_WID)
+        d = obb_distance(ego_box, obb_corners(ob.x, ob.y, ob.heading,
+                                              ob.half_len, ob.half_wid))
+        if d < sep:
+            sep = d
     return ahead, nearest, sep, slow_near_junction
 
 

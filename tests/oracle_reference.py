@@ -7,8 +7,10 @@ reads each variable at one scene by `read_ref`, the former per-scene
 catalog: one attribute read of the scene per variable.
 `obb_distance_ref` and `nearest_npc_sep_ref` are the former box clearance:
 every corner against every edge, and every obstacle of a frame tested, none
-skipped. `obb_overlap_ref` is the former separating-axis test, which builds
-each box's projections as a list for builtin `min` and `max`.
+skipped, on boxes built by `obb_corners_ref`, the former corner-by-corner
+`geometry.obb_corners`. `obb_overlap_ref` is the former separating-axis
+test, which builds each box's projections as a list for builtin `min` and
+`max`.
 `npc_obstacles_ref` is the former per-tick NPC loop of the simulator.
 `window_agg_ref` is the former `spec_lang._window_agg`, which aggregates
 every window of a bounded interval that stops short of the end on a
@@ -46,7 +48,6 @@ from driverepair.spec_lang import (
     Until,
 )
 from driverepair import trace_model
-from driverepair.geometry import obb_corners
 from driverepair.trace_model import (
     EGO_HALF_LEN,
     EGO_HALF_WID,
@@ -262,14 +263,24 @@ def obb_distance_ref(c1, c2):
     return best if best > 0.0 else math.ulp(0.0)
 
 
+def obb_corners_ref(x, y, heading, half_len, half_wid):
+    """The former `geometry.obb_corners`: each corner's local offset turned
+    by `heading` and added to (x, y), one corner at a time."""
+    c, s = math.cos(heading), math.sin(heading)
+    local = ((half_len, half_wid), (half_len, -half_wid),
+             (-half_len, -half_wid), (-half_len, half_wid))
+    return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in local]
+
+
 def nearest_npc_sep_ref(frame):
     """The former clearance loop of `scene_from_frame`: every obstacle's box
     is built and tested against the ego's, in record order."""
     ego = frame.ego
-    ego_box = obb_corners(ego.x, ego.y, ego.heading, EGO_HALF_LEN, EGO_HALF_WID)
+    ego_box = obb_corners_ref(ego.x, ego.y, ego.heading, EGO_HALF_LEN,
+                              EGO_HALF_WID)
     sep = FAR
     for ob in frame.obstacles:
-        box = obb_corners(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
+        box = obb_corners_ref(ob.x, ob.y, ob.heading, ob.half_len, ob.half_wid)
         sep = min(sep, obb_distance_ref(ego_box, box))
     return sep
 

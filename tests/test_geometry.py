@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import obb_distance_ref, obb_overlap_ref
+from oracle_reference import obb_corners_ref, obb_distance_ref, obb_overlap_ref
 
 from driverepair.geometry import (
     obb_corners,
@@ -140,6 +140,107 @@ def test_distance_matches_oracle_touching(ax, ay, al, aw, bl, bw, side,
                                           slide, hb, gap):
     assert_matches_oracle(*resting(ax, ay, al, aw, bl, bw, side, slide, hb,
                                    gap))
+
+
+def facing(ax, ay, ha, al, aw, corner, bl, bw, gap):
+    """Boxes a and b, b's corner 2 facing a's `corner` (signs of the local
+    x, y) `gap` away, on the line through both centres: the clearance then
+    equals each corner screen's bound, the centre distance less both
+    half-diagonals."""
+    sx, sy = corner
+    toward = ha + math.atan2(sy * aw, sx * al)
+    reach = math.hypot(al, aw) + gap + math.hypot(bl, bw)
+    bx, by = ax + reach * math.cos(toward), ay + reach * math.sin(toward)
+    return (obb_corners(ax, ay, ha, al, aw),
+            obb_corners(bx, by, toward - math.atan2(bw, bl), bl, bw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(far, far, heading, half, half,
+       st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), half, half,
+       st.sampled_from([0.3, 1e-9, 1e-12, 2.0]))
+# b's corner lies 1e-9 m from a's; without the slack, or with the
+# half-diagonal taken along one side, the screen skips the corner of b whose
+# distance to a's edges is the clearance, 9e-18 m below the distance from
+# a's corner to b's edges.
+@example(4.0, 0.0, 0.0, 4.0, 0.3125, (-1, -1), 1.0, 1.0, 1e-9)
+def test_distance_matches_oracle_corner_facing_corner(ax, ay, ha, al, aw,
+                                                      corner, bl, bw, gap):
+    assert_matches_oracle(*facing(ax, ay, ha, al, aw, corner, bl, bw, gap))
+
+
+# b beside a with a face parallel to a's and as wide: two corners of each
+# box lie at one distance from the other's centre, exactly so on quarter
+# metres along the axes.
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-20, 20), st.integers(-20, 20),
+       st.sampled_from([0.0, math.pi / 2, math.pi, 0.7]), quarter, quarter,
+       quarter, st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+       st.sampled_from([0.25, 3.0, 1e-12]))
+def test_distance_matches_oracle_parallel_faces_tie(ax, ay, h, al, aw, bl,
+                                                    side, gap):
+    sx, sy = side
+    if sx:
+        lx, ly, b = sx * (al + bl + gap), 0.0, (bl, aw)
+    else:
+        lx, ly, b = 0.0, sy * (aw + bl + gap), (al, bl)
+    c, s = math.cos(h), math.sin(h)
+    a = obb_corners(ax, ay, h, al, aw)
+    b = obb_corners(ax + lx * c - ly * s, ay + lx * s + ly * c, h, *b)
+    assert_matches_oracle(a, b)
+
+
+# Far from the origin the slack of the screen grows with the coordinates.
+million = st.sampled_from([1e6, -1e6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(million, million, heading, half, half, offset, offset, heading, half,
+       half)
+def test_distance_matches_oracle_a_million_metres_out(ax, ay, ha, al, aw, x,
+                                                      y, hb, bl, bw):
+    assert_matches_oracle(obb_corners(ax, ay, ha, al, aw),
+                          obb_corners(ax + x, ay + y, hb, bl, bw))
+
+
+# So far apart that a squared centre distance overflows to inf: the screen
+# must not skip a side's first corner, and the best then is finite.
+@pytest.mark.parametrize("gap", [1e155, 1e200, 1e300])
+def test_distance_matches_oracle_past_the_square_range(gap):
+    a, b = box(0.0, 0.0, 0.4), box(gap, -gap / 3, -1.1)
+    assert_matches_oracle(a, b)
+    assert math.isfinite(obb_distance(a, b))
+
+
+# A zero half size collapses a box to a segment or a point: its zero-length
+# edges take the `den == 0.0` branch.
+@settings(max_examples=300, deadline=None)
+@given(far, far, heading, half, half, offset, offset, heading,
+       st.sampled_from([(0.0, 1.0), (2.0, 0.0), (0.0, 0.0)]))
+def test_distance_matches_oracle_zero_half_size(ax, ay, ha, al, aw, x, y, hb,
+                                                sizes):
+    assert_matches_oracle(obb_corners(ax, ay, ha, al, aw),
+                          obb_corners(ax + x, ay + y, hb, *sizes))
+
+
+def bits(corners):
+    return [(x.hex(), y.hex()) for x, y in corners]
+
+
+# The four-product corners are the former corner-by-corner ones: (-a) * c
+# is -(a * c) and x + (-v) is x - v in floating point.
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(), st.floats(), st.floats(allow_infinity=False), st.floats(),
+       st.floats())
+@example(3.5, -2.25, 0.0, 2.4, 1.05)
+@example(3.5, -2.25, -0.0, 2.4, 1.05)
+@example(3.5, -2.25, math.pi, 2.4, 1.05)
+@example(3.5, -2.25, -math.pi, 2.4, 1.05)
+@example(3.5, -2.25, math.pi / 2, 2.4, 1.05)
+@example(0.0, -0.0, -math.pi / 2, 0.0, -0.0)
+def test_corners_match_oracle(x, y, h, hl, hw):
+    assert bits(obb_corners(x, y, h, hl, hw)) == bits(
+        obb_corners_ref(x, y, h, hl, hw))
 
 
 def assert_overlap_matches_oracle(a, b):

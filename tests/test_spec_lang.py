@@ -209,6 +209,17 @@ class TestParser:
          "unexpected trailing input '+' (at position 25)"),
         ("G (trafficLightColor == red + 1)",
          "expected ')', found '+' (at position 28)"),
+        # the end of input is named, not shown as ''
+        ("trafficLightColor ==", "expected a value of trafficLightColor,"
+         " found 'end of input' (at position 20)"),
+        ("speed >", "expected a variable or number, found 'end of input'"
+         " (at position 7)"),
+        ("NPCAhead(", "expected a number, found 'end of input'"
+         " (at position 9)"),
+        ("2 *", "expected a variable name, found 'end of input'"
+         " (at position 3)"),
+        ("G (speed < 1", "expected ')', found 'end of input'"
+         " (at position 12)"),
     ], ids=["sum-without-comparison", "number-without-comparison",
             "proposition-on-left", "proposition-on-right",
             "coefficient-times-number", "coefficient-times-keyword",
@@ -218,7 +229,9 @@ class TestParser:
             "enum-at-least-nested", "bare-enum", "enum-plus-real",
             "enum-times-number", "negated-enum", "enum-on-the-right",
             "enum-minus-enum", "enum-equals-number", "enum-equals-variable",
-            "enum-value-plus-number", "enum-value-plus-number-nested"])
+            "enum-value-plus-number", "enum-value-plus-number-nested",
+            "enum-test-cut-off", "comparison-cut-off", "parameter-cut-off",
+            "coefficient-cut-off", "group-cut-off"])
     def test_error_messages(self, text, message):
         with pytest.raises(SpecSyntaxError) as info:
             parse_spec(text)
