@@ -19,7 +19,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
 from ..trace_model import WeatherState, require_finite, require_non_negative
-from ..trace_model import require_object, require_one_of, require_positive
+from ..trace_model import require_list, require_object, require_one_of
+from ..trace_model import require_positive
 
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
@@ -476,7 +477,7 @@ def _build(cls, doc, name, **convert):
 def _each(cls, name, **convert):
     """A converter of a JSON list of `cls` objects, the i-th named name[i]."""
     return lambda docs: tuple(_build(cls, doc, f"{name}[{i}]", **convert)
-                              for i, doc in enumerate(docs))
+                              for i, doc in enumerate(require_list(docs, name)))
 
 
 def script_from_dict(doc: dict) -> ScenarioScript:

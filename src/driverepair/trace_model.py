@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -180,6 +181,13 @@ def require_object(value, name):
     return value
 
 
+def require_list(value, name):
+    # a tuple is what `dataclasses.asdict` makes of a sequence field
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 # Every number a frame keeps passes `require_finite`, which also refuses a
 # JSON string (float() would read "nan" as NaN) and a literal beyond the
 # float range (1e400 decodes as inf; a longer int overflows in isfinite).
@@ -190,6 +198,7 @@ def _real(value, name, rule=None):
 
 
 def _obstacle_from_dict(ob):
+    require_object(ob, "obstacles element")
     id_ = ob["id"]
     if isinstance(id_, (int, float)):   # kept as its text: "inf" would pass
         require_finite(id_, "obstacles.id")
@@ -204,15 +213,19 @@ def _obstacle_from_dict(ob):
         half_len=_real(ob["half_len"], "obstacles.half_len", require_positive),
         half_wid=_real(ob["half_wid"], "obstacles.half_wid", require_positive),
         predicted=tuple([(_real(t, point), _real(x, point), _real(y, point))
-                         for t, x, y in ob.get("predicted", [])]),
+                         for t, x, y in require_list(ob.get("predicted", ()),
+                                                     point)]),
     )
 
 
 def _frame_from_dict(doc):
-    """Build one frame, ego first. An element of `doc["obstacles"]` that is
-    already an Obstacle (the previous line's, for repeated text) was checked
-    when it was built and is taken as it is; every other element is built."""
-    ego_doc = doc["ego"]
+    """Build one frame, ego first. A part of `doc` that is already built
+    (the previous line's, for repeated text: the obstacles tuple, an
+    element's Obstacle, the TrafficLightState or None, the WeatherState)
+    was checked when it was built and is taken as it is; every other part
+    is built. JSON decodes to none of these types."""
+    require_object(doc, "frame")
+    ego_doc = require_object(doc["ego"], "ego")
     ego = EgoPose(
         _real(ego_doc["x"], "ego.x"), _real(ego_doc["y"], "ego.y"),
         _real(ego_doc["heading"], "ego.heading"),
@@ -221,25 +234,29 @@ def _frame_from_dict(doc):
         _real(ego_doc.get("steering", 0.0), "ego.steering"),
         require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"))
 
-    obstacles = tuple([
-        ob if type(ob) is Obstacle else _obstacle_from_dict(ob)
-        for ob in doc.get("obstacles", [])])
+    obstacles = doc.get("obstacles", ())
+    if type(obstacles) is not tuple:
+        obstacles = tuple([
+            ob if type(ob) is Obstacle else _obstacle_from_dict(ob)
+            for ob in require_list(obstacles, "obstacles")])
 
-    light = None
-    if doc.get("traffic_light") is not None:
-        tl = doc["traffic_light"]
+    light = doc.get("traffic_light")
+    if light is not None and type(light) is not TrafficLightState:
+        require_object(light, "traffic_light")
         light = TrafficLightState(
-            require_one_of(tl["color"], LIGHT_CODE, "traffic_light.color"),
-            _real(tl["dist_to_stopline"], "traffic_light.dist_to_stopline"))
+            require_one_of(light["color"], LIGHT_CODE, "traffic_light.color"),
+            _real(light["dist_to_stopline"], "traffic_light.dist_to_stopline"))
 
-    w = require_object(doc.get("weather", {}), "weather")
-    weather = WeatherState(
-        rain=_real(w.get("rain", 0.0), "weather.rain"),
-        fog=_real(w.get("fog", 0.0), "weather.fog"),
-        snow=_real(w.get("snow", 0.0), "weather.snow"),
-        visibility=_real(w.get("visibility", 500.0), "weather.visibility",
-                         require_positive),
-    )
+    weather = doc.get("weather", {})
+    if type(weather) is not WeatherState:
+        w = require_object(weather, "weather")
+        weather = WeatherState(
+            rain=_real(w.get("rain", 0.0), "weather.rain"),
+            fog=_real(w.get("fog", 0.0), "weather.fog"),
+            snow=_real(w.get("snow", 0.0), "weather.snow"),
+            visibility=_real(w.get("visibility", 500.0), "weather.visibility",
+                             require_positive),
+        )
 
     m = require_object(doc.get("map_ctx", {}), "map_ctx")
     map_ctx = MapContext(
@@ -270,79 +287,131 @@ _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
 _OBSTACLES_KEY = '"obstacles"'
 _SPACE = " \t\n\r"                           # JSON's whitespace
 _skip_space = json.decoder.WHITESPACE.match
+# the key, its colon and the array's "[", JSON whitespace skipped
+_opens_array = re.compile(r'"obstacles"[ \t\n\r]*:[ \t\n\r]*\[').match
+_HOLE = "[]"                # what a part spliced out of a line leaves there
+# The members that a line takes whole from the previous line's frame when
+# their text repeats, in the order a record line writes them after the
+# obstacles array: each one's index in a line's texts, field, key, what it
+# leaves once spliced out, and a matcher of the comma, key and colon that
+# open it
+_WHOLE_MEMBERS = tuple(
+    (i, name, f'"{name}"', f',"{name}":{_HOLE}', re.compile(
+        rf'[ \t\n\r]*,[ \t\n\r]*"{name}"[ \t\n\r]*:[ \t\n\r]*').match)
+    for i, name in enumerate(("traffic_light", "weather"), 1))
+_NO_TEXTS = (None, None, None)   # the obstacles array, the light, the weather
 
 
-def _decode_reusing(line, texts_before, obstacles_before):
+def _elements(line, pos, texts_before, before):
+    """The elements of the array whose `[` ends at `pos`, each taken as
+    `before`'s Obstacle at its index where it repeats the text that
+    `texts_before` holds there, or else as decoded. Returns (elements,
+    their texts, the position past the `]`), or None if no `]` closes the
+    array where an element ends."""
+    scan = _RECORD_DECODER.scan_once
+    items, texts = [], []
+    n = len(texts_before)
+    obstacles_before = before.obstacles if n else ()
+    if line[pos] in _SPACE:
+        pos = _skip_space(line, pos).end()
+    if line[pos] != "]":
+        i = 0
+        while True:
+            if i < n and line.startswith(texts_before[i], pos):
+                text = texts_before[i]
+                items.append(obstacles_before[i])
+                pos += len(text)
+            else:
+                item, end = scan(line, pos)
+                items.append(item)
+                text = line[pos:end]
+                pos = end
+            texts.append(text)
+            i += 1
+            if line[pos] in _SPACE:
+                pos = _skip_space(line, pos).end()
+            if line[pos] != ",":
+                break
+            pos += 1
+            if line[pos] in _SPACE:
+                pos = _skip_space(line, pos).end()
+        if line[pos] != "]":
+            return None
+    return items, texts, pos + 1
+
+
+def _decode_reusing(line, before, texts_before, elements_before):
     """Decode a line whose top-level "obstacles" key opens an array, taking
-    the previous line's Obstacle for each element that repeats its text.
+    from `before`, the previous line's frame, each part whose text repeats
+    that line's: the whole obstacles tuple, or else each element's Obstacle
+    by index; the traffic light; the weather.
 
-    `texts_before` and `obstacles_before` are the previous line's element
-    texts and Obstacles, by index. JSON whitespace around the array and its
-    elements is skipped. Returns the document, whose "obstacles" holds
-    those Obstacles and the other elements as decoded, with each element's
-    text; or None if the line is irregular, which the caller decodes whole.
+    `texts_before` holds the previous line's texts of those three parts
+    (None for one it did not offer), and `elements_before` its element
+    texts by index. JSON whitespace around the parts and the elements is
+    skipped. Returns the document, which holds each part and element as
+    taken or as decoded, with this line's texts and element texts; or None
+    if the line is irregular, which the caller decodes whole.
     """
     key = line.find(_OBSTACLES_KEY)
     if key < 0:
         return None
     scan = _RECORD_DECODER.scan_once
-    items, texts = [], []
-    n = len(texts_before)
     try:
-        pos = key + len(_OBSTACLES_KEY)
-        if line[pos] in _SPACE:
-            pos = _skip_space(line, pos).end()
-        if line[pos] != ":":
+        opened = _opens_array(line, key)
+        if opened is None:
             return None
-        pos += 1
-        if line[pos] in _SPACE:
-            pos = _skip_space(line, pos).end()
-        if line[pos] != "[":
-            return None
-        start = pos = pos + 1
-        if line[pos] in _SPACE:
-            pos = _skip_space(line, pos).end()
-        if line[pos] != "]":
-            i = 0
-            while True:
-                if i < n and line.startswith(texts_before[i], pos):
-                    text = texts_before[i]
-                    items.append(obstacles_before[i])
-                    pos += len(text)
-                else:
-                    item, end = scan(line, pos)
-                    items.append(item)
-                    text = line[pos:end]
-                    pos = end
-                texts.append(text)
-                i += 1
-                if line[pos] in _SPACE:
-                    pos = _skip_space(line, pos).end()
-                if line[pos] != ",":
-                    break
-                pos += 1
-                if line[pos] in _SPACE:
-                    pos = _skip_space(line, pos).end()
-            if line[pos] != "]":
+        start = opened.end() - 1
+        text = texts_before[0]
+        if text is not None and line.startswith(text, start):
+            parts = [("obstacles", before.obstacles)]
+            elements, pos = elements_before, start + len(text)
+        else:
+            walked = _elements(line, start + 1, elements_before, before)
+            if walked is None:
                 return None
-        # The elements are values of their own. Outside them, a backslash
+            items, elements, pos = walked
+            parts = [("obstacles", items)]
+            text = line[start:pos]
+        texts = [text, None, None]
+        pieces = [line[:start], _HOLE]
+        # A member right after the array, or after the member spliced
+        # before it, is a member of the same object. Its text runs from the
+        # comma before it to the end of its value, so a repeat is one
+        # comparison. One with the same key later in the line would win.
+        for i, name, member_key, hole, opens in _WHOLE_MEMBERS:
+            text = texts_before[i]
+            if text is not None and line.startswith(text, pos):
+                value, end = getattr(before, name), pos + len(text)
+            else:
+                opened = opens(line, pos)
+                if opened is None:
+                    continue
+                value, end = scan(line, opened.end())
+                text = line[pos:end]
+            if line.find(member_key, end) >= 0:
+                return None
+            parts.append((name, value))
+            texts[i] = text
+            pieces.append(hole)
+            pos = end
+        # The parts are values of their own. Outside them, a backslash
         # could put the key found inside a longer string ("a\"obstacles")
         # or spell a key letter ("obst\u0061cles"), and a second
-        # "obstacles" key after the array would win over this one.
+        # "obstacles" key after them would win over this one.
         if (line.find("\\", 0, start) >= 0 or line.find("\\", pos) >= 0
                 or line.find(_OBSTACLES_KEY, pos) >= 0):
             return None
-        rest = line[:start] + line[pos:]
+        pieces.append(line[pos:])
+        rest = "".join(pieces)
         doc, end = scan(rest, 0)    # stripped, the line is one document
     except (IndexError, StopIteration, ValueError):
         return None
-    if end != len(rest):
-        return None
     # the array spliced out must be the document's own "obstacles"
-    if type(doc) is not dict or doc.get("obstacles") != []:
+    if end != len(rest) or type(doc) is not dict or doc.get("obstacles") != []:
         return None
-    doc["obstacles"] = items
-    return doc, texts
+    doc.update(parts)
+    return doc, texts, elements
 
 
 def load_record(path) -> list[RawRecordFrame]:
@@ -350,13 +419,14 @@ def load_record(path) -> list[RawRecordFrame]:
     increasing, at most MAX_FRAME_GAP_S apart."""
     frames = []
     linenos = array.array("L")     # each frame's line, for the messages
-    # Most obstacles repeat the text of the previous line's element at their
-    # index. An object's text fixes where it ends, and equal text decodes
-    # to bitwise-equal values, -0.0 included, so such an element is that
-    # line's Obstacle and is not decoded again (_decode_reusing). A line
-    # offers its elements' texts and, once its frame is built, their
-    # Obstacles, by index; a line decoded whole offers none.
-    texts, obstacles = (), ()
+    # Most lines repeat parts of the previous line's text: the whole
+    # obstacles array, the weather, the light, or else obstacles at their
+    # index in the array. A value's text fixes where it ends, and equal
+    # text decodes to bitwise-equal values, -0.0 included, so such a part
+    # is the previous frame's and is not decoded or built again
+    # (_decode_reusing). A line offers its parts' texts and element texts
+    # and, once built, its frame; a line decoded whole offers none.
+    before, texts, elements = None, _NO_TEXTS, ()
     # the frame fields, and each unknown field once it has been warned about
     seen = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}
     with open(path, "r", encoding="utf-8") as fh:
@@ -364,9 +434,9 @@ def load_record(path) -> list[RawRecordFrame]:
             line = line.strip()
             if not line:
                 continue
-            reused = _decode_reusing(line, texts, obstacles)
+            reused = _decode_reusing(line, before, texts, elements)
             if reused is None:
-                texts = ()
+                texts, elements = _NO_TEXTS, ()
                 try:
                     doc = _RECORD_DECODER.decode(line)
                 except json.JSONDecodeError as exc:
@@ -376,13 +446,12 @@ def load_record(path) -> list[RawRecordFrame]:
                 except ValueError as exc:   # an int past Python's digit limit
                     raise RecordError(f"line {lineno}: not valid JSON ({exc})") from exc
             else:
-                doc, texts = reused
+                doc, texts, elements = reused
             try:
-                frame = _frame_from_dict(doc)
+                before = _frame_from_dict(doc)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
-            frames.append(frame)
-            obstacles = frame.obstacles
+            frames.append(before)
             linenos.append(lineno)
             for name in sorted(doc.keys() - seen):
                 warnings.warn(f"ignoring unknown record field {name!r}"

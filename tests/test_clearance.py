@@ -101,6 +101,11 @@ def frames(draw):
 @example(frame_at(0.0, 0.0, 0.0, [
     (*facing_corner((1, 1), 2.0, 1.0, 0.3), 2.0, 1.0),
     (*facing_corner((1, -1), 1.0, 0.5, 0.3), 1.0, 0.5)]))
+# A 2 x 2 box 4.4e-16 from the ego: the corner that holds the clearance lies
+# within rounding of the screen's bound, so a screen without its slack
+# skips it and reads 5.0e-16.
+@example(frame_at(0.0, 0.0, 0.0, [(4.9912842565725315, 2.1836868622504824,
+                                   -0.37298772180006096, 2.0, 2.0)]))
 def test_clearance_equals_unpruned_loop(frame):
     assert (scene_from_frame(frame).nearest_npc_sep.hex()
             == nearest_npc_sep_ref(frame).hex())

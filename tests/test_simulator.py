@@ -170,6 +170,17 @@ class TestRunScenario:
                 rf"^bad scenario document: {re.escape(message)}$")):
             script_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("npcs", {}), ("npcs", {"id": "car"}), ("lights", ""),
+        ("lights", "red")])
+    def test_npcs_and_lights_must_be_lists(self, key, value):
+        # iterated as they came, {} and "" built a script with none
+        doc = {"id": "x", "route_len_m": 100, key: value}
+        with pytest.raises(ScenarioError, match=(
+                rf"^bad scenario document: {key} must be a list,"
+                rf" got {re.escape(repr(value))}$")):
+            script_from_dict(doc)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(duraton_s=5),
          "unknown key 'duraton_s' in scenario"),

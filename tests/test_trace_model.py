@@ -300,17 +300,33 @@ class TestLoadRecord:
 
     @pytest.mark.parametrize("key, value", [
         ("weather", []), ("weather", "fog"), ("map_ctx", 3),
-        ("map_ctx", [{"in_junction": True}])])
+        ("map_ctx", [{"in_junction": True}]), ("ego", [1, 2]),
+        ("traffic_light", ["red", 5.0]), ("traffic_light", "red"),
+        # each of these loaded as no obstacles, and saved back as []
+        ("obstacles", {}), ("obstacles", ""), ("obstacles", None),
+        ("obstacles.predicted", {}), ("obstacles.predicted", ""),
+        ("obstacles element", 7), ("frame", [1, 2])])
     def test_sub_document_that_is_not_an_object_is_refused(self, tmp_path,
                                                            key, value):
         path = tmp_path / "rec.jsonl"
-        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
-               key: value}
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1}}
+        ob = {"id": "o", "x": 9.0, "y": 0.0, "speed": 0.0, "half_len": 2.0,
+              "half_wid": 1.0}
+        if key == "frame":
+            doc = value
+        elif key == "obstacles element":
+            doc["obstacles"] = [ob, value]
+        elif key == "obstacles.predicted":
+            doc["obstacles"] = [dict(ob, predicted=value)]
+        else:
+            doc[key] = value
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        with pytest.raises(RecordError, match=(
-                rf"^line 1: bad frame \({key} must be an object,"
-                rf" got {re.escape(repr(value))}\)$")):
+        kind = ("a list" if key in ("obstacles", "obstacles.predicted")
+                else "an object")
+        with pytest.raises(RecordError) as info:
             load_record(path)
+        assert str(info.value) == (f"line 1: bad frame ({key} must be {kind},"
+                                   f" got {value!r})")
 
     @pytest.mark.parametrize("key", ["in_junction", "is_changing_lane"])
     @pytest.mark.parametrize("value", ["false", "0", 0, [0], None],
@@ -482,12 +498,61 @@ def _mutated(rng, obstacles, exotic):
     return obstacles
 
 
-def _obstacle_text(ob):
+def _object_text(ob):
     def value(v):
         if isinstance(v, list):
             return "[" + ",".join(value(x) for x in v) + "]"
         return v
     return "{" + ",".join(f'"{k}":{value(v)}' for k, v in ob.items()) + "}"
+
+
+def _random_member(rng, name, exotic):
+    """A light (or null) or a weather object of literals."""
+    if name == "traffic_light":
+        if rng.random() < 0.3:
+            return "null"
+        return {"color": rng.choice(('"red"', '"green"')),
+                "dist_to_stopline": _number(rng, _SPELLINGS, exotic)}
+    member = {"rain": _number(rng, _SPELLINGS[:1], exotic),
+              "visibility": _number(rng, _SPELLINGS[1:3], exotic)}
+    if rng.random() < 0.5:
+        member["fog"] = _number(rng, _SPELLINGS, exotic)
+    return member
+
+
+def _next_member(rng, member, name, exotic):
+    """The next line's member: mostly the same text, else with a number
+    re-spelled or changed, or left out, or new."""
+    op = rng.choice(("repeat",) * 4 + ("respell", "respell", "change",
+                                       "toggle"))
+    if op == "repeat":
+        return member
+    if op == "toggle" or not isinstance(member, dict):
+        if member is not None and rng.random() < 0.5:
+            return None
+        return _random_member(rng, name, exotic)
+    member = dict(member)
+    key = rng.choice([k for k in member if k != "color"])
+    member[key] = (_respelled(rng, member[key]) if op == "respell" else
+                   _number(rng, _SPELLINGS[1:3] if key == "visibility"
+                           else _SPELLINGS, exotic))
+    return member
+
+
+def _with_members(rng, line, members):
+    """`line` with its light and weather members (None leaves one out):
+    after the array in the order a record writes them, or at times in the
+    other order, spaced, or before the array."""
+    colon = " : " if rng.random() < 0.1 else ":"
+    texts = [f'"{name}"{colon}{m if isinstance(m, str) else _object_text(m)}'
+             for name, m in members if m is not None]
+    if rng.random() < 0.1:
+        texts.reverse()
+    comma = ", " if rng.random() < 0.1 else ","
+    if texts and rng.random() < 0.1:
+        return line.replace(',"obstacles":[',
+                            "," + comma.join(texts) + ',"obstacles":[', 1)
+    return line[:-2] + "".join(comma + t for t in texts) + "}\n"
 
 
 def _record_text(rng):
@@ -503,7 +568,15 @@ def _record_text(rng):
             ego_x = rng.choice(_OVERFLOWS)
         lines.append(f'{{"t":{i / 10},"ego":{{"x":{ego_x},"y":0,"heading":0,'
                      f'"speed":1}},"obstacles":['
-                     + ",".join(map(_obstacle_text, obstacles)) + "]}\n")
+                     + ",".join(map(_object_text, obstacles)) + "]}\n")
+    # the members are drawn after the obstacles, which stay as they were
+    members = {name: _random_member(rng, name, exotic)
+               for name in ("traffic_light", "weather")}
+    for i, line in enumerate(lines):
+        if i:
+            members = {name: _next_member(rng, m, name, exotic)
+                       for name, m in members.items()}
+        lines[i] = _with_members(rng, line, members.items())
     return "".join(lines)
 
 
@@ -562,6 +635,21 @@ _DEFEATS = {
         % rng.choice(("1", "12", '"a"', '"ab"', "1,12", '"a","ab"')), line),
     "misplaced comma": lambda rng, line: line.replace(
         *rng.choice(_MISPLACED_COMMAS), 1),
+    # a light or weather key again after the members: the last one wins
+    "second member key last": lambda rng, line: line[:-2] + rng.choice((
+        ',"weather":{"fog":1}', ',"traffic_light":null',
+        ',"weather":[]')) + "}\n",
+    "member keys nested after": lambda rng, line: (
+        line[:-2] + ',"map_ctx":{"weather":{"fog":1},"traffic_light":[]}}\n'),
+    "escaped member key last": lambda rng, line: line[:-2] + rng.choice((
+        ',"we\\u0061ther":{"fog":2}', ',"tr\\u0061ffic_light":null')) + "}\n",
+    # a top-level member before the array, which the one after it overrides
+    "member key first": lambda rng, line: line.replace(
+        '{"t":', rng.choice(('{"weather":[],"t":',
+                             '{"traffic_light":{"color":"blue"},"t":')), 1),
+    "member value run on": lambda rng, line: re.sub(
+        r'(null|[0-9]})(?=,"weather"|}\n)', lambda m: m[1] + rng.choice(
+            ("0", "e5", ".5", "x", "}")), line, count=1),
     "unterminated": lambda rng, line: (
         line[:rng.randrange(line.index('"obstacles":[') + 13, len(line) - 2)]
         + rng.choice(("\n", "}\n"))),
@@ -602,13 +690,26 @@ def _reused(frames):
                for a, b in zip(frames, frames[1:]) for ob in b.obstacles)
 
 
+def _shared(frames):
+    """How often a frame holds the previous frame's whole part, by part
+    (a light that is None aside)."""
+    pairs = list(zip(frames, frames[1:]))
+    return {"obstacles": sum(b.obstacles is a.obstacles
+                             for a, b in pairs if a.obstacles),
+            "traffic_light": sum(b.traffic_light is a.traffic_light
+                                 for a, b in pairs if a.traffic_light),
+            "weather": sum(b.weather is a.weather for a, b in pairs)}
+
+
 class TestObstacleReuse:
-    """A frame takes the previous line's Obstacle for an obstacle whose text
-    repeats that line's element at its index; the frames must equal those
-    built from each line alone."""
+    """A frame takes the previous line's whole obstacles array, light and
+    weather where their text repeats, and else the previous line's Obstacle
+    for an obstacle whose text repeats that line's element at its index;
+    the frames must equal those built from each line alone."""
 
     def test_seeded_records_load_like_each_line_alone(self, tmp_path):
         reused = refused = 0
+        shared = dict.fromkeys(("obstacles", "traffic_light", "weather"), 0)
         for seed in range(320):
             path = tmp_path / f"rec{seed}.jsonl"
             path.write_text(_record_text(random.Random(seed)),
@@ -618,14 +719,19 @@ class TestObstacleReuse:
             frames = _assert_loads_like_each_line_alone(path, work)
             reused += _reused(frames)
             refused += not frames
+            for part, n in _shared(frames).items():
+                shared[part] += n
         assert reused > 300
         assert refused > 5
+        assert shared == {"obstacles": 169, "traffic_light": 163,
+                          "weather": 252}
 
     def test_seeded_lines_that_defeat_the_fast_path(self, tmp_path):
         # a record's lines are rewritten, each with odds 1/2, by one of
         # _DEFEATS; the loader must give each line alone's frames or error
         rewritten = dict.fromkeys(_DEFEATS, 0)
         reused = refused = 0
+        shared = dict.fromkeys(("obstacles", "traffic_light", "weather"), 0)
         for seed in range(320, 320 + 8 * len(_DEFEATS)):
             rng = random.Random(seed)
             kind = list(_DEFEATS)[seed % len(_DEFEATS)]
@@ -643,14 +749,19 @@ class TestObstacleReuse:
                 frames = _assert_loads_like_each_line_alone(path, work)
             reused += _reused(frames)
             refused += not frames
+            for part, n in _shared(frames).items():
+                shared[part] += n
         assert min(rewritten.values()) >= 5, rewritten
         assert reused > 100
         assert refused > 10
+        assert shared == {"obstacles": 20, "traffic_light": 18, "weather": 47}
 
-    @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted"])
+    @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted",
+                                       "dist_to_stopline", "rain"])
     def test_every_pair_of_zero_spellings(self, tmp_path, field):
         # 0.0 == -0.0, but their texts differ: an obstacle takes the
-        # previous line's Obstacle only for the same spelling
+        # previous line's Obstacle, and a light or weather the previous
+        # line's, only for the same spelling
         zeros = _SPELLINGS[0]
         for i, first in enumerate(zeros):
             for j, second in enumerate(zeros):
@@ -658,16 +769,88 @@ class TestObstacleReuse:
                 for k, zero in enumerate((first, second, first)):
                     ob = {"id": '"o"', "x": "9", "y": "0", "speed": "0",
                           "half_len": "2", "half_wid": "1"}
-                    ob[field] = f"[[1,2,{zero}]]" if field == "predicted" \
-                        else zero
+                    light = {"color": '"red"', "dist_to_stopline": "5"}
+                    weather = {"rain": "0", "fog": "0"}
+                    part = {"dist_to_stopline": light,
+                            "rain": weather}.get(field, ob)
+                    part[field] = (f"[[1,2,{zero}]]" if field == "predicted"
+                                   else zero)
                     lines.append(f'{{"t":{k / 10},"ego":{{"x":0,"y":0,'
                                  f'"heading":0,"speed":1}},"obstacles":['
-                                 f"{_obstacle_text(ob)}]}}\n")
+                                 f"{_object_text(ob)}],\"traffic_light\":"
+                                 f"{_object_text(light)},\"weather\":"
+                                 f"{_object_text(weather)}}}\n")
                 path = tmp_path / f"rec{i}_{j}.jsonl"
                 path.write_text("".join(lines), encoding="utf-8")
                 work = tmp_path / f"lines{i}_{j}"
                 work.mkdir()
                 _assert_loads_like_each_line_alone(path, work)
+
+    def test_repeated_parts_are_the_previous_frames(self, tmp_path):
+        # the whole obstacles array, the light and the weather are taken
+        # from the previous frame while their text repeats; the ego moves
+        obstacles = tuple(Obstacle(id=f"o{i}", kind="vehicle", x=9.0 + i,
+                                   y=3.0, heading=0.0, speed=0.0,
+                                   half_len=2.0, half_wid=1.0,
+                                   predicted=((0.5, 9.0 + i, 3.0),))
+                          for i in range(2))
+        light = TrafficLightState("red", 12.5)
+        weather = WeatherState(rain=0.0, fog=0.3)
+        frames = [RawRecordFrame(t=f.t, ego=f.ego, obstacles=obstacles,
+                                 traffic_light=light, weather=weather)
+                  for f in ramp_frames(4)]
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        loaded = load_record(path)
+        assert loaded == frames
+        first = loaded[0]
+        for second in loaded[1:]:
+            assert second.obstacles is first.obstacles
+            assert second.traffic_light is first.traffic_light
+            assert second.weather is first.weather
+            assert second.ego is not first.ego
+
+    def test_negative_zero_weather_after_zero_is_read_anew(self, tmp_path):
+        # "rain":-0.0 after "rain":0.0 has other text, so it is decoded:
+        # it reads -0.0 and writes back as it was
+        frames = [dataclasses.replace(f, weather=WeatherState(rain=rain))
+                  for f, rain in zip(ramp_frames(3), (0.0, -0.0, -0.0))]
+        path = tmp_path / "rec.jsonl"
+        save_record(frames, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"rain":0.0,') == 1 and text.count('"rain":-0.0,') == 2
+        work = tmp_path / "lines"
+        work.mkdir()
+        loaded = _assert_loads_like_each_line_alone(path, work)
+        assert [math.copysign(1.0, f.weather.rain) for f in loaded] == [
+            1.0, -1.0, -1.0]
+        assert loaded[1].weather is not loaded[0].weather
+        assert loaded[2].weather is loaded[1].weather
+        again = tmp_path / "again.jsonl"
+        save_record(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_repeated_array_then_a_second_obstacles_key(self, tmp_path):
+        # the array repeats the previous line's, but a second "obstacles"
+        # key wins over it: the line is decoded whole, and offers nothing
+        ob = Obstacle(id="o", kind="vehicle", x=9.0, y=0.0, heading=0.0,
+                      speed=0.0, half_len=2.0, half_wid=1.0)
+        frames = [RawRecordFrame(t=f.t, ego=f.ego, obstacles=(ob,))
+                  for f in ramp_frames(3)]
+        lines = [frame_to_line(f) for f in frames]
+        lines[1] = lines[1][:-2] + ',"obstacles":[]}\n'
+        doc, texts, elements = trace_model._decode_reusing(
+            lines[0].strip(), None, trace_model._NO_TEXTS, ())
+        first = trace_model._frame_from_dict(doc)
+        assert trace_model._decode_reusing(lines[1].strip(), first, texts,
+                                           elements) is None
+        path = tmp_path / "rec.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        work = tmp_path / "lines"
+        work.mkdir()
+        loaded = _assert_loads_like_each_line_alone(path, work)
+        assert [len(f.obstacles) for f in loaded] == [1, 0, 1]
+        assert loaded[2].obstacles[0] is not loaded[0].obstacles[0]
 
     @pytest.mark.parametrize("rewrite, error", [
         (lambda line: '{"note":"obstacles",' + line[1:], None),
@@ -685,7 +868,7 @@ class TestObstacleReuse:
                              "obstacles": [ob]}, separators=(",", ":"))
                  for t in range(3)]
         lines[1] = rewrite(lines[1])
-        assert trace_model._decode_reusing(lines[1], (), ()) is None
+        assert trace_model._decode_reusing(lines[1], None, trace_model._NO_TEXTS, ()) is None
         path = tmp_path / "rec.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         work = tmp_path / "lines"
@@ -721,8 +904,9 @@ class TestObstacleReuse:
         ids=["json.dumps", "spaces", "tabs"])
     def test_spaced_record_shares_like_a_compact_one(self, tmp_path,
                                                      separators):
-        # whitespace around the array and between its elements is skipped:
-        # S2 written with spaces shares the 253 obstacles it shares compact
+        # whitespace around the array, between its elements and around the
+        # members after it is skipped: S2 written with spaces shares the 253
+        # obstacles, and the whole parts, that it shares compact
         frames, _ = run_scenario(scenario_by_id("S2"))
         compact = tmp_path / "compact.jsonl"
         save_record(frames, compact)
@@ -735,6 +919,8 @@ class TestObstacleReuse:
         work.mkdir()
         loaded = _assert_loads_like_each_line_alone(path, work)
         assert _reused(loaded) == 253
+        assert _shared(loaded) == _shared(load_record(compact)) == {
+            "obstacles": 114, "traffic_light": 0, "weather": 171}
 
     @pytest.mark.parametrize("ob_id, accel", [
         ("car-0.5", 0.0), ("car", 2.5e-05)],
