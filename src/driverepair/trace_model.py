@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import operator
-import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -197,12 +196,25 @@ def _real(value, name, rule=None):
     return require_finite(rule(value, name) if rule else value, name) * 1.0
 
 
+_POINT = "obstacles.predicted"
+
+
+def _point(p):
+    # a string or an object of three would unpack too
+    if type(p) is not list or len(p) != 3:
+        raise ValueError(f"{_POINT} must be a list of [t, x, y], got {p!r}")
+    t, x, y = p
+    return _real(t, _POINT), _real(x, _POINT), _real(y, _POINT)
+
+
 def _obstacle_from_dict(ob):
     require_object(ob, "obstacles element")
     id_ = ob["id"]
-    if isinstance(id_, (int, float)):   # kept as its text: "inf" would pass
-        require_finite(id_, "obstacles.id")
-    point = "obstacles.predicted"
+    if type(id_) is not str:    # a number is kept as its text
+        if type(id_) is not int and type(id_) is not float:
+            raise ValueError("obstacles.id must be a string or a number,"
+                             f" got {id_!r}")
+        require_finite(id_, "obstacles.id")     # "inf" would pass
     return Obstacle(
         id=str(id_),
         kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
@@ -212,9 +224,8 @@ def _obstacle_from_dict(ob):
         speed=_real(ob["speed"], "obstacles.speed", require_non_negative),
         half_len=_real(ob["half_len"], "obstacles.half_len", require_positive),
         half_wid=_real(ob["half_wid"], "obstacles.half_wid", require_positive),
-        predicted=tuple([(_real(t, point), _real(x, point), _real(y, point))
-                         for t, x, y in require_list(ob.get("predicted", ()),
-                                                     point)]),
+        predicted=tuple([_point(p) for p in require_list(
+            ob.get("predicted", ()), _POINT)]),
     )
 
 
@@ -279,26 +290,20 @@ def _reject_non_finite(token):
 
 # NaN and +/-Infinity are JSON extensions. A NaN coordinate defeats the
 # separating-axis test, so an obstacle at x = NaN would read as a collision.
-# They are refused as they are decoded: a NaN let through would load as the
-# id "nan". Every other number is checked as the frame is built.
+# Every number a frame keeps, a numeric obstacle id included, is checked as
+# the frame is built; these tokens are refused as they are decoded, so that
+# a record is strict JSON, in the fields the loader ignores too.
 _RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
 
 
-_OBSTACLES_KEY = '"obstacles"'
-_SPACE = " \t\n\r"                           # JSON's whitespace
-_skip_space = json.decoder.WHITESPACE.match
-# the key, its colon and the array's "[", JSON whitespace skipped
-_opens_array = re.compile(r'"obstacles"[ \t\n\r]*:[ \t\n\r]*\[').match
-_HOLE = "[]"                # what a part spliced out of a line leaves there
-# The members that a line takes whole from the previous line's frame when
-# their text repeats, in the order a record line writes them after the
-# obstacles array: each one's index in a line's texts, field, key, what it
-# leaves once spliced out, and a matcher of the comma, key and colon that
-# open it
-_WHOLE_MEMBERS = tuple(
-    (i, name, f'"{name}"', f',"{name}":{_HOLE}', re.compile(
-        rf'[ \t\n\r]*,[ \t\n\r]*"{name}"[ \t\n\r]*:[ \t\n\r]*').match)
-    for i, name in enumerate(("traffic_light", "weather"), 1))
+# A record line as `_line_writer` writes it opens its six members with these
+# texts, in this order, and ends with the "}" after the map context. The
+# light and the weather come between the array and the map context; each is
+# given with its index in a line's texts.
+_OPENS_T, _OPENS_EGO, _OPENS_OBSTACLES, _OPENS_MAP = (
+    '{"t":', ',"ego":', ',"obstacles":[', ',"map_ctx":')
+_MEMBERS_TAKEN_WHOLE = ((1, "traffic_light", ',"traffic_light":'),
+                        (2, "weather", ',"weather":'))
 _NO_TEXTS = (None, None, None)   # the obstacles array, the light, the weather
 
 
@@ -312,8 +317,6 @@ def _elements(line, pos, texts_before, before):
     items, texts = [], []
     n = len(texts_before)
     obstacles_before = before.obstacles if n else ()
-    if line[pos] in _SPACE:
-        pos = _skip_space(line, pos).end()
     if line[pos] != "]":
         i = 0
         while True:
@@ -328,89 +331,73 @@ def _elements(line, pos, texts_before, before):
                 pos = end
             texts.append(text)
             i += 1
-            if line[pos] in _SPACE:
-                pos = _skip_space(line, pos).end()
             if line[pos] != ",":
                 break
             pos += 1
-            if line[pos] in _SPACE:
-                pos = _skip_space(line, pos).end()
         if line[pos] != "]":
             return None
     return items, texts, pos + 1
 
 
 def _decode_reusing(line, before, texts_before, elements_before):
-    """Decode a line whose top-level "obstacles" key opens an array, taking
-    from `before`, the previous line's frame, each part whose text repeats
-    that line's: the whole obstacles tuple, or else each element's Obstacle
-    by index; the traffic light; the weather.
+    """Decode a line in the layout that `_line_writer` writes, taking from
+    `before`, the previous line's frame, each part whose text repeats that
+    line's: the whole obstacles tuple, or else each element's Obstacle by
+    index; the traffic light; the weather.
 
-    `texts_before` holds the previous line's texts of those three parts
-    (None for one it did not offer), and `elements_before` its element
-    texts by index. JSON whitespace around the parts and the elements is
-    skipped. Returns the document, which holds each part and element as
-    taken or as decoded, with this line's texts and element texts; or None
-    if the line is irregular, which the caller decodes whole.
+    The members are read in the writer's order, each opened by the text the
+    writer puts before it (`_OPENS_T`, ...), so a key can be neither spelt
+    another way nor repeated, and each value is scanned once. A repeated
+    part's text is followed by the text that opens the next member or by
+    the closing "}", so it ends where its value ends. `texts_before` holds
+    the previous line's texts of the three parts (None for one it did not
+    offer), and `elements_before` its element texts by index. Returns the
+    document, which holds each part and element as taken or as decoded,
+    with this line's texts and element texts; or None for a line in any
+    other layout, which the caller decodes whole.
     """
-    key = line.find(_OBSTACLES_KEY)
-    if key < 0:
-        return None
     scan = _RECORD_DECODER.scan_once
     try:
-        opened = _opens_array(line, key)
-        if opened is None:
+        if not line.startswith(_OPENS_T):
             return None
-        start = opened.end() - 1
+        t, pos = scan(line, len(_OPENS_T))
+        if not line.startswith(_OPENS_EGO, pos):
+            return None
+        ego, pos = scan(line, pos + len(_OPENS_EGO))
+        if not line.startswith(_OPENS_OBSTACLES, pos):
+            return None
+        start = pos + len(_OPENS_OBSTACLES) - 1     # at the array's "["
         text = texts_before[0]
         if text is not None and line.startswith(text, start):
-            parts = [("obstacles", before.obstacles)]
-            elements, pos = elements_before, start + len(text)
+            obstacles, elements = before.obstacles, elements_before
+            pos = start + len(text)
         else:
             walked = _elements(line, start + 1, elements_before, before)
             if walked is None:
                 return None
-            items, elements, pos = walked
-            parts = [("obstacles", items)]
+            obstacles, elements, pos = walked
             text = line[start:pos]
+        doc = {"t": t, "ego": ego, "obstacles": obstacles}
         texts = [text, None, None]
-        pieces = [line[:start], _HOLE]
-        # A member right after the array, or after the member spliced
-        # before it, is a member of the same object. Its text runs from the
-        # comma before it to the end of its value, so a repeat is one
-        # comparison. One with the same key later in the line would win.
-        for i, name, member_key, hole, opens in _WHOLE_MEMBERS:
+        # a member's text runs from the comma before it to the end of its
+        # value, so a repeat is one comparison
+        for i, name, opens in _MEMBERS_TAKEN_WHOLE:
             text = texts_before[i]
             if text is not None and line.startswith(text, pos):
-                value, end = getattr(before, name), pos + len(text)
+                doc[name], pos = getattr(before, name), pos + len(text)
+            elif line.startswith(opens, pos):
+                doc[name], end = scan(line, pos + len(opens))
+                text, pos = line[pos:end], end
             else:
-                opened = opens(line, pos)
-                if opened is None:
-                    continue
-                value, end = scan(line, opened.end())
-                text = line[pos:end]
-            if line.find(member_key, end) >= 0:
                 return None
-            parts.append((name, value))
             texts[i] = text
-            pieces.append(hole)
-            pos = end
-        # The parts are values of their own. Outside them, a backslash
-        # could put the key found inside a longer string ("a\"obstacles")
-        # or spell a key letter ("obst\u0061cles"), and a second
-        # "obstacles" key after them would win over this one.
-        if (line.find("\\", 0, start) >= 0 or line.find("\\", pos) >= 0
-                or line.find(_OBSTACLES_KEY, pos) >= 0):
+        if not line.startswith(_OPENS_MAP, pos):
             return None
-        pieces.append(line[pos:])
-        rest = "".join(pieces)
-        doc, end = scan(rest, 0)    # stripped, the line is one document
+        doc["map_ctx"], pos = scan(line, pos + len(_OPENS_MAP))
     except (IndexError, StopIteration, ValueError):
         return None
-    # the array spliced out must be the document's own "obstacles"
-    if end != len(rest) or type(doc) is not dict or doc.get("obstacles") != []:
+    if line[pos:] != "}":
         return None
-    doc.update(parts)
     return doc, texts, elements
 
 
@@ -421,11 +408,12 @@ def load_record(path) -> list[RawRecordFrame]:
     linenos = array.array("L")     # each frame's line, for the messages
     # Most lines repeat parts of the previous line's text: the whole
     # obstacles array, the weather, the light, or else obstacles at their
-    # index in the array. A value's text fixes where it ends, and equal
-    # text decodes to bitwise-equal values, -0.0 included, so such a part
-    # is the previous frame's and is not decoded or built again
-    # (_decode_reusing). A line offers its parts' texts and element texts
-    # and, once built, its frame; a line decoded whole offers none.
+    # index in the array. Equal text decodes to bitwise-equal values, -0.0
+    # included, so on a line in the layout that `record_bytes` writes such
+    # a part is the previous frame's and is not decoded or built again
+    # (_decode_reusing). Every other line is decoded whole, with the same
+    # result. A line in that layout offers its parts' texts and element
+    # texts and, once built, its frame; a line decoded whole offers none.
     before, texts, elements = None, _NO_TEXTS, ()
     # the frame fields, and each unknown field once it has been warned about
     seen = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}

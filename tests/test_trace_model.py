@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -31,6 +32,7 @@ from driverepair.trace_model import (
     catalog_kind,
     frame_to_line,
     load_record,
+    record_bytes,
     save_record,
     scene_from_frame,
 )
@@ -242,17 +244,44 @@ class TestLoadRecord:
         path = self._record_with_obstacle_x(tmp_path, literal)
         assert load_record(path)[1].obstacles[0].x == value
 
-    @pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
-                             ids=["two-values", "four-values"])
+    @pytest.mark.parametrize("point", [
+        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 5, "abc", {"t": 1, "x": 2, "y": 3},
+        None], ids=["two-values", "four-values", "number", "string-of-three",
+                    "object-of-three", "null"])
     def test_predicted_point_needs_three_values(self, tmp_path, point):
+        # each failed with Python's own text, and "abc" read "a" as a time
         path = tmp_path / "rec.jsonl"
         doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
                "obstacles": [{"id": "o", "x": 9.0, "y": 0.0, "speed": 0.0,
                               "half_len": 2.0, "half_wid": 1.0,
                               "predicted": [[0.5, 9.0, 0.0], point]}]}
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        with pytest.raises(RecordError, match=r"line 1: bad frame \("):
+        with pytest.raises(RecordError) as info:
             load_record(path)
+        assert str(info.value) == (
+            "line 1: bad frame (obstacles.predicted must be a list of"
+            f" [t, x, y], got {point!r})")
+
+    @pytest.mark.parametrize("literal", ["null", "true", "false", "[1]", "{}"])
+    def test_obstacle_id_that_is_not_a_string_or_a_number_is_refused(
+            self, tmp_path, literal):
+        # each loaded as the text of its Python value ("None", "True",
+        # "[1]", "{}") and saved back as that string
+        path = self._record_with_obstacle_x(tmp_path, "12345.5")
+        path.write_text(path.read_text().replace('"id":"o"', f'"id":{literal}'))
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == (
+            "line 2: bad frame (obstacles.id must be a string or a number,"
+            f" got {json.loads(literal)!r})")
+
+    @pytest.mark.parametrize("literal", ["7", "-0.0", "1.5e3"])
+    def test_obstacle_id_that_is_a_number_is_kept_as_its_text(self, tmp_path,
+                                                              literal):
+        path = self._record_with_obstacle_x(tmp_path, "12345.5")
+        path.write_text(path.read_text().replace('"id":"o"', f'"id":{literal}'))
+        ob, = load_record(path)[1].obstacles
+        assert ob.id == str(json.loads(literal))
 
     @pytest.mark.parametrize("path_in_frame, value", [
         (("obstacles", 0, "x"), "nan"),
@@ -408,7 +437,7 @@ _RARE_SPELLINGS = (
 _PLAIN = {"0", "0.0", "-0", "1", "1.0", "true", "2.5", "2.50", "-3.25"}
 # Literals beyond the float range: a line holding one is refused
 _OVERFLOWS = ("1e400", "-1E+400", "2" + "0" * 308, "9" * 400)
-_IDS = ("1", "1.0", "true", '"1"', '"a"')      # all but "a" are == 1
+_IDS = ("1", "1.0", '"1"', '"a"')      # all but "a" are == 1
 
 
 def _spelling(rng, group, exotic):
@@ -507,12 +536,15 @@ def _object_text(ob):
 
 
 def _random_member(rng, name, exotic):
-    """A light (or null) or a weather object of literals."""
+    """A light (or null), a weather or a map context object of literals."""
     if name == "traffic_light":
         if rng.random() < 0.3:
             return "null"
         return {"color": rng.choice(('"red"', '"green"')),
                 "dist_to_stopline": _number(rng, _SPELLINGS, exotic)}
+    if name == "map_ctx":
+        return {"in_junction": rng.choice(("false", "true")),
+                "dist_to_junction": _number(rng, _SPELLINGS, exotic)}
     member = {"rain": _number(rng, _SPELLINGS[:1], exotic),
               "visibility": _number(rng, _SPELLINGS[1:3], exotic)}
     if rng.random() < 0.5:
@@ -528,11 +560,11 @@ def _next_member(rng, member, name, exotic):
     if op == "repeat":
         return member
     if op == "toggle" or not isinstance(member, dict):
-        if member is not None and rng.random() < 0.5:
+        if member is not None and rng.random() < 0.25:
             return None
         return _random_member(rng, name, exotic)
     member = dict(member)
-    key = rng.choice([k for k in member if k != "color"])
+    key = rng.choice([k for k in member if k not in ("color", "in_junction")])
     member[key] = (_respelled(rng, member[key]) if op == "respell" else
                    _number(rng, _SPELLINGS[1:3] if key == "visibility"
                            else _SPELLINGS, exotic))
@@ -540,19 +572,25 @@ def _next_member(rng, member, name, exotic):
 
 
 def _with_members(rng, line, members):
-    """`line` with its light and weather members (None leaves one out):
-    after the array in the order a record writes them, or at times in the
-    other order, spaced, or before the array."""
-    colon = " : " if rng.random() < 0.1 else ":"
-    texts = [f'"{name}"{colon}{m if isinstance(m, str) else _object_text(m)}'
-             for name, m in members if m is not None]
-    if rng.random() < 0.1:
+    """`line` with its light, weather and map context members (None leaves
+    one out): after the array in the order a record writes them, or at times
+    with the light and weather in the other order, spaced, or before the
+    array. Only a line with all three, in order and compact, is in the
+    layout that `record_bytes` writes."""
+    colon = " : " if rng.random() < 0.05 else ":"
+    texts = {name: f'"{name}"{colon}'
+             + (m if isinstance(m, str) else _object_text(m))
+             for name, m in members if m is not None}
+    last = [texts.pop("map_ctx")] if "map_ctx" in texts else []
+    texts = list(texts.values())
+    if rng.random() < 0.05:
         texts.reverse()
-    comma = ", " if rng.random() < 0.1 else ","
-    if texts and rng.random() < 0.1:
-        return line.replace(',"obstacles":[',
+    comma = ", " if rng.random() < 0.05 else ","
+    if texts and rng.random() < 0.05:
+        line = line.replace(',"obstacles":[',
                             "," + comma.join(texts) + ',"obstacles":[', 1)
-    return line[:-2] + "".join(comma + t for t in texts) + "}\n"
+        texts = []
+    return line[:-2] + "".join(comma + t for t in texts + last) + "}\n"
 
 
 def _record_text(rng):
@@ -571,7 +609,7 @@ def _record_text(rng):
                      + ",".join(map(_object_text, obstacles)) + "]}\n")
     # the members are drawn after the obstacles, which stay as they were
     members = {name: _random_member(rng, name, exotic)
-               for name in ("traffic_light", "weather")}
+               for name in ("traffic_light", "weather", "map_ctx")}
     for i, line in enumerate(lines):
         if i:
             members = {name: _next_member(rng, m, name, exotic)
@@ -580,10 +618,10 @@ def _record_text(rng):
     return "".join(lines)
 
 
-# Rewrites of a `_record_text` line (`{"t":...,"obstacles":[...]}`) that the
-# loader must read as it reads the whole line: ones that leave no single
-# top-level "obstacles" array it can walk, ones that are not valid JSON, and
-# whitespace, which the walk skips
+# Rewrites of a `_record_text` line (`{"t":...,"obstacles":[...],...}`)
+# that the loader must read as it reads the whole line: each leaves the
+# layout that `record_bytes` writes (a key again, nested, escaped or out of
+# order, whitespace) or is not valid JSON
 _OTHER = '{"id":"d","x":1,"y":0,"speed":0,"half_len":2,"half_wid":1}'
 _QUOTED_ID = ('{"id":"x\\"obstacles\\":[","x":1,"y":0,"speed":0,'
               '"half_len":2,"half_wid":1}')
@@ -598,6 +636,16 @@ def _in_weather(line):
     """The line with its obstacle array moved into `weather`, open: the
     closing `}` and newline are the caller's."""
     return line.replace(',"obstacles":[', ',"weather":{"obstacles":[', 1)[:-2]
+
+
+_MEMBER_KEYS = ("t", "ego", "obstacles", "traffic_light", "weather",
+                "map_ctx")
+
+
+def _misspelt(line, key):
+    """The line with the member key `key` spelt with its last letter in
+    upper case, at the length the writer spells it."""
+    return line.replace(f'"{key}":', f'"{key[:-1]}{key[-1].upper()}":', 1)
 
 
 _WHITESPACE = (('"obstacles":[', '"obstacles": ['), ('"obstacles":[',
@@ -648,8 +696,16 @@ _DEFEATS = {
         '{"t":', rng.choice(('{"weather":[],"t":',
                              '{"traffic_light":{"color":"blue"},"t":')), 1),
     "member value run on": lambda rng, line: re.sub(
-        r'(null|[0-9]})(?=,"weather"|}\n)', lambda m: m[1] + rng.choice(
-            ("0", "e5", ".5", "x", "}")), line, count=1),
+        r'(null|[0-9]})(?=,"weather"|,"map_ctx"|}\n)',
+        lambda m: m[1] + rng.choice(("0", "e5", ".5", "x", "}")), line,
+        count=1),
+    "misspelt key": lambda rng, line: _misspelt(line,
+                                                rng.choice(_MEMBER_KEYS)),
+    "array closed by a brace": lambda rng, line: line.replace(
+        '],"traffic_light":', '},"traffic_light":', 1),
+    # the map context first, where the writer puts the time
+    "members out of order": lambda rng, line: re.sub(
+        r'^{("t":.*),("map_ctx":{[^}]*})}\n$', r'{\2,\1}\n', line),
     "unterminated": lambda rng, line: (
         line[:rng.randrange(line.index('"obstacles":[') + 13, len(line) - 2)]
         + rng.choice(("\n", "}\n"))),
@@ -685,6 +741,33 @@ def _assert_loads_like_each_line_alone(path, work):
     return got
 
 
+def _fast_path_taken(path):
+    """For each line that `load_record` reads of the record at `path`, in
+    file order, whether it took the fast path (`_decode_reusing`); lines
+    after a refused one are not read."""
+    taken = []
+    decode = trace_model._decode_reusing
+
+    def spy(*args):
+        reused = decode(*args)
+        taken.append(reused is not None)
+        return reused
+    with mock.patch.object(trace_model, "_decode_reusing", spy):
+        _frames_or_error(load_record, path)
+    return taken
+
+
+def _writer_layout(doc):
+    """The compact line of a frame document with its six members in the
+    order `record_bytes` writes them; a member it lacks is null, {} or []."""
+    return json.dumps({"t": doc["t"], "ego": doc["ego"],
+                       "obstacles": doc.get("obstacles", []),
+                       "traffic_light": doc.get("traffic_light"),
+                       "weather": doc.get("weather", {}),
+                       "map_ctx": doc.get("map_ctx", {})},
+                      separators=(",", ":"))
+
+
 def _reused(frames):
     return sum(any(ob is prev for prev in a.obstacles)
                for a, b in zip(frames, frames[1:]) for ob in b.obstacles)
@@ -702,10 +785,11 @@ def _shared(frames):
 
 
 class TestObstacleReuse:
-    """A frame takes the previous line's whole obstacles array, light and
-    weather where their text repeats, and else the previous line's Obstacle
-    for an obstacle whose text repeats that line's element at its index;
-    the frames must equal those built from each line alone."""
+    """On a line in the layout that `record_bytes` writes, a frame takes the
+    previous line's whole obstacles array, light and weather where their
+    text repeats, and else the previous line's Obstacle for an obstacle
+    whose text repeats that line's element at its index; any other line is
+    decoded whole. The frames must equal those built from each line alone."""
 
     def test_seeded_records_load_like_each_line_alone(self, tmp_path):
         reused = refused = 0
@@ -721,10 +805,10 @@ class TestObstacleReuse:
             refused += not frames
             for part, n in _shared(frames).items():
                 shared[part] += n
-        assert reused > 300
-        assert refused > 5
-        assert shared == {"obstacles": 169, "traffic_light": 163,
-                          "weather": 252}
+        assert reused == 425
+        assert refused == 32
+        assert shared == {"obstacles": 84, "traffic_light": 227,
+                          "weather": 263}
 
     def test_seeded_lines_that_defeat_the_fast_path(self, tmp_path):
         # a record's lines are rewritten, each with odds 1/2, by one of
@@ -752,9 +836,10 @@ class TestObstacleReuse:
             for part, n in _shared(frames).items():
                 shared[part] += n
         assert min(rewritten.values()) >= 5, rewritten
-        assert reused > 100
-        assert refused > 10
-        assert shared == {"obstacles": 20, "traffic_light": 18, "weather": 47}
+        # what is shared is shared between lines left as they were
+        assert reused == 50
+        assert refused == 57
+        assert shared == {"obstacles": 9, "traffic_light": 24, "weather": 30}
 
     @pytest.mark.parametrize("field", ["x", "heading", "speed", "predicted",
                                        "dist_to_stopline", "rain"])
@@ -779,12 +864,14 @@ class TestObstacleReuse:
                                  f'"heading":0,"speed":1}},"obstacles":['
                                  f"{_object_text(ob)}],\"traffic_light\":"
                                  f"{_object_text(light)},\"weather\":"
-                                 f"{_object_text(weather)}}}\n")
+                                 f"{_object_text(weather)},"
+                                 '"map_ctx":{}}\n')
                 path = tmp_path / f"rec{i}_{j}.jsonl"
                 path.write_text("".join(lines), encoding="utf-8")
                 work = tmp_path / f"lines{i}_{j}"
                 work.mkdir()
                 _assert_loads_like_each_line_alone(path, work)
+                assert _fast_path_taken(path) == [True] * 3
 
     def test_repeated_parts_are_the_previous_frames(self, tmp_path):
         # the whole obstacles array, the light and the weather are taken
@@ -858,26 +945,63 @@ class TestObstacleReuse:
         (lambda line: line.replace("}]", "} 7]", 1),
          "line 2: not valid JSON (Expecting ',' delimiter)"),
         (lambda line: line + " 7", "line 2: not valid JSON (Extra data)"),
+    ] + [
+        # each key is matched where the writer puts it: spelt otherwise it
+        # is an unknown field, and a frame without "t" or "ego" is refused
+        (lambda line, key=key: _misspelt(line, key),
+         f"line 2: bad frame ('{key}')" if key in ("t", "ego") else None)
+        for key in _MEMBER_KEYS
     ], ids=["string before the key", "nested key first", "junk after an element",
-            "data after the document"])
+            "data after the document",
+            *(f"{key} spelt otherwise" for key in _MEMBER_KEYS)])
     def test_irregular_line_is_decoded_whole(self, tmp_path, rewrite, error):
         ob = {"id": "o", "kind": "vehicle", "x": 9.0, "y": 0.0, "speed": 1.0,
               "half_len": 2.0, "half_wid": 1.0}
-        lines = [json.dumps({"t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0,
-                                                  "speed": 1},
-                             "obstacles": [ob]}, separators=(",", ":"))
-                 for t in range(3)]
+        lines = [_writer_layout({
+            "t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+            "obstacles": [ob]}) for t in range(3)]
+        decode = trace_model._decode_reusing
+        assert decode(lines[1], None, trace_model._NO_TEXTS, ())
         lines[1] = rewrite(lines[1])
-        assert trace_model._decode_reusing(lines[1], None, trace_model._NO_TEXTS, ()) is None
+        assert decode(lines[1], None, trace_model._NO_TEXTS, ()) is None
         path = tmp_path / "rec.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         work = tmp_path / "lines"
         work.mkdir()
-        with warnings.catch_warnings():     # "note" is unknown
+        # "note" and a key spelt otherwise are unknown fields
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             frames = _assert_loads_like_each_line_alone(path, work)
             assert _frames_or_error(load_record, path)[1] == error
         assert len(frames) == (3 if error is None else 0)
+
+    def test_every_line_the_writer_writes_takes_the_fast_path(
+            self, tmp_path, baseline_runs):
+        # the S1..S8 baselines, and a record of the leaves CI checks; were
+        # the writer's layout to change alone, these lines would be decoded
+        # whole, with the same frames
+        ob = Obstacle(id="\u00e9", kind="vehicle", x=1e16, y=5e-324,
+                      heading=-0.0, speed=0.0, half_len=2.0, half_wid=1.0,
+                      predicted=((0.5, 1e16, 5e-324),))
+        odd = [RawRecordFrame(t=f.t, ego=f.ego._replace(x=5e-324, y=1e16,
+                                                        heading=-0.0),
+                              obstacles=(ob,),
+                              traffic_light=TrafficLightState("red", -0.0),
+                              weather=WeatherState(rain=-0.0))
+               for f in ramp_frames(3)]
+        records = {sid: run["frames"] for sid, run in baseline_runs.items()}
+        records["odd"] = odd
+        lines = 0
+        for name, frames in records.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(record_bytes(frames))
+            assert _fast_path_taken(path) == [True] * len(frames), name
+            assert record_bytes(load_record(path)) == path.read_bytes()
+            lines += len(frames)
+        text = (tmp_path / "odd.jsonl").read_text(encoding="utf-8")
+        for leaf in ("5e-324", "1e+16", '"\\u00e9"', "-0.0"):
+            assert leaf in text
+        assert lines == 2634 + 3
 
     @pytest.mark.parametrize("scenario, reused, after_first", [
         ("S2", 253, 342), ("S5", 700, 700), ("S7", 660, 1155)],
@@ -902,14 +1026,18 @@ class TestObstacleReuse:
     @pytest.mark.parametrize("separators", [
         (", ", ": "), (" , ", " : "), ("\t,", ":\t")],
         ids=["json.dumps", "spaces", "tabs"])
-    def test_spaced_record_shares_like_a_compact_one(self, tmp_path,
-                                                     separators):
-        # whitespace around the array, between its elements and around the
-        # members after it is skipped: S2 written with spaces shares the 253
-        # obstacles, and the whole parts, that it shares compact
+    def test_spaced_record_loads_like_a_compact_one(self, tmp_path,
+                                                    separators):
+        # S2 shares 253 obstacles, and whole parts, compact; written with
+        # spaces it is not in the writer's layout: every line is decoded
+        # whole, shares nothing and loads as the compact record does
         frames, _ = run_scenario(scenario_by_id("S2"))
         compact = tmp_path / "compact.jsonl"
         save_record(frames, compact)
+        loaded_compact = load_record(compact)
+        assert _reused(loaded_compact) == 253
+        assert _shared(loaded_compact) == {
+            "obstacles": 114, "traffic_light": 0, "weather": 171}
         path = tmp_path / "spaced.jsonl"
         with open(compact, encoding="utf-8") as fh:
             path.write_text("".join(
@@ -918,9 +1046,13 @@ class TestObstacleReuse:
         work = tmp_path / "lines"
         work.mkdir()
         loaded = _assert_loads_like_each_line_alone(path, work)
-        assert _reused(loaded) == 253
-        assert _shared(loaded) == _shared(load_record(compact)) == {
-            "obstacles": 114, "traffic_light": 0, "weather": 171}
+        assert not any(_fast_path_taken(path))
+        assert _reused(loaded) == 0
+        assert _shared(loaded) == dict.fromkeys(_shared(loaded), 0)
+        assert loaded == loaded_compact
+        again = tmp_path / "again.jsonl"
+        save_record(loaded, again)
+        assert again.read_bytes() == compact.read_bytes()
 
     @pytest.mark.parametrize("ob_id, accel", [
         ("car-0.5", 0.0), ("car", 2.5e-05)],
@@ -966,41 +1098,44 @@ class TestObstacleReuse:
         docs = [{"t": t / 10, "ego": {"x": 0, "y": 0, "heading": 0,
                                       "speed": 1},
                  "obstacles": [dict(ob)]} for t in range(5)]
-        # compact lines, which share their repeated obstacle text
-        lines = [json.dumps(d, separators=(",", ":")) + "\n" for d in docs]
+        # lines in the writer's layout, which share their repeated
+        # obstacle text
+        lines = [_writer_layout(d) + "\n" for d in docs]
         path = tmp_path / "rec.jsonl"
         path.write_text("".join(lines[:3]), encoding="utf-8")
         assert _reused(load_record(path)) == 2
         docs[3]["obstacles"][0][key] = value
-        lines[3] = json.dumps(docs[3], separators=(",", ":")) + "\n"
+        lines[3] = _writer_layout(docs[3]) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(RecordError) as info:
             load_record(path)
         assert str(info.value) == f"line 4: bad frame ({message})"
+        assert _fast_path_taken(path) == [True] * 4
 
-    @pytest.mark.parametrize("ego_speed, end, message", [
+    @pytest.mark.parametrize("ego_speed, end, message, fast", [
         # the ego is built before the obstacles
-        (-1, "}", "bad frame (ego.speed must be non-negative, got -1)"),
+        (-1, "}", "bad frame (ego.speed must be non-negative, got -1)", True),
         # the whole line decodes before any obstacle is built
-        (1, ',"t":}', "not valid JSON (Expecting value)"),
+        (1, ',"t":}', "not valid JSON (Expecting value)", False),
     ], ids=["ego first", "decode first"])
     def test_error_precedence_after_a_shared_line(self, tmp_path, ego_speed,
-                                                  end, message):
+                                                  end, message, fast):
         # line 2 holds a bad obstacle (kind "tank") after a line that offers
         # its obstacle
         lines = []
         for t, kind, speed in ((0.0, "vehicle", 1), (0.1, "tank", ego_speed)):
             ob = {"id": "o", "kind": kind, "x": 9.0, "y": 0.0, "speed": 1.0,
                   "half_len": 2.0, "half_wid": 1.0}
-            doc = {"t": t, "ego": {"x": 0, "y": 0, "heading": 0,
-                                   "speed": speed}, "obstacles": [ob]}
-            lines.append(json.dumps(doc, separators=(",", ":")))
+            lines.append(_writer_layout({
+                "t": t, "ego": {"x": 0, "y": 0, "heading": 0, "speed": speed},
+                "obstacles": [ob]}))
         lines[1] = lines[1][:-1] + end
         path = tmp_path / "rec.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RecordError) as info:
             load_record(path)
         assert str(info.value) == f"line 2: {message}"
+        assert _fast_path_taken(path) == [True, fast]
 
 # Leaves whose text json.dumps writes in a way of its own
 _ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
