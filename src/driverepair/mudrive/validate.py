@@ -1,15 +1,11 @@
 """Static validation of rule programs against the vocabulary catalog."""
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
+from ..trace_model import require_bool, require_finite, require_one_of
 from .catalog import default_catalog
 from .grammar import Call, MuDriveProgram
-
-
-# NaN fails both comparisons; so do infinities and ints no float can hold
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -22,6 +18,20 @@ class Diagnostic:
         return f"[{self.rule}] {self.where}: {self.message}"
 
 
+def _check_value(spec, value, name):
+    """Raise a ValueError naming `name` if `value` does not fit `spec`."""
+    if spec.type == "number":
+        require_finite(value, name)
+        if spec.minimum is not None and value < spec.minimum:
+            raise ValueError(f"{name} must be >= {spec.minimum}, got {value}")
+        if spec.maximum is not None and value > spec.maximum:
+            raise ValueError(f"{name} must be <= {spec.maximum}, got {value}")
+    elif spec.type == "enum":
+        require_one_of(value, spec.values, name)
+    elif spec.type == "bool":
+        require_bool(value, name)
+
+
 def _check_args(entry, call: Call, rule, where, out):
     if len(call.args) != len(entry.params):
         out.append(Diagnostic(rule, where,
@@ -29,35 +39,10 @@ def _check_args(entry, call: Call, rule, where, out):
                               f" got {len(call.args)}"))
         return
     for spec, value in zip(entry.params, call.args):
-        if spec.type == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be a number"
-                                      f" ({spec.unit or 'unitless'}), got {value!r}"))
-                continue
-            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be a finite"
-                                      f" number, got {value!r}"))
-                continue
-            if spec.minimum is not None and value < spec.minimum:
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be"
-                                      f" >= {spec.minimum}, got {value}"))
-            if spec.maximum is not None and value > spec.maximum:
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be"
-                                      f" <= {spec.maximum}, got {value}"))
-        elif spec.type == "enum":
-            if value not in spec.values:
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be one of"
-                                      f" {list(spec.values)}, got {value!r}"))
-        elif spec.type == "bool":
-            if not isinstance(value, bool):
-                out.append(Diagnostic(rule, where,
-                                      f"{call.name}: {spec.name} must be true or"
-                                      f" false, got {value!r}"))
+        try:
+            _check_value(spec, value, f"{call.name}: {spec.name}")
+        except ValueError as exc:
+            out.append(Diagnostic(rule, where, str(exc)))
 
 
 def _check_trigger(call: Call, cat, rule, where, out):

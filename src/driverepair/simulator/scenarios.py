@@ -18,9 +18,9 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from ..trace_model import FAR, LANE_CODE, LIGHT_CODE, OBSTACLE_KINDS
-from ..trace_model import WeatherState, require_finite, require_non_negative
-from ..trace_model import require_list, require_object, require_one_of
-from ..trace_model import require_positive
+from ..trace_model import WeatherState, missing_key, require_finite, require_id
+from ..trace_model import require_list, require_non_negative, require_object
+from ..trace_model import require_one_of, require_positive, require_row
 
 # The offsets ahead of a tick at which an NPC's predicted path is sampled:
 # every 0.5 s up to 3 s, each exact in binary.
@@ -62,11 +62,12 @@ class NpcSpec:
     @_raises_scenario_error
     def __post_init__(self):
         wps = self.waypoints
-        if not wps or any(len(w) != 4 for w in wps):
+        if not require_list(wps, "npcs.waypoints"):
             raise ValueError("npcs.waypoints must be a non-empty list of"
                              f" [t, x, y, speed_kmh], got {wps!r}")
         for w in wps:
-            for v in w:
+            for v in require_row(w, ("t", "x", "y", "speed_kmh"),
+                                 "npcs.waypoints"):
                 require_finite(v, "npcs.waypoints")
             require_non_negative(w[3], "npcs.waypoints speed_kmh")
         if any(a[0] > b[0] for a, b in zip(wps, wps[1:])):
@@ -159,9 +160,11 @@ class LightSpec:
     def __post_init__(self):
         require_finite(self.stopline_s, "lights.stopline_s")
         require_finite(self.release_s, "lights.release_s")
-        if not self.schedule:
+        if not require_list(self.schedule, "lights.schedule"):
             raise ValueError("lights.schedule must not be empty")
-        for color, dur in self.schedule:
+        for row in self.schedule:
+            color, dur = require_row(row, ("color", "duration_s"),
+                                     "lights.schedule")
             require_one_of(color, LIGHT_CODE, "lights.schedule")
             if duration_ticks(require_finite(dur, "lights.schedule")) < 1:
                 raise ValueError("lights.schedule duration_s must round to at"
@@ -199,6 +202,10 @@ class ScenarioScript:
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"{name} must be a tuple (a list in a"
                                  f" document), got {getattr(self, name)!r}")
+        for name, columns in (("lane_segments", ("s0", "s1", "kind")),
+                              ("junctions", ("s0", "s1"))):
+            for row in getattr(self, name):
+                require_row(row, columns, name)
         if not isinstance(self.description, str):
             raise ValueError("description must be a string,"
                              f" got {self.description!r}")
@@ -443,10 +450,12 @@ def script_to_dict(script: ScenarioScript) -> dict:
 
 def _plain(value):
     """A JSON value as the scenario types hold it: a list (or tuple) as a
-    tuple, a number as a float; anything else is left for the types to
-    refuse."""
+    tuple, a number as a float; anything else, true and false too, is left
+    for the types to refuse."""
     if isinstance(value, (list, tuple)):
         return tuple(map(_plain, value))
+    if value is True or value is False:     # an int to Python
+        return value
     try:
         return value * 1.0
     except (TypeError, OverflowError):
@@ -470,7 +479,7 @@ def _build(cls, doc, name, **convert):
     for key, f in known.items():
         if (key not in doc and f.default is MISSING
                 and f.default_factory is MISSING):
-            raise ValueError(f"missing key {key!r} in {name}")
+            raise missing_key(key, name)
     return cls(**values)
 
 
@@ -485,9 +494,11 @@ def script_from_dict(doc: dict) -> ScenarioScript:
     check the values, and a key the document omits takes its type's
     default."""
     try:
-        return _build(ScenarioScript, doc, "scenario", id=str,
+        return _build(ScenarioScript, doc, "scenario",
+                      id=lambda v: require_id(v, "id"),
                       lights=_each(LightSpec, "lights"),
-                      npcs=_each(NpcSpec, "npcs", id=str),
+                      npcs=_each(NpcSpec, "npcs",
+                                 id=lambda v: require_id(v, "npcs.id")),
                       weather=lambda w: _build(WeatherState, w, "weather"))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc

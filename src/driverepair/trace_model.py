@@ -5,7 +5,8 @@ vehicle, surrounding obstacles, the governing traffic light, weather, and
 map context; a frame keeps its scene and an obstacle its record text once
 computed. A trace resamples a record every STEP_S seconds and evaluates
 every signal variable the property language can mention, one scene per step.
-The value rules that records share with scenario documents live here too.
+The value rules that records share with scenario documents and rule
+programs live here too.
 
 The per-frame values (EgoPose, TrafficLightState, MapContext) and Scene are
 tuples (`typing.NamedTuple`), immutable like the frozen dataclasses around
@@ -24,7 +25,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -137,13 +138,16 @@ class RawRecordFrame:
         return scene
 
 
-# Value rules that records and scenario documents share. Each names the field
-# by its document path and returns the value it accepts.
+# Value rules that records, scenario documents and rule programs share. Each
+# names the field by its document path and returns the value it accepts.
 
 def require_one_of(value, allowed, name):
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
-    return value
+    try:
+        if value in allowed:
+            return value
+    except TypeError:   # a list or an object, checked against a dict
+        pass
+    raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
 
 
 def require_bool(value, name):
@@ -154,8 +158,9 @@ def require_bool(value, name):
 
 
 def require_finite(value, name):
+    # true and false are ints to Python but not numbers to JSON
     try:    # a string ("nan") or an int beyond the float range fails too
-        if math.isfinite(value):
+        if value is not True and value is not False and math.isfinite(value):
             return value
     except (TypeError, OverflowError):
         pass
@@ -187,60 +192,118 @@ def require_list(value, name):
     return value
 
 
+def require_row(value, columns, name):
+    """`value` if it is a list (or tuple) of one value per column; a string
+    or an object of as many would unpack too."""
+    if (type(value) is not list and type(value) is not tuple
+            or len(value) != len(columns)):
+        raise ValueError(f"{name} must be a list of [{', '.join(columns)}],"
+                         f" got {value!r}")
+    return value
+
+
+def require_id(value, name):
+    """An id as its text: a string, or a finite number kept as its text."""
+    if type(value) is not str:
+        if type(value) is not int and type(value) is not float:
+            raise ValueError(f"{name} must be a string or a number,"
+                             f" got {value!r}")
+        require_finite(value, name)     # "inf" would pass
+    return str(value)
+
+
+def missing_key(key, name):
+    return ValueError(f"missing key {key!r} in {name}")
+
+
 # Every number a frame keeps passes `require_finite`, which also refuses a
-# JSON string (float() would read "nan" as NaN) and a literal beyond the
-# float range (1e400 decodes as inf; a longer int overflows in isfinite).
-# A sign rule goes first, so a string there keeps its comparison error.
+# JSON string (float() would read "nan" as NaN), true and false, and a
+# literal beyond the float range (1e400 decodes as inf; a longer int
+# overflows in isfinite). A sign rule comes after it, so it compares a
+# number.
 
 def _real(value, name, rule=None):
-    return require_finite(rule(value, name) if rule else value, name) * 1.0
+    value = require_finite(value, name)
+    return (rule(value, name) if rule else value) * 1.0
 
 
-_POINT = "obstacles.predicted"
+_POINT, _POINT_COLUMNS = "obstacles.predicted", ("t", "x", "y")
 
 
 def _point(p):
-    # a string or an object of three would unpack too
-    if type(p) is not list or len(p) != 3:
-        raise ValueError(f"{_POINT} must be a list of [t, x, y], got {p!r}")
-    t, x, y = p
+    t, x, y = require_row(p, _POINT_COLUMNS, _POINT)
     return _real(t, _POINT), _real(x, _POINT), _real(y, _POINT)
 
 
-def _obstacle_from_dict(ob):
-    require_object(ob, "obstacles element")
-    id_ = ob["id"]
-    if type(id_) is not str:    # a number is kept as its text
-        if type(id_) is not int and type(id_) is not float:
-            raise ValueError("obstacles.id must be a string or a number,"
-                             f" got {id_!r}")
-        require_finite(id_, "obstacles.id")     # "inf" would pass
+def _required(doc, keys, name):
+    """The values `keys`, an itemgetter, takes from `doc`, the object
+    `name`; a key it lacks is named."""
+    try:
+        return keys(doc)
+    except KeyError as exc:
+        raise missing_key(exc.args[0], name) from None
+
+
+# The keys that a line's document and its parts must hold, each read by one
+# itemgetter for `_required`
+_EGO, _T = operator.itemgetter("ego"), operator.itemgetter("t")
+_EGO_REQUIRED = operator.itemgetter("x", "y", "heading", "speed")
+_OBSTACLE_REQUIRED = operator.itemgetter("id", "x", "y", "speed", "half_len",
+                                         "half_wid")
+_LIGHT_REQUIRED = operator.itemgetter("color", "dist_to_stopline")
+
+# All the keys of a line's document and of each part built from it: each
+# names a field of the type it builds
+_FRAME_KEYS = frozenset(f.name for f in fields(RawRecordFrame))
+_EGO_KEYS = frozenset(EgoPose._fields)
+_OBSTACLE_KEYS = frozenset(f.name for f in fields(Obstacle))
+_LIGHT_KEYS = frozenset(TrafficLightState._fields)
+_WEATHER_KEYS = frozenset(f.name for f in fields(WeatherState))
+_MAP_KEYS = frozenset(MapContext._fields)
+
+
+def _note_unknown(part, known, prefix, unknown):
+    """Add to the set `unknown` the keys of `part` that are not in `known`,
+    each by its dotted path: `prefix` and the key."""
+    if not known.issuperset(part):
+        unknown.update(prefix + key for key in part.keys() - known)
+
+
+def _obstacle_from_dict(ob, unknown):
+    id_, x, y, speed, half_len, half_wid = _required(
+        require_object(ob, "obstacles element"), _OBSTACLE_REQUIRED,
+        "obstacles element")
+    _note_unknown(ob, _OBSTACLE_KEYS, "obstacles.", unknown)
     return Obstacle(
-        id=str(id_),
+        id=require_id(id_, "obstacles.id"),
         kind=require_one_of(ob.get("kind", "unknown"), OBSTACLE_KINDS,
                             "obstacles.kind"),
-        x=_real(ob["x"], "obstacles.x"), y=_real(ob["y"], "obstacles.y"),
+        x=_real(x, "obstacles.x"), y=_real(y, "obstacles.y"),
         heading=_real(ob.get("heading", 0.0), "obstacles.heading"),
-        speed=_real(ob["speed"], "obstacles.speed", require_non_negative),
-        half_len=_real(ob["half_len"], "obstacles.half_len", require_positive),
-        half_wid=_real(ob["half_wid"], "obstacles.half_wid", require_positive),
+        speed=_real(speed, "obstacles.speed", require_non_negative),
+        half_len=_real(half_len, "obstacles.half_len", require_positive),
+        half_wid=_real(half_wid, "obstacles.half_wid", require_positive),
         predicted=tuple([_point(p) for p in require_list(
             ob.get("predicted", ()), _POINT)]),
     )
 
 
-def _frame_from_dict(doc):
-    """Build one frame, ego first. A part of `doc` that is already built
-    (the previous line's, for repeated text: the obstacles tuple, an
-    element's Obstacle, the TrafficLightState or None, the WeatherState)
-    was checked when it was built and is taken as it is; every other part
-    is built. JSON decodes to none of these types."""
+def _frame_from_dict(doc, unknown):
+    """Build one frame, ego first and `t` last, and add to the set `unknown`
+    the keys of `doc` and of each part it builds that name no field. A
+    part of `doc` that is already built (the previous line's, for repeated
+    text: the obstacles tuple, an element's Obstacle, the TrafficLightState
+    or None, the WeatherState) was checked when it was built and is taken
+    as it is; every other part is built. JSON decodes to none of these
+    types."""
     require_object(doc, "frame")
-    ego_doc = require_object(doc["ego"], "ego")
+    _note_unknown(doc, _FRAME_KEYS, "", unknown)
+    ego_doc = require_object(_required(doc, _EGO, "frame"), "ego")
+    x, y, heading, speed = _required(ego_doc, _EGO_REQUIRED, "ego")
+    _note_unknown(ego_doc, _EGO_KEYS, "ego.", unknown)
     ego = EgoPose(
-        _real(ego_doc["x"], "ego.x"), _real(ego_doc["y"], "ego.y"),
-        _real(ego_doc["heading"], "ego.heading"),
-        _real(ego_doc["speed"], "ego.speed", require_non_negative),
+        _real(x, "ego.x"), _real(y, "ego.y"), _real(heading, "ego.heading"),
+        _real(speed, "ego.speed", require_non_negative),
         _real(ego_doc.get("accel", 0.0), "ego.accel"),
         _real(ego_doc.get("steering", 0.0), "ego.steering"),
         require_one_of(ego_doc.get("gear", "drive"), GEAR_CODE, "ego.gear"))
@@ -248,19 +311,22 @@ def _frame_from_dict(doc):
     obstacles = doc.get("obstacles", ())
     if type(obstacles) is not tuple:
         obstacles = tuple([
-            ob if type(ob) is Obstacle else _obstacle_from_dict(ob)
+            ob if type(ob) is Obstacle else _obstacle_from_dict(ob, unknown)
             for ob in require_list(obstacles, "obstacles")])
 
     light = doc.get("traffic_light")
     if light is not None and type(light) is not TrafficLightState:
-        require_object(light, "traffic_light")
+        color, dist = _required(require_object(light, "traffic_light"),
+                                _LIGHT_REQUIRED, "traffic_light")
+        _note_unknown(light, _LIGHT_KEYS, "traffic_light.", unknown)
         light = TrafficLightState(
-            require_one_of(light["color"], LIGHT_CODE, "traffic_light.color"),
-            _real(light["dist_to_stopline"], "traffic_light.dist_to_stopline"))
+            require_one_of(color, LIGHT_CODE, "traffic_light.color"),
+            _real(dist, "traffic_light.dist_to_stopline"))
 
     weather = doc.get("weather", {})
     if type(weather) is not WeatherState:
         w = require_object(weather, "weather")
+        _note_unknown(w, _WEATHER_KEYS, "weather.", unknown)
         weather = WeatherState(
             rain=_real(w.get("rain", 0.0), "weather.rain"),
             fog=_real(w.get("fog", 0.0), "weather.fog"),
@@ -270,6 +336,7 @@ def _frame_from_dict(doc):
         )
 
     m = require_object(doc.get("map_ctx", {}), "map_ctx")
+    _note_unknown(m, _MAP_KEYS, "map_ctx.", unknown)
     map_ctx = MapContext(
         require_bool(m.get("in_junction", False), "map_ctx.in_junction"),
         _real(m.get("dist_to_junction", FAR), "map_ctx.dist_to_junction"),
@@ -280,7 +347,7 @@ def _frame_from_dict(doc):
         require_bool(m.get("is_changing_lane", False),
                      "map_ctx.is_changing_lane"))
 
-    t = _real(doc["t"], "t")    # last: another bad field is reported first
+    t = _real(_required(doc, _T, "frame"), "t")
     return RawRecordFrame(t, ego, obstacles, light, weather, map_ctx)
 
 
@@ -415,8 +482,7 @@ def load_record(path) -> list[RawRecordFrame]:
     # result. A line in that layout offers its parts' texts and element
     # texts and, once built, its frame; a line decoded whole offers none.
     before, texts, elements = None, _NO_TEXTS, ()
-    # the frame fields, and each unknown field once it has been warned about
-    seen = {"t", "ego", "obstacles", "traffic_light", "weather", "map_ctx"}
+    warned = set()      # each unknown field is named once
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -435,16 +501,17 @@ def load_record(path) -> list[RawRecordFrame]:
                     raise RecordError(f"line {lineno}: not valid JSON ({exc})") from exc
             else:
                 doc, texts, elements = reused
+            unknown = set()
             try:
-                before = _frame_from_dict(doc)
-            except (KeyError, TypeError, ValueError) as exc:
+                before = _frame_from_dict(doc, unknown)
+            except (TypeError, ValueError) as exc:
                 raise RecordError(f"line {lineno}: bad frame ({exc})") from exc
             frames.append(before)
             linenos.append(lineno)
-            for name in sorted(doc.keys() - seen):
+            for name in sorted(unknown - warned):
                 warnings.warn(f"ignoring unknown record field {name!r}"
                               f" (first on line {lineno})")
-                seen.add(name)
+                warned.add(name)
 
     def line_of(frame):
         return linenos[next(i for i, f in enumerate(frames) if f is frame)]

@@ -242,7 +242,7 @@ class TestValidate:
     def test_wrong_arg_type(self):
         text = 'rule "x"\ntrigger\n always\nthen\n cruise_speed(fast)\nend\n'
         problems = validate(parse_program(text))
-        assert any("must be a number" in str(p) for p in problems)
+        assert any("must be a finite number" in str(p) for p in problems)
 
     def test_bad_enum_member(self):
         text = ('rule "x"\ntrigger\n always\ncondition\n is_traffic_light(blue)\n'

@@ -225,15 +225,35 @@ class TestRunScenario:
         ("weather.visibility",
          lambda doc: doc["weather"].update(visibility=0)),
         ("start_speed_kmh", lambda doc: doc.update(start_speed_kmh=-10)),
-        (r"npcs.waypoints must be a non-empty list of \[t, x, y,",
+        (r"npcs.waypoints must be a list of \[t, x, y, speed_kmh\],"
+         r" got \(0.0, 200.0, 7.0\)$",
          lambda doc: doc["npcs"][0]["waypoints"][0].pop()),
         ("npcs.waypoints must be a non-empty list",
          lambda doc: doc["npcs"][0].update(waypoints=[])),
-        (r"too many values to unpack \(expected 2\)",
+        (r"junctions must be a list of \[s0, s1\], got \(1.0, 2.0, 3.0\)$",
          lambda doc: doc.update(junctions=[[1.0, 2.0, 3.0]])),
+        # a row of another shape is named, never unpacked or read by letter
+        (r"junctions must be a list of \[s0, s1\], got 5.0$",
+         lambda doc: doc.update(junctions=[5])),
+        (r"lane_segments must be a list of \[s0, s1, kind\], got 'abc'$",
+         lambda doc: doc.update(lane_segments=["abc"])),
+        (r"npcs.waypoints must be a list of \[t, x, y, speed_kmh\],"
+         r" got 'abcd'$",
+         lambda doc: doc["npcs"][0]["waypoints"].append("abcd")),
+        (r"npcs.waypoints must be a list, got 'abcd'$",
+         lambda doc: doc["npcs"][0].update(waypoints="abcd")),
+        (r"lights.schedule must be a list of \[color, duration_s\],"
+         r" got \('red',\)$",
+         lambda doc: doc.update(lights=[{"stopline_s": 5.0, "release_s": 9.0,
+                                         "schedule": [["red"]]}])),
+        (r"lights.schedule must be a list, got 5.0$",
+         lambda doc: doc.update(lights=[{"stopline_s": 5.0, "release_s": 9.0,
+                                         "schedule": 5}])),
     ], ids=["zero-half-len", "negative-waypoint-speed", "zero-visibility",
             "negative-start-speed", "three-number-waypoint", "no-waypoints",
-            "three-number-junction"])
+            "three-number-junction", "number-junction", "string-lane-segment",
+            "string-waypoint", "string-waypoints", "short-schedule-row",
+            "number-schedule"])
     def test_value_a_record_refuses_is_rejected_on_load(self, field, edit):
         doc = json.loads(json.dumps(script_to_dict(scenario_by_id("S6"))))
         edit(doc)

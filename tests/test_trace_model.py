@@ -141,6 +141,69 @@ class TestLoadRecord:
             "ignoring unknown record field 'header' (first on line 1)",
             "ignoring unknown record field 'mystery' (first on line 3)"]
 
+    def test_unknown_key_in_a_part_warns_once_per_record(self, tmp_path):
+        # by its dotted path; a part taken from the previous line is not
+        # looked at again, and a part built anew is
+        doc = json.loads(frame_to_line(ramp_frames(1)[0]))
+        doc["traffic_light"] = {"color": "red", "dist_to_stopline": 5.0}
+        doc["obstacles"] = [{"id": "o", "x": 9, "y": 0, "speed": 0,
+                             "half_len": 2, "half_wid": 1, "note": "x"}]
+        doc["weather"]["fgo"] = 0.5
+        doc["ego"]["zz"] = 1
+        lines = []
+        for i in range(4):
+            doc["t"] = i / 10
+            if i == 2:
+                doc["map_ctx"]["lane"] = "fast"
+                doc["obstacles"][0]["x"] = 10
+            lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
+        path = tmp_path / "rec.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frames = load_record(path)
+        assert [str(w.message) for w in caught] == [
+            f"ignoring unknown record field {name!r} (first on line {n})"
+            for name, n in (("ego.zz", 1), ("obstacles.note", 1),
+                            ("weather.fgo", 1), ("map_ctx.lane", 3))]
+        assert frames[0].weather.fog == 0.0
+        assert frames[1].weather is frames[0].weather
+
+    @pytest.mark.parametrize("part, key, where", [
+        (None, "ego", "frame"), (None, "t", "frame"),
+        ("ego", "x", "ego"), ("ego", "speed", "ego"),
+        ("obstacles", "id", "obstacles element"),
+        ("obstacles", "half_wid", "obstacles element"),
+        ("traffic_light", "color", "traffic_light"),
+        ("traffic_light", "dist_to_stopline", "traffic_light"),
+    ])
+    def test_missing_key_is_named_with_its_object(self, tmp_path, part, key,
+                                                  where):
+        doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": 1},
+               "obstacles": [{"id": "o", "x": 9, "y": 0, "speed": 0,
+                              "half_len": 2, "half_wid": 1}],
+               "traffic_light": {"color": "red", "dist_to_stopline": 5.0}}
+        obj = doc if part is None else doc[part]
+        del (obj[0] if part == "obstacles" else obj)[key]
+        path = tmp_path / "rec.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError) as info:
+            load_record(path)
+        assert str(info.value) == (f"line 1: bad frame (missing key {key!r}"
+                                   f" in {where})")
+
+    def test_missing_keys_are_named_ego_first_and_t_last(self, tmp_path):
+        path = tmp_path / "rec.jsonl"
+        path.write_text('{"ego":{"y":0,"heading":0,"speed":1},"obstacles":'
+                        '[{"x":9}]}\n', encoding="utf-8")
+        with pytest.raises(RecordError, match=r"\(missing key 'x' in ego\)$"):
+            load_record(path)
+        path.write_text('{"ego":{"x":0,"y":0,"heading":0,"speed":1},'
+                        '"obstacles":[{"x":9}]}\n', encoding="utf-8")
+        with pytest.raises(RecordError, match=r"\(missing key 'id' in"
+                                              r" obstacles element\)$"):
+            load_record(path)
+
     def test_negative_speed_rejected(self, tmp_path):
         path = tmp_path / "rec.jsonl"
         doc = {"t": 0.0, "ego": {"x": 0, "y": 0, "heading": 0, "speed": -1}}
@@ -423,7 +486,7 @@ class TestLoadRecord:
 # `-0E-5` and `-1e-400` decode to -0.0 without a "-0." in their line.
 _SPELLINGS = (
     ("0", "0.0", "-0", "-0.0", "-0.00", "0e0", "-0e0", "-0E-5", "-1e-400"),
-    ("1", "1.0", "true", "1e0", "10E-1"),
+    ("1", "1.0", "1.00", "1e0", "10E-1"),
     ("2.5", "2.50", "25e-1"),
     ("-3.25", "-325e-2"),
 )
@@ -434,9 +497,10 @@ _RARE_SPELLINGS = (
     ("-5e-324", "-4.9e-324", "-0.5e-323"),      # the least subnormal
     (_E308, _E308 + ".0", "1e308", "1E+308"),
 )
-_PLAIN = {"0", "0.0", "-0", "1", "1.0", "true", "2.5", "2.50", "-3.25"}
-# Literals beyond the float range: a line holding one is refused
-_OVERFLOWS = ("1e400", "-1E+400", "2" + "0" * 308, "9" * 400)
+_PLAIN = {"0", "0.0", "-0", "1", "1.0", "1.00", "2.5", "2.50", "-3.25"}
+# Literals that are no finite JSON number: beyond the float range, or true
+# and false, which Python counts as ints. A line holding one is refused
+_REFUSED = ("1e400", "-1E+400", "2" + "0" * 308, "9" * 400, "true", "false")
 _IDS = ("1", "1.0", '"1"', '"a"')      # all but "a" are == 1
 
 
@@ -603,7 +667,7 @@ def _record_text(rng):
             obstacles = _mutated(rng, obstacles, exotic)
         ego_x = _spelling(rng, ("0", "1.5", "-0.0", "15e-1"), exotic)
         if rng.random() < 0.02:
-            ego_x = rng.choice(_OVERFLOWS)
+            ego_x = rng.choice(_REFUSED)
         lines.append(f'{{"t":{i / 10},"ego":{{"x":{ego_x},"y":0,"heading":0,'
                      f'"speed":1}},"obstacles":['
                      + ",".join(map(_object_text, obstacles)) + "]}\n")
@@ -800,7 +864,9 @@ class TestObstacleReuse:
                             encoding="utf-8")
             work = tmp_path / f"lines{seed}"
             work.mkdir()
-            frames = _assert_loads_like_each_line_alone(path, work)
+            with warnings.catch_warnings():     # an obstacle's "note" is
+                warnings.simplefilter("ignore", UserWarning)    # unknown
+                frames = _assert_loads_like_each_line_alone(path, work)
             reused += _reused(frames)
             refused += not frames
             for part, n in _shared(frames).items():
@@ -828,7 +894,8 @@ class TestObstacleReuse:
             path.write_text("".join(lines), encoding="utf-8")
             work = tmp_path / f"lines{seed}"
             work.mkdir()
-            with warnings.catch_warnings():     # "obstacles_old" is unknown
+            with warnings.catch_warnings():     # "obstacles_old" is unknown,
+                # and so is an obstacle's "note"
                 warnings.simplefilter("ignore", UserWarning)
                 frames = _assert_loads_like_each_line_alone(path, work)
             reused += _reused(frames)
@@ -928,7 +995,7 @@ class TestObstacleReuse:
         lines[1] = lines[1][:-2] + ',"obstacles":[]}\n'
         doc, texts, elements = trace_model._decode_reusing(
             lines[0].strip(), None, trace_model._NO_TEXTS, ())
-        first = trace_model._frame_from_dict(doc)
+        first = trace_model._frame_from_dict(doc, set())
         assert trace_model._decode_reusing(lines[1].strip(), first, texts,
                                            elements) is None
         path = tmp_path / "rec.jsonl"
@@ -949,7 +1016,8 @@ class TestObstacleReuse:
         # each key is matched where the writer puts it: spelt otherwise it
         # is an unknown field, and a frame without "t" or "ego" is refused
         (lambda line, key=key: _misspelt(line, key),
-         f"line 2: bad frame ('{key}')" if key in ("t", "ego") else None)
+         f"line 2: bad frame (missing key '{key}' in frame)"
+         if key in ("t", "ego") else None)
         for key in _MEMBER_KEYS
     ], ids=["string before the key", "nested key first", "junk after an element",
             "data after the document",
@@ -1088,8 +1156,7 @@ class TestObstacleReuse:
         ("half_len", 0, "obstacles.half_len must be positive, got 0"),
         ("kind", "tank", "obstacles.kind must be one of ['vehicle',"
                          " 'pedestrian', 'cyclist', 'unknown'], got 'tank'"),
-        ("speed", "1", "'>=' not supported between instances of 'str' and"
-                       " 'int'"),
+        ("speed", "1", "obstacles.speed must be a finite number, got '1'"),
     ])
     def test_bad_value_after_shared_frames_names_its_line(self, tmp_path, key,
                                                           value, message):
